@@ -74,8 +74,8 @@ int main() {
               static_cast<long long>(stats.plan_cache.canonical_hits),
               static_cast<long long>(stats.plan_cache.misses),
               stats.plan_cache.HitRate());
-  for (const auto& [evaluator, count] : stats.evaluator_counts) {
-    std::printf("  %-12s %lld answers\n", evaluator.c_str(),
+  for (const auto& [route, count] : stats.segment_route_counts) {
+    std::printf("  %-12s %lld executions\n", route.c_str(),
                 static_cast<long long>(count));
   }
   std::printf("latency: p50=%.3fms p99=%.3fms over %lld requests\n",

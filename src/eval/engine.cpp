@@ -6,16 +6,6 @@
 
 namespace gkx::eval {
 
-namespace {
-
-Engine::Choice Dispatch(const xpath::FragmentReport& fragment) {
-  if (fragment.in_pf) return Engine::Choice::kPfFrontier;
-  if (fragment.in_core) return Engine::Choice::kCoreLinear;
-  return Engine::Choice::kCvt;
-}
-
-}  // namespace
-
 Result<Engine::Plan> Engine::Compile(std::string_view query_text) {
   auto query = xpath::ParseQuery(query_text);
   if (!query.ok()) return query.status();
@@ -28,12 +18,13 @@ Engine::Plan Engine::CompileParsed(xpath::Query query) {
 
 Result<Engine::Answer> Engine::RunDispatched(
     const xml::Document& doc, const xpath::Query& query,
-    const xpath::FragmentReport& fragment, Choice choice, const Context& ctx) {
+    const xpath::FragmentReport& fragment, plan::Route route,
+    const Context& ctx) {
   Answer answer;
   answer.fragment = fragment;
-  Evaluator& engine = choice == Choice::kPfFrontier
+  Evaluator& engine = route == plan::Route::kPfFrontier
                           ? static_cast<Evaluator&>(pf_)
-                          : choice == Choice::kCoreLinear
+                          : route == plan::Route::kCoreLinear
                                 ? static_cast<Evaluator&>(linear_)
                                 : static_cast<Evaluator&>(cvt_);
   answer.evaluator = std::string(engine.name());
@@ -77,8 +68,8 @@ Result<Engine::Answer> Engine::Run(const xml::Document& doc,
                                    const xpath::Query& query,
                                    const Context& ctx) {
   xpath::FragmentReport fragment = xpath::Classify(query);
-  Choice choice = Dispatch(fragment);
-  return RunDispatched(doc, query, fragment, choice, ctx);
+  return RunDispatched(doc, query, fragment, plan::WholeQueryRoute(fragment),
+                       ctx);
 }
 
 }  // namespace gkx::eval

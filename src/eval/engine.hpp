@@ -35,18 +35,8 @@ class Engine {
     std::string evaluator;  // route list that produced the value
   };
 
-  /// Which engine a plan (or plan segment) dispatches to. Legacy name for
-  /// plan::Route — kPfFrontier / kCoreLinear / kCvt.
-  using Choice = plan::Route;
-
-  /// Name of the evaluator a whole-query Choice dispatches to.
-  static std::string_view EvaluatorName(Choice choice) {
-    return plan::RouteEvaluatorName(choice);
-  }
-
-  /// A compiled query — the staged physical plan (thin alias during the
-  /// plan-IR migration; see plan/physical.hpp). Plans are immutable after
-  /// Compile and safe to share across threads.
+  /// A compiled query — the staged physical plan (see plan/physical.hpp).
+  /// Plans are immutable after Compile and safe to share across threads.
   using Plan = plan::Physical;
 
   /// Parses, normalizes, classifies per subexpression, and lowers a query
@@ -103,7 +93,7 @@ class Engine {
   Result<Answer> RunDispatched(const xml::Document& doc,
                                const xpath::Query& query,
                                const xpath::FragmentReport& fragment,
-                               Choice choice, const Context& ctx);
+                               plan::Route route, const Context& ctx);
 
   PfEvaluator pf_;
   CoreLinearEvaluator linear_;

@@ -20,6 +20,13 @@ Status Corrupt(const std::string& what) {
   return InvalidArgumentError("net: " + what);
 }
 
+/// Smallest encodings of one batch element: a request is two empty strings;
+/// an answer is a non-OK status with an empty message. A declared count
+/// above remaining / smallest cannot be honest, so it is rejected before
+/// anything is allocated for it.
+constexpr size_t kMinRequestBytes = 4 + 4;
+constexpr size_t kMinAnswerBytes = 1 + 4;
+
 // ----------------------------------------------------------------- status
 
 // [u8 code][string message]; code 0 is OK (empty message). The numeric
@@ -388,6 +395,9 @@ Result<Message> DecodeMessage(std::string_view payload) {
     case MsgType::kSubmitBatch: {
       uint32_t count = 0;
       if (!reader.Read(&count)) return Corrupt("truncated batch");
+      if (count > reader.remaining() / kMinRequestBytes) {
+        return Corrupt("batch count exceeds payload");
+      }
       message.requests.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         WireRequest request;
@@ -428,6 +438,9 @@ Result<Message> DecodeMessage(std::string_view payload) {
     case MsgType::kAnswerBatch: {
       uint32_t count = 0;
       if (!reader.Read(&count)) return Corrupt("truncated answer batch");
+      if (count > reader.remaining() / kMinAnswerBytes) {
+        return Corrupt("answer batch count exceeds payload");
+      }
       message.answers.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         WireAnswer answer;

@@ -101,35 +101,4 @@ void MetricRegistry::MergeInto(MetricRegistry* out) const {
   }
 }
 
-Histogram* HistogramFamily::Get(std::string_view label) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = members_.find(label);
-  if (it == members_.end()) {
-    it = members_.emplace(std::string(label), std::make_unique<Histogram>(unit_))
-             .first;
-  }
-  return it->second.get();
-}
-
-std::map<std::string, HistogramSummary> HistogramFamily::Summaries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, HistogramSummary> out;
-  for (const auto& [label, hist] : members_) out[label] = hist->Summary();
-  return out;
-}
-
-void HistogramFamily::MergeInto(HistogramFamily* out) const {
-  std::vector<std::pair<std::string, const Histogram*>> members;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    members.reserve(members_.size());
-    for (const auto& [label, hist] : members_) {
-      members.emplace_back(label, hist.get());
-    }
-  }
-  for (const auto& [label, hist] : members) {
-    out->Get(label)->Merge(*hist);
-  }
-}
-
 }  // namespace gkx::obs

@@ -74,28 +74,6 @@ class MetricRegistry {
   std::map<std::string, double> merged_gauge_sums_;
 };
 
-/// A set of histograms keyed by a dynamic label (e.g. route name). Get()
-/// takes a mutex only on first sighting of a label; the returned pointer is
-/// stable. Label cardinality is expected to be tiny (the four routes).
-class HistogramFamily {
- public:
-  explicit HistogramFamily(Histogram::Unit unit = Histogram::Unit::kNanos)
-      : unit_(unit) {}
-
-  Histogram* Get(std::string_view label);
-
-  std::map<std::string, HistogramSummary> Summaries() const;
-
-  /// Folds every member into the same-labelled member of `out` (created on
-  /// demand with this family's unit), bucket-exact like Histogram::Merge.
-  void MergeInto(HistogramFamily* out) const;
-
- private:
-  Histogram::Unit unit_;
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> members_;
-};
-
 }  // namespace gkx::obs
 
 #endif  // GKX_OBS_METRICS_HPP_

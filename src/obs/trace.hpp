@@ -1,11 +1,5 @@
 // Request-tracing support: a monotonic-clock helper, per-request trace
 // options, and a bounded in-memory slow-query log.
-//
-// Compile-out: building with -DGKX_OBS_DISABLED removes per-stage and
-// per-route tracing from the request path (kCompiledOut becomes true and
-// QueryService skips the stamps). The total-request-latency histogram stays
-// on in all builds — it replaces the old latency recorder and the soak
-// harness reconciles its count against the request counters.
 
 #ifndef GKX_OBS_TRACE_HPP_
 #define GKX_OBS_TRACE_HPP_
@@ -20,12 +14,6 @@
 
 namespace gkx::obs {
 
-#ifdef GKX_OBS_DISABLED
-inline constexpr bool kCompiledOut = true;
-#else
-inline constexpr bool kCompiledOut = false;
-#endif
-
 /// Monotonic now in nanoseconds; the one clock all spans use.
 inline uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -35,8 +23,9 @@ inline uint64_t NowNs() {
 }
 
 struct TraceOptions {
-  /// Master runtime switch for per-stage/per-route tracing and the
-  /// slow-query log. Total request latency is always recorded.
+  /// Runtime switch for the sampled per-stage spans, the update.*
+  /// histograms and the slow-query log. Total request latency and the
+  /// per-route histograms are always recorded.
   bool tracing = true;
   /// Requests slower than this land in the slow-query log.
   double slow_query_ms = 5.0;
@@ -52,7 +41,9 @@ struct SlowQuery {
   std::string query;  // canonical form
   uint64_t revision = 0;
   double total_ms = 0.0;
-  std::vector<std::string> routes;  // execution routes, in segment order
+  /// Routes executed, in segment order ("pf-indexed", "pf-frontier",
+  /// "core-linear", "cvt"); empty for an answer-cache hit.
+  std::vector<std::string> routes;
   std::vector<std::pair<std::string, double>> stages_ms;  // (stage, ms)
 };
 

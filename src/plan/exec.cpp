@@ -54,8 +54,7 @@ class StagedRun {
         if (trace == nullptr && stats_ == nullptr) break;
         // Traced/counted runs report every segment (0.0s / one `skipped`
         // increment) so trace length and the stats bucket sum always equal
-        // the plan's segment count — the exactness the soak reconciliation
-        // relies on.
+        // the plan's segment count.
         if (trace != nullptr) trace->push_back({segment.route, 0.0});
         if (stats_ != nullptr) {
           stats_->skipped_segments.fetch_add(1, std::memory_order_relaxed);

@@ -71,8 +71,8 @@ struct ExecStats {
 /// Wall-clock of one executed segment. When a trace is requested, EVERY
 /// segment of every branch gets exactly one entry in plan order — segments
 /// skipped because the frontier emptied report 0.0 seconds — so the trace's
-/// length always equals the plan's segment count and per-route trace counts
-/// reconcile exactly against per-segment dispatch counters.
+/// length always equals the plan's segment count, and the service records
+/// each segment's route exactly once from it.
 struct SegmentTiming {
   Route route = Route::kPfFrontier;
   double seconds = 0.0;

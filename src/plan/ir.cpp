@@ -20,7 +20,7 @@ std::string_view RouteName(Route route) {
   return {};
 }
 
-std::string_view RouteEvaluatorName(Route route) {
+std::string_view RouteEngineName(Route route) {
   // Name-only instances: the engines carry no construction-time state, and
   // routing through their name() keeps the labels in lockstep with the
   // strings execution reports.

@@ -39,7 +39,7 @@ std::string_view RouteName(Route route);
 /// Name of the evaluator a whole-query route dispatches to (taken from the
 /// engines' own name() strings, so it cannot drift from what execution
 /// reports: "pf-frontier", "core-linear", "cvt-lazy").
-std::string_view RouteEvaluatorName(Route route);
+std::string_view RouteEngineName(Route route);
 
 /// Per-step annotation produced by ClassifyOps.
 struct StepPlan {

@@ -6,13 +6,13 @@
 
 namespace gkx::plan {
 
-namespace {
-
 Route WholeQueryRoute(const xpath::FragmentReport& fragment) {
   if (fragment.in_pf) return Route::kPfFrontier;
   if (fragment.in_core) return Route::kCoreLinear;
   return Route::kCvt;
 }
+
+namespace {
 
 /// Fuses the top-level steps of `path` into contiguous same-route segments.
 std::vector<Segment> FuseSegments(const xpath::PathExpr& path,
@@ -106,7 +106,7 @@ Physical Lower(Logical logical) {
   // identical cost, so staging it would only churn labels.
   out.staged = any_cvt && any_bitset;
   if (!out.staged) {
-    out.route_label = std::string(RouteEvaluatorName(out.choice));
+    out.route_label = std::string(RouteEngineName(out.choice));
     return out;
   }
 

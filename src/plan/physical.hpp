@@ -12,7 +12,7 @@
 // A plan is *staged* only when it genuinely mixes routes (some segment
 // needs CVT and some does not). Uniform plans keep the classic whole-query
 // dispatch — same engines, same labels, zero overhead — so staging is a
-// strict refinement of the old {AST, fragment, Choice} plan.
+// strict refinement of whole-query dispatch.
 //
 // Physical plans are immutable after Lower and safe to share across
 // threads; the PlanCache hands them out as shared_ptr<const Physical>.
@@ -21,7 +21,6 @@
 #define GKX_PLAN_PHYSICAL_HPP_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "plan/footprint.hpp"
@@ -75,9 +74,7 @@ struct BranchProgram {
   std::vector<Segment> segments;
 };
 
-/// A compiled, immutable physical plan. `eval::Engine::Plan` is an alias of
-/// this type; the legacy fields (query / fragment / choice) keep their old
-/// names so the migration is source-compatible.
+/// A compiled, immutable physical plan (`eval::Engine::Plan`).
 struct Physical {
   xpath::Query query;              // normalized AST (owns the tree)
   std::string canonical_text;      // the PlanCache normal form
@@ -100,9 +97,11 @@ struct Physical {
   /// Conservative tag/axis dependency set (see footprint.hpp) — what the
   /// mview answer cache and subscription manager key invalidation on.
   Footprint footprint;
-
-  std::string_view evaluator_name() const { return route_label; }
 };
+
+/// The classic whole-query dispatch (Figure 1): PF → pf-frontier, Core XPath
+/// → core-linear, anything else → cvt.
+Route WholeQueryRoute(const xpath::FragmentReport& fragment);
 
 /// Stage 3: segment fusion. `logical` must be classified (ClassifyOps).
 Physical Lower(Logical logical);

@@ -15,10 +15,6 @@ inline double MillisBetween(uint64_t begin_ns, uint64_t end_ns) {
   return static_cast<double>(end_ns - begin_ns) * 1e-6;
 }
 
-inline double SecondsBetween(uint64_t begin_ns, uint64_t end_ns) {
-  return static_cast<double>(end_ns - begin_ns) * 1e-9;
-}
-
 }  // namespace
 
 QueryService::QueryService(const Options& options)
@@ -26,7 +22,6 @@ QueryService::QueryService(const Options& options)
       pool_(options.pool ? options.pool : &ThreadPool::Shared()),
       plan_cache_(options.plan_cache),
       answer_cache_(options.answer_cache),
-      latency_hist_(registry_.GetHistogram("request_latency_ms")),
       stage_doc_lookup_(registry_.GetHistogram("stage.doc_lookup_ms")),
       stage_plan_lookup_(registry_.GetHistogram("stage.plan_lookup_ms")),
       stage_answer_cache_lookup_(
@@ -46,7 +41,7 @@ QueryService::QueryService(const Options& options)
           "update.remapped_entries", obs::Histogram::Unit::kCount)),
       update_sub_eval_(registry_.GetHistogram("update.subscription_eval_ms")),
       slow_log_(options.obs.slow_query_ms, options.obs.slow_query_capacity),
-      tracing_(options.obs.tracing && !obs::kCompiledOut),
+      tracing_(options.obs.tracing),
       subscriptions_(&store_, pool_) {
   // Intra-query parallelism shares the service pool unless the caller
   // provided a dedicated one.
@@ -161,8 +156,7 @@ Result<QueryService::Answer> QueryService::Process(
   // per-request clock reads alone would cost tens of percent (the
   // bench_obs_overhead bar is < 5%). Execution-side stamps stay
   // per-request — they only run on answer-cache misses, where evaluation
-  // work amortizes them — which is also what keeps the route histograms
-  // exactly reconcilable against the segment counters.
+  // work amortizes them.
   const bool sampled = tracing_ && (seq & (kStageSampleEvery - 1)) == 0;
 
   auto fail = [this](Status status) -> Result<Answer> {
@@ -182,7 +176,6 @@ Result<QueryService::Answer> QueryService::Process(
   const std::shared_ptr<const eval::Engine::Plan>& plan = *plan_or;
 
   Answer answer;
-  bool answered = false;
   bool from_answer_cache = false;
   if (options_.answer_cache_enabled) {
     // The revision pins the exact document state this request snapshotted;
@@ -190,7 +183,6 @@ Result<QueryService::Answer> QueryService::Process(
     if (auto cached = answer_cache_.Lookup(doc_key, stored->revision(),
                                            plan->canonical_text)) {
       answer = cached->answer;
-      answered = true;
       from_answer_cache = true;
     }
   }
@@ -198,32 +190,29 @@ Result<QueryService::Answer> QueryService::Process(
 
   // Per-segment timings for staged plans; empty for everything else. The
   // trace has exactly one entry per plan segment (skipped segments report
-  // 0.0s), which is what keeps route-histogram counts reconcilable against
-  // segment_route_counts.
+  // 0.0s), so each segment records its route exactly once.
   plan::ExecTrace exec_trace;
   bool indexed = false;
-  const uint64_t t_exec_begin =
-      tracing_ && !answered ? obs::NowNs() : 0;
-  if (!answered && options_.indexed_fast_path && plan->fragment.in_pf) {
+  const bool evaluated = !from_answer_cache;
+  const uint64_t t_exec_begin = evaluated ? obs::NowNs() : 0;
+  if (evaluated && options_.indexed_fast_path && plan->fragment.in_pf) {
     if (auto nodes = TryIndexedPath(stored->index(), plan->query)) {
       answer.value = eval::Value::Nodes(std::move(*nodes));
       answer.fragment = plan->fragment;
       answer.evaluator = "pf-indexed";
-      answered = true;
       indexed = true;
     }
   }
-  const bool evaluated = !from_answer_cache;
-  if (!answered) {
+  if (evaluated && !indexed) {
     auto run = engine.RunPlan(stored->doc(), *plan,
                               eval::RootContext(stored->doc()),
-                              tracing_ && plan->staged ? &exec_trace : nullptr);
+                              plan->staged ? &exec_trace : nullptr);
     if (!run.ok()) return fail(run.status());
     answer = std::move(run).value();
   }
-  const uint64_t t_exec = tracing_ && evaluated ? obs::NowNs() : 0;
+  const uint64_t t_exec = evaluated ? obs::NowNs() : 0;
 
-  if (options_.answer_cache_enabled && !from_answer_cache) {
+  if (options_.answer_cache_enabled && evaluated) {
     // Cache the true answer before the (test-only) tap can perturb it.
     answer_cache_.Insert(doc_key, stored->revision(), plan->canonical_text,
                          answer, plan->footprint);
@@ -231,21 +220,18 @@ Result<QueryService::Answer> QueryService::Process(
   const uint64_t t_insert = tracing_ && evaluated ? obs::NowNs() : 0;
   if (options_.answer_tap) options_.answer_tap(&answer);
 
-  evaluator_counters_.Increment(answer.evaluator);
-  if (from_answer_cache) {
-    // Nothing executed; segment counters track evaluated plans only.
-  } else if (plan->staged) {
-    int64_t segments = 0;
-    for (const auto& branch : plan->branches) {
-      for (const auto& segment : branch.segments) {
-        segment_route_counters_.Increment(plan::RouteName(segment.route));
-        ++segments;
-      }
+  // Route accounting: staged plans record each segment under its route,
+  // everything else records its single whole-query dispatch. An
+  // answer-cache hit executed nothing and records nothing.
+  if (evaluated && plan->staged) {
+    for (const plan::SegmentTiming& timing : exec_trace) {
+      route_hists_.of(timing.route).Record(timing.seconds);
     }
-    staged_segments_.fetch_add(segments, std::memory_order_relaxed);
-  } else {
-    // Uniform plan (or the index fast path): one whole-query segment.
-    segment_route_counters_.Increment(answer.evaluator);
+    staged_segments_.fetch_add(static_cast<int64_t>(exec_trace.size()),
+                               std::memory_order_relaxed);
+  } else if (evaluated) {
+    (indexed ? route_hists_.indexed() : route_hists_.of(plan->choice))
+        .RecordValue(t_exec - t_exec_begin);
   }
 
   const uint64_t t_end = obs::NowNs();
@@ -259,21 +245,6 @@ Result<QueryService::Answer> QueryService::Process(
       stage_execute_->RecordValue(t_exec - t_exec_begin);
       stage_cache_insert_->RecordValue(t_insert - t_exec);
     }
-    // Route histograms mirror the segment counters one-for-one: staged
-    // plans record each segment under its route, everything else records
-    // its single whole-query dispatch — except answer-cache hits, which
-    // executed nothing and increment no segment counter either.
-    if (from_answer_cache) {
-      // No route ran.
-    } else if (plan->staged) {
-      for (const plan::SegmentTiming& timing : exec_trace) {
-        route_hists_.Get(plan::RouteName(timing.route))
-            ->Record(timing.seconds);
-      }
-    } else {
-      route_hists_.Get(answer.evaluator)
-          ->Record(SecondsBetween(t_exec_begin, t_exec));
-    }
     const double total_ms = MillisBetween(t_start, t_end);
     if (slow_log_.Eligible(total_ms)) {
       obs::SlowQuery slow;
@@ -281,14 +252,13 @@ Result<QueryService::Answer> QueryService::Process(
       slow.query = plan->canonical_text;
       slow.revision = static_cast<uint64_t>(stored->revision());
       slow.total_ms = total_ms;
-      if (from_answer_cache) {
-        slow.routes.push_back("answer-cache");
-      } else if (plan->staged) {
+      if (plan->staged) {
         for (const plan::SegmentTiming& timing : exec_trace) {
           slow.routes.emplace_back(plan::RouteName(timing.route));
         }
-      } else {
-        slow.routes.push_back(indexed ? "pf-indexed" : answer.evaluator);
+      } else if (evaluated) {
+        slow.routes.emplace_back(indexed ? "pf-indexed"
+                                         : plan::RouteName(plan->choice));
       }
       // The breakdown carries every span this request actually stamped:
       // the lookup stages when it was a sampled request, the execution
@@ -310,9 +280,7 @@ Result<QueryService::Answer> QueryService::Process(
       slow_log_.Record(std::move(slow));
     }
   }
-  // Always on (even with GKX_OBS_DISABLED): this histogram IS the request
-  // latency statistic — count == requests - failures in every build.
-  latency_hist_->RecordValue(t_end - t_start);
+  latency_hist_.RecordValue(t_end - t_start);
   return answer;
 }
 
@@ -396,9 +364,7 @@ ServiceStats QueryService::Stats() const {
     out.answer_cache = answer_cache_.counters();
   }
   out.subscriptions = subscriptions_.counters();
-  out.evaluator_counts = evaluator_counters_.Snapshot();
-  out.segment_route_counts = segment_route_counters_.Snapshot();
-  out.route_latency = route_hists_.Summaries();
+  out.ReadRoutes(route_hists_);
   out.tracing = tracing_;
   out.staged_segments = staged_segments_.load(std::memory_order_relaxed);
   out.exec_parallel_segments =
@@ -408,15 +374,15 @@ ServiceStats QueryService::Stats() const {
   out.exec_skipped_segments =
       exec_stats_.skipped_segments.load(std::memory_order_relaxed);
   out.slow_queries = slow_log_.recorded();
-  out.latency = ToLatencySummary(latency_hist_->Summary());
+  out.latency = ToLatencySummary(latency_hist_.Summary());
   return out;
 }
 
 void QueryService::MergeObservabilityInto(obs::Histogram* latency,
-                                          obs::HistogramFamily* routes,
+                                          RouteHistograms* routes,
                                           obs::MetricRegistry* registry) const {
-  if (latency != nullptr) latency->Merge(*latency_hist_);
-  if (routes != nullptr) route_hists_.MergeInto(routes);
+  latency->Merge(latency_hist_);
+  route_hists_.MergeInto(routes);
   if (registry != nullptr) registry_.MergeInto(registry);
 }
 

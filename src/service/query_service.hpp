@@ -79,21 +79,17 @@ struct ServiceStats {
   /// Standing queries: subscriptions.{active,fired,coalesced,
   /// skipped_disjoint,evaluations}.
   mview::SubscriptionManager::Counters subscriptions;
-  std::map<std::string, int64_t> evaluator_counts;
-  /// How often each route executed as a plan *segment*: a hybrid plan
-  /// counts one increment per segment ("pf-frontier", "core-linear",
-  /// "cvt"), a uniform plan counts as its single whole-query segment, the
-  /// index fast path as "pf-indexed". Answer-cache hits execute nothing and
-  /// increment no segment counter (their evaluator label still counts in
-  /// evaluator_counts), so Σ segment counts tracks *evaluated* requests.
+  /// How often each served route executed, keyed "pf-indexed",
+  /// "pf-frontier", "core-linear", "cvt" (always all four): a hybrid plan
+  /// counts once per segment, a uniform plan as its single whole-query
+  /// segment, the index fast path as "pf-indexed". Answer-cache hits
+  /// execute nothing and count nothing. Read out of the same
+  /// RouteHistograms as route_latency, so each count is its summary's.
   std::map<std::string, int64_t> segment_route_counts;
-  /// Per-route execution-latency summaries, keyed exactly like
-  /// segment_route_counts. Populated only while tracing is active; when it
-  /// has been active since construction, each route's summary count equals
-  /// its segment_route_counts entry (the soak harness reconciles this).
+  /// Per-route execution-latency summaries, keyed like
+  /// segment_route_counts. Recorded whether or not tracing is on.
   std::map<std::string, obs::HistogramSummary> route_latency;
-  /// Whether per-stage/per-route tracing is active (Options::obs.tracing
-  /// and not compiled out via GKX_OBS_DISABLED).
+  /// Whether per-stage tracing is on (Options::obs.tracing).
   bool tracing = false;
   /// Segments dispatched by staged (hybrid) evaluated plans — the subset of
   /// Σ segment_route_counts that went through the staged executor.
@@ -108,9 +104,17 @@ struct ServiceStats {
   /// Requests that crossed the slow-query threshold (including entries the
   /// bounded log has since evicted).
   int64_t slow_queries = 0;
-  /// All-time total request latency (always recorded, even with tracing
-  /// off or compiled out): count == requests - failures.
+  /// All-time total request latency (recorded whether or not tracing is
+  /// on): count == requests - failures.
   LatencySummary latency;
+
+  /// Fills route_latency and segment_route_counts from one read of `routes`.
+  void ReadRoutes(const RouteHistograms& routes) {
+    route_latency = routes.Summaries();
+    for (const auto& [name, summary] : route_latency) {
+      segment_route_counts[name] = summary.count;
+    }
+  }
 };
 
 class QueryService {
@@ -140,10 +144,9 @@ class QueryService {
     /// exec.pool == nullptr uses the service pool. Answers are identical at
     /// any setting; only latency changes.
     plan::ExecOptions exec;
-    /// Request tracing: per-stage/per-route histograms and the slow-query
-    /// log (see obs/trace.hpp). Total request latency is recorded into the
-    /// all-time histogram regardless. Building with -DGKX_OBS_DISABLED
-    /// compiles the per-stage tracing out entirely.
+    /// Request tracing: the sampled per-stage histograms, the update.*
+    /// histograms and the slow-query log (see obs/trace.hpp). Total request
+    /// latency and the per-route histograms are recorded regardless.
     obs::TraceOptions obs;
     /// Test-only fault-injection hook: invoked on every successful answer
     /// (after dispatch or answer-cache hit, before counters/latency are
@@ -222,7 +225,7 @@ class QueryService {
 
   /// Serializes the full observability surface — the Stats() snapshot plus
   /// every registered metric, per-route histograms, and the slow-query log.
-  /// kJson produces the structured "gkx-stats-v1" document; kText flattens
+  /// kJson produces the structured "gkx-stats-v2" document; kText flattens
   /// its numeric leaves into `gkx_section_name value` lines
   /// (Prometheus-style). Implemented in stats_export.cpp.
   std::string ExportStats(StatsFormat format = StatsFormat::kText) const;
@@ -232,13 +235,11 @@ class QueryService {
   obs::json::Value ExportStatsDocument() const;
 
   /// Router support: folds this service's observability state into
-  /// cross-shard aggregates — the always-on latency histogram into
-  /// `latency`, the per-route execution histograms into `routes`, and the
-  /// whole metric registry into `registry` (counters add, histograms merge
-  /// bucket-exact). Null destinations are skipped. Safe to call while the
-  /// service is serving.
-  void MergeObservabilityInto(obs::Histogram* latency,
-                              obs::HistogramFamily* routes,
+  /// cross-shard aggregates — the latency histogram into `latency`, the
+  /// per-route histograms into `routes`, and the whole metric registry into
+  /// `registry` (counters add, histograms merge bucket-exact). A null
+  /// registry is skipped. Safe to call while the service is serving.
+  void MergeObservabilityInto(obs::Histogram* latency, RouteHistograms* routes,
                               obs::MetricRegistry* registry) const;
 
   /// The slow-query threshold the trace options resolved to.
@@ -293,17 +294,20 @@ class QueryService {
   // evaluation observer, and the manager's destructor quiesces those tasks
   // — so the metrics must be destroyed after it.
   obs::MetricRegistry registry_;
-  // Stable pointers into registry_, wired once in the constructor so the
-  // request path never takes the registry lock.
-  obs::Histogram* latency_hist_;         // always-on total request latency
+  obs::Histogram latency_hist_;  // total request latency, always recorded
+  /// How often and how long each served route ran, always recorded — only
+  /// answer-cache misses execute a route, where evaluation amortizes the
+  /// clock reads.
+  RouteHistograms route_hists_;
   /// The sub-microsecond lookup stages (doc / plan / answer-cache lookup)
   /// stamp the clock on every kStageSampleEvery-th request only: a warm
   /// answer-cache hit serves in ~0.5us, so per-request stamps there would
   /// cost tens of percent (bench_obs_overhead holds the bar at < 5%).
-  /// Execution-side spans and the route histograms are per-request — they
-  /// run only on answer-cache misses, where evaluation amortizes them, and
-  /// the route counts must reconcile exactly. Power of two.
+  /// Execution-side spans are per-request — they run only on answer-cache
+  /// misses, where evaluation amortizes them. Power of two.
   static constexpr int64_t kStageSampleEvery = 64;
+  // Stable pointers into registry_, wired once in the constructor so the
+  // request path never takes the registry lock.
   obs::Histogram* stage_doc_lookup_;
   obs::Histogram* stage_plan_lookup_;
   obs::Histogram* stage_answer_cache_lookup_;
@@ -317,17 +321,12 @@ class QueryService {
   obs::Histogram* update_retained_;
   obs::Histogram* update_remapped_;
   obs::Histogram* update_sub_eval_;
-  /// Execution latency per route label, mirroring segment_route_counts.
-  obs::HistogramFamily route_hists_;
   obs::SlowQueryLog slow_log_;
-  /// Options::obs.tracing && !obs::kCompiledOut, resolved once.
-  const bool tracing_;
+  const bool tracing_;  // Options::obs.tracing
 
   mview::SubscriptionManager subscriptions_;  // declared after store_/pool_:
                                               // destroyed first, quiescing
                                               // pool tasks that use them
-  EvaluatorCounters evaluator_counters_;
-  EvaluatorCounters segment_route_counters_;
   /// Per-segment parallel/sequential/skipped execution counts, shared by
   /// every request engine (Submit and batch workers alike). Subscription
   /// re-evaluations use their own engines and do NOT feed these — the

@@ -194,8 +194,9 @@ void ShardedQueryService::FlushSubscriptions() {
 // ------------------------------------------------------------------ admin
 
 ServiceStats ShardedQueryService::AggregateStats(
-    obs::Histogram* latency, obs::HistogramFamily* routes,
     obs::MetricRegistry* registry) const {
+  obs::Histogram latency(obs::Histogram::Unit::kNanos);
+  RouteHistograms routes;
   ServiceStats agg;
   for (const auto& shard : shards_) {
     const ServiceStats s = shard->Stats();
@@ -229,12 +230,6 @@ ServiceStats ShardedQueryService::AggregateStats(
     agg.subscriptions.skipped_disjoint += s.subscriptions.skipped_disjoint;
     agg.subscriptions.evaluations += s.subscriptions.evaluations;
 
-    for (const auto& [name, count] : s.evaluator_counts) {
-      agg.evaluator_counts[name] += count;
-    }
-    for (const auto& [name, count] : s.segment_route_counts) {
-      agg.segment_route_counts[name] += count;
-    }
     agg.tracing = s.tracing;  // identical options across shards
     agg.staged_segments += s.staged_segments;
     agg.exec_parallel_segments += s.exec_parallel_segments;
@@ -242,21 +237,15 @@ ServiceStats ShardedQueryService::AggregateStats(
     agg.exec_skipped_segments += s.exec_skipped_segments;
     agg.slow_queries += s.slow_queries;
 
-    shard->MergeObservabilityInto(latency, routes, registry);
+    shard->MergeObservabilityInto(&latency, &routes, registry);
   }
-  if (latency != nullptr) {
-    agg.latency = ToLatencySummary(latency->Summary());
-  }
-  if (routes != nullptr) {
-    agg.route_latency = routes->Summaries();
-  }
+  agg.latency = ToLatencySummary(latency.Summary());
+  agg.ReadRoutes(routes);
   return agg;
 }
 
 ServiceStats ShardedQueryService::Stats() const {
-  obs::Histogram latency(obs::Histogram::Unit::kNanos);
-  obs::HistogramFamily routes(obs::Histogram::Unit::kNanos);
-  return AggregateStats(&latency, &routes, nullptr);
+  return AggregateStats(nullptr);
 }
 
 std::vector<ServiceStats> ShardedQueryService::ShardStats() const {
@@ -267,12 +256,10 @@ std::vector<ServiceStats> ShardedQueryService::ShardStats() const {
 }
 
 std::string ShardedQueryService::ExportStats(StatsFormat format) const {
-  obs::Histogram latency(obs::Histogram::Unit::kNanos);
-  obs::HistogramFamily routes(obs::Histogram::Unit::kNanos);
   obs::MetricRegistry registry;
 
   StatsExportInputs inputs;
-  inputs.stats = AggregateStats(&latency, &routes, &registry);
+  inputs.stats = AggregateStats(&registry);
   inputs.registry = &registry;
   inputs.slow_query_threshold_ms = shards_[0]->slow_query_threshold_ms();
   for (const auto& shard : shards_) {

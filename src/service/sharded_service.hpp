@@ -31,7 +31,7 @@
 // Stats: Stats() sums counters across shards and merges the latency/route
 // histograms bucket-exact (obs::Histogram::Merge), so aggregate percentiles
 // are true percentiles, not averages of summaries. ExportStats() emits one
-// aggregated "gkx-stats-v1" document plus a per-shard breakdown under
+// aggregated "gkx-stats-v2" document plus a per-shard breakdown under
 // "shards" (tools/check_stats_json re-proves that the per-shard route
 // counts sum to the aggregate).
 //
@@ -119,7 +119,7 @@ class ShardedQueryService {
   ServiceStats Stats() const;
   /// Per-shard snapshots, indexed by shard.
   std::vector<ServiceStats> ShardStats() const;
-  /// One aggregated "gkx-stats-v1" document plus a "shards" breakdown.
+  /// One aggregated "gkx-stats-v2" document plus a "shards" breakdown.
   std::string ExportStats(StatsFormat format = StatsFormat::kText) const;
   /// Checkpoints every durable shard; first error wins (all shards are
   /// still attempted).
@@ -143,11 +143,9 @@ class ShardedQueryService {
 
   QueryService& Owner(std::string_view key) { return *shards_[map_.ShardOf(key)]; }
 
-  /// Folds every shard's stats into one snapshot; any destination may be
-  /// null (Stats() skips the registry, ExportStats wants all three).
-  ServiceStats AggregateStats(obs::Histogram* latency,
-                              obs::HistogramFamily* routes,
-                              obs::MetricRegistry* registry) const;
+  /// Folds every shard's stats into one snapshot; a null registry is
+  /// skipped (Stats() skips it, ExportStats wants it).
+  ServiceStats AggregateStats(obs::MetricRegistry* registry) const;
 
   Options options_;
   ShardMap map_;

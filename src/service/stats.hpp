@@ -1,20 +1,20 @@
 // Service-level observability primitives shared by the stats snapshot and
-// the exporter. Latency percentiles come from the obs::Histogram (all-time,
-// exact-by-bucket — see obs/histogram.hpp); the old sliding-window
-// LatencyRecorder is gone, and with it its recency bias: it kept only the
-// last 4096 samples, so its Summary() silently reported a window percentile
-// against an all-time count.
+// the exporter: the latency summary read out of an obs::Histogram
+// (all-time, exact-by-bucket — see obs/histogram.hpp) and the one store of
+// route facts, RouteHistograms.
 
 #ifndef GKX_SERVICE_STATS_HPP_
 #define GKX_SERVICE_STATS_HPP_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 
 #include "obs/histogram.hpp"
+#include "plan/ir.hpp"
 
 namespace gkx::service {
 
@@ -46,26 +46,45 @@ inline LatencySummary ToLatencySummary(const obs::HistogramSummary& h) {
 /// Output flavour of QueryService::ExportStats.
 enum class StatsFormat {
   kText,  // flat `gkx_section_name value` lines (Prometheus-style)
-  kJson,  // the structured "gkx-stats-v1" document
+  kJson,  // the structured "gkx-stats-v2" document
 };
 
-/// How often each evaluator produced an answer ("pf-frontier",
-/// "core-linear", "cvt-lazy", "pf-indexed", ...).
-class EvaluatorCounters {
+/// The one record of how often and how long each served route ran: one
+/// lock-free histogram per route, indexed by route. Slot 0 is the
+/// DocumentIndex fast path ("pf-indexed"); slots 1-3 are the plan::Route
+/// engines in enum order ("pf-frontier", "core-linear", "cvt"). Recording
+/// is a single Histogram::Record — no lock, no string key.
+class RouteHistograms {
  public:
-  void Increment(std::string_view evaluator) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counts_[std::string(evaluator)];
+  obs::Histogram& indexed() { return hists_[0]; }
+  obs::Histogram& of(plan::Route route) {
+    return hists_[1 + static_cast<size_t>(route)];
   }
 
-  std::map<std::string, int64_t> Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return counts_;
+  /// Per-route summaries keyed by route name — always all four routes.
+  std::map<std::string, obs::HistogramSummary> Summaries() const {
+    std::map<std::string, obs::HistogramSummary> out;
+    for (size_t i = 0; i < kRoutes; ++i) {
+      out.emplace(Name(i), hists_[i].Summary());
+    }
+    return out;
+  }
+
+  /// Folds every route into the same route of `out`, bucket-exact.
+  void MergeInto(RouteHistograms* out) const {
+    for (size_t i = 0; i < kRoutes; ++i) out->hists_[i].Merge(hists_[i]);
   }
 
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, int64_t> counts_;
+  static constexpr size_t kRoutes = 4;
+
+  /// "pf-indexed", then plan::RouteName of each engine.
+  static std::string_view Name(size_t slot) {
+    return slot == 0 ? "pf-indexed"
+                     : plan::RouteName(static_cast<plan::Route>(slot - 1));
+  }
+
+  std::array<obs::Histogram, kRoutes> hists_;
 };
 
 }  // namespace gkx::service

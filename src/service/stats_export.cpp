@@ -1,5 +1,5 @@
 // The machine-readable face of the stats surface. One builder
-// (BuildStatsDocument) produces the structured "gkx-stats-v1" JSON document
+// (BuildStatsDocument) produces the structured "gkx-stats-v2" JSON document
 // from a StatsExportInputs bundle; the text format is its numeric leaves
 // flattened into `gkx_<path> value` lines (obs::json::Value::FlattenNumbers),
 // so the two views can never drift apart. QueryService::ExportStats feeds it
@@ -38,7 +38,7 @@ Value BuildStatsDocument(const StatsExportInputs& inputs) {
   const ServiceStats& stats = inputs.stats;
 
   Value root = Value::Object();
-  root["schema"] = Value("gkx-stats-v1");
+  root["schema"] = Value("gkx-stats-v2");
 
   {
     Value service = Value::Object();
@@ -86,20 +86,6 @@ Value BuildStatsDocument(const StatsExportInputs& inputs) {
     root["subscriptions"] = std::move(subs);
   }
   {
-    Value counts = Value::Object();
-    for (const auto& [name, count] : stats.evaluator_counts) {
-      counts[name] = Value(count);
-    }
-    root["evaluator_counts"] = std::move(counts);
-  }
-  {
-    Value counts = Value::Object();
-    for (const auto& [name, count] : stats.segment_route_counts) {
-      counts[name] = Value(count);
-    }
-    root["segment_route_counts"] = std::move(counts);
-  }
-  {
     // Staged-executor dispatch accounting. Invariant (checked by
     // tools/check_stats_json and the soak reconciliation):
     // parallel + sequential + skipped == staged_segments, exactly — the
@@ -125,8 +111,9 @@ Value BuildStatsDocument(const StatsExportInputs& inputs) {
     root["latency_ms"] = std::move(latency);
   }
   {
-    // Per-route execution latency; counts reconcile against
-    // segment_route_counts while tracing is active (the soak checks this).
+    // The one route store: routes.<route>.count is how often the route
+    // executed (ServiceStats::segment_route_counts), the rest its latency.
+    // Always the four routes pf-indexed / pf-frontier / core-linear / cvt.
     Value routes = Value::Object();
     for (const auto& [label, summary] : stats.route_latency) {
       routes[label] = SummaryJson(summary);
@@ -135,9 +122,7 @@ Value BuildStatsDocument(const StatsExportInputs& inputs) {
   }
   {
     // The raw registry, with dotted names nested ("update.splice_ms" →
-    // metrics.update.splice_ms). request_latency_ms and the route family
-    // already have first-class sections above; the registry view is the
-    // complete, uncurated surface.
+    // metrics.update.splice_ms): the stage.*, update.* and wal.* families.
     Value metrics = Value::Object();
     auto slot = [&metrics](const std::string& name) -> Value& {
       Value* node = &metrics;

@@ -1,4 +1,4 @@
-// The "gkx-stats-v1" document builder, decoupled from which service owns
+// The "gkx-stats-v2" document builder, decoupled from which service owns
 // the inputs: a QueryService exports its own snapshot; the
 // ShardedQueryService router exports the cross-shard aggregate (histograms
 // merged bucket-exact, counters summed) plus one sub-document per shard

@@ -362,35 +362,8 @@ class Replay {
             "parse failures on a parse-checked pool");
     require(stats.plan_cache.Lookups() == stats.requests,
             "hits+canonical_hits+misses+parse_failures != requests");
-    require(SumCounts(stats.evaluator_counts) == stats.requests - stats.failures,
-            "evaluator counts don't sum to successful requests");
     require(stats.latency.count == stats.requests - stats.failures,
             "latency histogram count != successful requests");
-    if (stats.tracing) {
-      // The per-route latency histograms mirror the segment dispatch
-      // counters one-for-one: same labels, same counts (traced runs emit a
-      // timing for every plan segment, including frontier-skipped ones).
-      int64_t route_hist_total = 0;
-      for (const auto& [label, summary] : stats.route_latency) {
-        auto it = stats.segment_route_counts.find(label);
-        require(it != stats.segment_route_counts.end(),
-                "route histogram '" + label + "' has no segment counter");
-        if (it != stats.segment_route_counts.end()) {
-          require(summary.count == it->second,
-                  "route histogram '" + label + "' count " +
-                      std::to_string(summary.count) + " != segment counter " +
-                      std::to_string(it->second));
-        }
-        route_hist_total += summary.count;
-      }
-      for (const auto& entry : stats.segment_route_counts) {
-        require(stats.route_latency.count(entry.first) == 1,
-                "segment route '" + entry.first +
-                    "' missing a latency histogram");
-      }
-      require(route_hist_total == SumCounts(stats.segment_route_counts),
-              "sum of route histogram counts != sum of segment counters");
-    }
     // Staged-executor accounting: every segment a staged run dispatched
     // landed in exactly one of the parallel/sequential/skipped buckets —
     // also when segments executed concurrently (exec.workers > 1; the

@@ -25,9 +25,10 @@
 //     is differentially tested against full replacement on every round.
 //   * Service counters must reconcile: every request performs exactly one
 //     plan-cache lookup, parse failures are impossible by construction,
-//     evaluator counts and the latency reservoir must sum to the request
-//     count, and evictions observed through the PlanCache on_evict hook
-//     must equal the eviction counter. When the answer cache is enabled its
+//     latency samples must sum to the successful requests, staged
+//     segments must fit in the route counts, and evictions observed
+//     through the PlanCache on_evict hook must equal the eviction
+//     counter. When the answer cache is enabled its
 //     lookups must also sum to the successful requests and every miss must
 //     resolve to an insert or an oversize decline.
 //   * Standing queries (standing_queries > 0): the driver subscribes the

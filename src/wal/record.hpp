@@ -146,6 +146,7 @@ class Reader {
   }
 
   bool AtEnd() const { return pos_ == data_.size(); }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string_view data_;

@@ -123,6 +123,10 @@ Result<Manifest> DecodeManifest(std::string_view file_bytes,
       !reader.Read(&manifest.checkpoint_seq) || !reader.Read(&count)) {
     return corrupt("truncated");
   }
+  // Smallest entry: i64 revision + two empty strings.
+  if (count > reader.remaining() / (8 + 4 + 4)) {
+    return corrupt("entry count exceeds payload");
+  }
   manifest.entries.resize(count);
   for (ManifestEntry& entry : manifest.entries) {
     if (!reader.Read(&entry.revision) || !reader.ReadString(&entry.key) ||

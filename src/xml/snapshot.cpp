@@ -340,7 +340,12 @@ Result<Document> SnapshotCodec::Decode(
     }
   }
 
-  // Materialize the name table (small) and validate its framing.
+  // Materialize the name table (small) and validate its framing. Each name
+  // takes at least its 4-byte length, which bounds the count before any
+  // allocation.
+  if (header.name_count > header.section_bytes[kNames] / sizeof(uint32_t)) {
+    return corrupt("name count exceeds name table");
+  }
   std::vector<std::string> names;
   names.reserve(header.name_count);
   {

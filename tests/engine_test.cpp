@@ -103,11 +103,11 @@ TEST(EngineTest, CompiledHybridPlanExposesSegments) {
   EXPECT_TRUE(plan->staged);
   ASSERT_EQ(plan->branches.size(), 1u);
   ASSERT_EQ(plan->branches[0].segments.size(), 2u);
-  EXPECT_EQ(plan->branches[0].segments[0].route, Engine::Choice::kPfFrontier);
-  EXPECT_EQ(plan->branches[0].segments[1].route, Engine::Choice::kCvt);
+  EXPECT_EQ(plan->branches[0].segments[0].route, plan::Route::kPfFrontier);
+  EXPECT_EQ(plan->branches[0].segments[1].route, plan::Route::kCvt);
   // The whole-query fallback route is what classic dispatch would pick.
-  EXPECT_EQ(plan->choice, Engine::Choice::kCvt);
-  EXPECT_EQ(plan->evaluator_name(), "pf-frontier+cvt");
+  EXPECT_EQ(plan->choice, plan::Route::kCvt);
+  EXPECT_EQ(plan->route_label, "pf-frontier+cvt");
 }
 
 }  // namespace

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cmath>
@@ -220,7 +223,7 @@ TEST(NetCodecTest, MutationsRoundTripIncludingSubtrees) {
 
   Message reply;
   reply.type = MsgType::kStatsReply;
-  reply.text = "{\"schema\": \"gkx-stats-v1\"}";
+  reply.text = "{\"schema\": \"gkx-stats-v2\"}";
   EXPECT_EQ(RoundTrip(reply).text, reply.text);
 }
 
@@ -250,6 +253,32 @@ TEST(NetCodecTest, RejectsMalformedPayloads) {
   huge_length[2] = '\xff';  // doc_key length now bogus
   huge_length[3] = '\xff';
   expect_reject(huge_length, "length past end");
+}
+
+/// [version][type][u32 count = 0xFFFFFFFF] and nothing after it.
+std::string HostileBatchPayload(MsgType type) {
+  return std::string{static_cast<char>(kWireVersion), static_cast<char>(type),
+                     '\xff', '\xff', '\xff', '\xff'};
+}
+
+TEST(NetCodecTest, RejectsBatchCountsThePayloadCannotHold) {
+  // A count no payload of this size could hold is rejected before anything
+  // is sized by it — not a 2^32-element reserve.
+  for (MsgType type : {MsgType::kSubmitBatch, MsgType::kAnswerBatch}) {
+    Result<Message> decoded = DecodeMessage(HostileBatchPayload(type));
+    ASSERT_FALSE(decoded.ok()) << static_cast<int>(type);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The bound is exact: one smallest request (two empty strings) fits a
+  // count of 1 and not of 2.
+  std::string one = {static_cast<char>(kWireVersion),
+                     static_cast<char>(MsgType::kSubmitBatch), 1, 0, 0, 0};
+  one.append(8, '\0');
+  Result<Message> decoded = DecodeMessage(one);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(decoded->requests.size(), 1u);
+  one[2] = 2;
+  EXPECT_FALSE(DecodeMessage(one).ok());
 }
 
 TEST(NetCodecTest, StreamIoRejectsCorruptionAndHonorsCleanEof) {
@@ -428,7 +457,7 @@ TEST(NetCodecTest, LoopbackServesQueriesByteIdenticalToInProcess) {
 
   Result<std::string> stats = client.ExportStats(service::StatsFormat::kJson);
   ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->find("\"gkx-stats-v1\""), std::string::npos);
+  EXPECT_NE(stats->find("\"gkx-stats-v2\""), std::string::npos);
   EXPECT_NE(stats->find("\"shards\""), std::string::npos);
 
   ASSERT_TRUE(client.RemoveDocument("doc5").ok());
@@ -442,6 +471,46 @@ TEST(NetCodecTest, LoopbackServesQueriesByteIdenticalToInProcess) {
   second.Close();
 
   client.Close();
+  server.Stop();
+}
+
+TEST(NetCodecTest, LoopbackAnswersAHostileBatchCountAndKeepsServing) {
+  service::ShardedQueryService service;
+  Server server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  auto round_trip = [fd](std::string_view payload) -> Result<Message> {
+    GKX_RETURN_IF_ERROR(WriteFrame(fd, payload));
+    bool eof = false;
+    std::string reply;
+    GKX_ASSIGN_OR_RETURN(reply, ReadFrame(fd, &eof));
+    if (eof) return InternalError("server closed the connection");
+    return DecodeMessage(reply);
+  };
+
+  // One 14-byte frame declaring 2^32-1 requests: a typed error reply.
+  Result<Message> reply =
+      round_trip(HostileBatchPayload(MsgType::kSubmitBatch));
+  ASSERT_TRUE(reply.ok()) << reply.status().message();
+  EXPECT_EQ(reply->type, MsgType::kStatusReply);
+  EXPECT_EQ(reply->status.code(), StatusCode::kInvalidArgument);
+
+  // The server and the same connection keep serving.
+  Message ping;
+  ping.type = MsgType::kPing;
+  reply = round_trip(EncodeMessage(ping));
+  ASSERT_TRUE(reply.ok()) << reply.status().message();
+  EXPECT_EQ(reply->type, MsgType::kPong);
+
+  ::close(fd);
   server.Stop();
 }
 

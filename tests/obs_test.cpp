@@ -6,8 +6,9 @@
 //   * MetricRegistry / json: stable pointers, flatten sanitization, and a
 //     Dump -> Parse round trip.
 //   * QueryService::ExportStats: the live end-to-end check — JSON parses
-//     back, text and JSON agree, route histograms reconcile against the
-//     per-segment counters, slow queries land in the log.
+//     back, text and JSON agree, routes hold exactly the four served
+//     routes, slow queries land in the log, and route counts and latency
+//     are recorded with tracing off.
 
 #include <gtest/gtest.h>
 
@@ -195,17 +196,6 @@ TEST(MetricRegistryTest, StablePointersAndExport) {
   EXPECT_EQ(hists[0].second.count, 1);
 }
 
-TEST(HistogramFamilyTest, PerLabelHistograms) {
-  HistogramFamily family(Histogram::Unit::kNanos);
-  family.Get("pf-indexed")->Record(0.001);
-  family.Get("pf-indexed")->Record(0.002);
-  family.Get("cvt")->Record(0.004);
-  const auto summaries = family.Summaries();
-  ASSERT_EQ(summaries.size(), 2u);
-  EXPECT_EQ(summaries.at("pf-indexed").count, 2);
-  EXPECT_EQ(summaries.at("cvt").count, 1);
-}
-
 // --------------------------------------------------------------------- json
 
 TEST(JsonTest, DumpParseRoundTrip) {
@@ -280,38 +270,33 @@ TEST(ExportStatsTest, JsonRoundTripReconciles) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const json::Value& root = *parsed;
 
-  EXPECT_EQ(root.Find("schema")->AsString(), "gkx-stats-v1");
+  EXPECT_EQ(root.Find("schema")->AsString(), "gkx-stats-v2");
   EXPECT_EQ(root.FindPath("service.requests")->AsNumber(),
             static_cast<double>(requests));
   EXPECT_EQ(root.FindPath("service.failures")->AsNumber(), 0.0);
   EXPECT_EQ(root.FindPath("latency_ms.count")->AsNumber(),
             static_cast<double>(requests));
 
-  // Route histograms mirror the per-segment counters exactly (tracing has
-  // been on since construction). With -DGKX_OBS_DISABLED the per-route
-  // section is empty by design — only the always-on latency remains.
-  EXPECT_EQ(root.FindPath("service.tracing")->AsBool(), !kCompiledOut);
-  if (kCompiledOut) {
-    EXPECT_TRUE(root.Find("routes")->members().empty());
-    return;
-  }
-  const auto& stats = svc.Stats();
-  EXPECT_FALSE(stats.segment_route_counts.empty());
+  // Routes: exactly the four served routes. The first round ran each query
+  // once — the staged one once per segment — and the repeat rounds were
+  // answer-cache hits, which run no route.
+  EXPECT_TRUE(root.FindPath("service.tracing")->AsBool());
   const json::Value* routes = root.Find("routes");
   ASSERT_NE(routes, nullptr);
+  ASSERT_EQ(routes->members().size(), 4u);
   double route_total = 0.0;
-  int64_t segment_total = 0;
-  for (const auto& [label, count] : stats.segment_route_counts) {
-    const json::Value* summary = routes->Find(label);
-    ASSERT_NE(summary, nullptr) << label;
-    EXPECT_EQ(summary->Find("count")->AsNumber(),
-              static_cast<double>(count))
-        << label;
-    route_total += summary->Find("count")->AsNumber();
-    segment_total += count;
+  for (const char* route : {"pf-indexed", "pf-frontier", "core-linear",
+                            "cvt"}) {
+    const json::Value* count = routes->FindPath(std::string(route) + ".count");
+    ASSERT_NE(count, nullptr) << route;
+    route_total += count->AsNumber();
   }
-  EXPECT_EQ(routes->members().size(), stats.segment_route_counts.size());
-  EXPECT_EQ(route_total, static_cast<double>(segment_total));
+  EXPECT_EQ(root.FindPath("routes.pf-indexed.count")->AsNumber(), 1.0);
+  EXPECT_EQ(route_total,
+            static_cast<double>(queries.size()) - 1.0 +
+                root.FindPath("exec.staged_segments")->AsNumber());
+  EXPECT_EQ(root.Find("segment_route_counts"), nullptr);
+  EXPECT_EQ(root.FindPath("metrics.request_latency_ms"), nullptr);
 
   // The text format is the same document flattened: the headline series
   // must agree with the JSON numbers.
@@ -331,12 +316,6 @@ TEST(ExportStatsTest, SlowQueryLogCapturesBreakdown) {
   ASSERT_TRUE(svc.Submit("doc", "/descendant::b").ok());
   ASSERT_TRUE(svc.Submit("doc", "count(/descendant::c)").ok());
 
-  if (kCompiledOut) {
-    // The escape hatch removes the slow-query path entirely.
-    EXPECT_TRUE(svc.SlowQueries().empty());
-    EXPECT_EQ(svc.Stats().slow_queries, 0);
-    return;
-  }
   const auto slow = svc.SlowQueries();
   ASSERT_EQ(slow.size(), 2u);
   for (const auto& entry : slow) {
@@ -362,9 +341,32 @@ TEST(ExportStatsTest, TracingOffStillRecordsLatency) {
   ASSERT_TRUE(svc.Submit("doc", "/descendant::b").ok());
   const auto stats = svc.Stats();
   EXPECT_FALSE(stats.tracing);
-  EXPECT_EQ(stats.latency.count, 1);          // always-on histogram
-  EXPECT_TRUE(stats.route_latency.empty());   // no per-route tracing
+  EXPECT_EQ(stats.latency.count, 1);  // always-on histogram
   EXPECT_TRUE(svc.SlowQueries().empty());
+}
+
+TEST(ExportStatsTest, TracingOffStillRecordsRoutes) {
+  service::QueryService::Options options;
+  options.obs.tracing = false;
+  service::QueryService svc(options);
+  ASSERT_TRUE(svc.RegisterXml("doc", kDoc).ok());
+  ASSERT_TRUE(svc.Submit("doc", "/descendant::b").ok());         // indexed
+  ASSERT_TRUE(svc.Submit("doc", "count(/descendant::c)").ok());  // cvt
+  ASSERT_TRUE(svc.Submit("doc", "count(/descendant::c)").ok());  // cache hit
+  ASSERT_TRUE(
+      svc.Submit("doc", "/descendant::a/child::b[position() = 1]").ok());
+
+  const auto stats = svc.Stats();
+  EXPECT_FALSE(stats.tracing);
+  EXPECT_EQ(stats.segment_route_counts.at("pf-indexed"), 1);
+  EXPECT_EQ(stats.segment_route_counts.at("pf-frontier"), 1);
+  EXPECT_EQ(stats.segment_route_counts.at("core-linear"), 0);
+  EXPECT_EQ(stats.segment_route_counts.at("cvt"), 2);
+  ASSERT_EQ(stats.route_latency.size(), 4u);
+  for (const auto& [route, summary] : stats.route_latency) {
+    EXPECT_EQ(summary.count, stats.segment_route_counts.at(route)) << route;
+  }
+  EXPECT_GT(stats.route_latency.at("cvt").max, 0.0);
 }
 
 }  // namespace

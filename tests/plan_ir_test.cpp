@@ -78,7 +78,6 @@ TEST(ClassifyOpsTest, AnnotatesEveryStepWithItsCheapestRoute) {
   ASSERT_EQ(plan.branches.size(), 1u);
   ASSERT_EQ(plan.branches[0].segments.size(), 3u);
   EXPECT_EQ(plan.route_label, "pf-frontier+cvt+pf-frontier");
-  EXPECT_EQ(plan.evaluator_name(), plan.route_label);
 }
 
 TEST(ClassifyOpsTest, CorePredicatesStayOnTheBitsetPath) {

@@ -210,7 +210,7 @@ TEST(PlanCacheTest, RepeatLookupsHitWithoutReparsing) {
   PlanCache::Counters counters = cache.counters();
   EXPECT_EQ(counters.misses, 1);
   EXPECT_EQ(counters.hits, 1);
-  EXPECT_EQ((*first)->evaluator_name(), "core-linear");
+  EXPECT_EQ((*first)->route_label, "core-linear");
 }
 
 TEST(PlanCacheTest, EquivalentSpellingsShareOnePlan) {
@@ -484,11 +484,38 @@ TEST(QueryServiceTest, StatsTrackEvaluatorsAndDocuments) {
   ASSERT_TRUE(service.Submit("a", "count(/descendant::b)").ok());     // cvt
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.documents, 3u);
-  EXPECT_EQ(stats.evaluator_counts["pf-indexed"], 1);
-  EXPECT_EQ(stats.evaluator_counts["core-linear"], 1);
-  EXPECT_EQ(stats.evaluator_counts["cvt-lazy"], 1);
+  EXPECT_EQ(stats.segment_route_counts["pf-indexed"], 1);
+  EXPECT_EQ(stats.segment_route_counts["core-linear"], 1);
+  EXPECT_EQ(stats.segment_route_counts["cvt"], 1);
   EXPECT_EQ(stats.latency.count, 3);
   EXPECT_GE(stats.latency.max_ms, 0.0);
+}
+
+TEST(QueryServiceTest, UniformAndStagedCvtCountUnderOneRoute) {
+  QueryService service;
+  RegisterCorpus(service);
+  // A uniform cvt plan answers "cvt-lazy" (the engine's own name); a
+  // hybrid plan's cvt segment runs on the same engine. Both are the route
+  // "cvt" in the stats.
+  auto uniform = service.Submit("a", "count(/descendant::b)");
+  ASSERT_TRUE(uniform.ok());
+  EXPECT_EQ(uniform->evaluator, "cvt-lazy");
+  auto hybrid = service.Submit("a", "/descendant::a/child::b[position() = 1]");
+  ASSERT_TRUE(hybrid.ok());
+  EXPECT_EQ(hybrid->evaluator, "pf-frontier+cvt");
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.segment_route_counts.at("cvt"), 2);
+  EXPECT_EQ(stats.segment_route_counts.at("pf-frontier"), 1);
+  EXPECT_EQ(stats.staged_segments, 2);
+  EXPECT_EQ(stats.route_latency.at("cvt").count, 2);
+  // Exactly the four served routes, with no engine-label alias.
+  std::vector<std::string> routes;
+  for (const auto& [route, count] : stats.segment_route_counts) {
+    routes.push_back(route);
+  }
+  EXPECT_EQ(routes, (std::vector<std::string>{"core-linear", "cvt",
+                                              "pf-frontier", "pf-indexed"}));
 }
 
 TEST(QueryServiceTest, PessimizedSpellingRunsCanonicalPlan) {

@@ -156,10 +156,10 @@ TEST(SoakTest, TenThousandOpsFourThreadsAgreeWithOracle) {
   // The zipfian workload keeps the plan cache hot even at capacity 64.
   EXPECT_GE(report.stats.plan_cache.HitRate(), 0.8);
   // Both fast paths saw traffic.
-  EXPECT_GT(report.stats.evaluator_counts["pf-indexed"] +
-                report.stats.evaluator_counts["pf-frontier"],
+  EXPECT_GT(report.stats.segment_route_counts["pf-indexed"] +
+                report.stats.segment_route_counts["pf-frontier"],
             0);
-  EXPECT_GT(report.stats.evaluator_counts["core-linear"], 0);
+  EXPECT_GT(report.stats.segment_route_counts["core-linear"], 0);
 }
 
 // Churn + subscription mode: standing queries ride along with the replay,

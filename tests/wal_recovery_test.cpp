@@ -222,6 +222,35 @@ TEST(WalFaultTest, CorruptManifestFailsOpenAndServiceDegrades) {
   std::filesystem::remove_all(dir);
 }
 
+// A manifest whose entry count no payload of its size could hold is
+// corrupt: recovery must say so instead of sizing a table by the count.
+TEST(WalFaultTest, ManifestEntryCountBeyondPayloadFailsOpen) {
+  const std::string dir = TempDirFor("manifest_count");
+  std::filesystem::create_directories(dir);
+  // [u32 version][u64 journal offset][i64 watermark][u64 checkpoint seq]
+  // [u32 entry count = 0xFFFFFFFF], and no entries.
+  std::string payload;
+  wire::Append(uint32_t{1}, &payload);
+  wire::Append(kJournalHeaderBytes, &payload);
+  wire::Append(int64_t{0}, &payload);
+  wire::Append(uint64_t{0}, &payload);
+  wire::Append(uint32_t{0xFFFFFFFFu}, &payload);
+  std::string framed;
+  AppendFrame(payload, &framed);
+  WriteFile(dir + "/MANIFEST", framed);
+
+  service::DocumentStore store;
+  WalOptions options;
+  options.dir = dir;
+  RecoveryReport report;
+  auto wal = Wal::OpenAndRecover(options, &store, &report);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wal.status().message().find("entry count"), std::string::npos)
+      << wal.status().message();
+  std::filesystem::remove_all(dir);
+}
+
 // A corrupt checkpoint snapshot is caught by the arena's own header
 // checksum at MapSnapshot time and fails recovery.
 TEST(WalFaultTest, CorruptSnapshotFailsOpen) {

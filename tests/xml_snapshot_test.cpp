@@ -4,7 +4,9 @@
 // checksum damage, bad magic, and missing files must all fail with clean
 // diagnostics, never UB.
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -277,6 +279,41 @@ TEST(SnapshotBytesTest, CorruptBytesAreRejected) {
   std::string flipped = bytes;
   flipped[24] = static_cast<char>(flipped[24] ^ 0x5a);
   EXPECT_FALSE(LoadSnapshotBytes(flipped).ok());
+}
+
+TEST(SnapshotBytesTest, NameCountBeyondTheNameTableIsRejected) {
+  // A name_count no name table could hold, with the header checksum
+  // recomputed so every header check passes: the loader must reject the
+  // count before sizing anything by it.
+  std::string bytes;
+  SaveSnapshotBytes(ChainDocument(5), &bytes);
+  // Header layout (xml/snapshot.cpp): u32 name_count at byte 12, the first
+  // section offset — the header size — at byte 56, and the FNV-1a checksum
+  // (taken with itself zeroed) in the header's last 8 bytes.
+  uint64_t header_size = 0;
+  std::memcpy(&header_size, bytes.data() + 56, sizeof(header_size));
+  ASSERT_LE(header_size, bytes.size());
+  auto checksum = [&bytes, header_size] {
+    uint64_t hash = 1469598103934665603ull;
+    for (uint64_t i = 0; i < header_size; ++i) {
+      hash ^= i + 8 >= header_size ? 0 : static_cast<unsigned char>(bytes[i]);
+      hash *= 1099511628211ull;
+    }
+    return hash;
+  };
+  uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + header_size - 8, sizeof(stored));
+  ASSERT_EQ(stored, checksum());  // the layout above is the real one
+
+  const uint32_t name_count = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + 12, &name_count, sizeof(name_count));
+  const uint64_t recomputed = checksum();
+  std::memcpy(bytes.data() + header_size - 8, &recomputed, sizeof(recomputed));
+  auto loaded = LoadSnapshotBytes(bytes);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("name count"), std::string::npos)
+      << loaded.status().message();
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // CI schema check for QueryService::ExportStats(kJson) dumps (the
-// "gkx-stats-v1" document bench_soak writes via --stats-json=). Parses the
+// "gkx-stats-v2" document bench_soak writes via --stats-json=). Parses the
 // file back through obs::json, requires every top-level section the schema
-// promises, and re-proves the reconciliation invariant offline: when
-// tracing was active, the per-route histogram counts must sum to the
-// per-segment route counters exactly.
+// promises, and re-proves offline the identities between counters that are
+// kept apart: latency samples vs successful requests, exec buckets vs
+// staged segments vs route counts, the wal.* family, and the sharded
+// aggregate vs its per-shard breakdown.
 //
 //   ./check_stats_json BENCH_soak_stats.json
 //
@@ -12,11 +13,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
 
 #include "obs/json.hpp"
+#include "wal/record.hpp"
 
 namespace {
 
@@ -45,14 +48,13 @@ int main(int argc, char** argv) {
 
   const auto* schema = root.Find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      schema->AsString() != "gkx-stats-v1") {
-    return Fail("missing or wrong \"schema\" (want \"gkx-stats-v1\")");
+      schema->AsString() != "gkx-stats-v2") {
+    return Fail("missing or wrong \"schema\" (want \"gkx-stats-v2\")");
   }
 
   for (const char* section :
-       {"service", "plan_cache", "answer_cache", "subscriptions",
-        "evaluator_counts", "segment_route_counts", "exec", "latency_ms",
-        "routes", "metrics", "slow_queries"}) {
+       {"service", "plan_cache", "answer_cache", "subscriptions", "exec",
+        "latency_ms", "routes", "metrics", "slow_queries"}) {
     if (root.Find(section) == nullptr) {
       return Fail(std::string("missing section \"") + section + "\"");
     }
@@ -98,46 +100,32 @@ int main(int argc, char** argv) {
         "exec.skipped_segments != exec.staged_segments");
   }
 
-  // Route-histogram reconciliation, offline: with tracing active since
-  // construction, each route's histogram count equals its segment counter
-  // and the totals match exactly.
-  const bool tracing = root.FindPath("service.tracing")->AsBool();
-  if (tracing) {
-    const auto& routes = *root.Find("routes");
-    const auto& segments = *root.Find("segment_route_counts");
-    double route_total = 0.0, segment_total = 0.0;
-    for (const auto& [label, summary] : routes.members()) {
-      const auto* count = summary.Find("count");
-      if (count == nullptr) {
-        return Fail("routes." + label + " has no count");
-      }
-      route_total += count->AsNumber();
-      const auto* segment = segments.Find(label);
-      if (segment == nullptr) {
-        return Fail("routes." + label + " has no segment_route_counts twin");
-      }
-      if (segment->AsNumber() != count->AsNumber()) {
-        return Fail("routes." + label + ".count != segment_route_counts." +
-                    label);
-      }
-    }
-    for (const auto& [label, count] : segments.members()) {
-      segment_total += count.AsNumber();
-      if (routes.Find(label) == nullptr) {
-        return Fail("segment_route_counts." + label + " has no routes twin");
-      }
-    }
-    if (route_total != segment_total) {
-      return Fail("sum(routes.*.count) != sum(segment_route_counts.*)");
-    }
+  // The route store: exactly the four served routes, each with a count.
+  // Staged segments are a subset of the route counts.
+  const char* const kRoutes[] = {"pf-indexed", "pf-frontier", "core-linear",
+                                 "cvt"};
+  auto route_count = [](const gkx::obs::json::Value& doc, const char* route) {
+    const auto* count = doc.FindPath(std::string("routes.") + route + ".count");
+    return count == nullptr ? -1.0 : count->AsNumber();
+  };
+  if (root.Find("routes")->members().size() != std::size(kRoutes)) {
+    return Fail("routes does not hold exactly the four served routes");
+  }
+  double route_total = 0.0;
+  for (const char* route : kRoutes) {
+    const double count = route_count(root, route);
+    if (count < 0) return Fail(std::string("routes.") + route + " has no count");
+    route_total += count;
+  }
+  if (staged > route_total) {
+    return Fail("exec.staged_segments > sum(routes.*.count)");
   }
 
   // Durable services export the wal.* family (src/wal/wal.hpp). The
   // section is optional — an in-memory service never creates the metrics —
   // but when a WAL was attached the whole family must be present and
   // reconcile: each enqueued record is awaited exactly once (records ==
-  // append_ms.count) and occupies at least the minimum frame on disk
-  // (8-byte frame header + 13-byte minimum payload, src/wal/record.hpp).
+  // append_ms.count) and occupies at least the minimum frame on disk.
   const auto* wal = root.FindPath("metrics.wal");
   if (wal != nullptr) {
     for (const char* field :
@@ -156,8 +144,10 @@ int main(int argc, char** argv) {
     if (append_count->AsNumber() != wal_records) {
       return Fail("metrics.wal.records != metrics.wal.append_ms.count");
     }
-    if (wal->Find("bytes")->AsNumber() < wal_records * 21.0) {
-      return Fail("metrics.wal.bytes < records * minimum frame size (21)");
+    constexpr double kMinFrameBytes =
+        gkx::wal::kFrameHeaderBytes + gkx::wal::kMinPayloadBytes;
+    if (wal->Find("bytes")->AsNumber() < wal_records * kMinFrameBytes) {
+      return Fail("metrics.wal.bytes < records * minimum frame size");
     }
     if (wal->Find("torn_tail")->AsNumber() < 0.0) {
       return Fail("metrics.wal.torn_tail is negative");
@@ -168,7 +158,7 @@ int main(int argc, char** argv) {
   // aggregated document at top level plus a shards[] breakdown — one full
   // per-shard document each. The aggregate is recomputed here from the
   // breakdown: requests, failures, documents, latency samples, and every
-  // per-route segment counter must sum to the top-level figures exactly
+  // per-route count must sum to the top-level figures exactly
   // (scatter-gather may reorder work across shards but can neither invent
   // nor drop any of it).
   const auto* shards = root.Find("shards");
@@ -183,7 +173,7 @@ int main(int argc, char** argv) {
     }
     double shard_requests = 0, shard_failures = 0, shard_documents = 0,
            shard_latency = 0;
-    std::map<std::string, double> shard_segments;
+    std::map<std::string, double> shard_routes;
     for (const auto& shard : shards->items()) {
       for (const char* path :
            {"shard", "service.requests", "service.failures",
@@ -196,12 +186,13 @@ int main(int argc, char** argv) {
       shard_failures += shard.FindPath("service.failures")->AsNumber();
       shard_documents += shard.FindPath("service.documents")->AsNumber();
       shard_latency += shard.FindPath("latency_ms.count")->AsNumber();
-      const auto* segments = shard.Find("segment_route_counts");
-      if (segments == nullptr) {
-        return Fail("shards[] entry missing \"segment_route_counts\"");
-      }
-      for (const auto& [label, count] : segments->members()) {
-        shard_segments[label] += count.AsNumber();
+      for (const char* route : kRoutes) {
+        const double count = route_count(shard, route);
+        if (count < 0) {
+          return Fail(std::string("shards[] entry missing routes.") + route +
+                      ".count");
+        }
+        shard_routes[route] += count;
       }
     }
     if (shard_requests != requests) {
@@ -216,21 +207,15 @@ int main(int argc, char** argv) {
     if (shard_latency != latency_count) {
       return Fail("sum(shards[].latency_ms.count) != latency_ms.count");
     }
-    const auto& segments = *root.Find("segment_route_counts");
-    for (const auto& [label, count] : segments.members()) {
-      if (shard_segments[label] != count.AsNumber()) {
-        return Fail("sum(shards[].segment_route_counts." + label +
-                    ") != segment_route_counts." + label);
+    for (const char* route : kRoutes) {
+      if (shard_routes[route] != route_count(root, route)) {
+        return Fail(std::string("sum(shards[].routes.") + route +
+                    ".count) != routes." + route + ".count");
       }
-      shard_segments.erase(label);
-    }
-    if (!shard_segments.empty()) {
-      return Fail("shards[] carry segment_route_counts." +
-                  shard_segments.begin()->first +
-                  " that the aggregate lacks");
     }
   }
 
+  const bool tracing = root.FindPath("service.tracing")->AsBool();
   std::printf(
       "check_stats_json: %s ok (%zu bytes, tracing %s, wal %s, shards %s)\n",
       argv[1], text.size(), tracing ? "on" : "off",
