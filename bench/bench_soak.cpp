@@ -1,7 +1,7 @@
 // Soak runner: replays deterministic concurrent workloads (gkx::testkit)
-// against a QueryService until a time budget is exhausted, rotating the
-// seed each round. Exits non-zero on the first failing round and prints the
-// reproducing seed — rerun with --seed=<that> --rounds=1 to replay the
+// against the one-shard router until a time budget is exhausted, rotating
+// the seed each round. Exits non-zero on the first failing round and prints
+// the reproducing seed — rerun with --seed=<that> --rounds=1 to replay the
 // exact schedule (the thread interleaving is the only nondeterminism).
 //
 //   ./bench_soak --seconds=30 --threads=4        # CI short mode
@@ -18,9 +18,10 @@
 // staged execution (default 1 = sequential; >1 partitions sweeps and runs
 // the per-origin cvt loop concurrently — the TSan parallel soak round sets
 // this), --wal-dir=DIR run every round with the durable write-ahead log
-// under DIR/round<N> (each round's directory is wiped first; default off =
-// in-memory), --stats-json=PATH dump the last round's
-// QueryService::ExportStats(kJson) document (the CI schema check reads it).
+// under DIR/round<N>, closed and reopened once at the end of the replay
+// (each round's directory is wiped first; default off = in-memory),
+// --stats-json=PATH dump the last round's ExportStats(kJson) router
+// document with its shards[] breakdown (the CI schema check reads it).
 //
 // Emits BENCH_soak.json (per-round rows, repo root) for cross-PR tracking.
 
@@ -139,11 +140,11 @@ int main(int argc, char** argv) {
       options.service.exec.min_parallel_origins = 1;
     }
     if (!wal_dir.empty()) {
-      // Durable soak: every mutation rides through the group-commit WAL.
-      // Fresh directory per round — the soak oracle checks the live corpus,
-      // recovery is bench_wal/wal_recovery_test territory.
-      options.service.wal_dir = wal_dir + "/round" + std::to_string(round);
-      std::filesystem::remove_all(options.service.wal_dir);
+      // Durable soak: every mutation rides through the group-commit WAL,
+      // and the replay ends with a clean close and a verified reopen.
+      // Fresh directory per round.
+      options.wal_dir = wal_dir + "/round" + std::to_string(round);
+      std::filesystem::remove_all(options.wal_dir);
     }
     SoakReport report = RunSoak(*schedule, options);
     last_stats_json = report.stats_json;
@@ -154,7 +155,7 @@ int main(int argc, char** argv) {
                   gkx::bench::Ratio(report.stats.plan_cache.HitRate()),
                   gkx::bench::Ratio(report.stats.answer_cache.HitRate()),
                   gkx::bench::Num(report.subscription_events),
-                  gkx::bench::Ratio(report.stats.latency.p99_ms, 3),
+                  gkx::bench::Ratio(report.stats.latency.p99, 3),
                   gkx::bench::PassFail(report.ok())});
     json.AddRow(
         {{"round", gkx::bench::JsonNum(static_cast<double>(round))},
@@ -175,8 +176,8 @@ int main(int argc, char** argv) {
          {"subscription_coalesced",
           gkx::bench::JsonNum(
               static_cast<double>(report.stats.subscriptions.coalesced))},
-         {"p99_ms", gkx::bench::JsonNum(report.stats.latency.p99_ms)},
-         {"p999_ms", gkx::bench::JsonNum(report.stats.latency.p999_ms)},
+         {"p99_ms", gkx::bench::JsonNum(report.stats.latency.p99)},
+         {"p999_ms", gkx::bench::JsonNum(report.stats.latency.p999)},
          {"ok", gkx::bench::JsonNum(report.ok() ? 1.0 : 0.0)}});
     if (!report.ok()) {
       failed = true;

@@ -13,9 +13,9 @@
 // linearly in M (self-check: total time ratio across a 16x suffix ratio
 // stays far below the 256x a quadratic replay would show).
 //
-// Phase C, recovery soak smoke: one short testkit::RunRecoverySoak
-// (kill/checkpoint/reopen rounds, ExhaustiveEquals corpus oracle) must
-// pass.
+// Phase C, recovery soak smoke: one short durable testkit::RunSoak
+// (kill/checkpoint/reopen rounds, ExhaustiveEquals corpus oracle,
+// oracle-checked reads) must pass.
 //
 //   ./bench_wal                  # full run, writes BENCH_wal.json
 //   ./bench_wal --smoke          # CI-sized
@@ -35,7 +35,7 @@
 #include "base/stopwatch.hpp"
 #include "bench/bench_util.hpp"
 #include "service/document_store.hpp"
-#include "testkit/recovery_soak.hpp"
+#include "testkit/soak_driver.hpp"
 #include "testkit/workload.hpp"
 #include "wal/wal.hpp"
 #include "xml/generator.hpp"
@@ -263,11 +263,11 @@ int main(int argc, char** argv) {
   spec.churn_probability = 0.5;
   auto schedule = gkx::testkit::CompileWorkload(spec);
   GKX_CHECK(schedule.ok());
-  gkx::testkit::RecoverySoakOptions soak;
+  gkx::testkit::SoakOptions soak;
   soak.rounds = smoke ? 3 : 4;
   soak.threads = 4;
   soak.wal_dir = FreshDir("soak");
-  auto soak_report = gkx::testkit::RunRecoverySoak(*schedule, soak);
+  auto soak_report = gkx::testkit::RunSoak(*schedule, soak);
   std::printf("\n%s\n", soak_report.Summary().c_str());
   failed |= !soak_report.ok();
   json.AddRow({{"phase", gkx::bench::JsonStr("recovery_soak")},

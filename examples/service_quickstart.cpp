@@ -79,7 +79,7 @@ int main() {
                 static_cast<long long>(count));
   }
   std::printf("latency: p50=%.3fms p99=%.3fms over %lld requests\n",
-              stats.latency.p50_ms, stats.latency.p99_ms,
+              stats.latency.p50, stats.latency.p99,
               static_cast<long long>(stats.latency.count));
   return 0;
 }

@@ -374,7 +374,7 @@ ServiceStats QueryService::Stats() const {
   out.exec_skipped_segments =
       exec_stats_.skipped_segments.load(std::memory_order_relaxed);
   out.slow_queries = slow_log_.recorded();
-  out.latency = ToLatencySummary(latency_hist_.Summary());
+  out.latency = latency_hist_.Summary();
   return out;
 }
 

@@ -104,9 +104,9 @@ struct ServiceStats {
   /// Requests that crossed the slow-query threshold (including entries the
   /// bounded log has since evicted).
   int64_t slow_queries = 0;
-  /// All-time total request latency (recorded whether or not tracing is
-  /// on): count == requests - failures.
-  LatencySummary latency;
+  /// All-time total request latency in milliseconds (recorded whether or
+  /// not tracing is on): count == requests - failures.
+  obs::HistogramSummary latency;
 
   /// Fills route_latency and segment_route_counts from one read of `routes`.
   void ReadRoutes(const RouteHistograms& routes) {

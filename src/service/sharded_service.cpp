@@ -239,7 +239,7 @@ ServiceStats ShardedQueryService::AggregateStats(
 
     shard->MergeObservabilityInto(&latency, &routes, registry);
   }
-  agg.latency = ToLatencySummary(latency.Summary());
+  agg.latency = latency.Summary();
   agg.ReadRoutes(routes);
   return agg;
 }

@@ -1,7 +1,7 @@
 // Service-level observability primitives shared by the stats snapshot and
-// the exporter: the latency summary read out of an obs::Histogram
-// (all-time, exact-by-bucket — see obs/histogram.hpp) and the one store of
-// route facts, RouteHistograms.
+// the exporter: the export format and the one store of route facts,
+// RouteHistograms. Latency summaries are plain obs::HistogramSummary
+// read-outs (all-time, exact-by-bucket — see obs/histogram.hpp).
 
 #ifndef GKX_SERVICE_STATS_HPP_
 #define GKX_SERVICE_STATS_HPP_
@@ -17,31 +17,6 @@
 #include "plan/ir.hpp"
 
 namespace gkx::service {
-
-/// All-time percentile summary of request latencies, in milliseconds.
-struct LatencySummary {
-  int64_t count = 0;
-  double p50_ms = 0.0;
-  double p90_ms = 0.0;
-  double p99_ms = 0.0;
-  double p999_ms = 0.0;
-  double max_ms = 0.0;
-  double mean_ms = 0.0;
-};
-
-/// Converts an obs histogram summary (kNanos histograms already display in
-/// milliseconds) into the service-facing latency struct.
-inline LatencySummary ToLatencySummary(const obs::HistogramSummary& h) {
-  LatencySummary out;
-  out.count = h.count;
-  out.p50_ms = h.p50;
-  out.p90_ms = h.p90;
-  out.p99_ms = h.p99;
-  out.p999_ms = h.p999;
-  out.max_ms = h.max;
-  out.mean_ms = h.mean;
-  return out;
-}
 
 /// Output flavour of QueryService::ExportStats.
 enum class StatsFormat {

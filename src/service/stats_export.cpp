@@ -99,17 +99,7 @@ Value BuildStatsDocument(const StatsExportInputs& inputs) {
     exec["skipped_segments"] = Value(stats.exec_skipped_segments);
     root["exec"] = std::move(exec);
   }
-  {
-    Value latency = Value::Object();
-    latency["count"] = Value(stats.latency.count);
-    latency["p50"] = Value(stats.latency.p50_ms);
-    latency["p90"] = Value(stats.latency.p90_ms);
-    latency["p99"] = Value(stats.latency.p99_ms);
-    latency["p999"] = Value(stats.latency.p999_ms);
-    latency["max"] = Value(stats.latency.max_ms);
-    latency["mean"] = Value(stats.latency.mean_ms);
-    root["latency_ms"] = std::move(latency);
-  }
+  root["latency_ms"] = SummaryJson(stats.latency);
   {
     // The one route store: routes.<route>.count is how often the route
     // executed (ServiceStats::segment_route_counts), the rest its latency.

@@ -8,9 +8,10 @@
 // yields byte-identical schedules on every platform and every run: a soak
 // failure is replayed exactly by re-compiling with the reported seed.
 //
-// The schedule fixes WHAT happens, not WHEN: the SoakDriver replays it over
-// N threads, and the thread interleaving is the only nondeterminism left —
-// exactly the regime the differential oracle is designed to check.
+// The schedule fixes WHAT happens, not WHEN: testkit::RunSoak
+// (soak_driver.hpp) replays it over N threads, and the thread interleaving
+// is the only nondeterminism left — exactly the regime the differential
+// oracle is designed to check.
 
 #ifndef GKX_TESTKIT_WORKLOAD_HPP_
 #define GKX_TESTKIT_WORKLOAD_HPP_

@@ -36,8 +36,8 @@
 // mismatch), truncate that torn tail, and count it in wal.torn_tail. The
 // recovery invariant — snapshot + replayed suffix reproduces an
 // ExhaustiveEquals-identical corpus containing exactly the acked
-// mutations — is what testkit::RunRecoverySoak and wal_recovery_test
-// re-prove under kill/checkpoint/reopen rounds. Recovery always ends by
+// mutations — is what testkit::RunSoak (with a wal_dir) and
+// wal_recovery_test re-prove under kill/checkpoint/reopen rounds. Recovery always ends by
 // writing a fresh checkpoint of the recovered state and resetting the
 // journal to empty, so a recovered directory is indistinguishable from a
 // freshly checkpointed one (and repeated crashes cannot grow the journal

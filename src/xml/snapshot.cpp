@@ -249,6 +249,17 @@ void SnapshotCodec::EncodeBytes(const Document& doc, std::string* out) {
 
 Result<Document> SnapshotCodec::DecodeBytes(std::string_view bytes,
                                             const std::string& label) {
+  // The section views are typed and sections are 8-aligned relative to the
+  // snapshot start, so the start must be 8-aligned too. A snapshot embedded
+  // at an arbitrary offset (a WAL record payload) is first copied into
+  // aligned storage; an aligned buffer (the wire's std::string) is not.
+  std::vector<uint64_t> aligned;
+  if (reinterpret_cast<uintptr_t>(bytes.data()) % alignof(uint64_t) != 0) {
+    aligned.resize((bytes.size() + sizeof(uint64_t) - 1) / sizeof(uint64_t));
+    std::memcpy(aligned.data(), bytes.data(), bytes.size());
+    bytes = std::string_view(reinterpret_cast<const char*>(aligned.data()),
+                             bytes.size());
+  }
   Result<Document> viewed = Decode(bytes.data(), bytes.size(), label, nullptr);
   if (!viewed.ok()) return viewed;
   // The decoded views alias `bytes`; the copy constructor materializes

@@ -1,5 +1,6 @@
 #include "xpath/parser.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -10,22 +11,35 @@
 namespace gkx::xpath {
 namespace {
 
+/// A parsed subexpression and the depth of its tree (a leaf is 1).
+struct Parsed {
+  ExprPtr expr;
+  int depth = 1;
+};
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<Query> Run() {
-    ExprPtr expr;
-    GKX_ASSIGN_OR_RETURN(expr, ParseExpr());
+    Parsed parsed;
+    GKX_ASSIGN_OR_RETURN(parsed, ParseExpr());
     if (Peek().kind != TokenKind::kEof) {
-      return Error("unexpected " + std::string(TokenKindName(Peek().kind)) +
-                   " after complete expression")
-          .status();
+      return Error("unexpected ", TokenKindName(Peek().kind),
+                   " after complete expression");
     }
-    return Query::Create(std::move(expr));
+    return Query::Create(std::move(parsed.expr));
   }
 
  private:
+  // Stack discipline: the functions on the recursion path (ParseExpr down
+  // to ParseStep) keep few locals. Error messages are assembled inside
+  // Error from string_view pieces, and the non-recursive work (leaf
+  // tokens, axis and node test, arity, closing tokens) lives in
+  // out-of-line helpers, so their temporaries never pile up per nesting
+  // level. kMaxQueryDepth levels must fit a thread's stack in sanitizer
+  // builds too, where every temporary gets its own padded slot.
+
   const Token& Peek(size_t lookahead = 0) const {
     size_t i = pos_ + lookahead;
     if (i >= tokens_.size()) i = tokens_.size() - 1;  // kEof
@@ -44,94 +58,109 @@ class Parser {
     return true;
   }
 
-  Status Expect(TokenKind kind, std::string_view context) {
+  [[gnu::noinline]] Status Expect(TokenKind kind, std::string_view context) {
     if (Match(kind)) return Status::Ok();
     return Error(std::string("expected ") + std::string(TokenKindName(kind)) +
                  " " + std::string(context) + ", found " +
-                 std::string(TokenKindName(Peek().kind)))
-        .status();
+                 std::string(TokenKindName(Peek().kind)));
   }
 
-  Result<ExprPtr> Error(std::string message) const {
-    return InvalidArgumentError("XPath parse error at offset " +
-                                std::to_string(Peek().offset) + ": " +
-                                std::move(message));
+  [[gnu::noinline]] Status Error(std::string_view a, std::string_view b = {},
+                                 std::string_view c = {}) const {
+    std::string message =
+        "XPath parse error at offset " + std::to_string(Peek().offset) + ": ";
+    message.append(a).append(b).append(c);
+    return InvalidArgumentError(std::move(message));
   }
 
-  // Expr := OrExpr
-  Result<ExprPtr> ParseExpr() { return ParseBinary(0); }
+  [[gnu::noinline]] Status TooDeep() const {
+    return Error("query nests deeper than ", std::to_string(kMaxQueryDepth),
+                 " levels");
+  }
 
-  // Precedence-climbing over the binary operator levels.
-  // level: 0=or 1=and 2=equality 3=relational 4=additive 5=multiplicative
-  Result<ExprPtr> ParseBinary(int level) {
-    if (level == 6) return ParseUnary();
-    ExprPtr lhs;
-    GKX_ASSIGN_OR_RETURN(lhs, ParseBinary(level + 1));
-    while (true) {
-      BinaryOp op;
-      if (!MatchOperator(level, &op)) return lhs;
-      ExprPtr rhs;
+  /// Wraps a node built over children of depth `child_depth`, checking the
+  /// tree bound before the node exists.
+  template <typename Build>
+  Result<Parsed> Node(int child_depth, Build build) const {
+    if (child_depth + 1 > kMaxQueryDepth) return TooDeep();
+    return Parsed{build(), child_depth + 1};
+  }
+
+  // Expr := OrExpr. Every nested expression enters here (parentheses,
+  // predicates, function arguments), so this is where recursion is bounded.
+  Result<Parsed> ParseExpr() {
+    if (++nesting_ > kMaxQueryDepth) return TooDeep();
+    Result<Parsed> expr = ParseBinary(0);
+    --nesting_;
+    return expr;
+  }
+
+  // Precedence climbing: parses a chain of operators binding at least as
+  // tightly as `min_level`. Every level is left-associative, so a chain
+  // loops here; only a tighter-binding right operand recurses, at most once
+  // per level.
+  Result<Parsed> ParseBinary(int min_level) {
+    Parsed lhs;
+    GKX_ASSIGN_OR_RETURN(lhs, ParseUnary());
+    BinaryOp op;
+    int level = 0;
+    while (PeekOperator(&op, &level) && level >= min_level) {
+      Take();
+      Parsed rhs;
       GKX_ASSIGN_OR_RETURN(rhs, ParseBinary(level + 1));
-      lhs = build::Binary(op, std::move(lhs), std::move(rhs));
+      GKX_ASSIGN_OR_RETURN(
+          lhs, Node(std::max(lhs.depth, rhs.depth), [&] {
+            return build::Binary(op, std::move(lhs.expr), std::move(rhs.expr));
+          }));
     }
+    return lhs;
   }
 
-  bool MatchOperator(int level, BinaryOp* op) {
-    const TokenKind kind = Peek().kind;
-    switch (level) {
-      case 0:
-        if (kind == TokenKind::kOr) { *op = BinaryOp::kOr; break; }
-        return false;
-      case 1:
-        if (kind == TokenKind::kAnd) { *op = BinaryOp::kAnd; break; }
-        return false;
-      case 2:
-        if (kind == TokenKind::kEq) { *op = BinaryOp::kEq; break; }
-        if (kind == TokenKind::kNe) { *op = BinaryOp::kNe; break; }
-        return false;
-      case 3:
-        if (kind == TokenKind::kLt) { *op = BinaryOp::kLt; break; }
-        if (kind == TokenKind::kLe) { *op = BinaryOp::kLe; break; }
-        if (kind == TokenKind::kGt) { *op = BinaryOp::kGt; break; }
-        if (kind == TokenKind::kGe) { *op = BinaryOp::kGe; break; }
-        return false;
-      case 4:
-        if (kind == TokenKind::kPlus) { *op = BinaryOp::kAdd; break; }
-        if (kind == TokenKind::kMinus) { *op = BinaryOp::kSub; break; }
-        return false;
-      case 5:
-        if (kind == TokenKind::kMul) { *op = BinaryOp::kMul; break; }
-        if (kind == TokenKind::kDiv) { *op = BinaryOp::kDiv; break; }
-        if (kind == TokenKind::kMod) { *op = BinaryOp::kMod; break; }
-        return false;
-      default:
-        return false;
+  // The binary operator at the cursor and its level: 0=or 1=and
+  // 2=equality 3=relational 4=additive 5=multiplicative.
+  bool PeekOperator(BinaryOp* op, int* level) const {
+    switch (Peek().kind) {
+      case TokenKind::kOr: *op = BinaryOp::kOr; *level = 0; return true;
+      case TokenKind::kAnd: *op = BinaryOp::kAnd; *level = 1; return true;
+      case TokenKind::kEq: *op = BinaryOp::kEq; *level = 2; return true;
+      case TokenKind::kNe: *op = BinaryOp::kNe; *level = 2; return true;
+      case TokenKind::kLt: *op = BinaryOp::kLt; *level = 3; return true;
+      case TokenKind::kLe: *op = BinaryOp::kLe; *level = 3; return true;
+      case TokenKind::kGt: *op = BinaryOp::kGt; *level = 3; return true;
+      case TokenKind::kGe: *op = BinaryOp::kGe; *level = 3; return true;
+      case TokenKind::kPlus: *op = BinaryOp::kAdd; *level = 4; return true;
+      case TokenKind::kMinus: *op = BinaryOp::kSub; *level = 4; return true;
+      case TokenKind::kMul: *op = BinaryOp::kMul; *level = 5; return true;
+      case TokenKind::kDiv: *op = BinaryOp::kDiv; *level = 5; return true;
+      case TokenKind::kMod: *op = BinaryOp::kMod; *level = 5; return true;
+      default: return false;
     }
-    Take();
-    return true;
   }
 
   // UnaryExpr := '-' UnaryExpr | UnionExpr
-  Result<ExprPtr> ParseUnary() {
-    if (Match(TokenKind::kMinus)) {
-      ExprPtr operand;
-      GKX_ASSIGN_OR_RETURN(operand, ParseUnary());
-      return ExprPtr(build::Negate(std::move(operand)));
-    }
-    return ParseUnion();
+  Result<Parsed> ParseUnary() {
+    if (!Match(TokenKind::kMinus)) return ParseUnion();
+    if (++nesting_ > kMaxQueryDepth) return TooDeep();
+    Parsed operand;
+    GKX_ASSIGN_OR_RETURN(operand, ParseUnary());
+    --nesting_;
+    return Node(operand.depth,
+                [&] { return build::Negate(std::move(operand.expr)); });
   }
 
   // UnionExpr := PathOrPrimary ('|' PathOrPrimary)*
-  Result<ExprPtr> ParseUnion() {
-    ExprPtr first;
+  Result<Parsed> ParseUnion() {
+    Parsed first;
     GKX_ASSIGN_OR_RETURN(first, ParsePathOrPrimary());
     if (Peek().kind != TokenKind::kPipe) return first;
+    int depth = first.depth;
     std::vector<ExprPtr> branches;
-    branches.push_back(std::move(first));
+    branches.push_back(std::move(first.expr));
     while (Match(TokenKind::kPipe)) {
-      ExprPtr next;
+      Parsed next;
       GKX_ASSIGN_OR_RETURN(next, ParsePathOrPrimary());
-      branches.push_back(std::move(next));
+      depth = std::max(depth, next.depth);
+      branches.push_back(std::move(next.expr));
     }
     for (const ExprPtr& branch : branches) {
       const Expr::Kind kind = branch->kind();
@@ -142,35 +171,21 @@ class Parser {
     // Flatten nested unions (parenthesized unions are still location-path
     // typed, so keep them as branches; only direct nesting is flattened by
     // associativity of the loop above).
-    return ExprPtr(build::Union(std::move(branches)));
+    return Node(depth, [&] { return build::Union(std::move(branches)); });
   }
 
-  Result<ExprPtr> ParsePathOrPrimary() {
-    const Token& token = Peek();
-    switch (token.kind) {
-      case TokenKind::kNumber: {
-        double value = Take().number;
-        return ExprPtr(build::Number(value));
-      }
-      case TokenKind::kLiteral: {
-        std::string value = Take().text;
-        return ExprPtr(build::Str(std::move(value)));
-      }
+  Result<Parsed> ParsePathOrPrimary() {
+    switch (Peek().kind) {
       case TokenKind::kLParen: {
         Take();
-        ExprPtr inner;
+        Parsed inner;
         GKX_ASSIGN_OR_RETURN(inner, ParseExpr());
         GKX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close '('"));
         return inner;
       }
-      case TokenKind::kDollar:
-        return Error("variables are not supported");
-      case TokenKind::kAt:
-        return Error("the attribute axis is not supported (outside the "
-                     "paper's fragments)");
       case TokenKind::kName:
         // Function call if followed by '(' and not the node() node test.
-        if (Peek(1).kind == TokenKind::kLParen && token.text != "node") {
+        if (Peek(1).kind == TokenKind::kLParen && Peek().text != "node") {
           return ParseFunctionCall();
         }
         return ParseLocationPath();
@@ -181,38 +196,57 @@ class Parser {
       case TokenKind::kDotDot:
         return ParseLocationPath();
       default:
-        return Error("expected an expression, found " +
-                     std::string(TokenKindName(token.kind)));
+        return ParseLeaf();
     }
   }
 
-  Result<ExprPtr> ParseFunctionCall() {
-    std::string name = Take().text;
+  /// Number and string literals, and the tokens no expression starts with.
+  [[gnu::noinline]] Result<Parsed> ParseLeaf() {
+    const Token& token = Peek();
+    switch (token.kind) {
+      case TokenKind::kNumber:
+        return Parsed{build::Number(Take().number)};
+      case TokenKind::kLiteral:
+        return Parsed{build::Str(Take().text)};
+      case TokenKind::kDollar:
+        return Error("variables are not supported");
+      case TokenKind::kAt:
+        return Error("the attribute axis is not supported (outside the "
+                     "paper's fragments)");
+      default:
+        return Error("expected an expression, found ",
+                     TokenKindName(token.kind));
+    }
+  }
+
+  Result<Parsed> ParseFunctionCall() {
+    const std::string& name = Take().text;
     Function function;
     if (!FunctionFromName(name, &function)) {
-      return Error("unknown function '" + name + "'");
+      return Error("unknown function '", name, "'");
     }
     GKX_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after function name"));
+    int depth = 0;
     std::vector<ExprPtr> args;
     if (Peek().kind != TokenKind::kRParen) {
       while (true) {
-        ExprPtr arg;
+        Parsed arg;
         GKX_ASSIGN_OR_RETURN(arg, ParseExpr());
-        args.push_back(std::move(arg));
+        depth = std::max(depth, arg.depth);
+        args.push_back(std::move(arg.expr));
         if (!Match(TokenKind::kComma)) break;
       }
     }
     GKX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close the argument list"));
     GKX_RETURN_IF_ERROR(CheckArity(function, args.size()));
-    return ExprPtr(build::Call(function, std::move(args)));
+    return Node(depth, [&] { return build::Call(function, std::move(args)); });
   }
 
-  Status CheckArity(Function function, size_t argc) {
+  [[gnu::noinline]] Status CheckArity(Function function, size_t argc) {
     auto arity_error = [&](std::string_view expected) {
       return Error(std::string(FunctionName(function)) + "() expects " +
                    std::string(expected) + " argument(s), got " +
-                   std::to_string(argc))
-          .status();
+                   std::to_string(argc));
     };
     switch (function) {
       case Function::kPosition:
@@ -250,13 +284,14 @@ class Parser {
     return Status::Ok();
   }
 
-  Result<ExprPtr> ParseLocationPath() {
+  Result<Parsed> ParseLocationPath() {
     bool absolute = false;
+    int depth = 0;  // deepest predicate
     std::vector<Step> steps;
     if (Match(TokenKind::kSlash)) {
       absolute = true;
       if (!StartsStep()) {
-        return ExprPtr(build::Path(true, {}));  // bare "/"
+        return Parsed{build::Path(true, {})};  // bare "/"
       }
     } else if (Match(TokenKind::kDoubleSlash)) {
       absolute = true;
@@ -265,7 +300,7 @@ class Parser {
     }
     while (true) {
       Step step;
-      GKX_RETURN_IF_ERROR(ParseStep(&step));
+      GKX_RETURN_IF_ERROR(ParseStep(&step, &depth));
       steps.push_back(std::move(step));
       if (Match(TokenKind::kSlash)) {
         if (!StartsStep()) return Error("expected a step after '/'");
@@ -279,7 +314,8 @@ class Parser {
       }
       break;
     }
-    return ExprPtr(build::Path(absolute, std::move(steps)));
+    return Node(depth,
+                [&] { return build::Path(absolute, std::move(steps)); });
   }
 
   bool StartsStep() const {
@@ -295,7 +331,9 @@ class Parser {
     }
   }
 
-  Status ParseStep(Step* out) {
+  /// Parses one step into the default-constructed `*out`; raises `*depth`
+  /// to the deepest predicate of the step.
+  Status ParseStep(Step* out, int* depth) {
     if (Match(TokenKind::kDot)) {
       *out = build::MakeStep(Axis::kSelf, NodeTest::AllNodes());
       return Status::Ok();
@@ -304,62 +342,59 @@ class Parser {
       *out = build::MakeStep(Axis::kParent, NodeTest::AllNodes());
       return Status::Ok();
     }
-    if (Peek().kind == TokenKind::kAt) {
-      return Error("the attribute axis is not supported (outside the paper's "
-                   "fragments)")
-          .status();
-    }
-
-    Axis axis = Axis::kChild;
-    if (Peek().kind == TokenKind::kName &&
-        Peek(1).kind == TokenKind::kDoubleColon) {
-      std::string axis_name = Take().text;
-      Take();  // '::'
-      if (!AxisFromName(axis_name, &axis)) {
-        if (axis_name == "attribute" || axis_name == "namespace") {
-          return Error("the " + axis_name +
-                       " axis is not supported (outside the paper's fragments)")
-              .status();
-        }
-        return Error("unknown axis '" + axis_name + "'").status();
-      }
-    }
-
-    NodeTest test;
-    if (Match(TokenKind::kStar)) {
-      test = NodeTest::Any();
-    } else if (Peek().kind == TokenKind::kName) {
-      std::string name = Take().text;
-      if (name == "node" && Peek().kind == TokenKind::kLParen) {
-        Take();
-        GKX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close node()"));
-        test = NodeTest::AllNodes();
-      } else if (name == "text" && Peek().kind == TokenKind::kLParen) {
-        return Error("text() node tests are not supported (the data model "
-                     "attaches text to elements)")
-            .status();
-      } else {
-        test = NodeTest::Name(name);
-      }
-    } else {
-      return Error("expected a node test, found " +
-                   std::string(TokenKindName(Peek().kind)))
-          .status();
-    }
-
-    std::vector<ExprPtr> predicates;
+    GKX_RETURN_IF_ERROR(ParseAxisAndNodeTest(out));
     while (Match(TokenKind::kLBracket)) {
-      ExprPtr predicate;
+      Parsed predicate;
       GKX_ASSIGN_OR_RETURN(predicate, ParseExpr());
-      predicates.push_back(std::move(predicate));
+      *depth = std::max(*depth, predicate.depth);
+      out->predicates.push_back(std::move(predicate.expr));
       GKX_RETURN_IF_ERROR(Expect(TokenKind::kRBracket, "to close the predicate"));
     }
-    *out = build::MakeStep(axis, std::move(test), std::move(predicates));
+    return Status::Ok();
+  }
+
+  [[gnu::noinline]] Status ParseAxisAndNodeTest(Step* out) {
+    if (Peek().kind == TokenKind::kAt) {
+      return Error("the attribute axis is not supported (outside the paper's "
+                   "fragments)");
+    }
+    if (Peek().kind == TokenKind::kName &&
+        Peek(1).kind == TokenKind::kDoubleColon) {
+      const std::string& axis_name = Take().text;
+      Take();  // '::'
+      if (!AxisFromName(axis_name, &out->axis)) {
+        if (axis_name == "attribute" || axis_name == "namespace") {
+          return Error("the ", axis_name,
+                       " axis is not supported (outside the paper's "
+                       "fragments)");
+        }
+        return Error("unknown axis '", axis_name, "'");
+      }
+    }
+    if (Match(TokenKind::kStar)) {
+      out->test = NodeTest::Any();
+      return Status::Ok();
+    }
+    if (Peek().kind != TokenKind::kName) {
+      return Error("expected a node test, found ", TokenKindName(Peek().kind));
+    }
+    const std::string& name = Take().text;
+    if (name == "node" && Peek().kind == TokenKind::kLParen) {
+      Take();
+      GKX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close node()"));
+      out->test = NodeTest::AllNodes();
+    } else if (name == "text" && Peek().kind == TokenKind::kLParen) {
+      return Error("text() node tests are not supported (the data model "
+                   "attaches text to elements)");
+    } else {
+      out->test = NodeTest::Name(name);
+    }
     return Status::Ok();
   }
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int nesting_ = 0;  // open ParseExpr / unary-minus levels
 };
 
 }  // namespace

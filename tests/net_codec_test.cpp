@@ -474,43 +474,86 @@ TEST(NetCodecTest, LoopbackServesQueriesByteIdenticalToInProcess) {
   server.Stop();
 }
 
+/// A raw loopback connection to `server`, for frames the Client would
+/// never send.
+class RawConnection {
+ public:
+  explicit RawConnection(const Server& server)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    EXPECT_EQ(
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  }
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  Result<Message> RoundTrip(std::string_view payload) {
+    GKX_RETURN_IF_ERROR(WriteFrame(fd_, payload));
+    bool eof = false;
+    std::string reply;
+    GKX_ASSIGN_OR_RETURN(reply, ReadFrame(fd_, &eof));
+    if (eof) return InternalError("server closed the connection");
+    return DecodeMessage(reply);
+  }
+
+  /// The server and this connection keep serving.
+  void ExpectPong() {
+    Message ping;
+    ping.type = MsgType::kPing;
+    Result<Message> reply = RoundTrip(EncodeMessage(ping));
+    ASSERT_TRUE(reply.ok()) << reply.status().message();
+    EXPECT_EQ(reply->type, MsgType::kPong);
+  }
+
+ private:
+  int fd_;
+};
+
 TEST(NetCodecTest, LoopbackAnswersAHostileBatchCountAndKeepsServing) {
   service::ShardedQueryService service;
   Server server(&service, {});
   ASSERT_TRUE(server.Start().ok());
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  auto round_trip = [fd](std::string_view payload) -> Result<Message> {
-    GKX_RETURN_IF_ERROR(WriteFrame(fd, payload));
-    bool eof = false;
-    std::string reply;
-    GKX_ASSIGN_OR_RETURN(reply, ReadFrame(fd, &eof));
-    if (eof) return InternalError("server closed the connection");
-    return DecodeMessage(reply);
-  };
+  RawConnection connection(server);
 
   // One 14-byte frame declaring 2^32-1 requests: a typed error reply.
   Result<Message> reply =
-      round_trip(HostileBatchPayload(MsgType::kSubmitBatch));
+      connection.RoundTrip(HostileBatchPayload(MsgType::kSubmitBatch));
   ASSERT_TRUE(reply.ok()) << reply.status().message();
   EXPECT_EQ(reply->type, MsgType::kStatusReply);
   EXPECT_EQ(reply->status.code(), StatusCode::kInvalidArgument);
+  connection.ExpectPong();
+  server.Stop();
+}
 
-  // The server and the same connection keep serving.
-  Message ping;
-  ping.type = MsgType::kPing;
-  reply = round_trip(EncodeMessage(ping));
+TEST(NetCodecTest, LoopbackAnswersADeeplyNestedQueryAndKeepsServing) {
+  service::ShardedQueryService service;
+  ASSERT_TRUE(service.RegisterXml("d", "<a><a><b/></a></a>").ok());
+  Server server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+  RawConnection connection(server);
+
+  // 3,000 nested predicates in one 9,001-byte query: past the parser's
+  // nesting bound, so the answer is a typed error instead of a stack
+  // overflow that takes the whole server process down.
+  Message submit;
+  submit.type = MsgType::kSubmit;
+  std::string query;
+  for (int i = 0; i < 3000; ++i) query += "a[";
+  query += "b";
+  query.append(3000, ']');
+  ASSERT_EQ(query.size(), 9001u);
+  submit.requests.push_back({"d", query});
+  Result<Message> reply = connection.RoundTrip(EncodeMessage(submit));
   ASSERT_TRUE(reply.ok()) << reply.status().message();
-  EXPECT_EQ(reply->type, MsgType::kPong);
-
-  ::close(fd);
+  EXPECT_EQ(reply->type, MsgType::kAnswer);
+  ASSERT_EQ(reply->answers.size(), 1u);
+  EXPECT_EQ(reply->answers[0].status.code(), StatusCode::kInvalidArgument)
+      << reply->answers[0].status.ToString();
+  connection.ExpectPong();
   server.Stop();
 }
 

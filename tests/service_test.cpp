@@ -488,7 +488,7 @@ TEST(QueryServiceTest, StatsTrackEvaluatorsAndDocuments) {
   EXPECT_EQ(stats.segment_route_counts["core-linear"], 1);
   EXPECT_EQ(stats.segment_route_counts["cvt"], 1);
   EXPECT_EQ(stats.latency.count, 3);
-  EXPECT_GE(stats.latency.max_ms, 0.0);
+  EXPECT_GE(stats.latency.max, 0.0);
 }
 
 TEST(QueryServiceTest, UniformAndStagedCvtCountUnderOneRoute) {

@@ -2,12 +2,14 @@
 //   * Schedules are byte-stable: same (spec, seed) => identical corpus,
 //     query pool, and operation list; different seeds differ.
 //   * The flagship soak: >= 10k operations replayed over >= 4 threads
-//     against a live QueryService with zipfian traffic, batches, and live
-//     AddDocument churn — zero divergences from the naive single-threaded
-//     oracle, zero lost updates, and fully reconciled service counters.
-//   * Fault injection: a perturbed answer (via QueryService's answer_tap
-//     test hook) and a perturbed eviction counter are both caught, and the
-//     failure message carries the reproducing seed.
+//     against a live service (the N=1 router) with zipfian traffic,
+//     batches, and live AddDocument churn — zero divergences from the naive
+//     single-threaded oracle, zero lost updates, and fully reconciled
+//     service counters.
+//   * Fault injection: perturbed answers (via QueryService's answer_tap
+//     test hook, on one shard and behind a 2-shard router) and broken
+//     invalidation are caught, and the failure message carries the
+//     reproducing seed.
 
 #include <gtest/gtest.h>
 
@@ -246,6 +248,35 @@ TEST(SoakTest, StaleAnswerFaultViaTapIsCaughtWithReproducingSeed) {
 
   SoakOptions options;
   options.threads = 4;
+  options.standing_queries = 2;
+  options.service.answer_tap = [](eval::Engine::Answer* answer) {
+    if (answer->value.is_node_set() && answer->value.nodes().size() >= 2) {
+      eval::NodeSet nodes = answer->value.nodes();
+      nodes.pop_back();
+      answer->value = eval::Value::Nodes(std::move(nodes));
+    }
+  };
+  SoakReport report = RunSoak(*schedule, options);
+
+  EXPECT_FALSE(report.ok());
+  EXPECT_GT(report.divergences, 0);
+  ASSERT_FALSE(report.failures.empty());
+  EXPECT_NE(report.failures[0].find("seed=131"), std::string::npos)
+      << report.failures[0];
+}
+
+// The same stale-answer fault behind a 2-shard router: the tap sits in the
+// per-shard template, so both shards serve short node-sets through the
+// scatter-gather path, and the oracle must still flag them with the seed.
+TEST(SoakTest, StaleAnswerFaultBehindTwoShardsIsCaughtWithReproducingSeed) {
+  WorkloadSpec spec = SoakSpec(131);
+  spec.operations = 600;
+  auto schedule = CompileWorkload(spec);
+  ASSERT_TRUE(schedule.ok());
+
+  SoakOptions options;
+  options.threads = 4;
+  options.shards = 2;
   options.standing_queries = 2;
   options.service.answer_tap = [](eval::Engine::Answer* answer) {
     if (answer->value.is_node_set() && answer->value.nodes().size() >= 2) {

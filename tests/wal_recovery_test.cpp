@@ -1,10 +1,11 @@
 // Crash-recovery tests for the WAL: the kill/checkpoint/reopen soak
-// (testkit::RunRecoverySoak — every acknowledged mutation must survive any
-// kill, ExhaustiveEquals-identical), fault-injection teeth (torn tails and
-// bit flips are detected, truncated, and reported — never applied; corrupt
-// manifests/snapshots fail recovery loudly and the service degrades to
-// in-memory serving), and deterministic replay-idempotence (a record
-// covered by both a snapshot and the journal suffix is skipped, not
+// (testkit::RunSoak with a wal_dir — every acknowledged mutation must
+// survive any kill, ExhaustiveEquals-identical, and the reopened service
+// must keep serving oracle-checked answers), fault-injection teeth (torn
+// tails and bit flips are detected, truncated, and reported — never
+// applied; corrupt manifests/snapshots fail recovery loudly and the service
+// degrades to in-memory serving), and deterministic replay-idempotence (a
+// record covered by both a snapshot and the journal suffix is skipped, not
 // re-applied).
 
 #include <cstdint>
@@ -18,8 +19,8 @@
 #include "service/document_store.hpp"
 #include "service/query_service.hpp"
 #include "testkit/oracle.hpp"
-#include "testkit/recovery_soak.hpp"
 #include "testkit/reference_edit.hpp"
+#include "testkit/soak_driver.hpp"
 #include "testkit/workload.hpp"
 #include "wal/record.hpp"
 #include "wal/wal.hpp"
@@ -86,11 +87,11 @@ void SeedJournal(const std::string& dir) {
 
 // --------------------------------------------------------------- the soak
 
-// The tentpole acceptance test: durable mutations across kill/checkpoint/
-// reopen rounds, the corpus re-verified node-for-node after every reopen.
-// Rounds alternate clean closes with SimulateCrash kills; the mid-round
-// checkpoint races live writers; a small auto-checkpoint threshold makes
-// the byte-trigger fire under traffic too.
+// Durable mutations across kill/checkpoint/reopen rounds, the corpus
+// re-verified node-for-node after every reopen and every segment's reads
+// oracle-checked. Rounds alternate clean closes with crash kills; the
+// mid-round checkpoint races live writers; a small auto-checkpoint
+// threshold makes the byte-trigger fire under traffic too.
 TEST(WalRecoverySoakTest, KillCheckpointReopenRoundsLoseNothing) {
   testkit::WorkloadSpec spec;
   spec.seed = 20260807;
@@ -104,19 +105,53 @@ TEST(WalRecoverySoakTest, KillCheckpointReopenRoundsLoseNothing) {
   auto schedule = testkit::CompileWorkload(spec);
   ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
 
-  testkit::RecoverySoakOptions options;
+  testkit::SoakOptions options;
   options.rounds = 5;
   options.threads = 4;
   options.wal_dir = TempDirFor("soak");
   options.service.wal.group_commit_window_us = 100;
   options.service.wal.checkpoint_every_bytes = 96 << 10;
-  auto report = testkit::RunRecoverySoak(*schedule, options);
+  auto report = testkit::RunSoak(*schedule, options);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GT(report.mutations, 0);
   EXPECT_EQ(report.recoveries, 5);
   EXPECT_EQ(report.crashes, 2);
   EXPECT_EQ(report.clean_closes, 3);
   EXPECT_GT(report.snapshots_loaded, 0);
+  std::filesystem::remove_all(options.wal_dir);
+}
+
+// The configuration the wire serves — a 2-shard router with the WAL on —
+// under the differential oracle: two crash rounds, each hitting one victim
+// shard while its sibling checkpoints and closes cleanly, and every reopen
+// followed by a segment of oracle-checked reads, subscriptions and churn.
+TEST(WalRecoverySoakTest, TwoShardCrashRoundsKeepServingOracleAnswers) {
+  testkit::WorkloadSpec spec;
+  spec.seed = 20261017;
+  spec.operations = 1200;
+  spec.documents = 8;
+  spec.min_document_nodes = 24;
+  spec.max_document_nodes = 64;
+  spec.queries = 16;
+  spec.churn_probability = 0.05;
+  auto schedule = testkit::CompileWorkload(spec);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+
+  testkit::SoakOptions options;
+  options.shards = 2;
+  options.rounds = 4;
+  options.threads = 4;
+  options.standing_queries = 2;
+  options.wal_dir = TempDirFor("two_shards");
+  options.service.wal.group_commit_window_us = 100;
+  auto report = testkit::RunSoak(*schedule, options);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_EQ(report.crashes, 2);
+  EXPECT_EQ(report.recoveries, 4);
+  EXPECT_GT(report.victim_records_replayed, 0) << report.Summary();
+  // Every segment after the first ran on a recovered router.
+  EXPECT_EQ(report.requests, schedule->total_requests);
+  EXPECT_GT(report.subscription_events, 0);
   std::filesystem::remove_all(options.wal_dir);
 }
 

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -253,6 +254,28 @@ TEST(SnapshotBytesTest, BytesRoundTripPreservesEveryField) {
   EXPECT_FALSE(loaded->mapped());  // owned copy, independently editable
   std::string why;
   EXPECT_TRUE(testkit::ExhaustiveEquals(original, *loaded, &why)) << why;
+}
+
+// The WAL hands the decoder snapshot bodies at arbitrary offsets inside a
+// journal payload. The section views are typed, so every misaligned start
+// must still decode (read through the raw bytes, UBSan flags a misaligned
+// load).
+TEST(SnapshotBytesTest, MisalignedBytesRoundTrip) {
+  Document original = PayloadHeavyDoc();
+  std::string bytes;
+  SaveSnapshotBytes(original, &bytes);
+  std::vector<uint64_t> storage(bytes.size() / sizeof(uint64_t) + 2);
+  char* base = reinterpret_cast<char*>(storage.data());
+  for (size_t offset = 1; offset < sizeof(uint64_t); ++offset) {
+    std::memcpy(base + offset, bytes.data(), bytes.size());
+    auto loaded =
+        LoadSnapshotBytes(std::string_view(base + offset, bytes.size()));
+    ASSERT_TRUE(loaded.ok()) << "offset " << offset << ": "
+                             << loaded.status().ToString();
+    std::string why;
+    EXPECT_TRUE(testkit::ExhaustiveEquals(original, *loaded, &why))
+        << "offset " << offset << ": " << why;
+  }
 }
 
 TEST(SnapshotBytesTest, BytesMatchTheFileFormat) {

@@ -264,6 +264,67 @@ TEST(ParserErrorTest, TextNodeTest) {
   ExpectQueryError("child::text()", "text() node tests are not supported");
 }
 
+// --- nesting bound ---
+
+// Each hostile shape below, built at `levels`, reaches exactly that parser
+// nesting or expression-tree depth.
+std::string NestedPredicates(int levels) {  // a[a[...b...]]
+  std::string query;
+  for (int i = 1; i < levels; ++i) query += "a[";
+  query += "b";
+  query.append(static_cast<size_t>(levels - 1), ']');
+  return query;
+}
+
+std::string NestedParens(int levels) {  // ((...(1)...))
+  const size_t parens = static_cast<size_t>(levels - 1);
+  return std::string(parens, '(') + "1" + std::string(parens, ')');
+}
+
+std::string LongSum(int levels) {  // 1+1+...+1, a left-deep tree
+  std::string query = "1";
+  for (int i = 1; i < levels; ++i) query += "+1";
+  return query;
+}
+
+std::string MinusChain(int levels) {  // - - ... - 1
+  std::string query;
+  for (int i = 1; i < levels; ++i) query += "- ";
+  return query + "1";
+}
+
+// Each of these overflowed the stack before the bound (nested predicates
+// from ~3,000 levels, parentheses in QueryService::Submit from ~4,000, the
+// sum in a later pass over the parsed tree): now a typed error.
+TEST(ParserDepthTest, HostileNestingIsRejectedNotOverflowed) {
+  for (auto shape : {NestedPredicates, NestedParens, LongSum, MinusChain}) {
+    const std::string query = shape(100000);
+    auto parsed = ParseQuery(query);
+    ASSERT_FALSE(parsed.ok()) << query.substr(0, 40);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("nests deeper than"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+  // The ~9 KB query that killed the wire server.
+  EXPECT_EQ(NestedPredicates(3001).size(), 9001u);
+  EXPECT_FALSE(ParseQuery(NestedPredicates(3001)).ok());
+}
+
+TEST(ParserDepthTest, BoundIsExactForEveryShape) {
+  for (auto shape : {NestedPredicates, NestedParens, LongSum, MinusChain}) {
+    auto at = ParseQuery(shape(kMaxQueryDepth));
+    EXPECT_TRUE(at.ok()) << at.status().ToString();
+    auto past = ParseQuery(shape(kMaxQueryDepth + 1));
+    ASSERT_FALSE(past.ok());
+    EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The error names the offset where the bound was crossed: the token
+  // after the opening parenthesis that opens one level too many.
+  ExpectQueryError(NestedParens(kMaxQueryDepth + 1),
+                   "offset " + std::to_string(kMaxQueryDepth));
+}
+
 // --- printer round-trips ---
 
 class RoundTripTest : public ::testing::TestWithParam<const char*> {};
