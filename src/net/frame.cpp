@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -528,10 +529,21 @@ Result<std::string> ReadFrame(int fd, bool* clean_eof) {
     return InvalidArgumentError("net: implausible frame size " +
                                 std::to_string(size));
   }
-  std::string payload(size, '\0');
+  // The header is the peer's claim, not its bytes: grow the buffer as the
+  // body arrives (one chunk, then doubling), so a lying header commits at
+  // most one chunk or twice what was really sent. A frame up to one chunk
+  // still reads in one piece.
+  constexpr size_t kReadChunk = size_t{64} << 10;
+  std::string payload;
   bool ignored = false;
-  GKX_RETURN_IF_ERROR(
-      ReadExactly(fd, payload.data(), size, /*eof_ok=*/false, &ignored));
+  for (size_t have = 0; have < size;) {
+    const size_t target =
+        std::min<size_t>(size, std::max(kReadChunk, 2 * have));
+    payload.resize(target);
+    GKX_RETURN_IF_ERROR(ReadExactly(fd, payload.data() + have, target - have,
+                                    /*eof_ok=*/false, &ignored));
+    have = target;
+  }
   if (wal::Crc32(payload.data(), payload.size()) != crc) {
     return InvalidArgumentError("net: frame CRC mismatch");
   }

@@ -99,7 +99,8 @@ Status WriteFrame(int fd, std::string_view payload);
 /// Reads one frame, looping over partial reads, and verifies the CRC. A
 /// clean EOF before the first header byte sets `*clean_eof` and returns an
 /// empty payload; EOF mid-frame, a CRC mismatch, or an oversized size field
-/// is an error.
+/// is an error. The buffer grows with the bytes that arrive, not with the
+/// size the header declares.
 Result<std::string> ReadFrame(int fd, bool* clean_eof);
 
 }  // namespace gkx::net

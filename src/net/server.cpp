@@ -113,6 +113,14 @@ void Server::AcceptLoop() {
       ::close(fd);
       return;
     }
+    // Reap connections already marked done (fd == -1): their thread took
+    // mu_ for the last time to mark itself, so joining it here cannot wait
+    // on this lock. A live thread's exit path takes mu_ — leave it be.
+    std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
+      if (conn->fd >= 0) return false;
+      conn->thread.join();
+      return true;
+    });
     SetNoDelay(fd);
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;

@@ -5,7 +5,8 @@
 // wire tier adds framing and sockets, nothing else.
 //
 // Lifecycle: Start() binds and listens (port 0 picks an ephemeral port,
-// readable via port() afterwards); Stop() shuts the listener and every live
+// readable via port() afterwards); the accept loop joins the threads of
+// connections that already closed; Stop() shuts the listener and every live
 // connection down and joins all threads. The destructor calls Stop().
 
 #ifndef GKX_NET_SERVER_HPP_
@@ -54,7 +55,7 @@ class Server {
 
  private:
   struct Connection {
-    int fd = -1;
+    int fd = -1;  // -1 once its thread finished serving (reapable)
     std::thread thread;
   };
 

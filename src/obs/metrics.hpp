@@ -22,11 +22,12 @@
 
 namespace gkx::obs {
 
-/// Monotonic counter; Add is a relaxed atomic fetch_add.
+/// Monotonic counter; Add is a relaxed atomic fetch_add and returns the
+/// value before it (a request sequence number, for sampling).
 class Counter {
  public:
-  void Add(int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+  int64_t Add(int64_t delta = 1) {
+    return value_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 

@@ -1,7 +1,9 @@
 #include "service/query_service.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <iterator>
+#include <string>
 #include <utility>
 
 #include "plan/ir.hpp"
@@ -15,6 +17,19 @@ inline double MillisBetween(uint64_t begin_ns, uint64_t end_ns) {
   return static_cast<double>(end_ns - begin_ns) * 1e-6;
 }
 
+/// Registers one pull gauge per counter of a component, named
+/// "<section>.<field>"; `read` snapshots the component's Counters at export.
+template <typename Counters, typename Read>
+void AddCounterGauges(
+    obs::MetricRegistry* registry, const std::string& section, Read read,
+    std::initializer_list<std::pair<const char*, int64_t Counters::*>> fields) {
+  for (const auto& [name, field] : fields) {
+    registry->SetGauge(section + "." + name, [read, field = field] {
+      return static_cast<double>(read().*field);
+    });
+  }
+}
+
 }  // namespace
 
 QueryService::QueryService(const Options& options)
@@ -22,27 +37,93 @@ QueryService::QueryService(const Options& options)
       pool_(options.pool ? options.pool : &ThreadPool::Shared()),
       plan_cache_(options.plan_cache),
       answer_cache_(options.answer_cache),
-      stage_doc_lookup_(registry_.GetHistogram("stage.doc_lookup_ms")),
-      stage_plan_lookup_(registry_.GetHistogram("stage.plan_lookup_ms")),
+      requests_(registry_.GetCounter("service.requests")),
+      batches_(registry_.GetCounter("service.batches")),
+      failures_(registry_.GetCounter("service.failures")),
+      staged_segments_(registry_.GetCounter("exec.staged_segments")),
+      latency_(registry_.GetHistogram("latency_ms")),
+      stage_doc_lookup_(registry_.GetHistogram("metrics.stage.doc_lookup_ms")),
+      stage_plan_lookup_(
+          registry_.GetHistogram("metrics.stage.plan_lookup_ms")),
       stage_answer_cache_lookup_(
-          registry_.GetHistogram("stage.answer_cache_lookup_ms")),
-      stage_execute_(registry_.GetHistogram("stage.execute_ms")),
-      stage_cache_insert_(registry_.GetHistogram("stage.cache_insert_ms")),
-      update_count_(registry_.GetCounter("update.count")),
-      update_splice_(registry_.GetHistogram("update.splice_ms")),
-      update_index_splice_(registry_.GetHistogram("update.index_splice_ms")),
+          registry_.GetHistogram("metrics.stage.answer_cache_lookup_ms")),
+      stage_execute_(registry_.GetHistogram("metrics.stage.execute_ms")),
+      stage_cache_insert_(
+          registry_.GetHistogram("metrics.stage.cache_insert_ms")),
+      update_count_(registry_.GetCounter("metrics.update.count")),
+      update_splice_(registry_.GetHistogram("metrics.update.splice_ms")),
+      update_index_splice_(
+          registry_.GetHistogram("metrics.update.index_splice_ms")),
       update_affected_scan_(
-          registry_.GetHistogram("update.affected_scan_ms")),
+          registry_.GetHistogram("metrics.update.affected_scan_ms")),
       update_invalidated_(registry_.GetHistogram(
-          "update.invalidated_entries", obs::Histogram::Unit::kCount)),
+          "metrics.update.invalidated_entries", obs::Histogram::Unit::kCount)),
       update_retained_(registry_.GetHistogram(
-          "update.retained_entries", obs::Histogram::Unit::kCount)),
+          "metrics.update.retained_entries", obs::Histogram::Unit::kCount)),
       update_remapped_(registry_.GetHistogram(
-          "update.remapped_entries", obs::Histogram::Unit::kCount)),
-      update_sub_eval_(registry_.GetHistogram("update.subscription_eval_ms")),
+          "metrics.update.remapped_entries", obs::Histogram::Unit::kCount)),
+      update_sub_eval_(
+          registry_.GetHistogram("metrics.update.subscription_eval_ms")),
       slow_log_(options.obs.slow_query_ms, options.obs.slow_query_capacity),
       tracing_(options.obs.tracing),
       subscriptions_(&store_, pool_) {
+  routes_[0] = registry_.GetHistogram("routes.pf-indexed");
+  for (size_t slot = 1; slot < routes_.size(); ++slot) {
+    routes_[slot] = registry_.GetHistogram(
+        "routes." +
+        std::string(plan::RouteName(static_cast<plan::Route>(slot - 1))));
+  }
+  // The components keep their own counters; pull gauges read them into the
+  // document at export time.
+  registry_.SetGauge("service.documents",
+                     [this] { return static_cast<double>(store_.size()); });
+  registry_.SetGauge("service.slow_queries", [this] {
+    return static_cast<double>(slow_log_.recorded());
+  });
+  registry_.SetGauge("plan_cache.entries", [this] {
+    return static_cast<double>(plan_cache_.size());
+  });
+  using PlanCounters = PlanCache::Counters;
+  AddCounterGauges<PlanCounters>(
+      &registry_, "plan_cache", [this] { return plan_cache_.counters(); },
+      {{"hits", &PlanCounters::hits},
+       {"canonical_hits", &PlanCounters::canonical_hits},
+       {"misses", &PlanCounters::misses},
+       {"parse_failures", &PlanCounters::parse_failures},
+       {"evictions", &PlanCounters::evictions}});
+  using AnswerCounters = mview::AnswerCache::Counters;
+  AddCounterGauges<AnswerCounters>(
+      &registry_, "answer_cache", [this] { return answer_cache_.counters(); },
+      {{"hits", &AnswerCounters::hits},
+       {"misses", &AnswerCounters::misses},
+       {"inserts", &AnswerCounters::inserts},
+       {"invalidations", &AnswerCounters::invalidations},
+       {"retained", &AnswerCounters::retained},
+       {"remapped", &AnswerCounters::remapped},
+       {"evictions", &AnswerCounters::evictions},
+       {"declined", &AnswerCounters::declined},
+       {"bytes", &AnswerCounters::bytes},
+       {"entries", &AnswerCounters::entries}});
+  using SubscriptionCounters = mview::SubscriptionManager::Counters;
+  AddCounterGauges<SubscriptionCounters>(
+      &registry_, "subscriptions",
+      [this] { return subscriptions_.counters(); },
+      {{"active", &SubscriptionCounters::active},
+       {"fired", &SubscriptionCounters::fired},
+       {"coalesced", &SubscriptionCounters::coalesced},
+       {"skipped_disjoint", &SubscriptionCounters::skipped_disjoint},
+       {"evaluations", &SubscriptionCounters::evaluations}});
+  using plan::ExecStats;
+  for (const auto& [name, bucket] :
+       {std::pair{"exec.parallel_segments", &ExecStats::parallel_segments},
+        std::pair{"exec.sequential_segments", &ExecStats::sequential_segments},
+        std::pair{"exec.skipped_segments", &ExecStats::skipped_segments}}) {
+    registry_.SetGauge(name, [this, bucket = bucket] {
+      return static_cast<double>(
+          (exec_stats_.*bucket).load(std::memory_order_relaxed));
+    });
+  }
+
   // Intra-query parallelism shares the service pool unless the caller
   // provided a dedicated one.
   if (options_.exec.pool == nullptr) options_.exec.pool = pool_;
@@ -150,7 +231,7 @@ Result<QueryService::Answer> QueryService::Process(
     eval::Engine& engine, const std::string& doc_key,
     const std::string& query_text) {
   const uint64_t t_start = obs::NowNs();
-  const int64_t seq = requests_.fetch_add(1, std::memory_order_relaxed);
+  const int64_t seq = requests_->Add();
   // Sub-microsecond lookup stages stamp the clock 1-in-kStageSampleEvery
   // requests: on a warm answer-cache hit the whole request is ~0.5us, and
   // per-request clock reads alone would cost tens of percent (the
@@ -160,7 +241,7 @@ Result<QueryService::Answer> QueryService::Process(
   const bool sampled = tracing_ && (seq & (kStageSampleEvery - 1)) == 0;
 
   auto fail = [this](Status status) -> Result<Answer> {
-    failures_.fetch_add(1, std::memory_order_relaxed);
+    failures_->Add();
     return status;
   };
 
@@ -225,13 +306,12 @@ Result<QueryService::Answer> QueryService::Process(
   // answer-cache hit executed nothing and records nothing.
   if (evaluated && plan->staged) {
     for (const plan::SegmentTiming& timing : exec_trace) {
-      route_hists_.of(timing.route).Record(timing.seconds);
+      RouteHistogram(timing.route)->Record(timing.seconds);
     }
-    staged_segments_.fetch_add(static_cast<int64_t>(exec_trace.size()),
-                               std::memory_order_relaxed);
+    staged_segments_->Add(static_cast<int64_t>(exec_trace.size()));
   } else if (evaluated) {
-    (indexed ? route_hists_.indexed() : route_hists_.of(plan->choice))
-        .RecordValue(t_exec - t_exec_begin);
+    (indexed ? routes_[0] : RouteHistogram(plan->choice))
+        ->RecordValue(t_exec - t_exec_begin);
   }
 
   const uint64_t t_end = obs::NowNs();
@@ -280,7 +360,7 @@ Result<QueryService::Answer> QueryService::Process(
       slow_log_.Record(std::move(slow));
     }
   }
-  latency_hist_.RecordValue(t_end - t_start);
+  latency_->RecordValue(t_end - t_start);
   return answer;
 }
 
@@ -294,7 +374,7 @@ Result<QueryService::Answer> QueryService::Submit(
 
 std::vector<Result<QueryService::Answer>> QueryService::SubmitBatch(
     const std::vector<Request>& requests) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
+  batches_->Add();
   const int n = static_cast<int>(requests.size());
   std::vector<Result<Answer>> responses(
       requests.size(), Result<Answer>(InternalError("request not processed")));
@@ -350,40 +430,5 @@ bool QueryService::Unsubscribe(int64_t subscription_id) {
 }
 
 void QueryService::FlushSubscriptions() { subscriptions_.Flush(); }
-
-ServiceStats QueryService::Stats() const {
-  ServiceStats out;
-  out.requests = requests_.load(std::memory_order_relaxed);
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.failures = failures_.load(std::memory_order_relaxed);
-  out.documents = store_.size();
-  out.plan_cache_entries = plan_cache_.size();
-  out.plan_cache = plan_cache_.counters();
-  out.answer_cache_enabled = options_.answer_cache_enabled;
-  if (options_.answer_cache_enabled) {
-    out.answer_cache = answer_cache_.counters();
-  }
-  out.subscriptions = subscriptions_.counters();
-  out.ReadRoutes(route_hists_);
-  out.tracing = tracing_;
-  out.staged_segments = staged_segments_.load(std::memory_order_relaxed);
-  out.exec_parallel_segments =
-      exec_stats_.parallel_segments.load(std::memory_order_relaxed);
-  out.exec_sequential_segments =
-      exec_stats_.sequential_segments.load(std::memory_order_relaxed);
-  out.exec_skipped_segments =
-      exec_stats_.skipped_segments.load(std::memory_order_relaxed);
-  out.slow_queries = slow_log_.recorded();
-  out.latency = latency_hist_.Summary();
-  return out;
-}
-
-void QueryService::MergeObservabilityInto(obs::Histogram* latency,
-                                          RouteHistograms* routes,
-                                          obs::MetricRegistry* registry) const {
-  latency->Merge(latency_hist_);
-  route_hists_.MergeInto(routes);
-  if (registry != nullptr) registry_.MergeInto(registry);
-}
 
 }  // namespace gkx::service

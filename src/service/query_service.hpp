@@ -36,7 +36,7 @@
 #ifndef GKX_SERVICE_QUERY_SERVICE_HPP_
 #define GKX_SERVICE_QUERY_SERVICE_HPP_
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -57,13 +57,10 @@
 #include "service/stats.hpp"
 #include "wal/wal.hpp"
 
-namespace gkx::obs::json {
-class Value;
-}  // namespace gkx::obs::json
-
 namespace gkx::service {
 
-/// A point-in-time stats snapshot.
+/// A point-in-time stats snapshot: the typed view of the stats document,
+/// read back from it by ReadServiceStats (which names each field's leaf).
 struct ServiceStats {
   int64_t requests = 0;  // Submit calls + batched requests
   int64_t batches = 0;   // SubmitBatch calls
@@ -83,12 +80,10 @@ struct ServiceStats {
   /// "pf-frontier", "core-linear", "cvt" (always all four): a hybrid plan
   /// counts once per segment, a uniform plan as its single whole-query
   /// segment, the index fast path as "pf-indexed". Answer-cache hits
-  /// execute nothing and count nothing. Read out of the same
-  /// RouteHistograms as route_latency, so each count is its summary's.
+  /// execute nothing and count nothing. These are the counts of the
+  /// routes.<route> latency histograms, recorded whether or not tracing is
+  /// on.
   std::map<std::string, int64_t> segment_route_counts;
-  /// Per-route execution-latency summaries, keyed like
-  /// segment_route_counts. Recorded whether or not tracing is on.
-  std::map<std::string, obs::HistogramSummary> route_latency;
   /// Whether per-stage tracing is on (Options::obs.tracing).
   bool tracing = false;
   /// Segments dispatched by staged (hybrid) evaluated plans — the subset of
@@ -107,15 +102,11 @@ struct ServiceStats {
   /// All-time total request latency in milliseconds (recorded whether or
   /// not tracing is on): count == requests - failures.
   obs::HistogramSummary latency;
-
-  /// Fills route_latency and segment_route_counts from one read of `routes`.
-  void ReadRoutes(const RouteHistograms& routes) {
-    route_latency = routes.Summaries();
-    for (const auto& [name, summary] : route_latency) {
-      segment_route_counts[name] = summary.count;
-    }
-  }
 };
+
+/// The typed view of a stats document (BuildStatsDocument); a leaf the
+/// document lacks reads as zero.
+ServiceStats ReadServiceStats(const obs::json::Value& document);
 
 class QueryService {
  public:
@@ -221,29 +212,24 @@ class QueryService {
   void FlushSubscriptions();
 
   // -------------------------------------------------------------- admin
+  /// ReadServiceStats of ExportStatsDocument().
   ServiceStats Stats() const;
 
-  /// Serializes the full observability surface — the Stats() snapshot plus
-  /// every registered metric, per-route histograms, and the slow-query log.
-  /// kJson produces the structured "gkx-stats-v2" document; kText flattens
-  /// its numeric leaves into `gkx_section_name value` lines
-  /// (Prometheus-style). Implemented in stats_export.cpp.
+  /// Serializes the full observability surface: kJson produces the
+  /// structured "gkx-stats-v2" document; kText flattens its numeric leaves
+  /// into `gkx_section_name value` lines (Prometheus-style). Implemented in
+  /// stats_export.cpp.
   std::string ExportStats(StatsFormat format = StatsFormat::kText) const;
 
-  /// The structured stats document ExportStats serializes, as a JSON value.
-  /// The sharded router embeds one of these per shard under "shards".
+  /// The structured stats document ExportStats serializes, as a JSON value:
+  /// BuildStatsDocument over metrics(). The sharded router embeds one of
+  /// these per shard under "shards".
   obs::json::Value ExportStatsDocument() const;
 
-  /// Router support: folds this service's observability state into
-  /// cross-shard aggregates — the latency histogram into `latency`, the
-  /// per-route histograms into `routes`, and the whole metric registry into
-  /// `registry` (counters add, histograms merge bucket-exact). A null
-  /// registry is skipped. Safe to call while the service is serving.
-  void MergeObservabilityInto(obs::Histogram* latency, RouteHistograms* routes,
-                              obs::MetricRegistry* registry) const;
-
-  /// The slow-query threshold the trace options resolved to.
-  double slow_query_threshold_ms() const { return slow_log_.threshold_ms(); }
+  /// The one stats store: every number of the stats document, registered
+  /// under its document path. The router merges these (MergeInto) for its
+  /// aggregate. Safe to read while the service is serving.
+  const obs::MetricRegistry& metrics() const { return registry_; }
 
   /// The most recent slow queries (empty when tracing is off). Newest last.
   std::vector<obs::SlowQuery> SlowQueries() const {
@@ -283,6 +269,10 @@ class QueryService {
   /// subscription scheduling.
   void OnCorpusUpdate(const CorpusUpdate& update);
 
+  obs::Histogram* RouteHistogram(plan::Route route) const {
+    return routes_[1 + static_cast<size_t>(route)];
+  }
+
   Options options_;
   ThreadPool* pool_;  // never null after construction
   DocumentStore store_;
@@ -294,11 +284,6 @@ class QueryService {
   // evaluation observer, and the manager's destructor quiesces those tasks
   // — so the metrics must be destroyed after it.
   obs::MetricRegistry registry_;
-  obs::Histogram latency_hist_;  // total request latency, always recorded
-  /// How often and how long each served route ran, always recorded — only
-  /// answer-cache misses execute a route, where evaluation amortizes the
-  /// clock reads.
-  RouteHistograms route_hists_;
   /// The sub-microsecond lookup stages (doc / plan / answer-cache lookup)
   /// stamp the clock on every kStageSampleEvery-th request only: a warm
   /// answer-cache hit serves in ~0.5us, so per-request stamps there would
@@ -308,6 +293,16 @@ class QueryService {
   static constexpr int64_t kStageSampleEvery = 64;
   // Stable pointers into registry_, wired once in the constructor so the
   // request path never takes the registry lock.
+  obs::Counter* requests_;  // Submit calls + batched requests
+  obs::Counter* batches_;
+  obs::Counter* failures_;
+  obs::Counter* staged_segments_;
+  obs::Histogram* latency_;  // total request latency, always recorded
+  /// How often and how long each served route ran, always recorded — only
+  /// answer-cache misses execute a route, where evaluation amortizes the
+  /// clock reads. Slot 0 is the DocumentIndex fast path ("pf-indexed");
+  /// slots 1-3 are the plan::Route engines in enum order.
+  std::array<obs::Histogram*, 4> routes_;
   obs::Histogram* stage_doc_lookup_;
   obs::Histogram* stage_plan_lookup_;
   obs::Histogram* stage_answer_cache_lookup_;
@@ -333,10 +328,6 @@ class QueryService {
   /// reconciliation invariant is against staged_segments_, which counts the
   /// same request paths.
   plan::ExecStats exec_stats_;
-  std::atomic<int64_t> staged_segments_{0};
-  std::atomic<int64_t> requests_{0};
-  std::atomic<int64_t> batches_{0};
-  std::atomic<int64_t> failures_{0};
 
   // Durability. Declared LAST: the Wal destructor joins its committer
   // thread, which records into registry_ metrics — everything above must

@@ -6,7 +6,6 @@
 
 #include "base/check.hpp"
 #include "obs/json.hpp"
-#include "service/stats_json.hpp"
 
 namespace gkx::service {
 
@@ -193,98 +192,36 @@ void ShardedQueryService::FlushSubscriptions() {
 
 // ------------------------------------------------------------------ admin
 
-ServiceStats ShardedQueryService::AggregateStats(
-    obs::MetricRegistry* registry) const {
-  obs::Histogram latency(obs::Histogram::Unit::kNanos);
-  RouteHistograms routes;
-  ServiceStats agg;
+obs::json::Value ShardedQueryService::MergedStatsDocument() const {
+  obs::MetricRegistry merged;
+  std::vector<obs::SlowQuery> slow_queries;
   for (const auto& shard : shards_) {
-    const ServiceStats s = shard->Stats();
-    agg.requests += s.requests;
-    agg.batches += s.batches;
-    agg.failures += s.failures;
-    agg.documents += s.documents;
-    agg.plan_cache_entries += s.plan_cache_entries;
-
-    agg.plan_cache.hits += s.plan_cache.hits;
-    agg.plan_cache.canonical_hits += s.plan_cache.canonical_hits;
-    agg.plan_cache.misses += s.plan_cache.misses;
-    agg.plan_cache.parse_failures += s.plan_cache.parse_failures;
-    agg.plan_cache.evictions += s.plan_cache.evictions;
-
-    agg.answer_cache_enabled = s.answer_cache_enabled;
-    agg.answer_cache.hits += s.answer_cache.hits;
-    agg.answer_cache.misses += s.answer_cache.misses;
-    agg.answer_cache.inserts += s.answer_cache.inserts;
-    agg.answer_cache.invalidations += s.answer_cache.invalidations;
-    agg.answer_cache.retained += s.answer_cache.retained;
-    agg.answer_cache.remapped += s.answer_cache.remapped;
-    agg.answer_cache.evictions += s.answer_cache.evictions;
-    agg.answer_cache.declined += s.answer_cache.declined;
-    agg.answer_cache.bytes += s.answer_cache.bytes;
-    agg.answer_cache.entries += s.answer_cache.entries;
-
-    agg.subscriptions.active += s.subscriptions.active;
-    agg.subscriptions.fired += s.subscriptions.fired;
-    agg.subscriptions.coalesced += s.subscriptions.coalesced;
-    agg.subscriptions.skipped_disjoint += s.subscriptions.skipped_disjoint;
-    agg.subscriptions.evaluations += s.subscriptions.evaluations;
-
-    agg.tracing = s.tracing;  // identical options across shards
-    agg.staged_segments += s.staged_segments;
-    agg.exec_parallel_segments += s.exec_parallel_segments;
-    agg.exec_sequential_segments += s.exec_sequential_segments;
-    agg.exec_skipped_segments += s.exec_skipped_segments;
-    agg.slow_queries += s.slow_queries;
-
-    shard->MergeObservabilityInto(&latency, &routes, registry);
+    shard->metrics().MergeInto(&merged);
+    std::vector<obs::SlowQuery> slow = shard->SlowQueries();
+    slow_queries.insert(slow_queries.end(),
+                        std::make_move_iterator(slow.begin()),
+                        std::make_move_iterator(slow.end()));
   }
-  agg.latency = latency.Summary();
-  agg.ReadRoutes(routes);
-  return agg;
+  return BuildStatsDocument(merged, options_.shard.obs,
+                            options_.shard.answer_cache_enabled, slow_queries);
 }
 
 ServiceStats ShardedQueryService::Stats() const {
-  return AggregateStats(nullptr);
-}
-
-std::vector<ServiceStats> ShardedQueryService::ShardStats() const {
-  std::vector<ServiceStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard->Stats());
-  return out;
+  return ReadServiceStats(MergedStatsDocument());
 }
 
 std::string ShardedQueryService::ExportStats(StatsFormat format) const {
-  obs::MetricRegistry registry;
-
-  StatsExportInputs inputs;
-  inputs.stats = AggregateStats(&registry);
-  inputs.registry = &registry;
-  inputs.slow_query_threshold_ms = shards_[0]->slow_query_threshold_ms();
-  for (const auto& shard : shards_) {
-    std::vector<obs::SlowQuery> slow = shard->SlowQueries();
-    inputs.slow_queries.insert(inputs.slow_queries.end(),
-                               std::make_move_iterator(slow.begin()),
-                               std::make_move_iterator(slow.end()));
+  obs::json::Value root = MergedStatsDocument();
+  root["sharding"] = obs::json::Value::Object();
+  root["sharding"]["shards"] =
+      obs::json::Value(static_cast<int64_t>(shards_.size()));
+  obs::json::Value breakdown = obs::json::Value::Array();
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    obs::json::Value doc = shards_[i]->ExportStatsDocument();
+    doc["shard"] = obs::json::Value(static_cast<int64_t>(i));
+    breakdown.Append(std::move(doc));
   }
-
-  obs::json::Value root = BuildStatsDocument(inputs);
-  {
-    obs::json::Value sharding = obs::json::Value::Object();
-    sharding["shards"] = obs::json::Value(
-        static_cast<int64_t>(shards_.size()));
-    root["sharding"] = std::move(sharding);
-  }
-  {
-    obs::json::Value breakdown = obs::json::Value::Array();
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      obs::json::Value doc = shards_[i]->ExportStatsDocument();
-      doc["shard"] = obs::json::Value(static_cast<int64_t>(i));
-      breakdown.Append(std::move(doc));
-    }
-    root["shards"] = std::move(breakdown);
-  }
+  root["shards"] = std::move(breakdown);
   return RenderStatsDocument(root, format);
 }
 

@@ -28,12 +28,13 @@
 //     unsubscribe would block on a sibling delivery that is itself waiting
 //     for the merged-delivery mutex the callback holds.
 //
-// Stats: Stats() sums counters across shards and merges the latency/route
-// histograms bucket-exact (obs::Histogram::Merge), so aggregate percentiles
-// are true percentiles, not averages of summaries. ExportStats() emits one
-// aggregated "gkx-stats-v2" document plus a per-shard breakdown under
-// "shards" (tools/check_stats_json re-proves that the per-shard route
-// counts sum to the aggregate).
+// Stats: the aggregate is built from the shards' metric registries merged
+// into one (obs::MetricRegistry::MergeInto — counters and gauges add,
+// histograms merge bucket-exact, so aggregate percentiles are true
+// percentiles, not averages of summaries) and is the same "gkx-stats-v2"
+// document a single service exports; Stats() reads it back. ExportStats()
+// adds a per-shard breakdown under "shards" (tools/check_stats_json
+// re-proves that the per-shard counts sum to the aggregate).
 //
 // Thread safety: every public method may be called concurrently, including
 // SubmitBatch from many threads at once (scatter tasks nest safely on the
@@ -116,9 +117,8 @@ class ShardedQueryService {
 
   // -------------------------------------------------------------- admin
   /// Cross-shard aggregate: counters summed, histograms merged bucket-exact.
+  /// Per-shard snapshots are shard(i).Stats().
   ServiceStats Stats() const;
-  /// Per-shard snapshots, indexed by shard.
-  std::vector<ServiceStats> ShardStats() const;
   /// One aggregated "gkx-stats-v2" document plus a "shards" breakdown.
   std::string ExportStats(StatsFormat format = StatsFormat::kText) const;
   /// Checkpoints every durable shard; first error wins (all shards are
@@ -143,9 +143,9 @@ class ShardedQueryService {
 
   QueryService& Owner(std::string_view key) { return *shards_[map_.ShardOf(key)]; }
 
-  /// Folds every shard's stats into one snapshot; a null registry is
-  /// skipped (Stats() skips it, ExportStats wants it).
-  ServiceStats AggregateStats(obs::MetricRegistry* registry) const;
+  /// The aggregate document: every shard's registry merged into one, the
+  /// settings of the shard template, and all shards' slow queries.
+  obs::json::Value MergedStatsDocument() const;
 
   Options options_;
   ShardMap map_;

@@ -1,20 +1,20 @@
-// Service-level observability primitives shared by the stats snapshot and
-// the exporter: the export format and the one store of route facts,
-// RouteHistograms. Latency summaries are plain obs::HistogramSummary
-// read-outs (all-time, exact-by-bucket — see obs/histogram.hpp).
+// The "gkx-stats-v2" document: how a service's MetricRegistry becomes the
+// structured stats document ExportStats emits. The registry is the one
+// stats store — every number in the document is a metric registered under
+// its document path ("service.requests", "routes.cvt", "metrics.wal.bytes"),
+// so a router merges its shards' registries (obs::MetricRegistry::MergeInto)
+// and builds its aggregate with the same code. ServiceStats
+// (query_service.hpp) is read back from the document.
 
 #ifndef GKX_SERVICE_STATS_HPP_
 #define GKX_SERVICE_STATS_HPP_
 
-#include <array>
-#include <cstddef>
-#include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
+#include <vector>
 
-#include "obs/histogram.hpp"
-#include "plan/ir.hpp"
+#include "obs/json.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace gkx::service {
 
@@ -24,43 +24,18 @@ enum class StatsFormat {
   kJson,  // the structured "gkx-stats-v2" document
 };
 
-/// The one record of how often and how long each served route ran: one
-/// lock-free histogram per route, indexed by route. Slot 0 is the
-/// DocumentIndex fast path ("pf-indexed"); slots 1-3 are the plan::Route
-/// engines in enum order ("pf-frontier", "core-linear", "cvt"). Recording
-/// is a single Histogram::Record — no lock, no string key.
-class RouteHistograms {
- public:
-  obs::Histogram& indexed() { return hists_[0]; }
-  obs::Histogram& of(plan::Route route) {
-    return hists_[1 + static_cast<size_t>(route)];
-  }
+/// Builds the document: every metric of `registry` nested by its dotted
+/// name (histograms as summaries), plus what must not be summed across
+/// shards — the settings service.tracing, service.slow_query_threshold_ms
+/// and answer_cache.enabled — and the slow-query list.
+obs::json::Value BuildStatsDocument(
+    const obs::MetricRegistry& registry, const obs::TraceOptions& trace,
+    bool answer_cache_enabled, const std::vector<obs::SlowQuery>& slow_queries);
 
-  /// Per-route summaries keyed by route name — always all four routes.
-  std::map<std::string, obs::HistogramSummary> Summaries() const {
-    std::map<std::string, obs::HistogramSummary> out;
-    for (size_t i = 0; i < kRoutes; ++i) {
-      out.emplace(Name(i), hists_[i].Summary());
-    }
-    return out;
-  }
-
-  /// Folds every route into the same route of `out`, bucket-exact.
-  void MergeInto(RouteHistograms* out) const {
-    for (size_t i = 0; i < kRoutes; ++i) out->hists_[i].Merge(hists_[i]);
-  }
-
- private:
-  static constexpr size_t kRoutes = 4;
-
-  /// "pf-indexed", then plan::RouteName of each engine.
-  static std::string_view Name(size_t slot) {
-    return slot == 0 ? "pf-indexed"
-                     : plan::RouteName(static_cast<plan::Route>(slot - 1));
-  }
-
-  std::array<obs::Histogram, kRoutes> hists_;
-};
+/// kJson: the document pretty-printed; kText: its numeric leaves flattened
+/// into `gkx_<path> value` lines (Prometheus-style).
+std::string RenderStatsDocument(const obs::json::Value& root,
+                                StatsFormat format);
 
 }  // namespace gkx::service
 

@@ -1,18 +1,23 @@
-// The machine-readable face of the stats surface. One builder
-// (BuildStatsDocument) produces the structured "gkx-stats-v2" JSON document
-// from a StatsExportInputs bundle; the text format is its numeric leaves
-// flattened into `gkx_<path> value` lines (obs::json::Value::FlattenNumbers),
-// so the two views can never drift apart. QueryService::ExportStats feeds it
-// one service's snapshot; ShardedQueryService::ExportStats feeds it the
-// merged aggregate and embeds the per-shard documents (sharded_service.cpp).
+// The machine-readable face of the stats surface. The registry is the one
+// stats store: BuildStatsDocument nests its metrics by dotted name into the
+// "gkx-stats-v2" document and adds the three settings and the slow-query
+// list; ReadServiceStats reads the typed snapshot back out of it; the text
+// format is its numeric leaves flattened into `gkx_<path> value` lines
+// (obs::json::Value::FlattenNumbers), so no view can drift from another.
+// QueryService::ExportStats builds from its own registry;
+// ShardedQueryService::ExportStats from its shards' merged registries, with
+// the per-shard documents embedded (sharded_service.cpp).
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "service/query_service.hpp"
-#include "service/stats_json.hpp"
+#include "service/stats.hpp"
 
 namespace gkx::service {
 
@@ -32,131 +37,131 @@ Value SummaryJson(const obs::HistogramSummary& s) {
   return out;
 }
 
+obs::HistogramSummary ReadSummary(const Value* summary) {
+  obs::HistogramSummary out;
+  if (summary == nullptr) return out;
+  auto number = [summary](const char* key) {
+    const Value* leaf = summary->Find(key);
+    return leaf == nullptr ? 0.0 : leaf->AsNumber();
+  };
+  out.count = static_cast<int64_t>(number("count"));
+  out.p50 = number("p50");
+  out.p90 = number("p90");
+  out.p99 = number("p99");
+  out.p999 = number("p999");
+  out.max = number("max");
+  out.mean = number("mean");
+  return out;
+}
+
+/// The member of `root` at dotted `name`, creating objects along the way.
+Value& Slot(Value* root, std::string_view name) {
+  Value* node = root;
+  for (size_t dot = name.find('.'); dot != std::string_view::npos;
+       dot = name.find('.')) {
+    Value& child = (*node)[std::string(name.substr(0, dot))];
+    if (!child.is_object()) child = Value::Object();
+    node = &child;
+    name.remove_prefix(dot + 1);
+  }
+  return (*node)[std::string(name)];
+}
+
 }  // namespace
 
-Value BuildStatsDocument(const StatsExportInputs& inputs) {
-  const ServiceStats& stats = inputs.stats;
-
+Value BuildStatsDocument(const obs::MetricRegistry& registry,
+                         const obs::TraceOptions& trace,
+                         bool answer_cache_enabled,
+                         const std::vector<obs::SlowQuery>& slow_queries) {
   Value root = Value::Object();
   root["schema"] = Value("gkx-stats-v2");
+  for (const auto& [name, value] : registry.CounterValues()) {
+    Slot(&root, name) = Value(value);
+  }
+  for (const auto& [name, value] : registry.GaugeValues()) {
+    Slot(&root, name) = Value(value);
+  }
+  for (const auto& [name, summary] : registry.HistogramSummaries()) {
+    Slot(&root, name) = SummaryJson(summary);
+  }
+  // Settings, not traffic: a merged registry would add them up per shard.
+  Slot(&root, "service.tracing") = Value(trace.tracing);
+  Slot(&root, "service.slow_query_threshold_ms") = Value(trace.slow_query_ms);
+  Slot(&root, "answer_cache.enabled") = Value(answer_cache_enabled);
 
-  {
-    Value service = Value::Object();
-    service["requests"] = Value(stats.requests);
-    service["batches"] = Value(stats.batches);
-    service["failures"] = Value(stats.failures);
-    service["documents"] = Value(stats.documents);
-    service["tracing"] = Value(stats.tracing);
-    service["slow_queries"] = Value(stats.slow_queries);
-    service["slow_query_threshold_ms"] = Value(inputs.slow_query_threshold_ms);
-    root["service"] = std::move(service);
+  Value entries = Value::Array();
+  for (const obs::SlowQuery& slow : slow_queries) {
+    Value entry = Value::Object();
+    entry["doc_key"] = Value(slow.doc_key);
+    entry["query"] = Value(slow.query);
+    entry["revision"] = Value(slow.revision);
+    entry["total_ms"] = Value(slow.total_ms);
+    Value routes = Value::Array();
+    for (const std::string& route : slow.routes) routes.Append(Value(route));
+    entry["routes"] = std::move(routes);
+    Value stages = Value::Object();
+    for (const auto& [stage, ms] : slow.stages_ms) stages[stage] = Value(ms);
+    entry["stages_ms"] = std::move(stages);
+    entries.Append(std::move(entry));
   }
-  {
-    Value pc = Value::Object();
-    pc["entries"] = Value(stats.plan_cache_entries);
-    pc["hits"] = Value(stats.plan_cache.hits);
-    pc["canonical_hits"] = Value(stats.plan_cache.canonical_hits);
-    pc["misses"] = Value(stats.plan_cache.misses);
-    pc["parse_failures"] = Value(stats.plan_cache.parse_failures);
-    pc["evictions"] = Value(stats.plan_cache.evictions);
-    root["plan_cache"] = std::move(pc);
-  }
-  {
-    Value ac = Value::Object();
-    ac["enabled"] = Value(stats.answer_cache_enabled);
-    ac["hits"] = Value(stats.answer_cache.hits);
-    ac["misses"] = Value(stats.answer_cache.misses);
-    ac["inserts"] = Value(stats.answer_cache.inserts);
-    ac["invalidations"] = Value(stats.answer_cache.invalidations);
-    ac["retained"] = Value(stats.answer_cache.retained);
-    ac["remapped"] = Value(stats.answer_cache.remapped);
-    ac["evictions"] = Value(stats.answer_cache.evictions);
-    ac["declined"] = Value(stats.answer_cache.declined);
-    ac["bytes"] = Value(stats.answer_cache.bytes);
-    ac["entries"] = Value(stats.answer_cache.entries);
-    root["answer_cache"] = std::move(ac);
-  }
-  {
-    Value subs = Value::Object();
-    subs["active"] = Value(stats.subscriptions.active);
-    subs["fired"] = Value(stats.subscriptions.fired);
-    subs["coalesced"] = Value(stats.subscriptions.coalesced);
-    subs["skipped_disjoint"] = Value(stats.subscriptions.skipped_disjoint);
-    subs["evaluations"] = Value(stats.subscriptions.evaluations);
-    root["subscriptions"] = std::move(subs);
-  }
-  {
-    // Staged-executor dispatch accounting. Invariant (checked by
-    // tools/check_stats_json and the soak reconciliation):
-    // parallel + sequential + skipped == staged_segments, exactly — the
-    // per-segment buckets are flushed atomically per successful run, so
-    // the identity holds even while segments execute concurrently (and
-    // across shards: every term is a plain sum).
-    Value exec = Value::Object();
-    exec["staged_segments"] = Value(stats.staged_segments);
-    exec["parallel_segments"] = Value(stats.exec_parallel_segments);
-    exec["sequential_segments"] = Value(stats.exec_sequential_segments);
-    exec["skipped_segments"] = Value(stats.exec_skipped_segments);
-    root["exec"] = std::move(exec);
-  }
-  root["latency_ms"] = SummaryJson(stats.latency);
-  {
-    // The one route store: routes.<route>.count is how often the route
-    // executed (ServiceStats::segment_route_counts), the rest its latency.
-    // Always the four routes pf-indexed / pf-frontier / core-linear / cvt.
-    Value routes = Value::Object();
-    for (const auto& [label, summary] : stats.route_latency) {
-      routes[label] = SummaryJson(summary);
-    }
-    root["routes"] = std::move(routes);
-  }
-  {
-    // The raw registry, with dotted names nested ("update.splice_ms" →
-    // metrics.update.splice_ms): the stage.*, update.* and wal.* families.
-    Value metrics = Value::Object();
-    auto slot = [&metrics](const std::string& name) -> Value& {
-      Value* node = &metrics;
-      std::string_view rest = name;
-      for (size_t dot = rest.find('.'); dot != std::string_view::npos;
-           dot = rest.find('.')) {
-        Value& child = (*node)[std::string(rest.substr(0, dot))];
-        if (!child.is_object()) child = Value::Object();
-        node = &child;
-        rest.remove_prefix(dot + 1);
-      }
-      return (*node)[std::string(rest)];
-    };
-    for (const auto& [name, value] : inputs.registry->CounterValues()) {
-      slot(name) = Value(value);
-    }
-    for (const auto& [name, value] : inputs.registry->GaugeValues()) {
-      slot(name) = Value(value);
-    }
-    for (const auto& [name, summary] : inputs.registry->HistogramSummaries()) {
-      slot(name) = SummaryJson(summary);
-    }
-    root["metrics"] = std::move(metrics);
-  }
-  {
-    Value entries = Value::Array();
-    for (const obs::SlowQuery& slow : inputs.slow_queries) {
-      Value entry = Value::Object();
-      entry["doc_key"] = Value(slow.doc_key);
-      entry["query"] = Value(slow.query);
-      entry["revision"] = Value(slow.revision);
-      entry["total_ms"] = Value(slow.total_ms);
-      Value routes = Value::Array();
-      for (const std::string& route : slow.routes) routes.Append(Value(route));
-      entry["routes"] = std::move(routes);
-      Value stages = Value::Object();
-      for (const auto& [stage, ms] : slow.stages_ms) stages[stage] = Value(ms);
-      entry["stages_ms"] = std::move(stages);
-      entries.Append(std::move(entry));
-    }
-    root["slow_queries"] = std::move(entries);
-  }
-
+  root["slow_queries"] = std::move(entries);
   return root;
+}
+
+ServiceStats ReadServiceStats(const Value& document) {
+  auto number = [&document](std::string_view path) -> int64_t {
+    const Value* leaf = document.FindPath(path);
+    return leaf == nullptr ? 0 : static_cast<int64_t>(leaf->AsNumber());
+  };
+  auto flag = [&document](std::string_view path) {
+    const Value* leaf = document.FindPath(path);
+    return leaf != nullptr && leaf->AsBool();
+  };
+  ServiceStats stats;
+  stats.requests = number("service.requests");
+  stats.batches = number("service.batches");
+  stats.failures = number("service.failures");
+  stats.documents = static_cast<size_t>(number("service.documents"));
+  stats.tracing = flag("service.tracing");
+  stats.slow_queries = number("service.slow_queries");
+  stats.latency = ReadSummary(document.Find("latency_ms"));
+
+  stats.plan_cache_entries = static_cast<size_t>(number("plan_cache.entries"));
+  stats.plan_cache.hits = number("plan_cache.hits");
+  stats.plan_cache.canonical_hits = number("plan_cache.canonical_hits");
+  stats.plan_cache.misses = number("plan_cache.misses");
+  stats.plan_cache.parse_failures = number("plan_cache.parse_failures");
+  stats.plan_cache.evictions = number("plan_cache.evictions");
+
+  stats.answer_cache_enabled = flag("answer_cache.enabled");
+  stats.answer_cache.hits = number("answer_cache.hits");
+  stats.answer_cache.misses = number("answer_cache.misses");
+  stats.answer_cache.inserts = number("answer_cache.inserts");
+  stats.answer_cache.invalidations = number("answer_cache.invalidations");
+  stats.answer_cache.retained = number("answer_cache.retained");
+  stats.answer_cache.remapped = number("answer_cache.remapped");
+  stats.answer_cache.evictions = number("answer_cache.evictions");
+  stats.answer_cache.declined = number("answer_cache.declined");
+  stats.answer_cache.bytes = number("answer_cache.bytes");
+  stats.answer_cache.entries = number("answer_cache.entries");
+
+  stats.subscriptions.active = number("subscriptions.active");
+  stats.subscriptions.fired = number("subscriptions.fired");
+  stats.subscriptions.coalesced = number("subscriptions.coalesced");
+  stats.subscriptions.skipped_disjoint =
+      number("subscriptions.skipped_disjoint");
+  stats.subscriptions.evaluations = number("subscriptions.evaluations");
+
+  stats.staged_segments = number("exec.staged_segments");
+  stats.exec_parallel_segments = number("exec.parallel_segments");
+  stats.exec_sequential_segments = number("exec.sequential_segments");
+  stats.exec_skipped_segments = number("exec.skipped_segments");
+  if (const Value* routes = document.Find("routes")) {
+    for (const auto& [route, summary] : routes->members()) {
+      stats.segment_route_counts[route] = ReadSummary(&summary).count;
+    }
+  }
+  return stats;
 }
 
 std::string RenderStatsDocument(const Value& root, StatsFormat format) {
@@ -184,12 +189,13 @@ std::string RenderStatsDocument(const Value& root, StatsFormat format) {
 }
 
 Value QueryService::ExportStatsDocument() const {
-  StatsExportInputs inputs;
-  inputs.stats = Stats();
-  inputs.slow_query_threshold_ms = slow_log_.threshold_ms();
-  inputs.slow_queries = slow_log_.Snapshot();
-  inputs.registry = &registry_;
-  return BuildStatsDocument(inputs);
+  return BuildStatsDocument(registry_, options_.obs,
+                            options_.answer_cache_enabled,
+                            slow_log_.Snapshot());
+}
+
+ServiceStats QueryService::Stats() const {
+  return ReadServiceStats(ExportStatsDocument());
 }
 
 std::string QueryService::ExportStats(StatsFormat format) const {

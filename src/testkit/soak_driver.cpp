@@ -626,7 +626,6 @@ class Replay {
                   const std::vector<int64_t>& base_revision,
                   const std::vector<int64_t>& delivered) {
     const ServiceStats aggregate = router_->Stats();
-    const std::vector<ServiceStats> per_shard = router_->ShardStats();
     auto require = [&](bool condition, const std::string& what) {
       if (!condition) {
         Fail(&SoakReport::stats_violations, seg.round, "stats inconsistency",
@@ -652,7 +651,7 @@ class Replay {
     // must hold for each shard and for the sum alike.
     for (int s = -1; s < options_.shards; ++s) {
       const size_t slot = static_cast<size_t>(std::max(s, 0));
-      const ServiceStats& stats = s < 0 ? aggregate : per_shard[slot];
+      const ServiceStats stats = s < 0 ? aggregate : router_->shard(s).Stats();
       const ShardTally& want = s < 0 ? total : seg.tally[slot];
       const std::string who =
           s < 0 ? "aggregate: " : "shard " + std::to_string(s) + ": ";

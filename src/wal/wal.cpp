@@ -185,13 +185,13 @@ void DeleteStaleSnapshots(const std::string& dir, const Manifest& manifest) {
 Wal::Wal(WalOptions options, obs::MetricRegistry* registry)
     : options_(std::move(options)) {
   if (registry != nullptr) {
-    append_hist_ = registry->GetHistogram("wal.append_ms");
-    fsync_batch_hist_ = registry->GetHistogram("wal.fsync_batch_ms");
-    checkpoint_hist_ = registry->GetHistogram("wal.checkpoint_ms");
-    replay_hist_ = registry->GetHistogram("wal.replay_ms");
-    records_counter_ = registry->GetCounter("wal.records");
-    bytes_counter_ = registry->GetCounter("wal.bytes");
-    torn_counter_ = registry->GetCounter("wal.torn_tail");
+    append_hist_ = registry->GetHistogram("metrics.wal.append_ms");
+    fsync_batch_hist_ = registry->GetHistogram("metrics.wal.fsync_batch_ms");
+    checkpoint_hist_ = registry->GetHistogram("metrics.wal.checkpoint_ms");
+    replay_hist_ = registry->GetHistogram("metrics.wal.replay_ms");
+    records_counter_ = registry->GetCounter("metrics.wal.records");
+    bytes_counter_ = registry->GetCounter("metrics.wal.bytes");
+    torn_counter_ = registry->GetCounter("metrics.wal.torn_tail");
   }
 }
 

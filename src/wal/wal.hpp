@@ -33,15 +33,15 @@
 // document into the store with its pinned revision -> replay the journal
 // suffix from the manifest offset through the store's Recover* paths ->
 // stop at the first bad frame (short header, implausible size, CRC
-// mismatch), truncate that torn tail, and count it in wal.torn_tail. The
-// recovery invariant — snapshot + replayed suffix reproduces an
-// ExhaustiveEquals-identical corpus containing exactly the acked
-// mutations — is what testkit::RunSoak (with a wal_dir) and
-// wal_recovery_test re-prove under kill/checkpoint/reopen rounds. Recovery always ends by
-// writing a fresh checkpoint of the recovered state and resetting the
-// journal to empty, so a recovered directory is indistinguishable from a
-// freshly checkpointed one (and repeated crashes cannot grow the journal
-// without bound).
+// mismatch), truncate that torn tail, and count it in
+// metrics.wal.torn_tail. The recovery invariant — snapshot + replayed
+// suffix reproduces an ExhaustiveEquals-identical corpus containing exactly
+// the acked mutations — is what testkit::RunSoak (with a wal_dir) and
+// wal_recovery_test re-prove under kill/checkpoint/reopen rounds. Recovery
+// always ends by writing a fresh checkpoint of the recovered state and
+// resetting the journal to empty, so a recovered directory is
+// indistinguishable from a freshly checkpointed one (and repeated crashes
+// cannot grow the journal without bound).
 
 #ifndef GKX_WAL_WAL_HPP_
 #define GKX_WAL_WAL_HPP_
@@ -109,8 +109,9 @@ class Wal {
 
   /// Opens (creating if needed) the WAL at `options.dir`, recovers its
   /// state into `store`, writes a post-recovery checkpoint, and starts the
-  /// committer. `registry` (optional) receives the wal.* metrics. On error
-  /// the store may hold a partial corpus and must be discarded.
+  /// committer. `registry` (optional) receives the metrics.wal.* family,
+  /// named by their paths in the stats document (service/stats.hpp). On
+  /// error the store may hold a partial corpus and must be discarded.
   static Result<std::unique_ptr<Wal>> OpenAndRecover(
       const WalOptions& options, service::DocumentStore* store,
       RecoveryReport* report, obs::MetricRegistry* registry = nullptr);
@@ -168,14 +169,15 @@ class Wal {
 
   const WalOptions options_;
 
-  // wal.* metrics; null-safe when no registry was supplied.
-  obs::Histogram* append_hist_ = nullptr;      // wal.append_ms
-  obs::Histogram* fsync_batch_hist_ = nullptr; // wal.fsync_batch_ms
-  obs::Histogram* checkpoint_hist_ = nullptr;  // wal.checkpoint_ms
-  obs::Histogram* replay_hist_ = nullptr;      // wal.replay_ms
-  obs::Counter* records_counter_ = nullptr;    // wal.records
-  obs::Counter* bytes_counter_ = nullptr;      // wal.bytes
-  obs::Counter* torn_counter_ = nullptr;       // wal.torn_tail
+  // metrics.wal.* — registered under their stats-document paths; null-safe
+  // when no registry was supplied.
+  obs::Histogram* append_hist_ = nullptr;      // append_ms
+  obs::Histogram* fsync_batch_hist_ = nullptr; // fsync_batch_ms
+  obs::Histogram* checkpoint_hist_ = nullptr;  // checkpoint_ms
+  obs::Histogram* replay_hist_ = nullptr;      // replay_ms
+  obs::Counter* records_counter_ = nullptr;    // records
+  obs::Counter* bytes_counter_ = nullptr;      // bytes
+  obs::Counter* torn_counter_ = nullptr;       // torn_tail
 
   int fd_ = -1;
 

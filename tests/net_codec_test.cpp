@@ -18,11 +18,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "eval/value.hpp"
@@ -491,6 +494,12 @@ class RawConnection {
   RawConnection(const RawConnection&) = delete;
   RawConnection& operator=(const RawConnection&) = delete;
 
+  /// Writes raw bytes: a frame, part of one, or a lie.
+  void Send(std::string_view bytes) {
+    ASSERT_EQ(::write(fd_, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
   Result<Message> RoundTrip(std::string_view payload) {
     GKX_RETURN_IF_ERROR(WriteFrame(fd_, payload));
     bool eof = false;
@@ -554,6 +563,66 @@ TEST(NetCodecTest, LoopbackAnswersADeeplyNestedQueryAndKeepsServing) {
   EXPECT_EQ(reply->answers[0].status.code(), StatusCode::kInvalidArgument)
       << reply->answers[0].status.ToString();
   connection.ExpectPong();
+  server.Stop();
+}
+
+/// A field of /proc/self/status ("VmRSS", "VmSize") in KiB.
+int64_t ProcStatusKiB(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stoll(line.substr(field.size() + 1));
+    }
+  }
+  ADD_FAILURE() << "no " << field << " in /proc/self/status";
+  return 0;
+}
+
+TEST(NetCodecTest, LoopbackLyingFrameHeaderCommitsOnlyWhatArrives) {
+  service::ShardedQueryService service;
+  Server server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+  const int64_t rss_before = ProcStatusKiB("VmRSS");
+  {
+    // A header declaring a 256 MiB payload, followed by 10 bytes of it.
+    // The connection stays open: the server must hold memory for what
+    // arrived, not for what the header claims.
+    RawConnection liar(server);
+    std::string lie(wal::kFrameHeaderBytes, '\0');
+    const uint32_t declared = uint32_t{256} << 20;
+    std::memcpy(lie.data(), &declared, sizeof(declared));
+    lie.append(10, 'x');
+    liar.Send(lie);
+    int64_t growth = 0;
+    for (int i = 0; i < 50 && growth < (32 << 10); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      growth = ProcStatusKiB("VmRSS") - rss_before;
+    }
+    EXPECT_LT(growth, 32 << 10) << "KiB of RSS for a 10-byte body";
+    RawConnection fresh(server);
+    fresh.ExpectPong();
+  }
+  server.Stop();
+}
+
+TEST(NetCodecTest, LoopbackReapsFinishedConnections) {
+  service::ShardedQueryService service;
+  Server server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+  {
+    RawConnection warm(server);
+    warm.ExpectPong();
+  }
+  const int64_t vm_before = ProcStatusKiB("VmSize");
+  for (int i = 0; i < 200; ++i) {
+    RawConnection connection(server);
+    connection.ExpectPong();
+  }
+  // Each connection thread owns a stack (8 MiB by default) until it is
+  // joined: 200 un-joined threads would add 1,600 MiB.
+  EXPECT_LT(ProcStatusKiB("VmSize") - vm_before, 256 << 10)
+      << "KiB of address space after 200 closed connections";
   server.Stop();
 }
 

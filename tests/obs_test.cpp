@@ -12,9 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,9 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/query_service.hpp"
+#include "service/sharded_service.hpp"
+#include "xml/edit.hpp"
+#include "xml/parser.hpp"
 
 namespace gkx::obs {
 namespace {
@@ -362,11 +368,730 @@ TEST(ExportStatsTest, TracingOffStillRecordsRoutes) {
   EXPECT_EQ(stats.segment_route_counts.at("pf-frontier"), 1);
   EXPECT_EQ(stats.segment_route_counts.at("core-linear"), 0);
   EXPECT_EQ(stats.segment_route_counts.at("cvt"), 2);
-  ASSERT_EQ(stats.route_latency.size(), 4u);
-  for (const auto& [route, summary] : stats.route_latency) {
-    EXPECT_EQ(summary.count, stats.segment_route_counts.at(route)) << route;
+  // The route latencies are the document's routes.<route> summaries.
+  auto parsed = json::Parse(svc.ExportStats(service::StatsFormat::kJson));
+  ASSERT_TRUE(parsed.ok());
+  const json::Value* routes = parsed->Find("routes");
+  ASSERT_NE(routes, nullptr);
+  ASSERT_EQ(routes->members().size(), 4u);
+  for (const auto& [route, summary] : routes->members()) {
+    EXPECT_EQ(summary.Find("count")->AsNumber(),
+              static_cast<double>(stats.segment_route_counts.at(route)))
+        << route;
   }
-  EXPECT_GT(stats.route_latency.at("cvt").max, 0.0);
+  EXPECT_GT(parsed->FindPath("routes.cvt.max")->AsNumber(), 0.0);
+}
+
+
+// ------------------------------------------- the stats document, pinned
+
+// A fixed single-threaded script whose every counter is deterministic: one
+// batch worker, small caches (so evictions happen), every request slow (so
+// the slow-query list has entries), and a subscription flush after every
+// mutation (so no delivery coalesces by timing).
+service::QueryService::Options GoldenOptions() {
+  service::QueryService::Options options;
+  options.batch_workers = 1;
+  options.plan_cache.capacity = 3;
+  options.plan_cache.shards = 1;
+  options.answer_cache.capacity = 12;
+  options.answer_cache.shards = 1;
+  options.obs.slow_query_ms = 0.0;
+  options.obs.slow_query_capacity = 2;
+  return options;
+}
+
+std::string GoldenXml(int k, const std::string& extra = "") {
+  const std::string t = std::to_string(k);
+  return "<r><a><b/><b>" + t + "</b></a><a><b><c/></b></a><c><b/></c>" +
+         extra + "</r>";
+}
+
+template <typename Service>
+void RunGoldenScript(Service& service) {
+  auto flush = [&service] { service.FlushSubscriptions(); };
+  for (int k = 0; k < 4; ++k) {
+    ASSERT_TRUE(service.RegisterXml("doc" + std::to_string(k), GoldenXml(k))
+                    .ok());
+    flush();
+  }
+  auto ignore = [](const mview::SubscriptionEvent&) {};
+  ASSERT_TRUE(service.Subscribe("doc*", "/descendant::b", ignore).ok());
+  flush();
+  auto narrow = service.Subscribe("doc1", "/descendant::c", ignore);
+  ASSERT_TRUE(narrow.ok());
+  flush();
+
+  std::vector<service::QueryService::Request> batch;
+  for (int k = 0; k < 4; ++k) {
+    const std::string key = "doc" + std::to_string(k);
+    batch.push_back({key, "/descendant::b"});                    // indexed
+    batch.push_back({key, "count(/descendant::c)"});             // cvt
+    batch.push_back({key, "/descendant::a[not(child::c)]"});     // core
+    batch.push_back(
+        {key, "/descendant::a/child::b[position() = 1]"});        // staged
+  }
+  batch.push_back({"missing", "/descendant::b"});  // unknown document
+  batch.push_back({"doc0", "/descendant::"});      // parse failure
+  ASSERT_EQ(service.SubmitBatch(batch).size(), batch.size());
+  ASSERT_TRUE(service.Submit("doc0", "/descendant::b").ok());  // cache hit
+
+  xml::SubtreeEdit text;
+  text.kind = xml::SubtreeEdit::Kind::kSetText;
+  text.target = 3;
+  text.text = "churned";
+  ASSERT_TRUE(service.UpdateDocument("doc1", text).ok());
+  flush();
+  xml::SubtreeEdit insert;
+  insert.kind = xml::SubtreeEdit::Kind::kInsertSubtree;
+  insert.target = 0;
+  insert.position = 0;
+  auto subtree = xml::ParseDocument("<a><b>new</b></a>");
+  ASSERT_TRUE(subtree.ok());
+  insert.subtree = std::move(*subtree);
+  ASSERT_TRUE(service.UpdateDocument("doc2", insert).ok());
+  flush();
+  ASSERT_TRUE(service.RegisterXml("doc3", GoldenXml(3, "<c/>")).ok());
+  flush();
+  ASSERT_TRUE(service.RemoveDocument("doc0"));
+  flush();
+  ASSERT_TRUE(service.Unsubscribe(*narrow));
+
+  ASSERT_EQ(service.SubmitBatch(batch).size(), batch.size());
+  flush();
+}
+
+bool IsSummary(const json::Value& value) {
+  if (!value.is_object() || value.members().size() != 7) return false;
+  for (const char* key : {"count", "p50", "p90", "p99", "p999", "max",
+                          "mean"}) {
+    const json::Value* member = value.Find(key);
+    if (member == nullptr || !member->is_number()) return false;
+  }
+  return true;
+}
+
+/// One line per leaf, in key order: "path:type", plus "=value" for every
+/// count. A histogram summary is one "path:summary=count" line (its seven
+/// numeric keys checked); numbers under a "*_ms" name are timings and keep
+/// only their type.
+void DescribeLeaves(const json::Value& value, const std::string& path,
+                    bool timing, std::string* out) {
+  auto line = [&](const std::string& text) { *out += path + ":" + text + "\n"; };
+  auto child = [&path](const std::string& key) {
+    return path.empty() ? key : path + "." + key;
+  };
+  auto is_ms = [](const std::string& key) {
+    return key.size() > 3 && key.compare(key.size() - 3, 3, "_ms") == 0;
+  };
+  switch (value.type()) {
+    case json::Value::Type::kObject:
+      if (IsSummary(value)) {
+        line("summary=" + std::to_string(static_cast<int64_t>(
+                              value.Find("count")->AsNumber())));
+        return;
+      }
+      if (value.members().empty()) line("object");
+      for (const auto& [key, member] : value.members()) {
+        DescribeLeaves(member, child(key), timing || is_ms(key), out);
+      }
+      return;
+    case json::Value::Type::kArray:
+      if (value.items().empty()) line("array");
+      for (size_t i = 0; i < value.items().size(); ++i) {
+        DescribeLeaves(value.items()[i], child(std::to_string(i)), timing,
+                       out);
+      }
+      return;
+    case json::Value::Type::kNumber:
+      line(timing ? "number"
+                  : "number=" + std::to_string(
+                                    static_cast<int64_t>(value.AsNumber())));
+      return;
+    case json::Value::Type::kBool:
+      line(value.AsBool() ? "bool=true" : "bool=false");
+      return;
+    case json::Value::Type::kString:
+      line("string");
+      return;
+    case json::Value::Type::kNull:
+      line("null");
+      return;
+  }
+}
+
+template <typename Service>
+std::string GoldenLeaves(const Service& service) {
+  auto parsed = json::Parse(service.ExportStats(service::StatsFormat::kJson));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::string out;
+  if (parsed.ok()) DescribeLeaves(*parsed, "", false, &out);
+  return out;
+}
+
+const char kSingleServiceGolden[] = R"(answer_cache.bytes:number=2433
+answer_cache.declined:number=0
+answer_cache.enabled:bool=true
+answer_cache.entries:number=12
+answer_cache.evictions:number=5
+answer_cache.hits:number=4
+answer_cache.inserts:number=25
+answer_cache.invalidations:number=8
+answer_cache.misses:number=25
+answer_cache.remapped:number=0
+answer_cache.retained:number=4
+exec.parallel_segments:number=0
+exec.sequential_segments:number=12
+exec.skipped_segments:number=0
+exec.staged_segments:number=12
+latency_ms:summary=29
+metrics.stage.answer_cache_lookup_ms:summary=1
+metrics.stage.cache_insert_ms:summary=25
+metrics.stage.doc_lookup_ms:summary=1
+metrics.stage.execute_ms:summary=25
+metrics.stage.plan_lookup_ms:summary=1
+metrics.update.affected_scan_ms:summary=8
+metrics.update.count:number=8
+metrics.update.index_splice_ms:summary=8
+metrics.update.invalidated_entries:summary=8
+metrics.update.remapped_entries:summary=8
+metrics.update.retained_entries:summary=8
+metrics.update.splice_ms:summary=8
+metrics.update.subscription_eval_ms:summary=7
+plan_cache.canonical_hits:number=0
+plan_cache.entries:number=3
+plan_cache.evictions:number=25
+plan_cache.hits:number=1
+plan_cache.misses:number=28
+plan_cache.parse_failures:number=1
+routes.core-linear:summary=6
+routes.cvt:summary=11
+routes.pf-frontier:summary=6
+routes.pf-indexed:summary=8
+schema:string
+service.batches:number=2
+service.documents:number=3
+service.failures:number=8
+service.requests:number=37
+service.slow_queries:number=29
+service.slow_query_threshold_ms:number
+service.tracing:bool=true
+slow_queries.0.doc_key:string
+slow_queries.0.query:string
+slow_queries.0.revision:number=7
+slow_queries.0.routes.0:string
+slow_queries.0.stages_ms.cache_insert:number
+slow_queries.0.stages_ms.execute:number
+slow_queries.0.total_ms:number
+slow_queries.1.doc_key:string
+slow_queries.1.query:string
+slow_queries.1.revision:number=7
+slow_queries.1.routes.0:string
+slow_queries.1.routes.1:string
+slow_queries.1.stages_ms.cache_insert:number
+slow_queries.1.stages_ms.execute:number
+slow_queries.1.total_ms:number
+subscriptions.active:number=1
+subscriptions.coalesced:number=0
+subscriptions.evaluations:number=7
+subscriptions.fired:number=7
+subscriptions.skipped_disjoint:number=2
+)";
+
+const char kTwoShardRouterGolden[] = R"(answer_cache.bytes:number=2433
+answer_cache.declined:number=0
+answer_cache.enabled:bool=true
+answer_cache.entries:number=12
+answer_cache.evictions:number=0
+answer_cache.hits:number=6
+answer_cache.inserts:number=23
+answer_cache.invalidations:number=11
+answer_cache.misses:number=23
+answer_cache.remapped:number=0
+answer_cache.retained:number=5
+exec.parallel_segments:number=0
+exec.sequential_segments:number=12
+exec.skipped_segments:number=0
+exec.staged_segments:number=12
+latency_ms:summary=29
+metrics.stage.answer_cache_lookup_ms:summary=2
+metrics.stage.cache_insert_ms:summary=23
+metrics.stage.doc_lookup_ms:summary=2
+metrics.stage.execute_ms:summary=23
+metrics.stage.plan_lookup_ms:summary=2
+metrics.update.affected_scan_ms:summary=8
+metrics.update.count:number=8
+metrics.update.index_splice_ms:summary=8
+metrics.update.invalidated_entries:summary=8
+metrics.update.remapped_entries:summary=8
+metrics.update.retained_entries:summary=8
+metrics.update.splice_ms:summary=8
+metrics.update.subscription_eval_ms:summary=7
+plan_cache.canonical_hits:number=0
+plan_cache.entries:number=6
+plan_cache.evictions:number=22
+plan_cache.hits:number=1
+plan_cache.misses:number=28
+plan_cache.parse_failures:number=1
+routes.core-linear:summary=6
+routes.cvt:summary=11
+routes.pf-frontier:summary=6
+routes.pf-indexed:summary=6
+schema:string
+service.batches:number=4
+service.documents:number=3
+service.failures:number=8
+service.requests:number=37
+service.slow_queries:number=29
+service.slow_query_threshold_ms:number
+service.tracing:bool=true
+sharding.shards:number=2
+shards.0.answer_cache.bytes:number=1614
+shards.0.answer_cache.declined:number=0
+shards.0.answer_cache.enabled:bool=true
+shards.0.answer_cache.entries:number=8
+shards.0.answer_cache.evictions:number=0
+shards.0.answer_cache.hits:number=4
+shards.0.answer_cache.inserts:number=12
+shards.0.answer_cache.invalidations:number=4
+shards.0.answer_cache.misses:number=12
+shards.0.answer_cache.remapped:number=0
+shards.0.answer_cache.retained:number=4
+shards.0.exec.parallel_segments:number=0
+shards.0.exec.sequential_segments:number=6
+shards.0.exec.skipped_segments:number=0
+shards.0.exec.staged_segments:number=6
+shards.0.latency_ms:summary=16
+shards.0.metrics.stage.answer_cache_lookup_ms:summary=1
+shards.0.metrics.stage.cache_insert_ms:summary=12
+shards.0.metrics.stage.doc_lookup_ms:summary=1
+shards.0.metrics.stage.execute_ms:summary=12
+shards.0.metrics.stage.plan_lookup_ms:summary=1
+shards.0.metrics.update.affected_scan_ms:summary=4
+shards.0.metrics.update.count:number=4
+shards.0.metrics.update.index_splice_ms:summary=4
+shards.0.metrics.update.invalidated_entries:summary=4
+shards.0.metrics.update.remapped_entries:summary=4
+shards.0.metrics.update.retained_entries:summary=4
+shards.0.metrics.update.splice_ms:summary=4
+shards.0.metrics.update.subscription_eval_ms:summary=4
+shards.0.plan_cache.canonical_hits:number=0
+shards.0.plan_cache.entries:number=3
+shards.0.plan_cache.evictions:number=13
+shards.0.plan_cache.hits:number=0
+shards.0.plan_cache.misses:number=16
+shards.0.plan_cache.parse_failures:number=0
+shards.0.routes.core-linear:summary=3
+shards.0.routes.cvt:summary=6
+shards.0.routes.pf-frontier:summary=3
+shards.0.routes.pf-indexed:summary=3
+shards.0.schema:string
+shards.0.service.batches:number=2
+shards.0.service.documents:number=2
+shards.0.service.failures:number=0
+shards.0.service.requests:number=16
+shards.0.service.slow_queries:number=16
+shards.0.service.slow_query_threshold_ms:number
+shards.0.service.tracing:bool=true
+shards.0.shard:number=0
+shards.0.slow_queries.0.doc_key:string
+shards.0.slow_queries.0.query:string
+shards.0.slow_queries.0.revision:number=4
+shards.0.slow_queries.0.routes.0:string
+shards.0.slow_queries.0.stages_ms.cache_insert:number
+shards.0.slow_queries.0.stages_ms.execute:number
+shards.0.slow_queries.0.total_ms:number
+shards.0.slow_queries.1.doc_key:string
+shards.0.slow_queries.1.query:string
+shards.0.slow_queries.1.revision:number=4
+shards.0.slow_queries.1.routes.0:string
+shards.0.slow_queries.1.routes.1:string
+shards.0.slow_queries.1.stages_ms.cache_insert:number
+shards.0.slow_queries.1.stages_ms.execute:number
+shards.0.slow_queries.1.total_ms:number
+shards.0.subscriptions.active:number=1
+shards.0.subscriptions.coalesced:number=0
+shards.0.subscriptions.evaluations:number=4
+shards.0.subscriptions.fired:number=3
+shards.0.subscriptions.skipped_disjoint:number=2
+shards.1.answer_cache.bytes:number=819
+shards.1.answer_cache.declined:number=0
+shards.1.answer_cache.enabled:bool=true
+shards.1.answer_cache.entries:number=4
+shards.1.answer_cache.evictions:number=0
+shards.1.answer_cache.hits:number=2
+shards.1.answer_cache.inserts:number=11
+shards.1.answer_cache.invalidations:number=7
+shards.1.answer_cache.misses:number=11
+shards.1.answer_cache.remapped:number=0
+shards.1.answer_cache.retained:number=1
+shards.1.exec.parallel_segments:number=0
+shards.1.exec.sequential_segments:number=6
+shards.1.exec.skipped_segments:number=0
+shards.1.exec.staged_segments:number=6
+shards.1.latency_ms:summary=13
+shards.1.metrics.stage.answer_cache_lookup_ms:summary=1
+shards.1.metrics.stage.cache_insert_ms:summary=11
+shards.1.metrics.stage.doc_lookup_ms:summary=1
+shards.1.metrics.stage.execute_ms:summary=11
+shards.1.metrics.stage.plan_lookup_ms:summary=1
+shards.1.metrics.update.affected_scan_ms:summary=4
+shards.1.metrics.update.count:number=4
+shards.1.metrics.update.index_splice_ms:summary=4
+shards.1.metrics.update.invalidated_entries:summary=4
+shards.1.metrics.update.remapped_entries:summary=4
+shards.1.metrics.update.retained_entries:summary=4
+shards.1.metrics.update.splice_ms:summary=4
+shards.1.metrics.update.subscription_eval_ms:summary=3
+shards.1.plan_cache.canonical_hits:number=0
+shards.1.plan_cache.entries:number=3
+shards.1.plan_cache.evictions:number=9
+shards.1.plan_cache.hits:number=1
+shards.1.plan_cache.misses:number=12
+shards.1.plan_cache.parse_failures:number=1
+shards.1.routes.core-linear:summary=3
+shards.1.routes.cvt:summary=5
+shards.1.routes.pf-frontier:summary=3
+shards.1.routes.pf-indexed:summary=3
+shards.1.schema:string
+shards.1.service.batches:number=2
+shards.1.service.documents:number=1
+shards.1.service.failures:number=8
+shards.1.service.requests:number=21
+shards.1.service.slow_queries:number=13
+shards.1.service.slow_query_threshold_ms:number
+shards.1.service.tracing:bool=true
+shards.1.shard:number=1
+shards.1.slow_queries.0.doc_key:string
+shards.1.slow_queries.0.query:string
+shards.1.slow_queries.0.revision:number=3
+shards.1.slow_queries.0.routes.0:string
+shards.1.slow_queries.0.stages_ms.cache_insert:number
+shards.1.slow_queries.0.stages_ms.execute:number
+shards.1.slow_queries.0.total_ms:number
+shards.1.slow_queries.1.doc_key:string
+shards.1.slow_queries.1.query:string
+shards.1.slow_queries.1.revision:number=3
+shards.1.slow_queries.1.routes.0:string
+shards.1.slow_queries.1.routes.1:string
+shards.1.slow_queries.1.stages_ms.cache_insert:number
+shards.1.slow_queries.1.stages_ms.execute:number
+shards.1.slow_queries.1.total_ms:number
+shards.1.subscriptions.active:number=1
+shards.1.subscriptions.coalesced:number=0
+shards.1.subscriptions.evaluations:number=3
+shards.1.subscriptions.fired:number=4
+shards.1.subscriptions.skipped_disjoint:number=0
+slow_queries.0.doc_key:string
+slow_queries.0.query:string
+slow_queries.0.revision:number=4
+slow_queries.0.routes.0:string
+slow_queries.0.stages_ms.cache_insert:number
+slow_queries.0.stages_ms.execute:number
+slow_queries.0.total_ms:number
+slow_queries.1.doc_key:string
+slow_queries.1.query:string
+slow_queries.1.revision:number=4
+slow_queries.1.routes.0:string
+slow_queries.1.routes.1:string
+slow_queries.1.stages_ms.cache_insert:number
+slow_queries.1.stages_ms.execute:number
+slow_queries.1.total_ms:number
+slow_queries.2.doc_key:string
+slow_queries.2.query:string
+slow_queries.2.revision:number=3
+slow_queries.2.routes.0:string
+slow_queries.2.stages_ms.cache_insert:number
+slow_queries.2.stages_ms.execute:number
+slow_queries.2.total_ms:number
+slow_queries.3.doc_key:string
+slow_queries.3.query:string
+slow_queries.3.revision:number=3
+slow_queries.3.routes.0:string
+slow_queries.3.routes.1:string
+slow_queries.3.stages_ms.cache_insert:number
+slow_queries.3.stages_ms.execute:number
+slow_queries.3.total_ms:number
+subscriptions.active:number=2
+subscriptions.coalesced:number=0
+subscriptions.evaluations:number=7
+subscriptions.fired:number=7
+subscriptions.skipped_disjoint:number=2
+)";
+
+const char kDurableTwoShardRouterGolden[] = R"(answer_cache.bytes:number=2433
+answer_cache.declined:number=0
+answer_cache.enabled:bool=true
+answer_cache.entries:number=12
+answer_cache.evictions:number=0
+answer_cache.hits:number=6
+answer_cache.inserts:number=23
+answer_cache.invalidations:number=11
+answer_cache.misses:number=23
+answer_cache.remapped:number=0
+answer_cache.retained:number=5
+exec.parallel_segments:number=0
+exec.sequential_segments:number=12
+exec.skipped_segments:number=0
+exec.staged_segments:number=12
+latency_ms:summary=29
+metrics.stage.answer_cache_lookup_ms:summary=2
+metrics.stage.cache_insert_ms:summary=23
+metrics.stage.doc_lookup_ms:summary=2
+metrics.stage.execute_ms:summary=23
+metrics.stage.plan_lookup_ms:summary=2
+metrics.update.affected_scan_ms:summary=8
+metrics.update.count:number=8
+metrics.update.index_splice_ms:summary=8
+metrics.update.invalidated_entries:summary=8
+metrics.update.remapped_entries:summary=8
+metrics.update.retained_entries:summary=8
+metrics.update.splice_ms:summary=8
+metrics.update.subscription_eval_ms:summary=7
+metrics.wal.append_ms:summary=8
+metrics.wal.bytes:number=5121
+metrics.wal.checkpoint_ms:summary=2
+metrics.wal.fsync_batch_ms:summary=8
+metrics.wal.records:number=8
+metrics.wal.replay_ms:summary=2
+metrics.wal.torn_tail:number=0
+plan_cache.canonical_hits:number=0
+plan_cache.entries:number=6
+plan_cache.evictions:number=22
+plan_cache.hits:number=1
+plan_cache.misses:number=28
+plan_cache.parse_failures:number=1
+routes.core-linear:summary=6
+routes.cvt:summary=11
+routes.pf-frontier:summary=6
+routes.pf-indexed:summary=6
+schema:string
+service.batches:number=4
+service.documents:number=3
+service.failures:number=8
+service.requests:number=37
+service.slow_queries:number=29
+service.slow_query_threshold_ms:number
+service.tracing:bool=true
+sharding.shards:number=2
+shards.0.answer_cache.bytes:number=1614
+shards.0.answer_cache.declined:number=0
+shards.0.answer_cache.enabled:bool=true
+shards.0.answer_cache.entries:number=8
+shards.0.answer_cache.evictions:number=0
+shards.0.answer_cache.hits:number=4
+shards.0.answer_cache.inserts:number=12
+shards.0.answer_cache.invalidations:number=4
+shards.0.answer_cache.misses:number=12
+shards.0.answer_cache.remapped:number=0
+shards.0.answer_cache.retained:number=4
+shards.0.exec.parallel_segments:number=0
+shards.0.exec.sequential_segments:number=6
+shards.0.exec.skipped_segments:number=0
+shards.0.exec.staged_segments:number=6
+shards.0.latency_ms:summary=16
+shards.0.metrics.stage.answer_cache_lookup_ms:summary=1
+shards.0.metrics.stage.cache_insert_ms:summary=12
+shards.0.metrics.stage.doc_lookup_ms:summary=1
+shards.0.metrics.stage.execute_ms:summary=12
+shards.0.metrics.stage.plan_lookup_ms:summary=1
+shards.0.metrics.update.affected_scan_ms:summary=4
+shards.0.metrics.update.count:number=4
+shards.0.metrics.update.index_splice_ms:summary=4
+shards.0.metrics.update.invalidated_entries:summary=4
+shards.0.metrics.update.remapped_entries:summary=4
+shards.0.metrics.update.retained_entries:summary=4
+shards.0.metrics.update.splice_ms:summary=4
+shards.0.metrics.update.subscription_eval_ms:summary=4
+shards.0.metrics.wal.append_ms:summary=4
+shards.0.metrics.wal.bytes:number=2796
+shards.0.metrics.wal.checkpoint_ms:summary=1
+shards.0.metrics.wal.fsync_batch_ms:summary=4
+shards.0.metrics.wal.records:number=4
+shards.0.metrics.wal.replay_ms:summary=1
+shards.0.metrics.wal.torn_tail:number=0
+shards.0.plan_cache.canonical_hits:number=0
+shards.0.plan_cache.entries:number=3
+shards.0.plan_cache.evictions:number=13
+shards.0.plan_cache.hits:number=0
+shards.0.plan_cache.misses:number=16
+shards.0.plan_cache.parse_failures:number=0
+shards.0.routes.core-linear:summary=3
+shards.0.routes.cvt:summary=6
+shards.0.routes.pf-frontier:summary=3
+shards.0.routes.pf-indexed:summary=3
+shards.0.schema:string
+shards.0.service.batches:number=2
+shards.0.service.documents:number=2
+shards.0.service.failures:number=0
+shards.0.service.requests:number=16
+shards.0.service.slow_queries:number=16
+shards.0.service.slow_query_threshold_ms:number
+shards.0.service.tracing:bool=true
+shards.0.shard:number=0
+shards.0.slow_queries.0.doc_key:string
+shards.0.slow_queries.0.query:string
+shards.0.slow_queries.0.revision:number=4
+shards.0.slow_queries.0.routes.0:string
+shards.0.slow_queries.0.stages_ms.cache_insert:number
+shards.0.slow_queries.0.stages_ms.execute:number
+shards.0.slow_queries.0.total_ms:number
+shards.0.slow_queries.1.doc_key:string
+shards.0.slow_queries.1.query:string
+shards.0.slow_queries.1.revision:number=4
+shards.0.slow_queries.1.routes.0:string
+shards.0.slow_queries.1.routes.1:string
+shards.0.slow_queries.1.stages_ms.cache_insert:number
+shards.0.slow_queries.1.stages_ms.execute:number
+shards.0.slow_queries.1.total_ms:number
+shards.0.subscriptions.active:number=1
+shards.0.subscriptions.coalesced:number=0
+shards.0.subscriptions.evaluations:number=4
+shards.0.subscriptions.fired:number=3
+shards.0.subscriptions.skipped_disjoint:number=2
+shards.1.answer_cache.bytes:number=819
+shards.1.answer_cache.declined:number=0
+shards.1.answer_cache.enabled:bool=true
+shards.1.answer_cache.entries:number=4
+shards.1.answer_cache.evictions:number=0
+shards.1.answer_cache.hits:number=2
+shards.1.answer_cache.inserts:number=11
+shards.1.answer_cache.invalidations:number=7
+shards.1.answer_cache.misses:number=11
+shards.1.answer_cache.remapped:number=0
+shards.1.answer_cache.retained:number=1
+shards.1.exec.parallel_segments:number=0
+shards.1.exec.sequential_segments:number=6
+shards.1.exec.skipped_segments:number=0
+shards.1.exec.staged_segments:number=6
+shards.1.latency_ms:summary=13
+shards.1.metrics.stage.answer_cache_lookup_ms:summary=1
+shards.1.metrics.stage.cache_insert_ms:summary=11
+shards.1.metrics.stage.doc_lookup_ms:summary=1
+shards.1.metrics.stage.execute_ms:summary=11
+shards.1.metrics.stage.plan_lookup_ms:summary=1
+shards.1.metrics.update.affected_scan_ms:summary=4
+shards.1.metrics.update.count:number=4
+shards.1.metrics.update.index_splice_ms:summary=4
+shards.1.metrics.update.invalidated_entries:summary=4
+shards.1.metrics.update.remapped_entries:summary=4
+shards.1.metrics.update.retained_entries:summary=4
+shards.1.metrics.update.splice_ms:summary=4
+shards.1.metrics.update.subscription_eval_ms:summary=3
+shards.1.metrics.wal.append_ms:summary=4
+shards.1.metrics.wal.bytes:number=2325
+shards.1.metrics.wal.checkpoint_ms:summary=1
+shards.1.metrics.wal.fsync_batch_ms:summary=4
+shards.1.metrics.wal.records:number=4
+shards.1.metrics.wal.replay_ms:summary=1
+shards.1.metrics.wal.torn_tail:number=0
+shards.1.plan_cache.canonical_hits:number=0
+shards.1.plan_cache.entries:number=3
+shards.1.plan_cache.evictions:number=9
+shards.1.plan_cache.hits:number=1
+shards.1.plan_cache.misses:number=12
+shards.1.plan_cache.parse_failures:number=1
+shards.1.routes.core-linear:summary=3
+shards.1.routes.cvt:summary=5
+shards.1.routes.pf-frontier:summary=3
+shards.1.routes.pf-indexed:summary=3
+shards.1.schema:string
+shards.1.service.batches:number=2
+shards.1.service.documents:number=1
+shards.1.service.failures:number=8
+shards.1.service.requests:number=21
+shards.1.service.slow_queries:number=13
+shards.1.service.slow_query_threshold_ms:number
+shards.1.service.tracing:bool=true
+shards.1.shard:number=1
+shards.1.slow_queries.0.doc_key:string
+shards.1.slow_queries.0.query:string
+shards.1.slow_queries.0.revision:number=3
+shards.1.slow_queries.0.routes.0:string
+shards.1.slow_queries.0.stages_ms.cache_insert:number
+shards.1.slow_queries.0.stages_ms.execute:number
+shards.1.slow_queries.0.total_ms:number
+shards.1.slow_queries.1.doc_key:string
+shards.1.slow_queries.1.query:string
+shards.1.slow_queries.1.revision:number=3
+shards.1.slow_queries.1.routes.0:string
+shards.1.slow_queries.1.routes.1:string
+shards.1.slow_queries.1.stages_ms.cache_insert:number
+shards.1.slow_queries.1.stages_ms.execute:number
+shards.1.slow_queries.1.total_ms:number
+shards.1.subscriptions.active:number=1
+shards.1.subscriptions.coalesced:number=0
+shards.1.subscriptions.evaluations:number=3
+shards.1.subscriptions.fired:number=4
+shards.1.subscriptions.skipped_disjoint:number=0
+slow_queries.0.doc_key:string
+slow_queries.0.query:string
+slow_queries.0.revision:number=4
+slow_queries.0.routes.0:string
+slow_queries.0.stages_ms.cache_insert:number
+slow_queries.0.stages_ms.execute:number
+slow_queries.0.total_ms:number
+slow_queries.1.doc_key:string
+slow_queries.1.query:string
+slow_queries.1.revision:number=4
+slow_queries.1.routes.0:string
+slow_queries.1.routes.1:string
+slow_queries.1.stages_ms.cache_insert:number
+slow_queries.1.stages_ms.execute:number
+slow_queries.1.total_ms:number
+slow_queries.2.doc_key:string
+slow_queries.2.query:string
+slow_queries.2.revision:number=3
+slow_queries.2.routes.0:string
+slow_queries.2.stages_ms.cache_insert:number
+slow_queries.2.stages_ms.execute:number
+slow_queries.2.total_ms:number
+slow_queries.3.doc_key:string
+slow_queries.3.query:string
+slow_queries.3.revision:number=3
+slow_queries.3.routes.0:string
+slow_queries.3.routes.1:string
+slow_queries.3.stages_ms.cache_insert:number
+slow_queries.3.stages_ms.execute:number
+slow_queries.3.total_ms:number
+subscriptions.active:number=2
+subscriptions.coalesced:number=0
+subscriptions.evaluations:number=7
+subscriptions.fired:number=7
+subscriptions.skipped_disjoint:number=2
+)";
+
+TEST(StatsDocumentGoldenTest, SingleService) {
+  service::QueryService svc(GoldenOptions());
+  RunGoldenScript(svc);
+  EXPECT_EQ(GoldenLeaves(svc), kSingleServiceGolden);
+}
+
+TEST(StatsDocumentGoldenTest, TwoShardRouter) {
+  service::ShardedQueryService::Options options;
+  options.shards = 2;
+  options.shard = GoldenOptions();
+  service::ShardedQueryService router(options);
+  RunGoldenScript(router);
+  EXPECT_EQ(GoldenLeaves(router), kTwoShardRouterGolden);
+}
+
+TEST(StatsDocumentGoldenTest, DurableTwoShardRouter) {
+  const std::string dir = ::testing::TempDir() + "gkx_stats_golden_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  {
+    service::ShardedQueryService::Options options;
+    options.shards = 2;
+    options.shard = GoldenOptions();
+    options.shard.wal.fsync = false;  // the counts are pinned, not the disk
+    options.wal_dir = dir;
+    service::ShardedQueryService router(options);
+    ASSERT_TRUE(router.shard(0).wal_enabled());
+    RunGoldenScript(router);
+    EXPECT_EQ(GoldenLeaves(router), kDurableTwoShardRouterGolden);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -13,12 +13,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/check.hpp"
@@ -220,10 +225,10 @@ TEST(ShardedServiceTest, SingleDocumentCorpusLeavesShardsEmpty) {
   EXPECT_TRUE(service.SubmitBatch({}).empty());
 
   const int owner = service.ShardOf("doc0");
-  std::vector<ServiceStats> per_shard = service.ShardStats();
   for (int s = 0; s < service.shard_count(); ++s) {
-    EXPECT_EQ(per_shard[s].requests, s == owner ? 8 : 0) << s;
-    EXPECT_EQ(per_shard[s].documents, s == owner ? 1 : 0) << s;
+    const ServiceStats shard = service.shard(s).Stats();
+    EXPECT_EQ(shard.requests, s == owner ? 8 : 0) << s;
+    EXPECT_EQ(shard.documents, s == owner ? 1 : 0) << s;
   }
 }
 
@@ -319,8 +324,9 @@ TEST(ShardedServiceTest, StatsSumAcrossShardsAndExportBreaksDown) {
   for (const auto& answer : answers) ASSERT_TRUE(answer.ok());
 
   ServiceStats agg = service.Stats();
-  std::vector<ServiceStats> per_shard = service.ShardStats();
-  ASSERT_EQ(per_shard.size(), 2u);
+  ASSERT_EQ(service.shard_count(), 2);
+  const std::vector<ServiceStats> per_shard = {service.shard(0).Stats(),
+                                               service.shard(1).Stats()};
   EXPECT_EQ(agg.requests, per_shard[0].requests + per_shard[1].requests);
   EXPECT_EQ(agg.requests, static_cast<int64_t>(requests.size()));
   EXPECT_EQ(agg.documents, per_shard[0].documents + per_shard[1].documents);
@@ -359,6 +365,164 @@ TEST(ShardedServiceTest, StatsSumAcrossShardsAndExportBreaksDown) {
   ASSERT_TRUE(solo_doc.ok());
   EXPECT_EQ(solo_doc->Find("sharding"), nullptr);
   EXPECT_EQ(solo_doc->Find("shards"), nullptr);
+}
+
+/// Expects every numeric leaf of the router document under `node` to equal
+/// the sum of the same leaf over `shards`. A histogram summary contributes
+/// only its count: percentiles, max and mean do not add up.
+void ExpectLeavesSumOverShards(const obs::json::Value& node,
+                               const std::string& path,
+                               const std::vector<obs::json::Value>& shards,
+                               int* checked) {
+  if (node.is_number()) {
+    double sum = 0;
+    for (const obs::json::Value& shard : shards) {
+      const obs::json::Value* leaf = shard.FindPath(path);
+      ASSERT_NE(leaf, nullptr) << path;
+      sum += leaf->AsNumber();
+    }
+    EXPECT_EQ(node.AsNumber(), sum) << path;
+    ++*checked;
+    return;
+  }
+  if (!node.is_object()) return;  // bools are settings, arrays are lists
+  const bool summary = node.Find("p50") != nullptr;
+  for (const auto& [key, member] : node.members()) {
+    if (summary && key != "count") continue;
+    const std::string child = path.empty() ? key : path + "." + key;
+    if (child == "sharding" || child == "shards" ||
+        child == "service.slow_query_threshold_ms") {
+      continue;
+    }
+    ExpectLeavesSumOverShards(member, child, shards, checked);
+  }
+}
+
+TEST(ShardedServiceTest, EveryRouterCountIsTheSumOverShards) {
+  const std::string dir = ::testing::TempDir() + "gkx_shard_sums_" +
+                          std::to_string(::getpid());
+  for (const bool durable : {false, true}) {
+    std::filesystem::remove_all(dir);
+    ShardedQueryService::Options options;
+    options.shards = 2;
+    options.shard.plan_cache.capacity = 4;  // some evictions
+    options.shard.obs.slow_query_ms = 0.0;  // every request is "slow"
+    if (durable) {
+      options.wal_dir = dir;
+      options.shard.wal.fsync = false;
+    }
+    ShardedQueryService service(options);
+    const int kDocs = 8;
+    for (int k = 0; k < kDocs; ++k) {
+      GKX_CHECK(service.RegisterXml(DocKey(k), DocXml(k)).ok());
+    }
+    auto ignore = [](const mview::SubscriptionEvent&) {};
+    ASSERT_TRUE(service.Subscribe("doc*", "//*", ignore).ok());
+    ASSERT_TRUE(service.Subscribe(DocKey(1), "//a1", ignore).ok());
+    service.FlushSubscriptions();
+
+    std::vector<ShardedQueryService::Request> requests;
+    for (int k = 0; k < kDocs; ++k) {
+      const std::string t = std::to_string(k);
+      requests.push_back({DocKey(k), "//a" + t});
+      requests.push_back({DocKey(k), "count(//a" + t + ")"});
+      requests.push_back({DocKey(k), "//b" + t + "[not(c" + t + ")]"});
+      requests.push_back({DocKey(k), "/d" + t + "/b" + t + "/a" + t +
+                                         "[position() = 1]"});
+    }
+    requests.push_back({"missing", "//a0"});
+    requests.push_back({DocKey(0), "//"});
+    service.SubmitBatch(requests);
+    for (int k = 0; k < kDocs; k += 3) {
+      xml::SubtreeEdit edit;
+      edit.kind = xml::SubtreeEdit::Kind::kSetText;
+      edit.target = 2;
+      edit.text = "churned";
+      GKX_CHECK(service.UpdateDocument(DocKey(k), edit).ok());
+    }
+    EXPECT_TRUE(service.RemoveDocument(DocKey(5)));
+    service.SubmitBatch(requests);
+    service.FlushSubscriptions();
+
+    Result<obs::json::Value> parsed =
+        obs::json::Parse(service.ExportStats(StatsFormat::kJson));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    const obs::json::Value* shards = parsed->Find("shards");
+    ASSERT_NE(shards, nullptr);
+    ASSERT_EQ(shards->items().size(), 2u);
+    int checked = 0;
+    ExpectLeavesSumOverShards(*parsed, "", shards->items(), &checked);
+    // The sections a router always exports, plus the wal.* family.
+    EXPECT_GE(checked, durable ? 55 : 48) << "durable=" << durable;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardedServiceTest, ExportWhileServingReadsLiveCounters) {
+  // One thread exports the way a live kStats frame does while others batch,
+  // update and subscribe: the pull gauges read the components' counters
+  // from the exporting thread (a TSan target).
+  ShardedQueryService::Options options;
+  options.shards = 2;
+  ShardedQueryService service(options);
+  const int kDocs = 6;
+  for (int k = 0; k < kDocs; ++k) {
+    GKX_CHECK(service.RegisterXml(DocKey(k), DocXml(k)).ok());
+  }
+  std::atomic<bool> serving{true};
+  std::atomic<int> exports{0};
+  std::thread exporter([&] {
+    do {
+      Result<obs::json::Value> parsed =
+          obs::json::Parse(service.ExportStats(StatsFormat::kJson));
+      EXPECT_TRUE(parsed.ok());
+      const ServiceStats stats = service.Stats();
+      EXPECT_LE(stats.failures, stats.requests);
+      exports.fetch_add(1);
+    } while (serving.load());
+  });
+  while (exports.load() == 0) std::this_thread::yield();
+
+  const int kRounds = 40;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 2; ++t) {
+    workers.emplace_back([&service] {
+      std::vector<ShardedQueryService::Request> batch;
+      for (int k = 0; k < kDocs; ++k) {
+        batch.push_back({DocKey(k), "count(//a" + std::to_string(k) + ")"});
+      }
+      for (int r = 0; r < kRounds; ++r) service.SubmitBatch(batch);
+    });
+  }
+  workers.emplace_back([&service] {
+    for (int r = 0; r < kRounds; ++r) {
+      xml::SubtreeEdit edit;
+      edit.kind = xml::SubtreeEdit::Kind::kSetText;
+      edit.target = 2;
+      edit.text = "round" + std::to_string(r);
+      GKX_CHECK(service.UpdateDocument(DocKey(r % kDocs), edit).ok());
+    }
+  });
+  workers.emplace_back([&service] {
+    for (int r = 0; r < kRounds; ++r) {
+      auto sub = service.Subscribe(r % 2 == 0 ? "doc*" : DocKey(r % kDocs),
+                                   "//a" + std::to_string(r % kDocs),
+                                   [](const mview::SubscriptionEvent&) {});
+      ASSERT_TRUE(sub.ok());
+      EXPECT_TRUE(service.Unsubscribe(*sub));
+    }
+  });
+  for (std::thread& worker : workers) worker.join();
+  serving.store(false);
+  exporter.join();
+  service.FlushSubscriptions();
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.requests, 2 * kRounds * kDocs);
+  EXPECT_EQ(stats.batches, 2 * kRounds * 2);  // one sub-batch per shard
+  EXPECT_EQ(stats.failures, 0);
+  EXPECT_EQ(stats.latency.count, stats.requests);
+  EXPECT_EQ(stats.subscriptions.active, 0);
 }
 
 // ---------------------------------------------------------- subscriptions
