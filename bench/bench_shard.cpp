@@ -10,7 +10,7 @@
 // The measured workload interleaves hot-document churn bursts (a run of
 // cheap text edits against one document — ids stable, footprint disjoint
 // from every standing query, so the scan is pure screening cost) with warm
-// scatter-gather read batches, and reports batch QPS at N ∈ {1, 2, 4} on
+// router read batches, and reports batch QPS at N ∈ {1, 2, 4} on
 // the SAME machine (this box has one core, so the bars measure per-shard
 // work reduction, not parallelism — the honest pure-read row below shows
 // ~1x, as it must on one core). Two effects stack: each screening scan
@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
       gkx::FlagValue(argc, argv, "iters", spec.iterations));
 
   gkx::bench::PrintHeader(
-      "EXP-SHARD — shared-nothing sharding: scatter-gather scaling + wire",
+      "EXP-SHARD — shared-nothing sharding: router scaling + wire",
       "the serving layer above GKP03: per-update standing-query screening "
       "is O(S) under one manager; sharding makes it O(S/N) on one shard",
       "batch QPS at 1/2/4 shards under churn + standing queries (bars: "
@@ -365,8 +365,8 @@ int main(int argc, char** argv) {
     churn_runs[shards] = std::move(run);
   }
   routers.clear();
-  // The honest row: pure warm reads, no churn — on one core the router adds
-  // scatter overhead and removes nothing, so this sits near (or below) 1x.
+  // The honest row: pure warm reads, no churn — the router adds a hash per
+  // request and removes nothing, so this sits near (or below) 1x.
   // Unbarred; committed so the scaling table can't be read as a parallelism
   // claim.
   {

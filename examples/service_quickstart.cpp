@@ -34,7 +34,8 @@ int main() {
               titles->value.DebugString().c_str(), titles->evaluator.c_str());
   GKX_CHECK(service.Submit("store", "//book/child::title").ok());
 
-  // A mixed batch, fanned out over the shared thread pool. Requests fail
+  // A mixed batch: cache hits are served on this thread, and the batch
+  // forks onto the shared thread pool at its first miss. Requests fail
   // independently: the bad key poisons nothing.
   auto batch = service.SubmitBatch({
       {"store", "//book/child::title"},

@@ -7,8 +7,8 @@
 // tasks. Pool workers claim indices from whichever group they dequeue, but
 // the *calling* thread only ever claims indices of its own group while it
 // waits. That is what makes nesting safe (a pool task may itself call
-// ParallelFor — the service fans a batch out over the pool while individual
-// requests fan per-query segments out on the same pool; the nested caller
+// ParallelFor — a service batch that forks onto the pool serves requests
+// whose plans fan their segments out on the same pool; the nested caller
 // can always finish its own group single-handedly, so progress is
 // guaranteed even on a pool of width 1) and what keeps return latency
 // bounded by the caller's own work: a slow unrelated task queued by someone

@@ -8,23 +8,14 @@ namespace gkx::mview {
 
 namespace {
 
-constexpr char kKeySeparator = '\x1f';
-
-std::string MapKey(const std::string& doc_key, const std::string& canonical) {
-  std::string key;
-  key.reserve(doc_key.size() + 1 + canonical.size());
-  key += doc_key;
-  key += kKeySeparator;
-  key += canonical;
-  return key;
-}
-
 /// Approximate payload bytes of a cached answer (entry bookkeeping plus the
 /// variable-size value payload; exactness is not the point, stability is).
-int64_t AnswerBytes(const std::string& map_key,
+/// The key counts as its two strings plus one separator byte.
+int64_t AnswerBytes(std::string_view doc_key, std::string_view canonical_text,
                     const eval::Engine::Answer& answer) {
-  int64_t bytes = static_cast<int64_t>(sizeof(CachedAnswer) + map_key.size() +
-                                       answer.evaluator.size());
+  int64_t bytes = static_cast<int64_t>(
+      sizeof(CachedAnswer) + doc_key.size() + 1 + canonical_text.size() +
+      answer.evaluator.size());
   switch (answer.value.type()) {
     case xpath::ValueType::kNodeSet:
       bytes += static_cast<int64_t>(answer.value.nodes().size() *
@@ -56,27 +47,32 @@ AnswerCache::AnswerCache(const Options& options) : options_(options) {
   }
 }
 
-AnswerCache::Shard& AnswerCache::ShardFor(const std::string& doc_key) {
-  // Shard by document key (not the full map key): one document's entries
+size_t AnswerCache::EntryKeyHash::operator()(const EntryKey& key) const {
+  const size_t doc = std::hash<std::string_view>{}(key.doc_key);
+  const size_t text = std::hash<std::string_view>{}(key.canonical_text);
+  return doc ^ (text + 0x9e3779b97f4a7c15ULL + (doc << 6) + (doc >> 2));
+}
+
+AnswerCache::Shard& AnswerCache::ShardFor(std::string_view doc_key) {
+  // Shard by document key (not the full entry key): one document's entries
   // share a shard, so OnDocumentUpdate walks exactly one bucket.
-  return *shards_[std::hash<std::string>{}(doc_key) % shards_.size()];
+  return *shards_[std::hash<std::string_view>{}(doc_key) % shards_.size()];
 }
 
 void AnswerCache::EraseLocked(Shard& shard, std::list<Entry>::iterator it) {
   shard.bytes -= it->cached->bytes;
   bytes_.fetch_sub(it->cached->bytes, std::memory_order_relaxed);
   entries_.fetch_sub(1, std::memory_order_relaxed);
-  shard.map.erase(it->map_key);
+  shard.map.erase(EntryKey{it->doc_key, it->canonical_text});
   shard.lru.erase(it);
 }
 
 std::shared_ptr<const CachedAnswer> AnswerCache::Lookup(
-    const std::string& doc_key, int64_t revision,
-    const std::string& canonical_text) {
+    std::string_view doc_key, int64_t revision,
+    std::string_view canonical_text) {
   Shard& shard = ShardFor(doc_key);
-  const std::string key = MapKey(doc_key, canonical_text);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
+  auto it = shard.map.find(EntryKey{doc_key, canonical_text});
   if (it == shard.map.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -103,8 +99,7 @@ void AnswerCache::Insert(const std::string& doc_key, int64_t revision,
                          const std::string& canonical_text,
                          const eval::Engine::Answer& answer,
                          const plan::Footprint& footprint) {
-  std::string key = MapKey(doc_key, canonical_text);
-  const int64_t bytes = AnswerBytes(key, answer);
+  const int64_t bytes = AnswerBytes(doc_key, canonical_text, answer);
   if (bytes > static_cast<int64_t>(options_.max_entry_bytes) ||
       bytes > per_shard_bytes_) {
     declined_.fetch_add(1, std::memory_order_relaxed);
@@ -116,7 +111,7 @@ void AnswerCache::Insert(const std::string& doc_key, int64_t revision,
 
   Shard& shard = ShardFor(doc_key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
+  auto it = shard.map.find(EntryKey{doc_key, canonical_text});
   if (it != shard.map.end()) {
     if (it->second->revision > revision) {
       // The mirror of the Lookup rule: a reader that evaluated against a
@@ -128,9 +123,11 @@ void AnswerCache::Insert(const std::string& doc_key, int64_t revision,
     }
     EraseLocked(shard, it->second);
   }
-  shard.lru.push_front(Entry{std::move(key), doc_key, revision, footprint,
-                             std::move(cached)});
-  shard.map.emplace(shard.lru.front().map_key, shard.lru.begin());
+  shard.lru.push_front(
+      Entry{doc_key, canonical_text, revision, footprint, std::move(cached)});
+  const Entry& entry = shard.lru.front();
+  shard.map.emplace(EntryKey{entry.doc_key, entry.canonical_text},
+                    shard.lru.begin());
   shard.bytes += bytes;
   bytes_.fetch_add(bytes, std::memory_order_relaxed);
   entries_.fetch_add(1, std::memory_order_relaxed);

@@ -53,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -134,9 +135,9 @@ class AnswerCache {
   /// miss; a NEWER one is left in place (the caller holds a pre-update
   /// document snapshot — current readers still want that entry) and also
   /// counts as a miss.
-  std::shared_ptr<const CachedAnswer> Lookup(const std::string& doc_key,
+  std::shared_ptr<const CachedAnswer> Lookup(std::string_view doc_key,
                                              int64_t revision,
-                                             const std::string& canonical_text);
+                                             std::string_view canonical_text);
 
   /// Caches `answer` for the triple. Oversized answers are declined; an
   /// existing entry for the same (doc_key, canonical) pair is replaced
@@ -188,21 +189,33 @@ class AnswerCache {
 
  private:
   struct Entry {
-    std::string map_key;   // doc_key + '\x1f' + canonical_text
     std::string doc_key;
+    std::string canonical_text;
     int64_t revision = 0;
     plan::Footprint footprint;
     std::shared_ptr<const CachedAnswer> cached;
   };
 
+  /// A (doc_key, canonical_text) pair of views: into the entry's own
+  /// strings (list nodes never move) as a map key, into the caller's
+  /// arguments as a probe — so a lookup builds no key string.
+  struct EntryKey {
+    std::string_view doc_key;
+    std::string_view canonical_text;
+    bool operator==(const EntryKey&) const = default;
+  };
+  struct EntryKeyHash {
+    size_t operator()(const EntryKey& key) const;
+  };
+
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> map;
+    std::unordered_map<EntryKey, std::list<Entry>::iterator, EntryKeyHash> map;
     int64_t bytes = 0;
   };
 
-  Shard& ShardFor(const std::string& doc_key);
+  Shard& ShardFor(std::string_view doc_key);
   /// Drops `it` from `shard` (bookkeeping only; counters are the caller's).
   void EraseLocked(Shard& shard, std::list<Entry>::iterator it);
   /// Re-bases a retained entry's node-set answer across a structural delta:

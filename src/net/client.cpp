@@ -45,21 +45,21 @@ void Client::Close() {
   }
 }
 
-Result<Message> Client::RoundTrip(const Message& request, MsgType expected) {
+Result<Message> Client::RoundTrip(std::string_view payload, MsgType expected) {
   if (fd_ < 0) return FailedPreconditionError("net: not connected");
-  Status write = WriteFrame(fd_, EncodeMessage(request));
+  Status write = WriteFrame(fd_, payload);
   if (!write.ok()) {
     Close();
     return write;
   }
   bool clean_eof = false;
-  Result<std::string> payload = ReadFrame(fd_, &clean_eof);
-  if (!payload.ok() || clean_eof) {
+  Result<std::string> reply = ReadFrame(fd_, &clean_eof);
+  if (!reply.ok() || clean_eof) {
     Close();
-    if (!payload.ok()) return payload.status();
+    if (!reply.ok()) return reply.status();
     return InternalError("net: server closed the connection");
   }
-  Result<Message> response = DecodeMessage(*payload);
+  Result<Message> response = DecodeMessage(*reply);
   if (!response.ok()) {
     Close();
     return response.status();
@@ -80,7 +80,7 @@ Result<Message> Client::RoundTrip(const Message& request, MsgType expected) {
 Status Client::Ping() {
   Message request;
   request.type = MsgType::kPing;
-  return RoundTrip(request, MsgType::kPong).status();
+  return RoundTrip(EncodeMessage(request), MsgType::kPong).status();
 }
 
 Result<Client::Answer> Client::Submit(const std::string& doc_key,
@@ -88,7 +88,8 @@ Result<Client::Answer> Client::Submit(const std::string& doc_key,
   Message request;
   request.type = MsgType::kSubmit;
   request.requests.push_back({doc_key, query_text});
-  Result<Message> response = RoundTrip(request, MsgType::kAnswer);
+  Result<Message> response =
+      RoundTrip(EncodeMessage(request), MsgType::kAnswer);
   if (!response.ok()) return response.status();
   if (response->answers.size() != 1) {
     Close();
@@ -101,10 +102,8 @@ Result<Client::Answer> Client::Submit(const std::string& doc_key,
 
 std::vector<Result<Client::Answer>> Client::SubmitBatch(
     const std::vector<WireRequest>& requests) {
-  Message request;
-  request.type = MsgType::kSubmitBatch;
-  request.requests = requests;
-  Result<Message> response = RoundTrip(request, MsgType::kAnswerBatch);
+  Result<Message> response =
+      RoundTrip(EncodeSubmitBatch(requests), MsgType::kAnswerBatch);
   if (response.ok() && response->answers.size() != requests.size()) {
     Close();
     response = InternalError("net: answer count mismatch");
@@ -133,7 +132,8 @@ Status Client::RegisterXml(const std::string& doc_key,
   request.type = MsgType::kRegisterXml;
   request.doc_key = doc_key;
   request.text = xml;
-  Result<Message> response = RoundTrip(request, MsgType::kStatusReply);
+  Result<Message> response =
+      RoundTrip(EncodeMessage(request), MsgType::kStatusReply);
   if (!response.ok()) return response.status();
   return response->status;
 }
@@ -144,7 +144,8 @@ Status Client::UpdateDocument(const std::string& doc_key,
   request.type = MsgType::kUpdate;
   request.doc_key = doc_key;
   request.edit = edit;
-  Result<Message> response = RoundTrip(request, MsgType::kStatusReply);
+  Result<Message> response =
+      RoundTrip(EncodeMessage(request), MsgType::kStatusReply);
   if (!response.ok()) return response.status();
   return response->status;
 }
@@ -153,7 +154,8 @@ Status Client::RemoveDocument(const std::string& doc_key) {
   Message request;
   request.type = MsgType::kRemove;
   request.doc_key = doc_key;
-  Result<Message> response = RoundTrip(request, MsgType::kStatusReply);
+  Result<Message> response =
+      RoundTrip(EncodeMessage(request), MsgType::kStatusReply);
   if (!response.ok()) return response.status();
   return response->status;
 }
@@ -162,7 +164,8 @@ Result<std::string> Client::ExportStats(service::StatsFormat format) {
   Message request;
   request.type = MsgType::kStats;
   request.stats_format = format == service::StatsFormat::kJson ? 1 : 0;
-  Result<Message> response = RoundTrip(request, MsgType::kStatsReply);
+  Result<Message> response =
+      RoundTrip(EncodeMessage(request), MsgType::kStatsReply);
   if (!response.ok()) return response.status();
   return std::move(response->text);
 }

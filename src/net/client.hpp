@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/status.hpp"
@@ -50,8 +51,9 @@ class Client {
   Result<std::string> ExportStats(service::StatsFormat format);
 
  private:
-  /// Sends `request`, reads one frame back, checks the response type.
-  Result<Message> RoundTrip(const Message& request, MsgType expected);
+  /// Sends one encoded request payload, reads one frame back, checks the
+  /// response type.
+  Result<Message> RoundTrip(std::string_view payload, MsgType expected);
 
   int fd_ = -1;
 };

@@ -306,6 +306,30 @@ void EncodeRequest(const WireRequest& request, std::string* out) {
   AppendString(request.query, out);
 }
 
+/// The kSubmitBatch body: [u32 count] then each request.
+void EncodeRequestBatch(const std::vector<WireRequest>& requests,
+                        std::string* out) {
+  Append<uint32_t>(static_cast<uint32_t>(requests.size()), out);
+  for (const WireRequest& request : requests) EncodeRequest(request, out);
+}
+
+/// Rough encoded sizes of one batch element: a request is two short
+/// strings, an answer a value + fragment + evaluator. Reserving by them
+/// saves the growth-reallocation ladder on large batches; exactness is
+/// irrelevant.
+constexpr size_t kRequestBytesGuess = 48;
+constexpr size_t kAnswerBytesGuess = 96;
+
+/// A payload buffer holding the [version][type] header, `reserve` bytes
+/// reserved.
+std::string BeginPayload(MsgType type, size_t reserve) {
+  std::string out;
+  out.reserve(reserve);
+  Append<uint8_t>(kWireVersion, &out);
+  Append<uint8_t>(static_cast<uint8_t>(type), &out);
+  return out;
+}
+
 Result<WireRequest> DecodeRequest(Reader* reader) {
   WireRequest request;
   if (!reader->ReadString(&request.doc_key) ||
@@ -318,14 +342,10 @@ Result<WireRequest> DecodeRequest(Reader* reader) {
 }  // namespace
 
 std::string EncodeMessage(const Message& message) {
-  std::string out;
-  // Rough per-entry estimate; answers carry a value + fragment + evaluator,
-  // requests two short strings. Saves the growth-reallocation ladder on
-  // large batches; exact size is irrelevant.
-  out.reserve(16 + message.requests.size() * 48 + message.answers.size() * 96 +
-              message.text.size());
-  Append<uint8_t>(kWireVersion, &out);
-  Append<uint8_t>(static_cast<uint8_t>(message.type), &out);
+  std::string out = BeginPayload(
+      message.type, 16 + message.requests.size() * kRequestBytesGuess +
+                        message.answers.size() * kAnswerBytesGuess +
+                        message.text.size());
   switch (message.type) {
     case MsgType::kPing:
     case MsgType::kPong:
@@ -334,10 +354,7 @@ std::string EncodeMessage(const Message& message) {
       EncodeRequest(message.requests.at(0), &out);
       break;
     case MsgType::kSubmitBatch:
-      Append<uint32_t>(static_cast<uint32_t>(message.requests.size()), &out);
-      for (const WireRequest& request : message.requests) {
-        EncodeRequest(request, &out);
-      }
+      EncodeRequestBatch(message.requests, &out);
       break;
     case MsgType::kRegisterXml:
       AppendString(message.doc_key, &out);
@@ -369,6 +386,13 @@ std::string EncodeMessage(const Message& message) {
       AppendString(message.text, &out);
       break;
   }
+  return out;
+}
+
+std::string EncodeSubmitBatch(const std::vector<WireRequest>& requests) {
+  std::string out = BeginPayload(MsgType::kSubmitBatch,
+                                 16 + requests.size() * kRequestBytesGuess);
+  EncodeRequestBatch(requests, &out);
   return out;
 }
 

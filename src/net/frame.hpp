@@ -84,6 +84,10 @@ struct Message {
 /// Serializes a message into a payload (frame header NOT included).
 std::string EncodeMessage(const Message& message);
 
+/// The kSubmitBatch payload for `requests`: the bytes EncodeMessage writes
+/// for a Message carrying them, without copying them into one.
+std::string EncodeSubmitBatch(const std::vector<WireRequest>& requests);
+
 /// Parses a payload back. Rejects unknown versions/types, truncated bodies,
 /// and trailing bytes.
 Result<Message> DecodeMessage(std::string_view payload);

@@ -143,7 +143,7 @@ void Server::ServeConnection(int fd) {
       response.type = MsgType::kStatusReply;
       response.status = request.status();
     } else {
-      response = Dispatch(*request);
+      response = Dispatch(std::move(*request));
     }
     if (!WriteFrame(fd, EncodeMessage(response)).ok()) break;
   }
@@ -159,7 +159,7 @@ void Server::ServeConnection(int fd) {
   }
 }
 
-Message Server::Dispatch(const Message& request) {
+Message Server::Dispatch(Message request) {
   Message response;
   switch (request.type) {
     case MsgType::kPing:
@@ -187,8 +187,8 @@ Message Server::Dispatch(const Message& request) {
       response.type = MsgType::kAnswerBatch;
       std::vector<service::ShardedQueryService::Request> batch;
       batch.reserve(request.requests.size());
-      for (const WireRequest& req : request.requests) {
-        batch.push_back({req.doc_key, req.query});
+      for (WireRequest& req : request.requests) {
+        batch.push_back({std::move(req.doc_key), std::move(req.query)});
       }
       std::vector<Result<service::ShardedQueryService::Answer>> results =
           service_->SubmitBatch(batch);
@@ -207,7 +207,7 @@ Message Server::Dispatch(const Message& request) {
     case MsgType::kRegisterXml:
       response.type = MsgType::kStatusReply;
       response.status =
-          service_->RegisterXml(request.doc_key, request.text);
+          service_->RegisterXml(std::move(request.doc_key), request.text);
       return response;
     case MsgType::kUpdate:
       response.type = MsgType::kStatusReply;

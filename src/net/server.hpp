@@ -50,8 +50,9 @@ class Server {
   uint16_t port() const { return port_; }
 
   /// Pure request → response mapping; transport-independent so the protocol
-  /// semantics are testable without sockets (net_codec_test.cpp).
-  Message Dispatch(const Message& request);
+  /// semantics are testable without sockets (net_codec_test.cpp). Takes the
+  /// request by value so its decoded strings move on into the service.
+  Message Dispatch(Message request);
 
  private:
   struct Connection {

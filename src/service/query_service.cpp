@@ -1,9 +1,11 @@
 #include "service/query_service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <initializer_list>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "plan/ir.hpp"
@@ -229,8 +231,9 @@ void QueryService::CrashWalForTest() {
 
 Result<QueryService::Answer> QueryService::Process(
     eval::Engine& engine, const std::string& doc_key,
-    const std::string& query_text) {
+    const std::string& query_text, bool* evaluated_out) {
   const uint64_t t_start = obs::NowNs();
+  engine.set_exec_stats(&exec_stats_);
   const int64_t seq = requests_->Add();
   // Sub-microsecond lookup stages stamp the clock 1-in-kStageSampleEvery
   // requests: on a warm answer-cache hit the whole request is ~0.5us, and
@@ -275,6 +278,7 @@ Result<QueryService::Answer> QueryService::Process(
   plan::ExecTrace exec_trace;
   bool indexed = false;
   const bool evaluated = !from_answer_cache;
+  *evaluated_out = evaluated;
   const uint64_t t_exec_begin = evaluated ? obs::NowNs() : 0;
   if (evaluated && options_.indexed_fast_path && plan->fragment.in_pf) {
     if (auto nodes = TryIndexedPath(stored->index(), plan->query)) {
@@ -368,46 +372,70 @@ Result<QueryService::Answer> QueryService::Submit(
     const std::string& doc_key, const std::string& query_text) {
   eval::Engine engine;
   engine.set_exec_options(options_.exec);
-  engine.set_exec_stats(&exec_stats_);
-  return Process(engine, doc_key, query_text);
+  bool evaluated = false;
+  return Process(engine, doc_key, query_text, &evaluated);
+}
+
+void QueryService::RunBatch(ThreadPool& pool, int batch_workers,
+                            const plan::ExecOptions& exec, size_t n,
+                            const BatchStep& serve) {
+  eval::Engine engine;
+  engine.set_exec_options(exec);
+  // Inline: a run of answer-cache hits costs less than waking a pool
+  // thread for it.
+  size_t next = 0;
+  while (next < n) {
+    if (serve(engine, next++)) break;
+  }
+  const size_t rest = n - next;
+  const size_t width = std::min(
+      rest, static_cast<size_t>(batch_workers > 0 ? batch_workers
+                                                  : pool.thread_count() + 1));
+  if (width <= 1) {
+    while (next < n) serve(engine, next++);
+    return;
+  }
+  // Forked: costs are skewed (a hit and a cold cvt evaluation differ by
+  // orders of magnitude), so threads claim requests one at a time.
+  // Evaluator scratch state is per engine; documents and plans are shared
+  // read-only.
+  std::atomic<size_t> cursor{next};
+  const std::thread::id caller = std::this_thread::get_id();
+  auto drain = [&](eval::Engine& own) {
+    while (true) {
+      const size_t i = cursor.fetch_add(1);
+      if (i >= n) return;
+      serve(own, i);
+    }
+  };
+  pool.ParallelFor(static_cast<int>(width), [&](int) {
+    if (std::this_thread::get_id() == caller) {
+      drain(engine);
+    } else if (cursor.load() < n) {
+      eval::Engine own;
+      own.set_exec_options(exec);
+      drain(own);
+    }
+  });
+}
+
+Result<QueryService::Answer> QueryService::Unserved() {
+  // Short enough for std::string's inline buffer: filling a batch's slots
+  // with copies of it allocates nothing per request.
+  return InternalError("not served");
 }
 
 std::vector<Result<QueryService::Answer>> QueryService::SubmitBatch(
     const std::vector<Request>& requests) {
   batches_->Add();
-  const int n = static_cast<int>(requests.size());
-  std::vector<Result<Answer>> responses(
-      requests.size(), Result<Answer>(InternalError("request not processed")));
-  if (n == 0) return responses;
-
-  int workers =
-      options_.batch_workers > 0 ? options_.batch_workers : pool_->thread_count();
-  if (workers > n) workers = n;
-  if (workers < 1) workers = 1;
-
-  // Workers claim requests through a shared cursor (costs are skewed: a
-  // cache-hit PF lookup and a cold CVT evaluation differ by orders of
-  // magnitude). Each worker gets a private Engine — evaluator scratch state
-  // is not thread-safe; documents and plans are shared read-only.
-  std::atomic<int> cursor{0};
-  auto worker = [&](int) {
-    eval::Engine engine;
-    engine.set_exec_options(options_.exec);
-    engine.set_exec_stats(&exec_stats_);
-    while (true) {
-      const int i = cursor.fetch_add(1);
-      if (i >= n) return;
-      responses[static_cast<size_t>(i)] =
-          Process(engine, requests[static_cast<size_t>(i)].doc_key,
-                  requests[static_cast<size_t>(i)].query);
-    }
-  };
-
-  if (workers == 1) {
-    worker(0);
-  } else {
-    pool_->ParallelFor(workers, worker);
-  }
+  std::vector<Result<Answer>> responses(requests.size(), Unserved());
+  RunBatch(*pool_, options_.batch_workers, options_.exec, requests.size(),
+           [&](eval::Engine& engine, size_t i) {
+             bool evaluated = false;
+             responses[i] = Process(engine, requests[i].doc_key,
+                                    requests[i].query, &evaluated);
+             return evaluated;
+           });
   return responses;
 }
 

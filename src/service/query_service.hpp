@@ -10,9 +10,9 @@
 //     when documents churn (see mview/answer_cache.hpp);
 //   * an mview::SubscriptionManager: standing queries that push diffed
 //     answers to callbacks on churn instead of being re-polled;
-//   * a ThreadPool: SubmitBatch fans requests out over it, and subscription
-//     re-evaluations run on it (the same pool the parallel PDA evaluator
-//     uses — nesting is safe, see base/thread_pool.hpp).
+//   * a ThreadPool: a SubmitBatch that has to evaluate forks onto it, and
+//     subscription re-evaluations run on it (the same pool the parallel
+//     PDA evaluator uses — nesting is safe, see base/thread_pool.hpp).
 //
 // Request flow: Submit(doc_key, query)
 //   1. document lookup (shared_ptr — removal never races an evaluation),
@@ -125,8 +125,9 @@ class QueryService {
     /// Pool for SubmitBatch and subscription re-evaluation (and, via the
     /// engines, parallel evaluation); nullptr = ThreadPool::Shared().
     ThreadPool* pool = nullptr;
-    /// Concurrent workers per batch; 0 = pool width (the calling thread
-    /// always participates).
+    /// Threads a batch forks onto at its first answer-cache miss (see
+    /// SubmitBatch), the calling thread included; 0 = every pool thread
+    /// plus the caller. 1 serves every batch serially, in request order.
     int batch_workers = 0;
     /// Answer eligible PF queries from the DocumentIndex ("pf-indexed").
     bool indexed_fast_path = true;
@@ -190,8 +191,11 @@ class QueryService {
   Result<Answer> Submit(const std::string& doc_key,
                         const std::string& query_text);
 
-  /// Evaluates a batch concurrently over the pool. responses[i] corresponds
-  /// to requests[i]; per-request failures do not affect other requests.
+  /// Serves a batch; responses[i] corresponds to requests[i], and
+  /// per-request failures do not affect other requests. Requests run in
+  /// order on the calling thread while the answer cache answers them; at
+  /// the first one that has to evaluate, the rest are shared out over the
+  /// pool (Options::batch_workers threads).
   std::vector<Result<Answer>> SubmitBatch(const std::vector<Request>& requests);
 
   // -------------------------------------------------------- subscriptions
@@ -260,9 +264,27 @@ class QueryService {
   void CrashWalForTest();
 
  private:
-  /// Full request path; `engine` is the calling worker's private engine.
+  // The router serves its shards' requests through RunBatch and Process.
+  friend class ShardedQueryService;
+
+  /// Full request path; `engine` is the calling thread's engine, whose
+  /// ExecStats sink is pointed at this service's. Sets `*evaluated` when
+  /// the request ran a plan, i.e. did not come from the answer cache.
   Result<Answer> Process(eval::Engine& engine, const std::string& doc_key,
-                         const std::string& query_text);
+                         const std::string& query_text, bool* evaluated);
+
+  /// The one batch loop, behind SubmitBatch here and in the router.
+  /// `serve(engine, i)` answers request i and returns whether it evaluated.
+  /// Requests run in order on the calling thread until the first one that
+  /// evaluated; the unclaimed rest then go to one ParallelFor of
+  /// `batch_workers` threads (0 = every pool thread plus the caller) over a
+  /// shared cursor. Each thread uses one Engine built from `exec`.
+  using BatchStep = std::function<bool(eval::Engine& engine, size_t i)>;
+  static void RunBatch(ThreadPool& pool, int batch_workers,
+                       const plan::ExecOptions& exec, size_t n,
+                       const BatchStep& serve);
+  /// What a batch slot holds until its request is served.
+  static Result<Answer> Unserved();
 
   /// DocumentStore update listener: fans the CorpusUpdate (changed-name
   /// set + optional subtree delta) out to answer-cache invalidation and
@@ -322,8 +344,8 @@ class QueryService {
   mview::SubscriptionManager subscriptions_;  // declared after store_/pool_:
                                               // destroyed first, quiescing
                                               // pool tasks that use them
-  /// Per-segment parallel/sequential/skipped execution counts, shared by
-  /// every request engine (Submit and batch workers alike). Subscription
+  /// Per-segment parallel/sequential/skipped execution counts, fed by
+  /// every engine that runs one of this service's requests. Subscription
   /// re-evaluations use their own engines and do NOT feed these — the
   /// reconciliation invariant is against staged_segments_, which counts the
   /// same request paths.

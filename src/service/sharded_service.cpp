@@ -1,5 +1,6 @@
 #include "service/sharded_service.hpp"
 
+#include <atomic>
 #include <exception>
 #include <iterator>
 #include <utility>
@@ -65,51 +66,58 @@ std::vector<Result<ShardedQueryService::Answer>>
 ShardedQueryService::SubmitBatch(const std::vector<Request>& requests) {
   if (shards_.size() == 1) return shards_[0]->SubmitBatch(requests);
 
-  // Scatter: request index lists per owning shard, original order kept
-  // within each shard so the gather is a positional re-stitch.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    by_shard[static_cast<size_t>(map_.ShardOf(requests[i].doc_key))]
-        .push_back(i);
-  }
-  std::vector<size_t> active;
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (!by_shard[s].empty()) active.push_back(s);
-  }
-
-  std::vector<Result<Answer>> responses(
-      requests.size(), Result<Answer>(InternalError("request not routed")));
-  auto run_shard = [&](size_t s) {
-    const std::vector<size_t>& indices = by_shard[s];
-    std::vector<Request> sub_batch;
-    sub_batch.reserve(indices.size());
-    for (size_t i : indices) sub_batch.push_back(requests[i]);
-    // Partial-failure stitching: an exception out of one shard's batch
-    // executor (ThreadPool::ParallelFor rethrows the first task exception)
-    // poisons only that shard's slots — sibling shards already wrote, or
-    // will still write, their own results.
-    try {
-      std::vector<Result<Answer>> sub = shards_[s]->SubmitBatch(sub_batch);
-      GKX_CHECK(sub.size() == indices.size());
-      for (size_t k = 0; k < indices.size(); ++k) {
-        responses[indices[k]] = std::move(sub[k]);
-      }
-    } catch (const std::exception& e) {
-      const Status failure = InternalError(
-          "shard " + std::to_string(s) + " sub-batch failed: " + e.what());
-      for (size_t i : indices) responses[i] = failure;
-    } catch (...) {
-      const Status failure = InternalError(
-          "shard " + std::to_string(s) + " sub-batch failed");
-      for (size_t i : indices) responses[i] = failure;
-    }
+  // One batch loop over the whole batch: each request goes straight to its
+  // owning shard's request path. A shard counts one batch when it first
+  // sees a request of this one, and an exception out of any of its
+  // requests fails the shard for the rest of the batch.
+  struct ShardState {
+    std::atomic<bool> active{false};
+    std::atomic<bool> failed{false};
+    std::string failure;  // written once, by whoever set `failed`
   };
+  std::vector<ShardState> states(shards_.size());
+  std::vector<Result<Answer>> responses(requests.size(),
+                                        QueryService::Unserved());
+  auto fail = [](ShardState& state, std::string what) {
+    if (!state.failed.exchange(true)) state.failure = std::move(what);
+  };
+  // Every shard runs the template's options: its batch_workers sets the
+  // width, its exec options every engine's.
+  const QueryService::Options& shard_options = shards_[0]->options_;
+  QueryService::RunBatch(
+      *pool_, shard_options.batch_workers, shard_options.exec,
+      requests.size(), [&](eval::Engine& engine, size_t i) {
+        const Request& request = requests[i];
+        const size_t s = static_cast<size_t>(map_.ShardOf(request.doc_key));
+        QueryService& shard = *shards_[s];
+        ShardState& state = states[s];
+        if (!state.active.load() && !state.active.exchange(true)) {
+          shard.batches_->Add();
+        }
+        if (state.failed.load()) return false;
+        bool evaluated = false;
+        try {
+          responses[i] =
+              shard.Process(engine, request.doc_key, request.query, &evaluated);
+        } catch (const std::exception& e) {
+          fail(state, std::string(": ") + e.what());
+        } catch (...) {
+          fail(state, "");
+        }
+        return evaluated;
+      });
 
-  if (active.size() == 1) {
-    run_shard(active[0]);
-  } else if (!active.empty()) {
-    pool_->ParallelFor(static_cast<int>(active.size()),
-                       [&](int k) { run_shard(active[static_cast<size_t>(k)]); });
+  // Partial failure: a failed shard's slots all carry its error, including
+  // those it answered before the throw; sibling shards' answers stand.
+  for (size_t s = 0; s < states.size(); ++s) {
+    if (!states[s].failed.load()) continue;
+    const Status failure = InternalError(
+        "shard " + std::to_string(s) + " sub-batch failed" + states[s].failure);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      if (static_cast<size_t>(map_.ShardOf(requests[i].doc_key)) == s) {
+        responses[i] = failure;
+      }
+    }
   }
   return responses;
 }

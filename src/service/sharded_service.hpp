@@ -12,12 +12,15 @@
 // Routing:
 //   * point requests (Register/Update/Remove/Submit) go to the owning
 //     shard — one hash, no coordination;
-//   * SubmitBatch scatters one sub-batch per shard over the ThreadPool and
-//     re-stitches results in request order. A sub-batch that fails
-//     wholesale on one shard (an exception out of the shard's batch
-//     executor) marks only that shard's request slots as kInternal —
-//     sibling shards' results are never discarded (per-request Result
-//     stitching);
+//   * SubmitBatch runs the one batch loop (QueryService::RunBatch) over
+//     the whole batch, each request going straight to its owning shard's
+//     request path — no per-shard sub-batches, no nested fork-joins.
+//     Answer-cache hits are served in order on the calling thread; at the
+//     first request that has to evaluate, the rest is forked once over the
+//     pool. An exception out of any request of shard s marks every slot of
+//     s as kInternal ("shard s sub-batch failed: ..."), and s serves
+//     nothing more of that batch; sibling shards' results are never
+//     discarded;
 //   * Subscribe routes an exact-key selector to the owning shard and a
 //     trailing-'*' prefix selector to every shard, then fans all member
 //     deliveries into the caller's single callback through one mutex — the
@@ -37,8 +40,9 @@
 // re-proves that the per-shard counts sum to the aggregate).
 //
 // Thread safety: every public method may be called concurrently, including
-// SubmitBatch from many threads at once (scatter tasks nest safely on the
-// shared pool).
+// SubmitBatch from many threads at once (each batch forks at most once onto
+// the shared pool, and a forked request's own parallel segments nest safely
+// on it).
 
 #ifndef GKX_SERVICE_SHARDED_SERVICE_HPP_
 #define GKX_SERVICE_SHARDED_SERVICE_HPP_
@@ -75,10 +79,10 @@ class ShardedQueryService {
     /// with the same shard count recovers every document into the shard
     /// that journaled it.
     std::string wal_dir;
-    /// Pool for the SubmitBatch scatter; nullptr = the shard template's
-    /// pool, falling back to ThreadPool::Shared(). Shards and router share
-    /// it — ParallelFor is nesting-safe, so scatter tasks may themselves
-    /// fan out inside a shard.
+    /// Pool a SubmitBatch forks onto at its first answer-cache miss, with
+    /// the shard template's batch_workers as the width; nullptr = the shard
+    /// template's pool, falling back to ThreadPool::Shared(). The shards'
+    /// subscription work and intra-query parallelism run on theirs.
     ThreadPool* pool = nullptr;
   };
 
@@ -99,8 +103,8 @@ class ShardedQueryService {
   // -------------------------------------------------------------- queries
   Result<Answer> Submit(const std::string& doc_key,
                         const std::string& query_text);
-  /// Scatter-gather: one sub-batch per owning shard, run concurrently over
-  /// the pool, results re-stitched so responses[i] answers requests[i].
+  /// One batch loop over every shard (see Routing above); responses[i]
+  /// answers requests[i].
   std::vector<Result<Answer>> SubmitBatch(const std::vector<Request>& requests);
 
   // -------------------------------------------------------- subscriptions

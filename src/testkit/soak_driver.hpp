@@ -4,7 +4,8 @@
 //
 //   * shards — the router always sits in front. With 1 shard it is the
 //     N=1 router, whose SubmitBatch forwards straight to its one shard;
-//     with >= 2 batches scatter-gather and subscriptions fan in.
+//     with >= 2 one batch loop routes each request to its shard and
+//     subscriptions fan in.
 //   * rounds — the operation list is replayed in `rounds` contiguous
 //     segments, one service incarnation each.
 //   * wal_dir — durable shards under <wal_dir>/shard<i>. Each segment ends

@@ -114,6 +114,8 @@ TEST(NetCodecTest, PingAndBatchRequestsRoundTrip) {
   ASSERT_EQ(decoded.requests.size(), 5u);
   EXPECT_EQ(decoded.requests[3].doc_key, "doc3");
   EXPECT_EQ(decoded.requests[3].query, "//a3");
+  // The client's encoder writes the same bytes straight from its requests.
+  EXPECT_EQ(EncodeSubmitBatch(batch.requests), EncodeMessage(batch));
 }
 
 TEST(NetCodecTest, EveryValueKindRoundTripsExactly) {

@@ -10,8 +10,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "base/rng.hpp"
 #include "eval/engine.hpp"
@@ -19,6 +23,7 @@
 #include "obs/json.hpp"
 #include "service/indexed_path.hpp"
 #include "service/query_service.hpp"
+#include "tests/serving_threads.hpp"
 #include "xml/generator.hpp"
 #include "xml/parser.hpp"
 #include "xml/snapshot.hpp"
@@ -475,6 +480,87 @@ TEST(QueryServiceTest, ConcurrentSubmitStress) {
   EXPECT_EQ(stats.failures, 0);
   EXPECT_GE(stats.plan_cache.HitRate(), 0.9);
   EXPECT_EQ(stats.latency.count, kThreads * kPerThread);
+}
+
+// ---------------------------------------------------------- where batches run
+
+// Every (document, query) pair of the mixed corpus, cycled to `n` requests.
+std::vector<QueryService::Request> CycledPairs(size_t n) {
+  std::vector<QueryService::Request> requests;
+  while (requests.size() < n) {
+    for (const std::string key : {"a", "b", "c"}) {
+      for (const char* query : kMixedQueries) {
+        if (requests.size() < n) requests.push_back({key, query});
+      }
+    }
+  }
+  return requests;
+}
+
+// The mixed corpus on a service with its own width-2 pool, whose answer
+// tap records which threads serve.
+struct TappedService {
+  explicit TappedService(int batch_workers = 0)
+      : service([&] {
+          QueryService::Options options;
+          options.pool = &pool;
+          options.batch_workers = batch_workers;
+          options.answer_tap = serving.Tap();
+          return options;
+        }()) {
+    RegisterCorpus(service);
+  }
+
+  ThreadPool pool{2};
+  ServingThreads serving;
+  QueryService service;
+};
+
+TEST(QueryServiceTest, WarmBatchIsServedOnTheCallingThread) {
+  // Waking a pool thread costs more than the hits it would serve: a batch
+  // the answer cache answers entirely never leaves the caller.
+  TappedService tapped;
+  const std::vector<QueryService::Request> batch = CycledPairs(64);
+  for (const auto& answer : tapped.service.SubmitBatch(batch)) {
+    ASSERT_TRUE(answer.ok());
+  }
+
+  const int64_t hits = tapped.service.answer_cache().counters().hits;
+  tapped.serving.Reset();
+  tapped.serving.Dwell(std::chrono::microseconds(100));
+  for (const auto& answer : tapped.service.SubmitBatch(batch)) {
+    ASSERT_TRUE(answer.ok());
+  }
+  EXPECT_EQ(tapped.service.answer_cache().counters().hits - hits, 64);
+  EXPECT_EQ(tapped.serving.calls(), 64);
+  EXPECT_EQ(tapped.serving.threads(),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(QueryServiceTest, ColdBatchStillForksOntoThePool) {
+  // Every request misses, so after the first the batch must fork: the
+  // latch holds served requests until a second thread serves one, and
+  // times out if none ever does.
+  TappedService tapped;
+  tapped.serving.ArmLatch(std::chrono::seconds(10));
+  for (const auto& answer : tapped.service.SubmitBatch(CycledPairs(30))) {
+    ASSERT_TRUE(answer.ok());
+  }
+  EXPECT_EQ(tapped.service.answer_cache().counters().misses, 30);
+  EXPECT_FALSE(tapped.serving.timed_out());
+  EXPECT_GE(tapped.serving.threads().size(), 2u);
+}
+
+TEST(QueryServiceTest, OneBatchWorkerKeepsColdBatchesOnTheCaller) {
+  // batch_workers = 1 never forks, misses or not: batches stay serial in
+  // request order (the stats-document goldens depend on it).
+  TappedService tapped(/*batch_workers=*/1);
+  for (const auto& answer : tapped.service.SubmitBatch(CycledPairs(30))) {
+    ASSERT_TRUE(answer.ok());
+  }
+  EXPECT_EQ(tapped.service.answer_cache().counters().misses, 30);
+  EXPECT_EQ(tapped.serving.threads(),
+            std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
 TEST(QueryServiceTest, StatsTrackEvaluatorsAndDocuments) {

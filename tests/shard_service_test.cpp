@@ -1,5 +1,5 @@
-// ShardedQueryService — the scatter-gather router over shared-nothing
-// QueryService shards (src/service/sharded_service.hpp).
+// ShardedQueryService — the router over shared-nothing QueryService
+// shards (src/service/sharded_service.hpp).
 //   * ShardMap: FNV-1a golden fingerprints (rehash stability is a
 //     durability contract — a silent change would strand every per-shard
 //     WAL directory), modular assignment, and spread.
@@ -7,8 +7,10 @@
 //     shards ∈ {1, 2, 4} produce byte-identical answer digests and
 //     identical per-document subscription diff streams.
 //   * Degenerate corpora: empty shards, a single document.
-//   * SubmitBatch partial failure: a sub-batch that dies wholesale on one
-//     shard poisons only that shard's slots.
+//   * SubmitBatch partial failure: a shard whose request throws poisons
+//     only that shard's slots, on the forked and on the inline path.
+//   * Where batches run: a warm batch stays on the calling thread, a cold
+//     one still reaches the pool.
 //   * Stats: cross-shard sums and the ExportStats shards[] breakdown.
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -32,6 +35,7 @@
 #include "service/shard_map.hpp"
 #include "service/sharded_service.hpp"
 #include "testkit/oracle.hpp"
+#include "tests/serving_threads.hpp"
 #include "xml/edit.hpp"
 #include "xml/parser.hpp"
 
@@ -303,6 +307,129 @@ TEST(ShardedServiceTest, ShardFailurePoisonsOnlyItsOwnSlots) {
               std::string::npos)
         << answers[i].status().message();
   }
+}
+
+TEST(ShardedServiceTest, WarmShardFailurePoisonsOnlyItsOwnSlots) {
+  // The same fault on the inline path: the batch is warm, so every request
+  // is an answer-cache hit served on the calling thread, and the fault
+  // fires there. It must still poison exactly the faulty shard's slots.
+  std::atomic<bool> armed{false};
+  std::thread::id fault_thread;
+  ShardedQueryService::Options options;
+  options.shards = 2;
+  options.shard.answer_tap = [&](eval::Engine::Answer* answer) {
+    if (armed.load() && answer->value.type() == xpath::ValueType::kNumber &&
+        answer->value.number() == 41.0) {
+      fault_thread = std::this_thread::get_id();
+      throw std::runtime_error("injected shard fault");
+    }
+  };
+  ShardedQueryService service(options);
+  ASSERT_NE(service.ShardOf("doc0"), service.ShardOf("doc1"));
+  std::string xml1 = "<d1>";
+  for (int i = 0; i < 41; ++i) xml1 += "<a1>v</a1>";
+  xml1 += "</d1>";
+  GKX_CHECK(service.RegisterXml("doc0", DocXml(0)).ok());
+  GKX_CHECK(service.RegisterXml("doc1", xml1).ok());
+
+  std::vector<ShardedQueryService::Request> requests = {
+      {"doc0", "count(//a0)"},
+      {"doc1", "count(//a1)"},  // trips the fault once armed
+      {"doc0", "//a0"},
+      {"doc1", "//a1"},  // same shard as the fault: poisoned with it
+  };
+  for (const auto& answer : service.SubmitBatch(requests)) {
+    ASSERT_TRUE(answer.ok());
+  }
+  const int64_t hits = service.Stats().answer_cache.hits;
+  armed.store(true);
+  std::vector<Result<ShardedQueryService::Answer>> answers;
+  ASSERT_NO_THROW(answers = service.SubmitBatch(requests));
+  ASSERT_EQ(answers.size(), 4u);
+  // Requests 0-2 hit the cache; the faulty shard serves nothing after the
+  // fault, so request 3 never reaches it.
+  EXPECT_EQ(service.Stats().answer_cache.hits - hits, 3);
+  EXPECT_EQ(fault_thread, std::this_thread::get_id());
+
+  EXPECT_TRUE(answers[0].ok());
+  EXPECT_EQ(answers[0]->value.number(), 2.0);
+  EXPECT_TRUE(answers[2].ok());
+  const int faulty = service.ShardOf("doc1");
+  for (size_t i : {size_t{1}, size_t{3}}) {
+    ASSERT_FALSE(answers[i].ok()) << i;
+    EXPECT_EQ(answers[i].status().code(), StatusCode::kInternal) << i;
+    EXPECT_EQ(answers[i].status().message(),
+              "shard " + std::to_string(faulty) +
+                  " sub-batch failed: injected shard fault");
+  }
+}
+
+// -------------------------------------------------------- where batches run
+
+// `n` requests cycling over DocKey/DocXml documents 0..7, two queries each.
+std::vector<ShardedQueryService::Request> CycledRequests(size_t n) {
+  std::vector<ShardedQueryService::Request> requests;
+  for (size_t i = 0; requests.size() < n; ++i) {
+    const int k = static_cast<int>(i % 8);
+    const std::string t = std::to_string(k);
+    requests.push_back(
+        {DocKey(k), i / 8 % 2 == 0 ? "//a" + t : "count(//a" + t + ")"});
+  }
+  return requests;
+}
+
+// DocKey/DocXml documents 0..7 on a 2-shard router whose shards share one
+// width-2 pool, with an answer tap recording which threads serve.
+struct TappedRouter {
+  TappedRouter()
+      : router([&] {
+          ShardedQueryService::Options options;
+          options.shards = 2;
+          options.pool = &pool;
+          options.shard.pool = &pool;
+          options.shard.answer_tap = serving.Tap();
+          return options;
+        }()) {
+    for (int k = 0; k < 8; ++k) {
+      GKX_CHECK(router.RegisterXml(DocKey(k), DocXml(k)).ok());
+    }
+  }
+
+  ThreadPool pool{2};
+  ServingThreads serving;
+  ShardedQueryService router;
+};
+
+TEST(ShardedServiceTest, WarmBatchIsServedOnTheCallingThread) {
+  TappedRouter tapped;
+  const std::vector<ShardedQueryService::Request> batch = CycledRequests(64);
+  for (const auto& answer : tapped.router.SubmitBatch(batch)) {
+    ASSERT_TRUE(answer.ok());
+  }
+
+  const ServiceStats before = tapped.router.Stats();
+  tapped.serving.Reset();
+  tapped.serving.Dwell(std::chrono::microseconds(100));
+  for (const auto& answer : tapped.router.SubmitBatch(batch)) {
+    ASSERT_TRUE(answer.ok());
+  }
+  const ServiceStats after = tapped.router.Stats();
+  EXPECT_EQ(after.answer_cache.hits - before.answer_cache.hits, 64);
+  EXPECT_EQ(after.batches - before.batches, 2);  // both shards were active
+  EXPECT_EQ(tapped.serving.calls(), 64);
+  EXPECT_EQ(tapped.serving.threads(),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(ShardedServiceTest, ColdBatchStillForksOntoThePool) {
+  TappedRouter tapped;
+  tapped.serving.ArmLatch(std::chrono::seconds(10));
+  for (const auto& answer : tapped.router.SubmitBatch(CycledRequests(16))) {
+    ASSERT_TRUE(answer.ok());
+  }
+  EXPECT_EQ(tapped.router.Stats().answer_cache.misses, 16);
+  EXPECT_FALSE(tapped.serving.timed_out());
+  EXPECT_GE(tapped.serving.threads().size(), 2u);
 }
 
 // ------------------------------------------------------------------- stats

@@ -1,5 +1,5 @@
 // testkit::RunSoak with shards >= 2 — cross-shard isolation under
-// concurrent churn, scatter-gather reads and standing subscriptions (see
+// concurrent churn, routed batch reads and standing subscriptions (see
 // src/testkit/soak_driver.hpp for every check the driver makes). The
 // 2-shard cases are TSan CI targets; the durable case adds a one-shard
 // crash after which only the victim replays its journal.

@@ -267,7 +267,7 @@ TEST(SoakTest, StaleAnswerFaultViaTapIsCaughtWithReproducingSeed) {
 
 // The same stale-answer fault behind a 2-shard router: the tap sits in the
 // per-shard template, so both shards serve short node-sets through the
-// scatter-gather path, and the oracle must still flag them with the seed.
+// router's batch loop, and the oracle must still flag them with the seed.
 TEST(SoakTest, StaleAnswerFaultBehindTwoShardsIsCaughtWithReproducingSeed) {
   WorkloadSpec spec = SoakSpec(131);
   spec.operations = 600;

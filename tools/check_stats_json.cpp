@@ -159,8 +159,8 @@ int main(int argc, char** argv) {
   // per-shard document each. The aggregate is recomputed here from the
   // breakdown: requests, failures, documents, latency samples, and every
   // per-route count must sum to the top-level figures exactly
-  // (scatter-gather may reorder work across shards but can neither invent
-  // nor drop any of it).
+  // (the router may reorder work across shards but can neither invent nor
+  // drop any of it).
   const auto* shards = root.Find("shards");
   if (shards != nullptr) {
     const auto* declared = root.FindPath("sharding.shards");
