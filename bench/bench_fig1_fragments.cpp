@@ -9,12 +9,9 @@
 #include <map>
 #include <string>
 
-#include "base/thread_pool.hpp"
 #include "bench/bench_util.hpp"
-#include "eval/core_linear_evaluator.hpp"
 #include "eval/cvt_evaluator.hpp"
 #include "eval/engine.hpp"
-#include "plan/exec.hpp"
 #include "plan/physical.hpp"
 #include "xml/generator.hpp"
 #include "xpath/generator.hpp"
@@ -117,107 +114,6 @@ void RunHybridRouting(bench::JsonReport* json) {
   table.Print();
 }
 
-// Parallel intra-query scaling on the LOGCFL fragments: the same hybrid
-// plans at 1/2/4/8 workers, answers self-checked byte-identical against
-// the sequential run, latency self-checked against the FROZEN hybrid
-// numbers committed before the parallel executor landed. On single-core
-// runners the >= 3x bar is carried by the algorithmic work that shipped
-// with the executor (sparse sweep formulations, positional fast paths,
-// count pushdown, persistent binds); on multi-core runners the partitioned
-// sweeps and the concurrent cvt origin loop stack on top of that.
-void RunParallelScaling(bench::JsonReport* json) {
-  constexpr uint64_t kSeed = 4242;
-  Rng rng(kSeed);
-  xml::RandomDocumentOptions doc_options;
-  doc_options.node_count = 8000;
-  doc_options.tag_alphabet = 4;
-  doc_options.chain_bias = 0.85;
-  xml::Document doc = xml::RandomDocument(&rng, doc_options);
-
-  // The committed sequential hybrid_ms values for exactly this document
-  // recipe (seed 4242, 8000 nodes, chain_bias 0.85) and these queries, as
-  // recorded in BENCH_fragments.json at commit 72db9df — the last commit
-  // before parallel execution. The acceptance bar compares against these
-  // frozen numbers so the win can't be manufactured by re-running a slower
-  // baseline on the same machine.
-  constexpr const char* kBaselineCommit = "72db9df";
-  const struct {
-    const char* query;
-    double committed_hybrid_ms;
-  } cases[] = {
-      {"/descendant::t0/descendant::t1/descendant::t2/child::t3"
-       "[position() = 1]",
-       0.616578},
-      {"/descendant::t0/descendant::t1/child::t2[count(child::t3) = 1]",
-       0.482154},
-      {"/descendant::t0/descendant::t1/child::t2[position() = last()]"
-       "/child::t3",
-       0.47616},
-  };
-  constexpr int kReps = 5;
-  constexpr int kWorkerCounts[] = {1, 2, 4, 8};
-
-  bench::Table table({"query", "workers", "hybrid ms", "cold ms",
-                      "vs committed", "answers"});
-  for (const auto& c : cases) {
-    auto plan = eval::Engine::Compile(c.query);
-    GKX_CHECK(plan.ok());
-    GKX_CHECK(plan->staged);
-
-    // Sequential reference answer for the byte-identity self-check.
-    eval::Engine reference;
-    auto expected = reference.RunPlan(doc, *plan);
-    GKX_CHECK(expected.ok());
-
-    for (int workers : kWorkerCounts) {
-      // One persistent engine per worker setting — the serving pattern the
-      // executor optimizes for. The first run is the cold bind (reported
-      // separately); best-of-reps then measures the steady state.
-      eval::Engine engine;
-      plan::ExecOptions opts;
-      opts.pool = &ThreadPool::Shared();
-      opts.workers = workers;
-      engine.set_exec_options(opts);
-
-      Stopwatch cold_sw;
-      auto answer = engine.RunPlan(doc, *plan);
-      const double cold_seconds = cold_sw.ElapsedSeconds();
-      GKX_CHECK(answer.ok());
-
-      double best_seconds = 1e99;
-      for (int r = 0; r < kReps; ++r) {
-        Stopwatch sw;
-        answer = engine.RunPlan(doc, *plan);
-        best_seconds = std::min(best_seconds, sw.ElapsedSeconds());
-      }
-      GKX_CHECK(answer.ok());
-
-      const bool identical = answer->value.Equals(expected->value);
-      GKX_CHECK(identical);
-      const double vs_committed = c.committed_hybrid_ms / (best_seconds * 1e3);
-      table.AddRow({c.query, std::to_string(workers),
-                    bench::Millis(best_seconds), bench::Millis(cold_seconds),
-                    bench::Ratio(vs_committed), bench::PassFail(identical)});
-      json->AddRow(
-          {{"section", bench::JsonStr("parallel_scaling")},
-           {"seed", bench::JsonNum(static_cast<double>(kSeed))},
-           {"query", bench::JsonStr(c.query)},
-           {"workers", bench::JsonNum(workers)},
-           {"hybrid_ms", bench::JsonNum(best_seconds * 1e3)},
-           {"cold_ms", bench::JsonNum(cold_seconds * 1e3)},
-           {"committed_sequential_ms", bench::JsonNum(c.committed_hybrid_ms)},
-           {"baseline_commit", bench::JsonStr(kBaselineCommit)},
-           {"speedup_vs_committed", bench::JsonNum(vs_committed)},
-           {"doc_nodes", bench::JsonNum(doc_options.node_count)}});
-      // The PR acceptance bar: at >= 4 workers, deep-document hybrid
-      // latency must beat the committed sequential numbers by >= 3x (and
-      // answers must be byte-identical, checked above).
-      if (workers >= 4) GKX_CHECK(vs_committed >= 3.0);
-    }
-  }
-  table.Print();
-}
-
 void RunCorpusClassification() {
   const char* corpus[] = {
       "/descendant::a/child::b",
@@ -309,7 +205,6 @@ int main() {
   gkx::RunCorpusClassification();
   gkx::RunRandomCensusAndTiming(&json);
   gkx::RunHybridRouting(&json);
-  gkx::RunParallelScaling(&json);
   json.Write(gkx::bench::RepoRootPath("BENCH_fragments.json"));
   return 0;
 }

@@ -14,14 +14,12 @@
 // (default 0.004), --edits= fraction of churn carried out as subtree
 // patches through the delta pipeline (default 0.5; 0 = whole-document
 // replacement only), --subs= standing queries per round (default 4 — the
-// subscription soak; 0 disables), --exec-threads= intra-query workers for
-// staged execution (default 1 = sequential; >1 partitions sweeps and runs
-// the per-origin cvt loop concurrently — the TSan parallel soak round sets
-// this), --wal-dir=DIR run every round with the durable write-ahead log
-// under DIR/round<N>, closed and reopened once at the end of the replay
-// (each round's directory is wiped first; default off = in-memory),
-// --stats-json=PATH dump the last round's ExportStats(kJson) router
-// document with its shards[] breakdown (the CI schema check reads it).
+// subscription soak; 0 disables), --wal-dir=DIR run every round with the
+// durable write-ahead log under DIR/round<N>, closed and reopened once at
+// the end of the replay (each round's directory is wiped first; default
+// off = in-memory), --stats-json=PATH dump the last round's
+// ExportStats(kJson) router document with its shards[] breakdown (the CI
+// schema check reads it).
 //
 // Emits BENCH_soak.json (per-round rows, repo root) for cross-PR tracking.
 
@@ -87,8 +85,6 @@ int main(int argc, char** argv) {
   const double churn = FlagDouble(argc, argv, "churn", 0.004);
   const double edits = FlagDouble(argc, argv, "edits", 0.5);
   const int subs = static_cast<int>(FlagValue(argc, argv, "subs", 4));
-  const int exec_threads =
-      static_cast<int>(FlagValue(argc, argv, "exec-threads", 1));
   const std::string stats_json_path =
       FlagString(argc, argv, "stats-json", "");
   const std::string wal_dir = FlagString(argc, argv, "wal-dir", "");
@@ -129,16 +125,6 @@ int main(int argc, char** argv) {
     options.threads = threads;
     options.standing_queries = subs;
     options.service.plan_cache.capacity = 64;
-    options.service.exec.workers = exec_threads;
-    if (exec_threads > 1) {
-      // The soak is a correctness harness, not a perf run: force the
-      // cost-model thresholds down so the soak's small documents really
-      // exercise the partitioned sweeps and the concurrent cvt memo
-      // (otherwise everything stays sequential and the parallel paths go
-      // untested — the exec stats dump would show parallel_segments == 0).
-      options.service.exec.min_parallel_nodes = 1;
-      options.service.exec.min_parallel_origins = 1;
-    }
     if (!wal_dir.empty()) {
       // Durable soak: every mutation rides through the group-commit WAL,
       // and the replay ends with a clean close and a verified reopen.
@@ -182,9 +168,9 @@ int main(int argc, char** argv) {
     if (!report.ok()) {
       failed = true;
       std::printf("%s\n", report.Summary().c_str());
-      std::printf("\nREPRODUCE: %s --seed=%llu --rounds=1 --threads=%d --ops=%d --churn=%g --subs=%d --exec-threads=%d%s%s\n",
+      std::printf("\nREPRODUCE: %s --seed=%llu --rounds=1 --threads=%d --ops=%d --churn=%g --subs=%d%s%s\n",
                   argv[0], static_cast<unsigned long long>(seed), threads, ops,
-                  churn, subs, exec_threads,
+                  churn, subs,
                   wal_dir.empty() ? "" : " --wal-dir=",
                   wal_dir.empty() ? "" : wal_dir.c_str());
     }

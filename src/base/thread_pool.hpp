@@ -7,10 +7,10 @@
 // tasks. Pool workers claim indices from whichever group they dequeue, but
 // the *calling* thread only ever claims indices of its own group while it
 // waits. That is what makes nesting safe (a pool task may itself call
-// ParallelFor — a service batch that forks onto the pool serves requests
-// whose plans fan their segments out on the same pool; the nested caller
-// can always finish its own group single-handedly, so progress is
-// guaranteed even on a pool of width 1) and what keeps return latency
+// ParallelFor — a SubmitBatch or a ParallelPdaEvaluator run issued from a
+// pool task forks onto the same pool; the nested caller can always finish
+// its own group single-handedly, so progress is guaranteed even on a pool
+// of width 1) and what keeps return latency
 // bounded by the caller's own work: a slow unrelated task queued by someone
 // else is never stolen by a ParallelFor caller, so it cannot delay that
 // caller's return (it used to — see thread_pool_test's

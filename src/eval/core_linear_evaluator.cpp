@@ -17,63 +17,11 @@ using xpath::Step;
 
 namespace {
 
-// One sweep's partition of the node universe into word-aligned preorder
-// intervals: chunk c covers words [c*words_per, ...), i.e. nodes
-// [c*words_per*64, ...). Word-aligned means no two chunks ever write the
-// same output uint64_t. pool == nullptr ⇒ chunks == 1 ⇒ the sweep runs
-// sequentially on the calling thread with zero fork/join overhead.
-struct SweepPlan {
-  ThreadPool* pool = nullptr;
-  int chunks = 1;
-  size_t words_per = 0;
-  size_t words = 0;
-
-  static SweepPlan Make(const SweepOptions& sweep, int32_t universe,
-                        size_t words) {
-    SweepPlan plan;
-    plan.words = words;
-    if (sweep.ShouldPartition(universe) && words > 1) {
-      plan.chunks = static_cast<int>(
-          std::min(static_cast<size_t>(sweep.workers), words));
-      plan.pool = sweep.pool != nullptr ? sweep.pool : &ThreadPool::Shared();
-    }
-    plan.words_per =
-        (words + static_cast<size_t>(plan.chunks) - 1) /
-        static_cast<size_t>(plan.chunks);
-    return plan;
-  }
-
-  int32_t NodeLo(size_t w_begin) const {
-    return static_cast<int32_t>(w_begin * 64);
-  }
-  int32_t NodeHi(size_t w_end, int32_t universe) const {
-    const size_t hi = w_end * 64;
-    return hi < static_cast<size_t>(universe) ? static_cast<int32_t>(hi)
-                                              : universe;
-  }
-
-  /// Runs body(chunk, word_begin, word_end) for every chunk — on the pool
-  /// when partitioned, inline otherwise.
-  template <typename Body>
-  void Run(Body&& body) const {
-    if (pool == nullptr) {
-      body(0, size_t{0}, words);
-      return;
-    }
-    pool->ParallelFor(chunks, [&](int c) {
-      const size_t b = static_cast<size_t>(c) * words_per;
-      const size_t e = std::min(words, b + words_per);
-      if (b < e) body(c, b, e);
-    });
-  }
-};
-
-/// Calls fn(v) for every member of `set` with id in words [w_begin, w_end).
+/// Calls fn(v) for every member of `set`, in document order.
 template <typename Fn>
-void ForEachMember(const NodeBitset& set, size_t w_begin, size_t w_end,
-                   Fn&& fn) {
+void ForEachMember(const NodeBitset& set, Fn&& fn) {
   const uint64_t* words = set.words();
-  for (size_t wi = w_begin; wi < w_end; ++wi) {
+  for (size_t wi = 0; wi < set.word_count(); ++wi) {
     uint64_t w = words[wi];
     while (w != 0) {
       const int bit = __builtin_ctzll(w);
@@ -84,11 +32,9 @@ void ForEachMember(const NodeBitset& set, size_t w_begin, size_t w_end,
 }
 
 /// Sparse-frontier gate. The per-node sweeps are O(|D|) regardless of the
-/// frontier; the member-walk formulations below are O(|frontier| + output)
-/// but write to arbitrary words, so they cannot partition. The cost model:
-/// a member walk touching ~4 nodes per member beats a full per-node pass
-/// (and beats forking, on any machine) whenever members*4 < |D| — the
-/// "tiny frontiers must not pay fork/join" rule applied per sweep.
+/// frontier; the member walks below are O(|frontier| + output). A member
+/// walk touching ~4 nodes per member beats a full per-node pass whenever
+/// members*4 < |D|.
 bool UseSparse(const NodeBitset& input, int32_t universe) {
   return input.Count() * 4 < universe;
 }
@@ -113,16 +59,12 @@ Axis InverseAxis(Axis axis) {
   return Axis::kSelf;
 }
 
-// Each axis has up to two formulations. The dense, partitionable one keeps
-// output-interval-local stores so SweepPlan chunks never race: a chunk only
-// ever Set()s node ids inside its own word range (prefix-carrying
-// recurrences become block scans: per-chunk partials, an O(chunks)
-// sequential carry, an independent per-chunk pass). The sparse one walks
-// the frontier members directly — O(|frontier| + output) instead of
-// O(|D|) — but writes arbitrary words, so it runs on the calling thread;
-// UseSparse picks it exactly when that is cheaper than any per-node pass.
+// Child, parent and ancestor* have two formulations: a per-node sweep over
+// the whole document, O(|D|), and a walk over the input's members,
+// O(|frontier| + output), which UseSparse picks exactly when it is
+// cheaper. The other axes have one.
 NodeBitset AxisImage(const xml::Document& doc, Axis axis,
-                     const NodeBitset& input, const SweepOptions& sweep) {
+                     const NodeBitset& input) {
   const int32_t n = doc.size();
   GKX_CHECK_EQ(input.universe(), n);
   // Raw SoA columns: the sweeps below stream exactly the 4-byte stripe they
@@ -133,7 +75,6 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
   const xml::NodeId* const prev_sibling = doc.prev_sibling_data();
   const int32_t* const subtree_size = doc.subtree_size_data();
   NodeBitset out(n);
-  const SweepPlan plan = SweepPlan::Make(sweep, n, out.word_count());
   switch (axis) {
     case Axis::kSelf:
       out = input;
@@ -142,7 +83,7 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
       if (UseSparse(input, n)) {
         // Child sets of distinct parents are disjoint — emit each member's
         // child list directly, O(Σ children of members).
-        ForEachMember(input, 0, plan.words, [&](xml::NodeId u) {
+        ForEachMember(input, [&](xml::NodeId u) {
           for (xml::NodeId c = first_child[u]; c != xml::kNullNode;
                c = next_sibling[c]) {
             out.Set(c);
@@ -150,73 +91,48 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
         });
         return out;
       }
-      // Dense: y is a child of some x in input iff parent(y) ∈ input — a
-      // pure per-output-node test, partitionable.
-      plan.Run([&](int, size_t wb, size_t we) {
-        const int32_t hi = plan.NodeHi(we, n);
-        for (int32_t v = std::max(plan.NodeLo(wb), int32_t{1}); v < hi; ++v) {
-          if (input.Test(parent[v])) out.Set(v);
-        }
-      });
+      // Dense: y is a child of some x in input iff parent(y) ∈ input.
+      for (int32_t v = 1; v < n; ++v) {
+        if (input.Test(parent[v])) out.Set(v);
+      }
       return out;
     case Axis::kParent:
       if (UseSparse(input, n)) {
         // O(|frontier|): one parent store per member.
-        ForEachMember(input, 0, plan.words, [&](xml::NodeId u) {
+        ForEachMember(input, [&](xml::NodeId u) {
           const xml::NodeId p = parent[u];
           if (p != xml::kNullNode) out.Set(p);
         });
         return out;
       }
       // Dense: v is a parent of some input node iff one of v's children is
-      // in input — walk each output node's child list (O(n) aggregate;
-      // every node is inspected once as a child).
-      plan.Run([&](int, size_t wb, size_t we) {
-        const int32_t hi = plan.NodeHi(we, n);
-        for (int32_t v = plan.NodeLo(wb); v < hi; ++v) {
-          for (xml::NodeId c = first_child[v]; c != xml::kNullNode;
-               c = next_sibling[c]) {
-            if (input.Test(c)) {
-              out.Set(v);
-              break;
-            }
+      // in input — walk each node's child list (O(n) aggregate; every node
+      // is inspected once as a child).
+      for (int32_t v = 0; v < n; ++v) {
+        for (xml::NodeId c = first_child[v]; c != xml::kNullNode;
+             c = next_sibling[c]) {
+          if (input.Test(c)) {
+            out.Set(v);
+            break;
           }
         }
-      });
+      }
       return out;
     case Axis::kDescendant:
     case Axis::kDescendantOrSelf: {
       // A subtree is the contiguous preorder range [u, u + size(u)), so the
-      // image is a union of intervals — and subtree intervals are nested or
-      // disjoint, so members inside an already-covered interval contribute
-      // nothing. Phase 1 (partitioned): each chunk walks its members in
-      // preorder keeping a chunk-local cover watermark and emits only the
-      // intervals that extend it. Phase 2 (sequential, O(intervals) word
-      // fills): clip each interval against the global watermark and
-      // SetRange the rest. Workers only read the input and append to
-      // private vectors, so there is nothing to race on.
+      // image is a union of intervals. Subtree ranges are nested or
+      // disjoint: walking the members in preorder, one whose range ends
+      // inside the covered prefix lies under an earlier member and adds
+      // nothing, and any other starts at or past the cover.
       const bool or_self = axis == Axis::kDescendantOrSelf;
-      std::vector<std::vector<std::pair<int32_t, int32_t>>> intervals(
-          static_cast<size_t>(plan.chunks));
-      plan.Run([&](int c, size_t wb, size_t we) {
-        auto& local = intervals[static_cast<size_t>(c)];
-        int32_t cover = 0;
-        ForEachMember(input, wb, we, [&](xml::NodeId u) {
-          const int32_t end = u + subtree_size[u];
-          if (end <= cover) return;  // nested under an earlier member
-          const int32_t begin = or_self ? u : u + 1;
-          if (begin < end) local.emplace_back(begin, end);
-          cover = end;
-        });
-      });
       int32_t cover = 0;
-      for (const auto& chunk : intervals) {
-        for (const auto& [begin, end] : chunk) {
-          const int32_t from = std::max(begin, cover);
-          if (from < end) out.SetRange(from, end);
-          cover = std::max(cover, end);
-        }
-      }
+      ForEachMember(input, [&](xml::NodeId u) {
+        const int32_t end = u + subtree_size[u];
+        if (end <= cover) return;
+        out.SetRange(or_self ? u : u + 1, end);
+        cover = end;
+      });
       return out;
     }
     case Axis::kAncestor:
@@ -226,7 +142,7 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
         // Chain walk with stop-on-marked: once a walk reaches a node some
         // earlier walk marked, everything above it is already (or will be)
         // marked by that walk — O(unique ancestors + |frontier|) total.
-        ForEachMember(input, 0, plan.words, [&](xml::NodeId u) {
+        ForEachMember(input, [&](xml::NodeId u) {
           if (sparse_or_self) out.Set(u);
           for (xml::NodeId a = parent[u];
                a != xml::kNullNode && !out.Test(a); a = parent[a]) {
@@ -235,92 +151,54 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
         });
         return out;
       }
-      // prefix[v] = |input ∩ [0, v)|; the members inside subtree(v) number
-      // prefix[v + size(v)] − prefix[v]. Strict ancestors exclude v itself
-      // (start the window at v + 1). prefix is a block scan: per-chunk
-      // popcounts, sequential carry, per-chunk fill; the output pass then
-      // only reads prefix (at indices that may cross chunks — fine).
+      // Dense: prefix[v] = |input ∩ [0, v)|, so the members inside
+      // subtree(v) number prefix[v + size(v)] − prefix[v]. Strict
+      // ancestors exclude v itself (start the window at v + 1).
       std::vector<int32_t> prefix(static_cast<size_t>(n) + 1, 0);
-      std::vector<int32_t> base(static_cast<size_t>(plan.chunks) + 1, 0);
-      plan.Run([&](int c, size_t wb, size_t we) {
-        const uint64_t* words = input.words();
-        int32_t count = 0;
-        for (size_t w = wb; w < we; ++w) {
-          count += static_cast<int32_t>(__builtin_popcountll(words[w]));
-        }
-        base[static_cast<size_t>(c) + 1] = count;
-      });
-      for (int c = 0; c < plan.chunks; ++c) {
-        base[static_cast<size_t>(c) + 1] += base[static_cast<size_t>(c)];
+      int32_t running = 0;
+      for (int32_t v = 0; v < n; ++v) {
+        if (input.Test(v)) ++running;
+        prefix[static_cast<size_t>(v) + 1] = running;
       }
-      plan.Run([&](int c, size_t wb, size_t we) {
-        int32_t running = base[static_cast<size_t>(c)];
-        const int32_t hi = plan.NodeHi(we, n);
-        for (int32_t v = plan.NodeLo(wb); v < hi; ++v) {
-          if (input.Test(v)) ++running;
-          prefix[static_cast<size_t>(v) + 1] = running;
-        }
-      });
       const bool or_self = axis == Axis::kAncestorOrSelf;
-      plan.Run([&](int, size_t wb, size_t we) {
-        const int32_t hi = plan.NodeHi(we, n);
-        for (int32_t v = plan.NodeLo(wb); v < hi; ++v) {
-          const int32_t end = v + subtree_size[v];
-          const int32_t from = or_self ? v : v + 1;
-          if (prefix[static_cast<size_t>(end)] -
-                  prefix[static_cast<size_t>(from)] >
-              0) {
-            out.Set(v);
-          }
+      for (int32_t v = 0; v < n; ++v) {
+        const int32_t end = v + subtree_size[v];
+        const int32_t from = or_self ? v : v + 1;
+        if (prefix[static_cast<size_t>(end)] -
+                prefix[static_cast<size_t>(from)] >
+            0) {
+          out.Set(v);
         }
-      });
+      }
       return out;
     }
     case Axis::kFollowing: {
       // following(x) = [x + size(x), n); the union over input is the suffix
       // from the minimal cutoff (note a descendant of an input node can have
-      // a smaller cutoff than the input node itself). Parallel min-reduce,
-      // then one word-fill.
-      std::vector<int32_t> local(static_cast<size_t>(plan.chunks), n);
-      plan.Run([&](int c, size_t wb, size_t we) {
-        int32_t m = n;
-        ForEachMember(input, wb, we, [&](xml::NodeId v) {
-          m = std::min(m, v + subtree_size[v]);
-        });
-        local[static_cast<size_t>(c)] = m;
-      });
+      // a smaller cutoff than the input node itself).
       int32_t cutoff = n;
-      for (int32_t m : local) cutoff = std::min(cutoff, m);
+      ForEachMember(input, [&](xml::NodeId v) {
+        cutoff = std::min(cutoff, v + subtree_size[v]);
+      });
       out.SetRange(cutoff, n);
       return out;
     }
     case Axis::kPreceding: {
-      // y ∈ preceding(x) iff y + size(y) <= x; take the maximal input x
-      // (parallel max-reduce), then a per-output-node test.
-      std::vector<int32_t> local(static_cast<size_t>(plan.chunks), -1);
-      plan.Run([&](int c, size_t wb, size_t we) {
-        int32_t m = -1;
-        ForEachMember(input, wb, we, [&](xml::NodeId v) { m = v; });
-        local[static_cast<size_t>(c)] = m;
-      });
+      // y ∈ preceding(x) iff y + size(y) <= x, so the maximal input x
+      // decides; then a per-node test over the nodes before it.
       int32_t max_input = -1;
-      for (int32_t m : local) max_input = std::max(max_input, m);
-      if (max_input < 0) return out;
-      plan.Run([&](int, size_t wb, size_t we) {
-        const int32_t hi = plan.NodeHi(we, n);
-        for (int32_t v = plan.NodeLo(wb); v < hi; ++v) {
-          if (v + subtree_size[v] <= max_input) out.Set(v);
-        }
-      });
+      ForEachMember(input, [&](xml::NodeId v) { max_input = v; });
+      for (int32_t v = 0; v < max_input; ++v) {
+        if (v + subtree_size[v] <= max_input) out.Set(v);
+      }
       return out;
     }
     case Axis::kFollowingSibling:
-      // Sibling chains are pointer chases, not preorder prefixes, so they
-      // stay sequential — but member walks with stop-on-marked make them
+      // Member walks with stop-on-marked make the sibling axes
       // O(output + |frontier|) instead of O(|D|): once a walk reaches a
       // sibling an earlier walk marked, the rest of the chain is already
       // marked by that walk.
-      ForEachMember(input, 0, plan.words, [&](xml::NodeId u) {
+      ForEachMember(input, [&](xml::NodeId u) {
         for (xml::NodeId s = next_sibling[u];
              s != xml::kNullNode && !out.Test(s); s = next_sibling[s]) {
           out.Set(s);
@@ -328,8 +206,8 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
       });
       return out;
     case Axis::kPrecedingSibling:
-      // Mirror walk along prev_sibling; sequential, as above.
-      ForEachMember(input, 0, plan.words, [&](xml::NodeId u) {
+      // Mirror walk along prev_sibling.
+      ForEachMember(input, [&](xml::NodeId u) {
         for (xml::NodeId s = prev_sibling[u];
              s != xml::kNullNode && !out.Test(s); s = prev_sibling[s]) {
           out.Set(s);
@@ -388,13 +266,9 @@ const NodeBitset& CoreLinearEvaluator::TestSet(const Step& step) {
   if (test.kind != xpath::NodeTest::Kind::kName) {
     out.SetAll();  // kAny / kNode match every element node
   } else if (test.name != xml::kNoName) {
-    const SweepPlan plan = SweepPlan::Make(sweep_, doc.size(), out.word_count());
-    plan.Run([&](int, size_t wb, size_t we) {
-      const int32_t hi = plan.NodeHi(we, doc.size());
-      for (int32_t v = plan.NodeLo(wb); v < hi; ++v) {
-        if (doc.NodeHasName(v, test.name)) out.Set(v);
-      }
-    });
+    for (xml::NodeId v = 0; v < doc.size(); ++v) {
+      if (doc.NodeHasName(v, test.name)) out.Set(v);
+    }
   }
   // else: name never occurs in the document — empty set.
   return test_cache_.emplace(key, std::move(out)).first->second;
@@ -410,10 +284,10 @@ Result<NodeBitset> CoreLinearEvaluator::EvalStepRange(const PathExpr& path,
   std::vector<const NodeBitset*> masks;
   for (size_t s = begin; s < end; ++s) {
     const Step& step = path.step(s);
-    current = AxisImage(doc, step.axis, current, sweep_);
+    current = AxisImage(doc, step.axis, current);
     // Fused intersection: the test set and every predicate set are ANDed
-    // into `current` in a single word-at-a-time pass over each chunk
-    // instead of one full-bitset pass per mask.
+    // into `current` in a single word-at-a-time pass instead of one
+    // full-bitset pass per mask.
     masks.clear();
     masks.push_back(&TestSet(step));
     for (const xpath::ExprPtr& predicate : step.predicates) {
@@ -421,16 +295,12 @@ Result<NodeBitset> CoreLinearEvaluator::EvalStepRange(const PathExpr& path,
       if (!cond.ok()) return cond.status();
       masks.push_back(*cond);
     }
-    const SweepPlan plan =
-        SweepPlan::Make(sweep_, doc.size(), current.word_count());
     uint64_t* cur = current.words();
-    plan.Run([&](int, size_t wb, size_t we) {
-      for (size_t w = wb; w < we; ++w) {
-        uint64_t word = cur[w];
-        for (const NodeBitset* mask : masks) word &= mask->words()[w];
-        cur[w] = word;
-      }
-    });
+    for (size_t w = 0; w < current.word_count(); ++w) {
+      uint64_t word = cur[w];
+      for (const NodeBitset* mask : masks) word &= mask->words()[w];
+      cur[w] = word;
+    }
     if (current.Empty()) break;
   }
   return current;
@@ -462,7 +332,7 @@ Result<NodeBitset> CoreLinearEvaluator::PathOriginSet(const PathExpr& path) {
       if (!cond.ok()) return cond.status();
       target &= **cond;
     }
-    reach = AxisImage(doc, InverseAxis(step.axis), target, sweep_);
+    reach = AxisImage(doc, InverseAxis(step.axis), target);
   }
   if (path.absolute()) {
     // The path matches from anywhere iff it matches from the root.

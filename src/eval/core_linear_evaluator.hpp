@@ -5,18 +5,10 @@
 // O(|D|·|Q|). Supports exactly Core XPath (Def 2.5): paths, predicates with
 // and/or/not, union — anything else returns kUnsupported.
 //
-// Parallel sweeps: the Core/PF fragments sit in LOGCFL — the paper's whole
-// point is that they are highly parallelizable — and the O(|D|) sweeps
-// realize that directly: the node universe is partitioned into
-// word-aligned preorder intervals (subtrees are contiguous preorder
-// ranges), each ThreadPool worker sweeps its interval, and no two workers
-// ever touch the same output uint64_t. Axes whose sequential recurrence
-// carries a prefix (descendant*/ancestor*) run as two-phase block scans
-// (per-interval partials, a tiny sequential carry combine, then an
-// independent per-interval pass). The sibling axes keep their sequential
-// chain recurrence — their pointer-chase order resists interval
-// partitioning and they are rare in the measured workloads (the cost model
-// in plan/physical.hpp treats them as sequential-only).
+// The sweeps run on the calling thread. The paper places Core and PF in
+// LOGCFL (Thm 6.6), so they parallelize in principle, but partitioning the
+// sweeps across a thread pool did not pay at the document sizes the
+// service holds (README, "Intra-query parallelism").
 
 #ifndef GKX_EVAL_CORE_LINEAR_EVALUATOR_HPP_
 #define GKX_EVAL_CORE_LINEAR_EVALUATOR_HPP_
@@ -24,42 +16,15 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "base/thread_pool.hpp"
 #include "eval/evaluator.hpp"
 
 namespace gkx::eval {
 
-/// How bitset sweeps (axis images, test-set fills, predicate
-/// intersections) are partitioned across a ThreadPool. workers <= 1 — or a
-/// universe below min_parallel_nodes — keeps every sweep sequential: a
-/// fork/join over a tiny frontier costs more than the sweep itself.
-struct SweepOptions {
-  /// Pool to fan out on; nullptr with workers > 1 = ThreadPool::Shared().
-  ThreadPool* pool = nullptr;
-  /// Concurrent sweep workers (the calling thread participates); <= 1 runs
-  /// sequentially.
-  int workers = 1;
-  /// Documents smaller than this never partition (fork/join overhead
-  /// dominates sub-millisecond sweeps; see the cost model notes in
-  /// plan/physical.hpp).
-  int32_t min_parallel_nodes = 4096;
-
-  bool ShouldPartition(int32_t universe) const {
-    return workers > 1 && universe >= min_parallel_nodes;
-  }
-};
-
 /// Computes the image of `input` under `axis`: { y : ∃x ∈ input, y ∈ axis(x) }.
-/// One O(|D|) sweep per call (document order / subtree-range / sibling-chain
-/// recurrences — see the implementation notes), partitioned per `sweep`.
+/// One pass per call: an O(|D|) sweep over the document, or a walk over the
+/// members of a sparse input (see the implementation notes).
 NodeBitset AxisImage(const xml::Document& doc, xpath::Axis axis,
-                     const NodeBitset& input, const SweepOptions& sweep);
-
-/// Sequential convenience overload.
-inline NodeBitset AxisImage(const xml::Document& doc, xpath::Axis axis,
-                            const NodeBitset& input) {
-  return AxisImage(doc, axis, input, SweepOptions{});
-}
+                     const NodeBitset& input);
 
 /// The axis χ' with y ∈ χ'(x) iff x ∈ χ(y) (child↔parent, descendant↔ancestor,
 /// following↔preceding, self↔self, ...-sibling mirrored).
@@ -86,10 +51,6 @@ class CoreLinearEvaluator : public Evaluator {
     bound_serial_ = doc.serial();
     test_cache_.clear();
   }
-
-  /// Sweep partitioning for this evaluator's axis images / test fills /
-  /// predicate intersections. Defaults to sequential.
-  void set_sweep_options(const SweepOptions& sweep) { sweep_ = sweep; }
 
   /// Applies steps [begin, end) of `path` to the `frontier` set-at-a-time:
   /// one axis image + test/condition intersection per step, O(|D|) each.
@@ -124,7 +85,6 @@ class CoreLinearEvaluator : public Evaluator {
 
   const xml::Document* doc_ = nullptr;
   uint64_t bound_serial_ = 0;  // serial of *doc_ when test_cache_ was built
-  SweepOptions sweep_;
   // Condition sets are shared across all uses of a subexpression (the query
   // is processed as a DAG of conditions), keyed by expression id.
   std::unordered_map<int, NodeBitset> condition_cache_;

@@ -1,20 +1,17 @@
 #include "eval/cvt_evaluator.hpp"
 
-#include <mutex>
-
 namespace gkx::eval {
 
 using xpath::ContextDependence;
 using xpath::Expr;
 
 Status CvtEvaluator::Prepare() {
-  // Same (document, query, concurrency) as the tables were built for: keep
-  // them. Cells are deterministic over an immutable document, so the warm
-  // tables answer byte-identically; this turns a long-lived engine's
-  // repeat runs of one plan into pure memo hits.
+  // Same (document, query) as the tables were built for: keep them. Cells
+  // are deterministic over an immutable document, so the warm tables
+  // answer byte-identically; this turns a long-lived engine's repeat runs
+  // of one plan into pure memo hits.
   if (bound_doc_ == &doc() && bound_doc_serial_ == doc().serial() &&
-      bound_query_ == &query() && bound_query_serial_ == query().serial() &&
-      bound_concurrent_ == concurrent_) {
+      bound_query_ == &query() && bound_query_serial_ == query().serial()) {
     return Status::Ok();
   }
   // Invalidate up front: if the (eager) fill below fails partway, the next
@@ -26,8 +23,7 @@ Status CvtEvaluator::Prepare() {
   constant_.assign(n, std::nullopt);
   by_node_.assign(n, {});
   by_context_.assign(n, {});
-  table_entries_.store(0, std::memory_order_relaxed);
-  expr_mu_ = concurrent_ ? std::make_unique<std::shared_mutex[]>(n) : nullptr;
+  table_entries_ = 0;
 
   if (options_.eager) {
     // Bottom-up pass: expression ids are preorder, so reverse id order
@@ -58,18 +54,11 @@ Status CvtEvaluator::Prepare() {
   bound_doc_serial_ = doc().serial();
   bound_query_ = &query();
   bound_query_serial_ = query().serial();
-  bound_concurrent_ = concurrent_;
   return Status::Ok();
 }
 
 bool CvtEvaluator::LookupMemo(const Expr& expr, const Context& ctx, Value* out) {
   const size_t id = static_cast<size_t>(expr.id());
-  // Shared lock in concurrent mode: any number of hits on the same table
-  // proceed together; only a store into this expression's table excludes.
-  std::shared_lock<std::shared_mutex> lock;
-  if (concurrent_) {
-    lock = std::shared_lock<std::shared_mutex>(expr_mu_[id]);
-  }
   switch (analysis_.traits(expr).dependence) {
     case ContextDependence::kNone: {
       if (!constant_[id].has_value()) return false;
@@ -96,13 +85,7 @@ bool CvtEvaluator::LookupMemo(const Expr& expr, const Context& ctx, Value* out) 
 void CvtEvaluator::StoreMemo(const Expr& expr, const Context& ctx,
                              const Value& value) {
   const size_t id = static_cast<size_t>(expr.id());
-  std::unique_lock<std::shared_mutex> lock;
-  if (concurrent_) {
-    lock = std::unique_lock<std::shared_mutex>(expr_mu_[id]);
-  }
-  // First-writer-wins: two workers may compute the same cell concurrently
-  // (deterministic evaluation — they computed the same value); emplace keeps
-  // the first and the entry count only reflects genuine inserts.
+  // The entry count reflects genuine inserts only.
   bool inserted = false;
   switch (analysis_.traits(expr).dependence) {
     case ContextDependence::kNone:
@@ -118,7 +101,7 @@ void CvtEvaluator::StoreMemo(const Expr& expr, const Context& ctx,
       inserted = by_context_[id].emplace(PackContext(ctx), value).second;
       break;
   }
-  if (inserted) table_entries_.fetch_add(1, std::memory_order_relaxed);
+  if (inserted) ++table_entries_;
 }
 
 }  // namespace gkx::eval

@@ -18,10 +18,7 @@
 #ifndef GKX_EVAL_CVT_EVALUATOR_HPP_
 #define GKX_EVAL_CVT_EVALUATOR_HPP_
 
-#include <atomic>
-#include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -45,18 +42,7 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   }
 
   /// Total entries stored across all tables by the last Evaluate call.
-  int64_t last_table_entries() const {
-    return table_entries_.load(std::memory_order_relaxed);
-  }
-
-  /// Concurrent-memo mode for the parallel staged executor: several workers
-  /// drive ApplyBoundStep on ONE bound engine, sharing the context-value
-  /// tables. Each expression id gets its own shared_mutex — lookups take a
-  /// shared lock (hits proceed concurrently, never serialized), stores take
-  /// a unique lock with first-writer-wins emplace (values are deterministic,
-  /// so racing computations of the same cell agree). Must be set before
-  /// Bind; off (the default) keeps the lock-free single-thread path.
-  void set_concurrent(bool concurrent) { concurrent_ = concurrent; }
+  int64_t last_table_entries() const { return table_entries_; }
 
  protected:
   Status Prepare() override;
@@ -73,25 +59,18 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   std::vector<std::optional<Value>> constant_;
   std::vector<std::unordered_map<xml::NodeId, Value>> by_node_;
   std::vector<std::unordered_map<uint64_t, Value>> by_context_;
-  std::atomic<int64_t> table_entries_{0};
-  bool concurrent_ = false;
+  int64_t table_entries_ = 0;
   // Binding the evaluator is idempotent: when Bind sees the exact same
   // (document, query) pair — identified by (address, serial) on both sides,
-  // so recycled allocations can't alias — and the concurrency mode is
-  // unchanged, Prepare keeps the filled tables. Cell values are pure
-  // functions of (expression, context) over an immutable document, so a
-  // warm table returns byte-identical answers; a long-lived engine re-
-  // running the same plan pays the memo fills once. Any mismatch rebuilds
-  // everything.
+  // so recycled allocations can't alias — Prepare keeps the filled tables.
+  // Cell values are pure functions of (expression, context) over an
+  // immutable document, so a warm table returns byte-identical answers; a
+  // long-lived engine re-running the same plan pays the memo fills once.
+  // Any mismatch rebuilds everything.
   const xml::Document* bound_doc_ = nullptr;
   uint64_t bound_doc_serial_ = 0;
   const xpath::Query* bound_query_ = nullptr;
   uint64_t bound_query_serial_ = 0;
-  bool bound_concurrent_ = false;
-  // One lock per expression id (allocated by Prepare in concurrent mode):
-  // contention is per-table, and a lookup of one subexpression never waits
-  // on a store into another.
-  std::unique_ptr<std::shared_mutex[]> expr_mu_;
 };
 
 }  // namespace gkx::eval

@@ -45,10 +45,8 @@ Result<Engine::Answer> Engine::RunPlan(const xml::Document& doc,
   // warm for repeat executions of the same plan on the same document —
   // the prepared-statement pattern. Safe because Engine is single-
   // threaded by contract and the evaluators rebuild on any identity change.
-  plan::ExecOptions opts = exec_opts_;
-  opts.linear = &linear_;
-  opts.cvt = &cvt_;
-  auto value = plan::ExecuteStaged(doc, plan, ctx, trace, opts, exec_stats_);
+  auto value = plan::ExecuteStaged(doc, plan, ctx, trace,
+                                   plan::ExecOptions{&linear_, &cvt_});
   if (!value.ok()) return value.status();
   Answer answer;
   answer.value = std::move(value).value();

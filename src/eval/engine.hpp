@@ -68,20 +68,6 @@ class Engine {
   /// Parses, compiles, and runs a query from the root context.
   Result<Answer> Run(const xml::Document& doc, std::string_view query_text);
 
-  /// Intra-query parallelism: staged plans partition their segments per
-  /// `opts` (see plan/exec.hpp) and uniform bitset dispatches partition
-  /// their sweeps; `stats`, when non-null, receives per-segment
-  /// parallel/sequential/skipped counts from every staged run (the service
-  /// wires its shared counters here). Answers are byte-identical to
-  /// sequential execution at any setting.
-  void set_exec_options(const plan::ExecOptions& opts) {
-    exec_opts_ = opts;
-    const SweepOptions sweep{opts.pool, opts.workers, opts.min_parallel_nodes};
-    linear_.set_sweep_options(sweep);
-    pf_.set_sweep_options(sweep);
-  }
-  void set_exec_stats(plan::ExecStats* stats) { exec_stats_ = stats; }
-
   /// Runs a borrowed, already-parsed query from a given context. This legacy
   /// entry point cannot own the AST, so it uses whole-query dispatch (no
   /// normalization, no staging); Compile + RunPlan gets the full pipeline.
@@ -98,8 +84,6 @@ class Engine {
   PfEvaluator pf_;
   CoreLinearEvaluator linear_;
   CvtEvaluator cvt_;
-  plan::ExecOptions exec_opts_;
-  plan::ExecStats* exec_stats_ = nullptr;
 };
 
 }  // namespace gkx::eval

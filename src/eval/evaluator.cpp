@@ -82,10 +82,10 @@ struct PositionalShape {
 /// Recycled candidate buffers for ApplyStep. The per-origin cvt loop calls
 /// ApplyStep once per origin — on a frontier of thousands of origins the
 /// malloc/free pair of a fresh candidates vector dominates the (often
-/// empty) axis walk itself. The pool is a per-thread stack because
-/// ApplyStep re-enters through predicate evaluation (a predicate's path
-/// runs ApplyStep on its own origins), and the cvt origin loop fans out
-/// across pool workers, each of which gets its own stack. A buffer that
+/// empty) axis walk itself. The pool is a stack because ApplyStep
+/// re-enters through predicate evaluation (a predicate's path runs
+/// ApplyStep on its own origins), and per thread because the engines of a
+/// forked batch run concurrently, each on its own thread. A buffer that
 /// leaves via an error return simply isn't recycled — no leak, the pool
 /// just refills later.
 std::vector<std::vector<xml::NodeId>>& BufferPool() {

@@ -82,9 +82,8 @@ class NodeBitset {
     words_[last] |= tail;
   }
 
-  /// Raw word storage (64 node bits per word, little-endian bit order). The
-  /// partitioned sweeps intersect sets word-at-a-time over disjoint word
-  /// ranges — no two workers touch the same uint64_t.
+  /// Raw word storage (64 node bits per word, little-endian bit order), for
+  /// sweeps that intersect or walk sets word-at-a-time.
   size_t word_count() const { return words_.size(); }
   uint64_t* words() { return words_.data(); }
   const uint64_t* words() const { return words_.data(); }

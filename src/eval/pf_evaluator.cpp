@@ -1,12 +1,13 @@
 #include "eval/pf_evaluator.hpp"
 
+#include "eval/core_linear_evaluator.hpp"  // AxisImage
+
 namespace gkx::eval {
 
 namespace {
 
 Result<NodeBitset> EvalPfPath(const xml::Document& doc,
-                              const xpath::PathExpr& path, const Context& ctx,
-                              const SweepOptions& sweep) {
+                              const xpath::PathExpr& path, const Context& ctx) {
   NodeBitset frontier(doc.size());
   frontier.Set(path.absolute() ? doc.root() : ctx.node);
   for (size_t s = 0; s < path.step_count(); ++s) {
@@ -15,7 +16,7 @@ Result<NodeBitset> EvalPfPath(const xml::Document& doc,
       return UnsupportedError(
           "pf-frontier evaluates the PF fragment only (no predicates)");
     }
-    frontier = AxisImage(doc, step.axis, frontier, sweep);
+    frontier = AxisImage(doc, step.axis, frontier);
     // Apply the node test in place.
     ResolvedTest test = ResolvedTest::Resolve(doc, step.test);
     if (test.kind == xpath::NodeTest::Kind::kName) {
@@ -39,7 +40,7 @@ Result<Value> PfEvaluator::Evaluate(const xml::Document& doc,
   const xpath::Expr& root = query.root();
   switch (root.kind()) {
     case xpath::Expr::Kind::kPath: {
-      auto frontier = EvalPfPath(doc, root.As<xpath::PathExpr>(), ctx, sweep_);
+      auto frontier = EvalPfPath(doc, root.As<xpath::PathExpr>(), ctx);
       if (!frontier.ok()) return frontier.status();
       return Value::Nodes(frontier->ToNodeSet());
     }
@@ -51,7 +52,7 @@ Result<Value> PfEvaluator::Evaluate(const xml::Document& doc,
           return UnsupportedError("pf-frontier: union of plain paths only");
         }
         auto frontier =
-            EvalPfPath(doc, u.branch(i).As<xpath::PathExpr>(), ctx, sweep_);
+            EvalPfPath(doc, u.branch(i).As<xpath::PathExpr>(), ctx);
         if (!frontier.ok()) return frontier.status();
         merged |= *frontier;
       }

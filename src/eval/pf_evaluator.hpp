@@ -9,7 +9,6 @@
 #ifndef GKX_EVAL_PF_EVALUATOR_HPP_
 #define GKX_EVAL_PF_EVALUATOR_HPP_
 
-#include "eval/core_linear_evaluator.hpp"  // SweepOptions
 #include "eval/evaluator.hpp"
 
 namespace gkx::eval {
@@ -20,14 +19,6 @@ class PfEvaluator : public Evaluator {
 
   Result<Value> Evaluate(const xml::Document& doc, const xpath::Query& query,
                          const Context& ctx) override;
-
-  /// Partitioned-sweep settings for the frontier sweeps (the PF fragment is
-  /// in NL ⊆ LOGCFL — the same interval parallelism applies). Defaults to
-  /// sequential.
-  void set_sweep_options(const SweepOptions& sweep) { sweep_ = sweep; }
-
- private:
-  SweepOptions sweep_;
 };
 
 }  // namespace gkx::eval

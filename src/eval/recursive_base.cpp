@@ -21,7 +21,7 @@ Status RecursiveEvaluatorBase::Bind(const xml::Document& doc,
   if (doc.empty()) return InvalidArgumentError("empty document");
   doc_ = &doc;
   query_ = &query;
-  eval_count_.store(0, std::memory_order_relaxed);
+  eval_count_ = 0;
   tests_.clear();
   tests_.reserve(static_cast<size_t>(query.num_steps()));
   for (int id = 0; id < query.num_steps(); ++id) {
@@ -64,7 +64,7 @@ Status RecursiveEvaluatorBase::Prepare() { return Status::Ok(); }
 Result<Value> RecursiveEvaluatorBase::Eval(const Expr& expr, const Context& ctx) {
   Value memoized;
   if (LookupMemo(expr, ctx, &memoized)) return memoized;
-  eval_count_.fetch_add(1, std::memory_order_relaxed);
+  ++eval_count_;
 
   Result<Value> result = [&]() -> Result<Value> {
     switch (expr.kind()) {

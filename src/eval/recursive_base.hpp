@@ -8,7 +8,6 @@
 #ifndef GKX_EVAL_RECURSIVE_BASE_HPP_
 #define GKX_EVAL_RECURSIVE_BASE_HPP_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -24,9 +23,7 @@ class RecursiveEvaluatorBase : public Evaluator {
 
   /// Number of expression evaluations performed by the last Evaluate call
   /// (memo hits excluded) — the work measure the experiments report.
-  int64_t last_eval_count() const {
-    return eval_count_.load(std::memory_order_relaxed);
-  }
+  int64_t last_eval_count() const { return eval_count_; }
 
   /// Binds doc/query (resolving node tests, resetting counters, running the
   /// subclass Prepare) without evaluating anything. The staged plan executor
@@ -68,10 +65,7 @@ class RecursiveEvaluatorBase : public Evaluator {
   const xml::Document* doc_ = nullptr;
   const xpath::Query* query_ = nullptr;
   std::vector<ResolvedTest> tests_;  // by step id
-  /// Atomic so concurrent per-origin step application (the parallel staged
-  /// executor drives one bound engine from several workers) counts without
-  /// tearing; relaxed — it is a statistic, not a synchronization point.
-  std::atomic<int64_t> eval_count_{0};
+  int64_t eval_count_ = 0;
 };
 
 /// The direct spec-reading evaluator (no memoization; exponential combined

@@ -34,19 +34,11 @@ namespace gkx::plan {
 /// seed 4242): a NodeBitset⇄NodeSet materialization boundary costs about
 /// two sweeps (bit-iteration + document-order set build), and a cvt step
 /// over a typical mid-plan frontier about three and a half. Lower uses them
-/// to place materialization boundaries; the runtime thresholds below decide
-/// per segment whether a sweep/origin loop is worth forking (tiny frontiers
-/// must not pay fork/join overhead).
+/// to place materialization boundaries.
 struct CostModel {
   double sweep_step = 1.0;   // one bitset axis sweep over |D|
   double boundary = 1.9;     // one NodeBitset⇄NodeSet conversion
   double cvt_step = 3.4;     // one per-origin cvt step, mid-plan frontier
-
-  /// Smallest document for which partitioned bitset sweeps beat one thread
-  /// (fork/join ≈ a few µs; a 4k-node sweep is ~0.5µs/word-pass).
-  int32_t min_parallel_nodes = 4096;
-  /// Smallest origin count for which the per-origin cvt loop fans out.
-  int min_parallel_origins = 16;
 
   /// Longest bitset segment worth demoting to cvt when it sits between two
   /// cvt segments: running s steps on the (already bound) cvt engine costs

@@ -43,6 +43,7 @@ QueryService::QueryService(const Options& options)
       batches_(registry_.GetCounter("service.batches")),
       failures_(registry_.GetCounter("service.failures")),
       staged_segments_(registry_.GetCounter("exec.staged_segments")),
+      skipped_segments_(registry_.GetCounter("exec.skipped_segments")),
       latency_(registry_.GetHistogram("latency_ms")),
       stage_doc_lookup_(registry_.GetHistogram("metrics.stage.doc_lookup_ms")),
       stage_plan_lookup_(
@@ -115,20 +116,7 @@ QueryService::QueryService(const Options& options)
        {"coalesced", &SubscriptionCounters::coalesced},
        {"skipped_disjoint", &SubscriptionCounters::skipped_disjoint},
        {"evaluations", &SubscriptionCounters::evaluations}});
-  using plan::ExecStats;
-  for (const auto& [name, bucket] :
-       {std::pair{"exec.parallel_segments", &ExecStats::parallel_segments},
-        std::pair{"exec.sequential_segments", &ExecStats::sequential_segments},
-        std::pair{"exec.skipped_segments", &ExecStats::skipped_segments}}) {
-    registry_.SetGauge(name, [this, bucket = bucket] {
-      return static_cast<double>(
-          (exec_stats_.*bucket).load(std::memory_order_relaxed));
-    });
-  }
 
-  // Intra-query parallelism shares the service pool unless the caller
-  // provided a dedicated one.
-  if (options_.exec.pool == nullptr) options_.exec.pool = pool_;
   store_.set_report_deltas(options.delta_invalidation);
   if (!options_.wal_dir.empty()) {
     // Open + recover BEFORE the update listener is installed: replay feeds
@@ -233,7 +221,6 @@ Result<QueryService::Answer> QueryService::Process(
     eval::Engine& engine, const std::string& doc_key,
     const std::string& query_text, bool* evaluated_out) {
   const uint64_t t_start = obs::NowNs();
-  engine.set_exec_stats(&exec_stats_);
   const int64_t seq = requests_->Add();
   // Sub-microsecond lookup stages stamp the clock 1-in-kStageSampleEvery
   // requests: on a warm answer-cache hit the whole request is ~0.5us, and
@@ -309,10 +296,13 @@ Result<QueryService::Answer> QueryService::Process(
   // everything else records its single whole-query dispatch. An
   // answer-cache hit executed nothing and records nothing.
   if (evaluated && plan->staged) {
+    int64_t skipped = 0;
     for (const plan::SegmentTiming& timing : exec_trace) {
       RouteHistogram(timing.route)->Record(timing.seconds);
+      skipped += timing.skipped ? 1 : 0;
     }
     staged_segments_->Add(static_cast<int64_t>(exec_trace.size()));
+    if (skipped > 0) skipped_segments_->Add(skipped);
   } else if (evaluated) {
     (indexed ? routes_[0] : RouteHistogram(plan->choice))
         ->RecordValue(t_exec - t_exec_begin);
@@ -371,16 +361,13 @@ Result<QueryService::Answer> QueryService::Process(
 Result<QueryService::Answer> QueryService::Submit(
     const std::string& doc_key, const std::string& query_text) {
   eval::Engine engine;
-  engine.set_exec_options(options_.exec);
   bool evaluated = false;
   return Process(engine, doc_key, query_text, &evaluated);
 }
 
-void QueryService::RunBatch(ThreadPool& pool, int batch_workers,
-                            const plan::ExecOptions& exec, size_t n,
+void QueryService::RunBatch(ThreadPool& pool, int batch_workers, size_t n,
                             const BatchStep& serve) {
   eval::Engine engine;
-  engine.set_exec_options(exec);
   // Inline: a run of answer-cache hits costs less than waking a pool
   // thread for it.
   size_t next = 0;
@@ -413,7 +400,6 @@ void QueryService::RunBatch(ThreadPool& pool, int batch_workers,
       drain(engine);
     } else if (cursor.load() < n) {
       eval::Engine own;
-      own.set_exec_options(exec);
       drain(own);
     }
   });
@@ -429,7 +415,7 @@ std::vector<Result<QueryService::Answer>> QueryService::SubmitBatch(
     const std::vector<Request>& requests) {
   batches_->Add();
   std::vector<Result<Answer>> responses(requests.size(), Unserved());
-  RunBatch(*pool_, options_.batch_workers, options_.exec, requests.size(),
+  RunBatch(*pool_, options_.batch_workers, requests.size(),
            [&](eval::Engine& engine, size_t i) {
              bool evaluated = false;
              responses[i] = Process(engine, requests[i].doc_key,

@@ -11,8 +11,8 @@
 //   * an mview::SubscriptionManager: standing queries that push diffed
 //     answers to callbacks on churn instead of being re-polled;
 //   * a ThreadPool: a SubmitBatch that has to evaluate forks onto it, and
-//     subscription re-evaluations run on it (the same pool the parallel
-//     PDA evaluator uses — nesting is safe, see base/thread_pool.hpp).
+//     subscription re-evaluations run on it. Cores go to separate requests:
+//     each request runs its plan on one thread.
 //
 // Request flow: Submit(doc_key, query)
 //   1. document lookup (shared_ptr — removal never races an evaluation),
@@ -89,12 +89,8 @@ struct ServiceStats {
   /// Segments dispatched by staged (hybrid) evaluated plans — the subset of
   /// Σ segment_route_counts that went through the staged executor.
   int64_t staged_segments = 0;
-  /// How those staged segments actually executed (see plan/exec.hpp).
-  /// Invariant, checked by the soak reconciliation and check_stats_json:
-  /// parallel + sequential + skipped == staged_segments, exactly — also
-  /// when segments execute concurrently.
-  int64_t exec_parallel_segments = 0;
-  int64_t exec_sequential_segments = 0;
+  /// Those of them skipped because the frontier was already empty (see
+  /// plan/exec.hpp); the rest ran.
   int64_t exec_skipped_segments = 0;
   /// Requests that crossed the slow-query threshold (including entries the
   /// bounded log has since evicted).
@@ -122,8 +118,8 @@ class QueryService {
     /// replacement — the PR-4 name-only baseline, kept measurable for
     /// EXP-DELTA and differential soaks.
     bool delta_invalidation = true;
-    /// Pool for SubmitBatch and subscription re-evaluation (and, via the
-    /// engines, parallel evaluation); nullptr = ThreadPool::Shared().
+    /// Pool for SubmitBatch and subscription re-evaluation; nullptr =
+    /// ThreadPool::Shared().
     ThreadPool* pool = nullptr;
     /// Threads a batch forks onto at its first answer-cache miss (see
     /// SubmitBatch), the calling thread included; 0 = every pool thread
@@ -131,11 +127,6 @@ class QueryService {
     int batch_workers = 0;
     /// Answer eligible PF queries from the DocumentIndex ("pf-indexed").
     bool indexed_fast_path = true;
-    /// Intra-query parallelism (plan/exec.hpp): workers > 1 partitions
-    /// bitset sweeps and cvt origin loops of each request across the pool.
-    /// exec.pool == nullptr uses the service pool. Answers are identical at
-    /// any setting; only latency changes.
-    plan::ExecOptions exec;
     /// Request tracing: the sampled per-stage histograms, the update.*
     /// histograms and the slow-query log (see obs/trace.hpp). Total request
     /// latency and the per-route histograms are recorded regardless.
@@ -267,9 +258,9 @@ class QueryService {
   // The router serves its shards' requests through RunBatch and Process.
   friend class ShardedQueryService;
 
-  /// Full request path; `engine` is the calling thread's engine, whose
-  /// ExecStats sink is pointed at this service's. Sets `*evaluated` when
-  /// the request ran a plan, i.e. did not come from the answer cache.
+  /// Full request path; `engine` is the calling thread's engine. Sets
+  /// `*evaluated` when the request ran a plan, i.e. did not come from the
+  /// answer cache.
   Result<Answer> Process(eval::Engine& engine, const std::string& doc_key,
                          const std::string& query_text, bool* evaluated);
 
@@ -278,10 +269,9 @@ class QueryService {
   /// Requests run in order on the calling thread until the first one that
   /// evaluated; the unclaimed rest then go to one ParallelFor of
   /// `batch_workers` threads (0 = every pool thread plus the caller) over a
-  /// shared cursor. Each thread uses one Engine built from `exec`.
+  /// shared cursor. Each thread uses one Engine.
   using BatchStep = std::function<bool(eval::Engine& engine, size_t i)>;
-  static void RunBatch(ThreadPool& pool, int batch_workers,
-                       const plan::ExecOptions& exec, size_t n,
+  static void RunBatch(ThreadPool& pool, int batch_workers, size_t n,
                        const BatchStep& serve);
   /// What a batch slot holds until its request is served.
   static Result<Answer> Unserved();
@@ -319,6 +309,7 @@ class QueryService {
   obs::Counter* batches_;
   obs::Counter* failures_;
   obs::Counter* staged_segments_;
+  obs::Counter* skipped_segments_;  // the staged segments that did not run
   obs::Histogram* latency_;  // total request latency, always recorded
   /// How often and how long each served route ran, always recorded — only
   /// answer-cache misses execute a route, where evaluation amortizes the
@@ -344,12 +335,6 @@ class QueryService {
   mview::SubscriptionManager subscriptions_;  // declared after store_/pool_:
                                               // destroyed first, quiescing
                                               // pool tasks that use them
-  /// Per-segment parallel/sequential/skipped execution counts, fed by
-  /// every engine that runs one of this service's requests. Subscription
-  /// re-evaluations use their own engines and do NOT feed these — the
-  /// reconciliation invariant is against staged_segments_, which counts the
-  /// same request paths.
-  plan::ExecStats exec_stats_;
 
   // Durability. Declared LAST: the Wal destructor joins its committer
   // thread, which records into registry_ metrics — everything above must

@@ -81,12 +81,10 @@ ShardedQueryService::SubmitBatch(const std::vector<Request>& requests) {
   auto fail = [](ShardState& state, std::string what) {
     if (!state.failed.exchange(true)) state.failure = std::move(what);
   };
-  // Every shard runs the template's options: its batch_workers sets the
-  // width, its exec options every engine's.
-  const QueryService::Options& shard_options = shards_[0]->options_;
+  // The shard template's batch_workers sets the width.
   QueryService::RunBatch(
-      *pool_, shard_options.batch_workers, shard_options.exec,
-      requests.size(), [&](eval::Engine& engine, size_t i) {
+      *pool_, shards_[0]->options_.batch_workers, requests.size(),
+      [&](eval::Engine& engine, size_t i) {
         const Request& request = requests[i];
         const size_t s = static_cast<size_t>(map_.ShardOf(request.doc_key));
         QueryService& shard = *shards_[s];

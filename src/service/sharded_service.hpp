@@ -41,8 +41,7 @@
 //
 // Thread safety: every public method may be called concurrently, including
 // SubmitBatch from many threads at once (each batch forks at most once onto
-// the shared pool, and a forked request's own parallel segments nest safely
-// on it).
+// the shared pool).
 
 #ifndef GKX_SERVICE_SHARDED_SERVICE_HPP_
 #define GKX_SERVICE_SHARDED_SERVICE_HPP_
@@ -82,7 +81,7 @@ class ShardedQueryService {
     /// Pool a SubmitBatch forks onto at its first answer-cache miss, with
     /// the shard template's batch_workers as the width; nullptr = the shard
     /// template's pool, falling back to ThreadPool::Shared(). The shards'
-    /// subscription work and intra-query parallelism run on theirs.
+    /// subscription work runs on theirs.
     ThreadPool* pool = nullptr;
   };
 

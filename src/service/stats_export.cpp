@@ -153,8 +153,6 @@ ServiceStats ReadServiceStats(const Value& document) {
   stats.subscriptions.evaluations = number("subscriptions.evaluations");
 
   stats.staged_segments = number("exec.staged_segments");
-  stats.exec_parallel_segments = number("exec.parallel_segments");
-  stats.exec_sequential_segments = number("exec.sequential_segments");
   stats.exec_skipped_segments = number("exec.skipped_segments");
   if (const Value* routes = document.Find("routes")) {
     for (const auto& [route, summary] : routes->members()) {

@@ -156,9 +156,9 @@ class Document {
   int32_t depth(NodeId id) const { return v_.depth[Checked(id)]; }
   NameId tag(NodeId id) const { return v_.tag[Checked(id)]; }
 
-  /// Raw column pointers, each `size()` entries. The partitioned preorder-
-  /// interval sweeps read these directly so a chunk touches one contiguous
-  /// 4-byte-per-node stripe.
+  /// Raw column pointers, each `size()` entries. The axis-image sweeps read
+  /// these directly, so a sweep streams one contiguous 4-byte-per-node
+  /// stripe.
   const NodeId* parent_data() const { return v_.parent; }
   const NodeId* first_child_data() const { return v_.first_child; }
   const NodeId* last_child_data() const { return v_.last_child; }

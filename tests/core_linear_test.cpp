@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <tuple>
+
 #include "base/stopwatch.hpp"
 #include "eval/axes.hpp"
 #include "eval/core_linear_evaluator.hpp"
@@ -71,22 +74,48 @@ constexpr Axis kAxes[] = {
     Axis::kPrecedingSibling,
 };
 
-class AxisImageTest : public ::testing::TestWithParam<uint64_t> {};
+/// A random document: `nodes` nodes drawn from `seed`, from bushy
+/// (chain_bias 0) to a chain (1).
+struct DocShape {
+  uint64_t seed;
+  int32_t nodes;
+  double chain_bias;
+};
+
+void PrintTo(const DocShape& shape, std::ostream* os) {
+  *os << shape.nodes << " nodes, chain_bias " << shape.chain_bias;
+}
+
+constexpr DocShape kShapes[] = {
+    // Sizes off the 64-bit word boundaries.
+    {2, 3, 0.4}, {19, 20, 0.8}, {37, 38, 0.4}, {59, 60, 0.8}, {73, 74, 0.6},
+    {97, 15, 0.4},
+    // One node, and the sizes around the word boundaries of a NodeBitset.
+    {8, 1, 0.0}, {9, 2, 1.0}, {70, 63, 0.5}, {71, 64, 0.9}, {72, 65, 0.1},
+    {136, 129, 0.95}};
+
+// Input sets are drawn at the given density. Child, parent and ancestor*
+// have a per-node sweep and a member walk, and the walk runs when
+// members * 4 < |D|: density 0.3 mostly takes the sweep, 0.05 the walk.
+class AxisImageTest
+    : public ::testing::TestWithParam<std::tuple<DocShape, double>> {};
 
 TEST_P(AxisImageTest, MatchesPerNodeEnumeration) {
-  Rng rng(GetParam());
+  const auto [shape, density] = GetParam();
+  Rng rng(shape.seed);
   xml::RandomDocumentOptions options;
-  options.node_count = 1 + static_cast<int32_t>(GetParam() % 83);
-  options.chain_bias = (GetParam() % 5) / 5.0;
+  options.node_count = shape.nodes;
+  options.chain_bias = shape.chain_bias;
   Document doc = xml::RandomDocument(&rng, options);
   const ResolvedTest any{xpath::NodeTest::Kind::kAny, xml::kNoName};
 
+  int sparse_draws = 0;
   for (int trial = 0; trial < 12; ++trial) {
-    // Random input set.
     NodeBitset input(doc.size());
     for (NodeId v = 0; v < doc.size(); ++v) {
-      if (rng.Bernoulli(0.3)) input.Set(v);
+      if (rng.Bernoulli(density)) input.Set(v);
     }
+    if (input.Count() * 4 < doc.size()) ++sparse_draws;
     for (Axis axis : kAxes) {
       NodeBitset expected(doc.size());
       for (NodeId v = 0; v < doc.size(); ++v) {
@@ -95,13 +124,22 @@ TEST_P(AxisImageTest, MatchesPerNodeEnumeration) {
       }
       NodeBitset actual = AxisImage(doc, axis, input);
       EXPECT_EQ(actual.ToNodeSet(), expected.ToNodeSet())
-          << "axis " << xpath::AxisName(axis) << " seed " << GetParam();
+          << "axis " << xpath::AxisName(axis) << " nodes " << shape.nodes
+          << " density " << density << " trial " << trial;
     }
+  }
+  // Both forms meet the enumeration at every size: the sparse density
+  // walks at least one input, the dense density sweeps at least one.
+  if (density < 0.25) {
+    EXPECT_GT(sparse_draws, 0) << "nodes " << shape.nodes;
+  } else {
+    EXPECT_LT(sparse_draws, 12) << "nodes " << shape.nodes;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, AxisImageTest,
-                         ::testing::Values(2, 19, 37, 59, 73, 97));
+INSTANTIATE_TEST_SUITE_P(Shapes, AxisImageTest,
+                         ::testing::Combine(::testing::ValuesIn(kShapes),
+                                            ::testing::Values(0.3, 0.05)));
 
 TEST(AxisImageTest, FollowingMinimalCutoffIncludesDescendantCase) {
   // Regression: a descendant of an input node can have a smaller following

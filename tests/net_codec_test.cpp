@@ -568,8 +568,9 @@ TEST(NetCodecTest, LoopbackAnswersADeeplyNestedQueryAndKeepsServing) {
   server.Stop();
 }
 
-/// A field of /proc/self/status ("VmRSS", "VmSize") in KiB.
-int64_t ProcStatusKiB(const std::string& field) {
+/// A numeric field of /proc/self/status: "VmRSS" and "VmSize" in KiB,
+/// "Threads" as a count.
+int64_t ProcStatus(const std::string& field) {
   std::ifstream in("/proc/self/status");
   std::string line;
   while (std::getline(in, line)) {
@@ -585,7 +586,7 @@ TEST(NetCodecTest, LoopbackLyingFrameHeaderCommitsOnlyWhatArrives) {
   service::ShardedQueryService service;
   Server server(&service, {});
   ASSERT_TRUE(server.Start().ok());
-  const int64_t rss_before = ProcStatusKiB("VmRSS");
+  const int64_t rss_before = ProcStatus("VmRSS");
   {
     // A header declaring a 256 MiB payload, followed by 10 bytes of it.
     // The connection stays open: the server must hold memory for what
@@ -599,7 +600,7 @@ TEST(NetCodecTest, LoopbackLyingFrameHeaderCommitsOnlyWhatArrives) {
     int64_t growth = 0;
     for (int i = 0; i < 50 && growth < (32 << 10); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      growth = ProcStatusKiB("VmRSS") - rss_before;
+      growth = ProcStatus("VmRSS") - rss_before;
     }
     EXPECT_LT(growth, 32 << 10) << "KiB of RSS for a 10-byte body";
     RawConnection fresh(server);
@@ -612,18 +613,32 @@ TEST(NetCodecTest, LoopbackReapsFinishedConnections) {
   service::ShardedQueryService service;
   Server server(&service, {});
   ASSERT_TRUE(server.Start().ok());
-  {
-    RawConnection warm(server);
-    warm.ExpectPong();
-  }
-  const int64_t vm_before = ProcStatusKiB("VmSize");
-  for (int i = 0; i < 200; ++i) {
-    RawConnection connection(server);
-    connection.ExpectPong();
-  }
+  // One connect / ping / close cycle, returning once the connection's
+  // thread has exited: the process is down one thread from while it
+  // served. A thread that starts while another is still exiting reserves a
+  // malloc arena of its own (64 MiB of address space), which VmSize would
+  // count. The exited thread stays un-joined until the accept loop reaps
+  // it at the next accept.
+  auto cycle = [&server] {
+    int64_t serving_threads = 0;
+    {
+      RawConnection connection(server);
+      connection.ExpectPong();
+      serving_threads = ProcStatus("Threads");
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (ProcStatus("Threads") >= serving_threads &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  cycle();
+  const int64_t vm_before = ProcStatus("VmSize");
+  for (int i = 0; i < 200; ++i) cycle();
   // Each connection thread owns a stack (8 MiB by default) until it is
   // joined: 200 un-joined threads would add 1,600 MiB.
-  EXPECT_LT(ProcStatusKiB("VmSize") - vm_before, 256 << 10)
+  EXPECT_LT(ProcStatus("VmSize") - vm_before, 256 << 10)
       << "KiB of address space after 200 closed connections";
   server.Stop();
 }

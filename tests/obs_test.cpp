@@ -540,8 +540,6 @@ answer_cache.invalidations:number=8
 answer_cache.misses:number=25
 answer_cache.remapped:number=0
 answer_cache.retained:number=4
-exec.parallel_segments:number=0
-exec.sequential_segments:number=12
 exec.skipped_segments:number=0
 exec.staged_segments:number=12
 latency_ms:summary=29
@@ -609,8 +607,6 @@ answer_cache.invalidations:number=11
 answer_cache.misses:number=23
 answer_cache.remapped:number=0
 answer_cache.retained:number=5
-exec.parallel_segments:number=0
-exec.sequential_segments:number=12
 exec.skipped_segments:number=0
 exec.staged_segments:number=12
 latency_ms:summary=29
@@ -657,8 +653,6 @@ shards.0.answer_cache.invalidations:number=4
 shards.0.answer_cache.misses:number=12
 shards.0.answer_cache.remapped:number=0
 shards.0.answer_cache.retained:number=4
-shards.0.exec.parallel_segments:number=0
-shards.0.exec.sequential_segments:number=6
 shards.0.exec.skipped_segments:number=0
 shards.0.exec.staged_segments:number=6
 shards.0.latency_ms:summary=16
@@ -725,8 +719,6 @@ shards.1.answer_cache.invalidations:number=7
 shards.1.answer_cache.misses:number=11
 shards.1.answer_cache.remapped:number=0
 shards.1.answer_cache.retained:number=1
-shards.1.exec.parallel_segments:number=0
-shards.1.exec.sequential_segments:number=6
 shards.1.exec.skipped_segments:number=0
 shards.1.exec.staged_segments:number=6
 shards.1.latency_ms:summary=13
@@ -830,8 +822,6 @@ answer_cache.invalidations:number=11
 answer_cache.misses:number=23
 answer_cache.remapped:number=0
 answer_cache.retained:number=5
-exec.parallel_segments:number=0
-exec.sequential_segments:number=12
 exec.skipped_segments:number=0
 exec.staged_segments:number=12
 latency_ms:summary=29
@@ -885,8 +875,6 @@ shards.0.answer_cache.invalidations:number=4
 shards.0.answer_cache.misses:number=12
 shards.0.answer_cache.remapped:number=0
 shards.0.answer_cache.retained:number=4
-shards.0.exec.parallel_segments:number=0
-shards.0.exec.sequential_segments:number=6
 shards.0.exec.skipped_segments:number=0
 shards.0.exec.staged_segments:number=6
 shards.0.latency_ms:summary=16
@@ -960,8 +948,6 @@ shards.1.answer_cache.invalidations:number=7
 shards.1.answer_cache.misses:number=11
 shards.1.answer_cache.remapped:number=0
 shards.1.answer_cache.retained:number=1
-shards.1.exec.parallel_segments:number=0
-shards.1.exec.sequential_segments:number=6
 shards.1.exec.skipped_segments:number=0
 shards.1.exec.staged_segments:number=6
 shards.1.latency_ms:summary=13

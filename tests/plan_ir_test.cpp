@@ -179,6 +179,49 @@ TEST(ExecTest, RelativePlansRespectTheContextNode) {
   }
 }
 
+TEST(ExecTest, TraceHasOneEntryPerSegmentInPlanOrder) {
+  Rng rng(4242);
+  xml::RandomDocumentOptions options;
+  options.node_count = 300;
+  options.chain_bias = 0.85;
+  xml::Document doc = xml::RandomDocument(&rng, options);
+  const eval::Context ctx = eval::RootContext(doc);
+  const char* queries[] = {
+      "/descendant::t0/descendant::t1/child::t2[position() = last()]"
+      "/child::t3",
+      "/descendant::t0/descendant::t1/child::t2[count(child::t3) = 1]",
+      // No t9 in the document: the frontier empties after segment one.
+      "/descendant::t9/child::t1[position() = 1]/descendant::t2",
+  };
+  int skipped = 0;
+  for (const char* text : queries) {
+    Physical plan = CompileText(text);
+    ASSERT_TRUE(plan.staged) << text;
+    std::vector<Route> routes;
+    for (const BranchProgram& branch : plan.branches) {
+      for (const Segment& segment : branch.segments) {
+        routes.push_back(segment.route);
+      }
+    }
+    ExecTrace trace;
+    auto actual = ExecuteStaged(doc, plan, ctx, &trace);
+    ASSERT_TRUE(actual.ok()) << text << ": " << actual.status().ToString();
+    ASSERT_EQ(trace.size(), routes.size()) << text;
+    for (size_t i = 0; i < trace.size(); ++i) {
+      EXPECT_EQ(trace[i].route, routes[i]) << text << " segment " << i;
+      if (trace[i].skipped) {
+        EXPECT_EQ(trace[i].seconds, 0.0) << text << " segment " << i;
+        ++skipped;
+      }
+    }
+    eval::NaiveEvaluator naive;
+    auto expected = naive.Evaluate(doc, plan.query, ctx);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_TRUE(expected->Equals(*actual)) << text;
+  }
+  EXPECT_GE(skipped, 1);
+}
+
 TEST(ExecTest, EngineReportsTheRouteListAndSameValue) {
   auto doc = xml::ParseDocument("<r><a><b/><b/></a><a><b/></a><c/></r>");
   ASSERT_TRUE(doc.ok());

@@ -607,6 +607,29 @@ TEST(QueryServiceTest, UniformAndStagedCvtCountUnderOneRoute) {
                                               "pf-frontier", "pf-indexed"}));
 }
 
+TEST(QueryServiceTest, SegmentsAfterAnEmptyFrontierCountAsSkipped) {
+  QueryService service;
+  RegisterCorpus(service);
+  // No element is named zz, so the frontier is empty after the first
+  // segment and the two segments after it are skipped. They still count
+  // as staged, each under its route.
+  auto answer = service.Submit(
+      "a", "/descendant::zz/child::b[position() = 1]/descendant::c");
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->evaluator, "pf-frontier+cvt+pf-frontier");
+  EXPECT_TRUE(answer->value.nodes().empty());
+
+  auto document = obs::json::Parse(service.ExportStats(StatsFormat::kJson));
+  ASSERT_TRUE(document.ok());
+  const double staged = document->FindPath("exec.staged_segments")->AsNumber();
+  const double skipped =
+      document->FindPath("exec.skipped_segments")->AsNumber();
+  EXPECT_EQ(staged, 3.0);
+  EXPECT_GE(skipped, 1.0);
+  EXPECT_LE(skipped, staged);
+  EXPECT_EQ(service.Stats().exec_skipped_segments, 2);
+}
+
 TEST(QueryServiceTest, PessimizedSpellingRunsCanonicalPlan) {
   QueryService service;
   RegisterCorpus(service);
