@@ -1,13 +1,15 @@
 // EXP-F1 — Figure 1: the combined-complexity landscape of XPath fragments.
 // Classifies a corpus of queries (hand-written + random per fragment) into
 // the paper's taxonomy and demonstrates the landscape empirically: each
-// fragment is evaluated with the engine matching its complexity class, and
-// per-fragment timings on a fixed document are reported.
+// generated query is compiled and runs on the routes its steps classify to
+// (the route census), and per-fragment timings on a fixed document are
+// reported.
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.hpp"
 #include "eval/cvt_evaluator.hpp"
@@ -26,9 +28,9 @@ using xpath::Fragment;
 using xpath::FragmentComplexity;
 using xpath::FragmentName;
 
-// Hybrid (staged) routing: queries whose spine is PF-routable but which
-// contain one non-Core predicate. Whole-query classification demotes them
-// entirely to CVT; the staged plan keeps the spine on bitset sweeps and
+// Hybrid routing: queries whose spine is PF-routable but which contain one
+// non-Core predicate. Whole-query classification would demote them
+// entirely to CVT; the segment plan keeps the spine on bitset sweeps and
 // drops into CVT only for the offending subtree. Expect >= 2x.
 void RunHybridRouting(bench::JsonReport* json) {
   constexpr uint64_t kSeed = 4242;
@@ -45,7 +47,7 @@ void RunHybridRouting(bench::JsonReport* json) {
   // The hybrid-win regime: the descendant chain (the PF-routable spine) is
   // where the work is — whole-query CVT pays per-origin axis enumeration
   // and per-step sort/dedup over large intermediate node sets there, while
-  // the staged plan runs it as O(|D|) bitset sweeps. The one non-Core
+  // the segment plan runs it as O(|D|) bitset sweeps. The one non-Core
   // predicate sits on a cheap-axis step, so the unavoidable CVT segment is
   // small in both plans.
   const char* queries[] = {
@@ -63,7 +65,7 @@ void RunHybridRouting(bench::JsonReport* json) {
   for (const char* text : queries) {
     auto plan = eval::Engine::Compile(text);
     GKX_CHECK(plan.ok());
-    GKX_CHECK(plan->staged);
+    GKX_CHECK(plan->route_label.find('+') != std::string::npos);
 
     // Best-of-reps on both sides: robust to scheduler noise on shared CI
     // runners (a pause inflates the mean but rarely every rep).
@@ -107,7 +109,7 @@ void RunHybridRouting(bench::JsonReport* json) {
                   {"whole_cvt_ms", bench::JsonNum(cvt_seconds * 1e3)},
                   {"speedup", bench::JsonNum(speedup)},
                   {"doc_nodes", bench::JsonNum(doc_options.node_count)}});
-    // The acceptance bar for staged execution: the PF-routable spine must
+    // The acceptance bar for hybrid execution: the PF-routable spine must
     // buy at least 2x over whole-query CVT on every scenario.
     GKX_CHECK(speedup >= 2.0);
   }
@@ -147,7 +149,7 @@ void RunRandomCensusAndTiming(bench::JsonReport* json) {
   doc_options.node_count = 400;
   xml::Document doc = xml::RandomDocument(&rng, doc_options);
 
-  bench::Table table({"generated fragment", "queries", "dispatched engine",
+  bench::Table table({"generated fragment", "queries", "plan routes",
                       "total eval ms", "classification agrees"});
   constexpr Fragment kFragments[] = {
       Fragment::kPF,  Fragment::kPositiveCore, Fragment::kCore,
@@ -161,25 +163,27 @@ void RunRandomCensusAndTiming(bench::JsonReport* json) {
     int agree = 0;
     constexpr int kQueries = 40;
     double total_seconds = 0;
-    std::map<std::string, int> engine_census;
+    std::map<std::string, int> route_census;
     for (int i = 0; i < kQueries; ++i) {
       xpath::Query query = xpath::RandomQuery(&rng, query_options);
       if (Classify(query).Contains(fragment)) ++agree;
+      const eval::Engine::Plan plan =
+          eval::Engine::CompileParsed(std::move(query));
       Stopwatch sw;
-      auto answer = engine.Run(doc, query, eval::RootContext(doc));
+      auto answer = engine.RunPlan(doc, plan);
       total_seconds += sw.ElapsedSeconds();
       GKX_CHECK(answer.ok());
-      ++engine_census[answer->evaluator];
+      ++route_census[answer->evaluator];
     }
     // Generated queries may land in a smaller fragment than requested (e.g.
-    // a WF query without arithmetic is Core) — show the dispatch census.
-    std::string dispatched;
-    for (const auto& [name, count] : engine_census) {
-      if (!dispatched.empty()) dispatched += ", ";
-      dispatched += name + " x" + std::to_string(count);
+    // a WF query without arithmetic is Core) — show the route census.
+    std::string routes;
+    for (const auto& [name, count] : route_census) {
+      if (!routes.empty()) routes += ", ";
+      routes += name + " x" + std::to_string(count);
     }
     table.AddRow({std::string(FragmentName(fragment)), bench::Num(kQueries),
-                  dispatched, bench::Millis(total_seconds),
+                  routes, bench::Millis(total_seconds),
                   bench::Num(agree) + "/" + bench::Num(kQueries)});
     json->AddRow({{"section", bench::JsonStr("census")},
                   {"fragment", bench::JsonStr(FragmentName(fragment))},
@@ -199,7 +203,7 @@ int main() {
       "PF ⊂ pos.Core ⊂ {Core, pWF} ⊂ {WF, pXPath} ⊂ XPath; complexities "
       "NL-c / LOGCFL-c / P-c as labeled in Figure 1",
       "classification of a corpus + generated-per-fragment census with "
-      "engine dispatch and timings, plus hybrid (staged) routing vs forced "
+      "plan routes and timings, plus hybrid routing vs forced "
       "whole-query CVT — expect >= 2x on PF-spine queries");
   gkx::bench::JsonReport json("fig1_fragments", 2003);
   gkx::RunCorpusClassification();

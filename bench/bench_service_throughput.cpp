@@ -27,7 +27,7 @@ namespace {
 
 // Mixed-fragment templates: PF shapes (indexed and not), positive Core,
 // Core with negation, positional pWF, full-XPath scalar, union, and a
-// hybrid shape (PF spine + one positional predicate => staged plan).
+// hybrid shape (PF spine + one positional predicate => a two-route plan).
 const char* kTemplates[] = {
     "/descendant::t0/child::t1",
     "//t2",

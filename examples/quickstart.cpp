@@ -1,6 +1,7 @@
 // Quickstart: parse an XML document, run XPath queries through the Engine
-// facade (which classifies each query against the paper's fragment taxonomy
-// and dispatches the matching evaluation algorithm), and print the results.
+// facade (which classifies each step against the paper's fragment taxonomy
+// and runs the plan on the matching evaluation algorithms), and print the
+// results.
 //
 //   ./example_quickstart                # built-in document and queries
 //   ./example_quickstart doc.xml 'query1' 'query2' ...

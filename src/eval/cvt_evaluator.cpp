@@ -72,7 +72,7 @@ bool CvtEvaluator::LookupMemo(const Expr& expr, const Context& ctx, Value* out) 
       return true;
     }
     case ContextDependence::kFull: {
-      auto it = by_context_[id].find(PackContext(ctx));
+      auto it = by_context_[id].find(ctx);
       if (it == by_context_[id].end()) return false;
       *out = it->second;
       return true;
@@ -98,7 +98,7 @@ void CvtEvaluator::StoreMemo(const Expr& expr, const Context& ctx,
       inserted = by_node_[id].emplace(ctx.node, value).second;
       break;
     case ContextDependence::kFull:
-      inserted = by_context_[id].emplace(PackContext(ctx), value).second;
+      inserted = by_context_[id].emplace(ctx, value).second;
       break;
   }
   if (inserted) ++table_entries_;

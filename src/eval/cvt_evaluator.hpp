@@ -58,7 +58,9 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   // expression's context dependence).
   std::vector<std::optional<Value>> constant_;
   std::vector<std::unordered_map<xml::NodeId, Value>> by_node_;
-  std::vector<std::unordered_map<uint64_t, Value>> by_context_;
+  // Position-dependent cells are keyed by the full ⟨node, position, size⟩,
+  // so every context a document can produce has a cell.
+  std::vector<std::unordered_map<Context, Value, ContextHash>> by_context_;
   int64_t table_entries_ = 0;
   // Binding the evaluator is idempotent: when Bind sees the exact same
   // (document, query) pair — identified by (address, serial) on both sides,

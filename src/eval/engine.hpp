@@ -1,13 +1,15 @@
 // The user-facing facade over the staged compile pipeline (src/plan):
 //   normalize (canonical rewrites) → classify per subexpression (Figure 1,
-//   per step) → lower (fused same-engine segments) → execute.
-// Uniform plans dispatch whole-query to the cheapest sound engine —
-//   PF (paths only, NL)                   -> pf-frontier bitset sweeps
-//   Core XPath (incl. positive Core)      -> core-linear, O(|D|·|Q|)
+//   per step) → lower (fused segments) → execute.
+// Every step is routed to the cheapest sound engine —
+//   predicate-free (PF, NL)               -> pf-frontier bitset sweeps
+//   Core XPath predicates                 -> core-linear, O(|D|·|Q|)
 //   anything else                         -> context-value tables, polynomial
-// — and genuinely mixed plans run hybrid: the path spine stays on the
-// bitset fast path, only non-Core predicate subtrees drop into CVT
-// (Answer.evaluator then reports the route list, e.g. "pf-frontier+cvt").
+// — and every plan runs through the one executor (plan::ExecuteStaged) on
+// this Engine's two evaluators: the path spine stays on the bitset fast
+// path, only non-Core predicate subtrees drop into CVT, and a scalar root
+// runs whole on CVT. Answer.evaluator reports the plan's route list, e.g.
+// "pf-frontier", "core-linear", "cvt" or "pf-frontier+cvt".
 
 #ifndef GKX_EVAL_ENGINE_HPP_
 #define GKX_EVAL_ENGINE_HPP_
@@ -18,8 +20,6 @@
 #include "eval/core_linear_evaluator.hpp"
 #include "eval/cvt_evaluator.hpp"
 #include "eval/evaluator.hpp"
-#include "eval/pf_evaluator.hpp"
-#include "eval/recursive_base.hpp"
 #include "plan/exec.hpp"
 #include "plan/physical.hpp"
 #include "xpath/fragment.hpp"
@@ -58,30 +58,18 @@ class Engine {
     return RunPlan(doc, plan, ctx, nullptr);
   }
 
-  /// Same, with per-segment timing capture: when `trace` is non-null and
-  /// the plan is staged, one SegmentTiming per plan segment is appended
-  /// (see plan/exec.hpp). Uniform plans ignore the trace — the whole
-  /// request-latency span already covers their single dispatch.
+  /// Same, with per-segment timing capture: when `trace` is non-null, one
+  /// SegmentTiming per plan segment is appended (see plan/exec.hpp).
   Result<Answer> RunPlan(const xml::Document& doc, const Plan& plan,
                          const Context& ctx, plan::ExecTrace* trace);
 
   /// Parses, compiles, and runs a query from the root context.
   Result<Answer> Run(const xml::Document& doc, std::string_view query_text);
 
-  /// Runs a borrowed, already-parsed query from a given context. This legacy
-  /// entry point cannot own the AST, so it uses whole-query dispatch (no
-  /// normalization, no staging); Compile + RunPlan gets the full pipeline.
-  Result<Answer> Run(const xml::Document& doc, const xpath::Query& query,
-                     const Context& ctx);
-
  private:
-  /// The single whole-query dispatch site shared by RunPlan and Run.
-  Result<Answer> RunDispatched(const xml::Document& doc,
-                               const xpath::Query& query,
-                               const xpath::FragmentReport& fragment,
-                               plan::Route route, const Context& ctx);
-
-  PfEvaluator pf_;
+  // The executor's engines. An Engine lives across requests, so their binds
+  // (test-set bitsets, context-value tables) stay warm for repeat
+  // executions of the same plan on the same document.
   CoreLinearEvaluator linear_;
   CvtEvaluator cvt_;
 };

@@ -15,23 +15,22 @@ using eval::Value;
 
 namespace {
 
-/// One staged-path execution. By default the run owns private engine
-/// instances (concurrent executions never share scratch state), bound once
-/// so memo tables persist across segments of the same run; a caller with a
-/// long-lived engine passes its evaluators via ExecOptions and keeps those
-/// binds warm ACROSS runs of the same (document, plan).
+double SecondsSince(uint64_t t0) {
+  return static_cast<double>(obs::NowNs() - t0) * 1e-9;
+}
+
+/// One execution of a plan's branch programs on the caller's engines. The
+/// linear engine is bound up front (cheap: a same-document rebind keeps its
+/// test sets); the cvt engine at the first cvt segment that runs, and that
+/// one bind serves every later cvt segment of the run, so they share its
+/// memo tables.
 class StagedRun {
  public:
   StagedRun(const xml::Document& doc, const Physical& plan,
-            const ExecOptions& opts)
-      : doc_(doc),
-        plan_(plan),
-        linear_(opts.linear != nullptr ? *opts.linear : own_linear_),
-        cvt_(opts.cvt != nullptr ? *opts.cvt : own_cvt_) {
+            eval::CoreLinearEvaluator& linear, eval::CvtEvaluator& cvt)
+      : doc_(doc), plan_(plan), linear_(linear), cvt_(cvt) {
     linear_.Bind(doc);
   }
-
-  Status BindCvt() { return cvt_.Bind(doc_, plan_.query); }
 
   Result<NodeBitset> RunBranch(const BranchProgram& branch,
                                const eval::Context& ctx, ExecTrace* trace) {
@@ -59,6 +58,10 @@ class StagedRun {
           break;
         }
         case Route::kCvt: {
+          if (!cvt_bound_) {
+            GKX_RETURN_IF_ERROR(cvt_.Bind(doc_, plan_.query));
+            cvt_bound_ = true;
+          }
           // Materialization boundary: bitset -> document-order node set,
           // per-origin step application on the CVT engine, and back.
           NodeSet current = frontier.ToNodeSet();
@@ -77,10 +80,7 @@ class StagedRun {
           break;
         }
       }
-      if (trace != nullptr) {
-        trace->push_back(
-            {segment.route, static_cast<double>(obs::NowNs() - t0) * 1e-9});
-      }
+      if (trace != nullptr) trace->push_back({segment.route, SecondsSince(t0)});
     }
     return frontier;
   }
@@ -88,31 +88,36 @@ class StagedRun {
  private:
   const xml::Document& doc_;
   const Physical& plan_;
-  // Fallback engines when the caller didn't lend long-lived ones; the
-  // references (declared after, so they initialize after) select between
-  // the owned and the lent instances.
-  eval::CoreLinearEvaluator own_linear_;
-  eval::CvtEvaluator own_cvt_;
   eval::CoreLinearEvaluator& linear_;
   eval::CvtEvaluator& cvt_;
+  bool cvt_bound_ = false;
 };
 
 }  // namespace
 
 Result<Value> ExecuteStaged(const xml::Document& doc, const Physical& plan,
-                            const eval::Context& ctx, ExecTrace* trace,
-                            const ExecOptions& opts) {
-  GKX_CHECK(plan.staged);
+                            const eval::Context& ctx,
+                            eval::CoreLinearEvaluator* linear,
+                            eval::CvtEvaluator* cvt, ExecTrace* trace) {
   if (doc.empty()) return InvalidArgumentError("empty document");
-  StagedRun run(doc, plan, opts);
-  GKX_RETURN_IF_ERROR(run.BindCvt());
-  NodeBitset merged(doc.size());
-  for (const BranchProgram& branch : plan.branches) {
-    auto result = run.RunBranch(branch, ctx, trace);
-    if (!result.ok()) return result.status();
-    merged |= *result;
+  if (plan.branches.empty()) {
+    // A scalar root has no path spine to sweep: it runs whole on cvt, as
+    // the plan's one cvt segment.
+    const uint64_t t0 = trace != nullptr ? obs::NowNs() : 0;
+    auto value = cvt->Evaluate(doc, plan.query, ctx);
+    if (trace != nullptr) trace->push_back({Route::kCvt, SecondsSince(t0)});
+    return value;
   }
-  return Value::Nodes(merged.ToNodeSet());
+  StagedRun run(doc, plan, *linear, *cvt);
+  // The first branch's frontier accumulates the union of the others.
+  auto merged = run.RunBranch(plan.branches[0], ctx, trace);
+  if (!merged.ok()) return merged.status();
+  for (size_t i = 1; i < plan.branches.size(); ++i) {
+    auto result = run.RunBranch(plan.branches[i], ctx, trace);
+    if (!result.ok()) return result.status();
+    *merged |= *result;
+  }
+  return Value::Nodes(merged->ToNodeSet());
 }
 
 }  // namespace gkx::plan

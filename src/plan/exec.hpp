@@ -1,11 +1,11 @@
-// Hybrid execution of a staged Physical plan (stage 4 of the pipeline in
-// ir.hpp). Bitset-native segments run as frontier sweeps; cvt segments run
-// per origin node through a context-value-table engine bound to the plan's
-// query (so predicate memoization is shared across origins and segments);
-// the materialization boundaries convert NodeBitset ⇄ document-order
-// NodeSet exactly at segment seams. Answers are byte-identical to what any
-// single whole-query engine produces — the evaluator-agreement and soak
-// suites pin this against the naive oracle.
+// Execution of a Physical plan (stage 4 of the pipeline in ir.hpp) — the
+// one executor every plan runs on. Bitset segments run as frontier sweeps
+// on a CoreLinearEvaluator; cvt segments run per origin node through a
+// CvtEvaluator bound to the plan's query (so predicate memoization is
+// shared across origins and segments); the materialization boundaries
+// convert NodeBitset ⇄ document-order NodeSet exactly at segment seams. A
+// scalar root runs whole on the CvtEvaluator. Answers are byte-identical
+// to the naive oracle — the evaluator-agreement and soak suites pin this.
 
 #ifndef GKX_PLAN_EXEC_HPP_
 #define GKX_PLAN_EXEC_HPP_
@@ -24,26 +24,12 @@ class CvtEvaluator;
 
 namespace gkx::plan {
 
-/// Optional long-lived bound engines (the prepared-statement pattern).
-/// When set, ExecuteStaged runs on these instead of run-private instances,
-/// so the test-set bitsets and context-value tables persist across runs:
-/// re-executing the same plan on the same document turns memo fills into
-/// memo hits. The evaluators detect same-binding reuse by (address, serial)
-/// identity — see base/identity.hpp — and rebuild automatically when the
-/// document or plan actually changed, so answers are byte-identical to a
-/// cold run. The caller must not share one evaluator across concurrent
-/// ExecuteStaged calls (eval::Engine passes its own members; Engine is
-/// single-threaded by contract).
-struct ExecOptions {
-  eval::CoreLinearEvaluator* linear = nullptr;
-  eval::CvtEvaluator* cvt = nullptr;
-};
-
 /// Wall-clock of one executed segment. When a trace is requested, EVERY
 /// segment of every branch gets exactly one entry in plan order — segments
 /// skipped because the frontier emptied are marked `skipped` and report 0.0
-/// seconds — so the trace's length always equals the plan's segment count,
-/// and the service records each segment's route exactly once from it.
+/// seconds — so the trace's length always equals the plan's segment count
+/// (one cvt entry for a scalar root), and the service records each
+/// segment's route exactly once from it.
 struct SegmentTiming {
   Route route = Route::kPfFrontier;
   double seconds = 0.0;
@@ -51,15 +37,22 @@ struct SegmentTiming {
 };
 using ExecTrace = std::vector<SegmentTiming>;
 
-/// Runs a staged plan (plan.staged must be true) from `ctx` on the calling
-/// thread. Thread-safe unless `opts` lends evaluators: all scratch state is
-/// local to the call; the plan is only read. When `trace` is non-null,
-/// per-segment timings are appended to it.
+/// Runs `plan` from `ctx` on the calling thread, on the caller's engines.
+/// The engines are long-lived (the prepared-statement pattern): their
+/// test-set bitsets and context-value tables persist across runs, so
+/// re-executing the same plan on the same document turns memo fills into
+/// memo hits. They detect same-binding reuse by (address, serial) identity
+/// — see base/identity.hpp — and rebuild when the document or plan changed,
+/// so answers are byte-identical to a cold run. `cvt` is bound only when a
+/// cvt segment runs. The plan is only read; the engines must not be shared
+/// with a concurrent call. When `trace` is non-null, per-segment timings
+/// are appended to it.
 Result<eval::Value> ExecuteStaged(const xml::Document& doc,
                                   const Physical& plan,
                                   const eval::Context& ctx,
-                                  ExecTrace* trace = nullptr,
-                                  const ExecOptions& opts = {});
+                                  eval::CoreLinearEvaluator* linear,
+                                  eval::CvtEvaluator* cvt,
+                                  ExecTrace* trace = nullptr);
 
 }  // namespace gkx::plan
 

@@ -3,9 +3,7 @@
 #include <utility>
 
 #include "base/check.hpp"
-#include "eval/core_linear_evaluator.hpp"
-#include "eval/cvt_evaluator.hpp"
-#include "eval/pf_evaluator.hpp"
+#include "xpath/optimize.hpp"
 #include "xpath/printer.hpp"
 
 namespace gkx::plan {
@@ -20,26 +18,8 @@ std::string_view RouteName(Route route) {
   return {};
 }
 
-std::string_view RouteEngineName(Route route) {
-  // Name-only instances: the engines carry no construction-time state, and
-  // routing through their name() keeps the labels in lockstep with the
-  // strings execution reports.
-  static const eval::PfEvaluator pf_names;
-  static const eval::CoreLinearEvaluator linear_names;
-  static const eval::CvtEvaluator cvt_names;
-  switch (route) {
-    case Route::kPfFrontier: return pf_names.name();
-    case Route::kCoreLinear: return linear_names.name();
-    case Route::kCvt: return cvt_names.name();
-  }
-  GKX_CHECK(false);
-  return {};
-}
-
 Logical Normalize(xpath::Query parsed) {
-  xpath::OptimizeStats rewrites;
-  Logical out{xpath::Optimize(parsed, &rewrites)};
-  out.rewrites = rewrites;
+  Logical out{xpath::Optimize(parsed)};
   out.canonical_text = xpath::ToXPathString(out.query);
   return out;
 }

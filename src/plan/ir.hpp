@@ -25,21 +25,16 @@
 
 #include "xpath/ast.hpp"
 #include "xpath/fragment.hpp"
-#include "xpath/optimize.hpp"
 
 namespace gkx::plan {
 
-/// Which engine an op (or a whole plan) is routed to.
+/// Which engine an op (or a plan segment) is routed to.
 enum class Route { kPfFrontier, kCoreLinear, kCvt };
 
-/// Segment-level route label ("pf-frontier", "core-linear", "cvt") — the
-/// tokens joined with '+' in a hybrid plan's evaluator string.
+/// Route label ("pf-frontier", "core-linear", "cvt") — the one spelling of
+/// every served label: the tokens of a plan's evaluator string, the
+/// routes.<route> histograms and the slow-query log's route lists.
 std::string_view RouteName(Route route);
-
-/// Name of the evaluator a whole-query route dispatches to (taken from the
-/// engines' own name() strings, so it cannot drift from what execution
-/// reports: "pf-frontier", "core-linear", "cvt-lazy").
-std::string_view RouteEngineName(Route route);
 
 /// Per-step annotation produced by ClassifyOps.
 struct StepPlan {
@@ -53,7 +48,6 @@ struct StepPlan {
 struct Logical {
   xpath::Query query;          // normalized (canonical-rewritten) AST
   std::string canonical_text;  // canonical spelling == PlanCache alias key
-  xpath::OptimizeStats rewrites;
 
   bool classified = false;
   xpath::FragmentReport fragment;  // whole-query report (normalized form)

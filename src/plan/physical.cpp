@@ -1,32 +1,33 @@
 #include "plan/physical.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "base/check.hpp"
 
 namespace gkx::plan {
 
-Route WholeQueryRoute(const xpath::FragmentReport& fragment) {
-  if (fragment.in_pf) return Route::kPfFrontier;
-  if (fragment.in_core) return Route::kCoreLinear;
-  return Route::kCvt;
-}
-
 namespace {
 
-/// Fuses the top-level steps of `path` into contiguous same-route segments.
+/// Fuses the top-level steps of `path` into segments: a run of cvt steps is
+/// one cvt segment, and a run of predicate-free and Core steps is one
+/// bitset segment, routed core-linear as soon as one of its steps has a
+/// predicate.
 std::vector<Segment> FuseSegments(const xpath::PathExpr& path,
                                   const std::vector<StepPlan>& steps) {
   std::vector<Segment> segments;
   for (int s = 0; s < static_cast<int>(path.step_count()); ++s) {
     const xpath::Step& step = path.step(static_cast<size_t>(s));
     const Route route = steps[static_cast<size_t>(step.id)].route;
-    if (!segments.empty() && segments.back().route == route) {
+    if (!segments.empty() &&
+        (segments.back().route == Route::kCvt) == (route == Route::kCvt)) {
       segments.back().step_end = s + 1;
+      if (route == Route::kCoreLinear) segments.back().route = route;
     } else {
       segments.push_back(Segment{route, s, s + 1});
     }
   }
+  if (segments.empty()) segments.push_back(Segment{Route::kPfFrontier, 0, 0});
   return segments;
 }
 
@@ -59,6 +60,22 @@ void DemoteSandwichedSegments(std::vector<Segment>* segments) {
   *segments = std::move(fused);
 }
 
+/// The branch paths of a path root or a (possibly nested) union of paths,
+/// in union order; false for anything else (a scalar root).
+bool CollectPaths(const xpath::Expr& expr,
+                  std::vector<const xpath::PathExpr*>* paths) {
+  if (expr.kind() == xpath::Expr::Kind::kPath) {
+    paths->push_back(&expr.As<xpath::PathExpr>());
+    return true;
+  }
+  if (expr.kind() != xpath::Expr::Kind::kUnion) return false;
+  const auto& u = expr.As<xpath::UnionExpr>();
+  for (size_t i = 0; i < u.branch_count(); ++i) {
+    if (!CollectPaths(u.branch(i), paths)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Physical Lower(Logical logical) {
@@ -67,64 +84,27 @@ Physical Lower(Logical logical) {
   out.canonical_text = std::move(logical.canonical_text);
   out.fragment = std::move(logical.fragment);
   out.steps = std::move(logical.steps);
-  out.choice = WholeQueryRoute(out.fragment);
   out.footprint = ExtractFootprint(out.query);
 
-  // Collect the top-level branch paths (root path, or union of paths).
-  // Anything else — scalar roots, unions with non-path branches — keeps
-  // whole-query dispatch.
-  const xpath::Expr& root = out.query.root();
   std::vector<const xpath::PathExpr*> paths;
-  if (root.kind() == xpath::Expr::Kind::kPath) {
-    paths.push_back(&root.As<xpath::PathExpr>());
-  } else if (root.kind() == xpath::Expr::Kind::kUnion) {
-    const auto& u = root.As<xpath::UnionExpr>();
-    for (size_t i = 0; i < u.branch_count(); ++i) {
-      if (u.branch(i).kind() != xpath::Expr::Kind::kPath) {
-        paths.clear();
-        break;
-      }
-      paths.push_back(&u.branch(i).As<xpath::PathExpr>());
-    }
+  if (!CollectPaths(out.query.root(), &paths)) {
+    out.route_label = std::string(RouteName(Route::kCvt));
+    return out;
   }
-
-  bool any_cvt = false;
-  bool any_bitset = false;
-  std::vector<BranchProgram> branches;
+  std::optional<Route> last;
   for (const xpath::PathExpr* path : paths) {
     BranchProgram branch;
     branch.path = path;
     branch.segments = FuseSegments(*path, out.steps);
     DemoteSandwichedSegments(&branch.segments);
     for (const Segment& segment : branch.segments) {
-      (segment.route == Route::kCvt ? any_cvt : any_bitset) = true;
+      // Collapse consecutive duplicates, across branch boundaries too.
+      if (segment.route == last) continue;
+      if (last.has_value()) out.route_label += '+';
+      out.route_label += RouteName(segment.route);
+      last = segment.route;
     }
-    branches.push_back(std::move(branch));
-  }
-
-  // Stage only genuine hybrids: a uniform plan runs the classic dispatch at
-  // identical cost, so staging it would only churn labels.
-  out.staged = any_cvt && any_bitset;
-  if (!out.staged) {
-    out.route_label = std::string(RouteEngineName(out.choice));
-    return out;
-  }
-
-  out.branches = std::move(branches);
-  for (const BranchProgram& branch : out.branches) {
-    for (const Segment& segment : branch.segments) {
-      const std::string_view name = RouteName(segment.route);
-      if (!out.route_label.empty()) {
-        // Collapse consecutive duplicates across branch boundaries.
-        const size_t at = out.route_label.rfind('+');
-        const std::string_view last =
-            std::string_view(out.route_label)
-                .substr(at == std::string::npos ? 0 : at + 1);
-        if (last == name) continue;
-        out.route_label += '+';
-      }
-      out.route_label += name;
-    }
+    out.branches.push_back(std::move(branch));
   }
   return out;
 }

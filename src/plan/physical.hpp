@@ -1,18 +1,21 @@
 // The physical program: stage 3 of the compile pipeline (see ir.hpp).
 //
-// Lower() fuses contiguous same-engine runs of steps into pipeline
-// segments. A bitset-native segment (pf-frontier / core-linear) flows a
-// NodeBitset frontier from step to step in O(|D|) sweeps; a cvt segment
-// evaluates its steps per origin node through the context-value tables.
-// Between a bitset segment and a cvt segment sits an explicit
-// materialization boundary (NodeBitset ⇄ document-order NodeSet) — the only
-// points where representation conversion happens, so a mixed query pays for
-// generality exactly where it uses it.
+// Lower() turns every plan into one shape: a program per branch path of the
+// root (the root path, or each branch of a union of paths), each a list of
+// fused segments. Contiguous predicate-free and Core-predicate steps fuse
+// into one bitset segment that flows a NodeBitset frontier from step to
+// step in O(|D|) sweeps — labelled core-linear if any of its steps has a
+// predicate, pf-frontier otherwise; the two differ only in the condition
+// intersection. A cvt segment evaluates its steps per origin node through
+// the context-value tables. Between a bitset segment and a cvt segment sits
+// an explicit materialization boundary (NodeBitset ⇄ document-order
+// NodeSet) — the only points where representation conversion happens, so a
+// mixed query pays for generality exactly where it uses it. A uniform plan
+// is simply a one-segment program.
 //
-// A plan is *staged* only when it genuinely mixes routes (some segment
-// needs CVT and some does not). Uniform plans keep the classic whole-query
-// dispatch — same engines, same labels, zero overhead — so staging is a
-// strict refinement of whole-query dispatch.
+// The one exception is a scalar root (count(...), arithmetic, a
+// comparison): it has no path spine to sweep, so it has no branches and
+// runs whole on the cvt engine.
 //
 // Physical plans are immutable after Lower and safe to share across
 // threads; the PlanCache hands them out as shared_ptr<const Physical>.
@@ -52,15 +55,16 @@ struct CostModel {
 inline constexpr CostModel kDefaultCostModel{};
 
 /// A fused run of steps [step_begin, step_end) of one branch path, all
-/// executed by the same engine.
+/// executed by the same engine. A zero-step branch ("/") is one empty
+/// pf-frontier segment, so every branch has at least one segment.
 struct Segment {
   Route route = Route::kPfFrontier;
   int step_begin = 0;
   int step_end = 0;
 };
 
-/// The staged program for one top-level location path (the root path, or
-/// one branch of a root union).
+/// The program for one top-level location path (the root path, or one
+/// branch of a root union).
 struct BranchProgram {
   const xpath::PathExpr* path = nullptr;  // borrowed from Physical::query
   std::vector<Segment> segments;
@@ -73,27 +77,20 @@ struct Physical {
   xpath::FragmentReport fragment;  // whole-query report
   std::vector<StepPlan> steps;     // per-step annotations, by Step::id
 
-  /// Whole-query route — the dispatch used when the plan is not staged,
-  /// and what classic whole-query dispatch would have chosen regardless.
-  Route choice = Route::kCvt;
+  /// One program per branch path of the root, in union order; empty for a
+  /// scalar root, which runs whole on cvt.
+  std::vector<BranchProgram> branches;
 
-  /// True when execution runs the segment pipeline; false = single-engine.
-  bool staged = false;
-  std::vector<BranchProgram> branches;  // non-empty iff staged
-
-  /// The per-segment route list, e.g. "pf-frontier+cvt+pf-frontier"
-  /// (consecutive duplicates collapsed); for uniform plans this is just the
-  /// evaluator name. This is what Engine::Answer.evaluator reports.
+  /// The per-segment route list spelled by RouteName, e.g.
+  /// "pf-frontier+cvt+pf-frontier" (consecutive duplicates collapsed, also
+  /// across branches); a one-segment plan is its one route, a scalar root
+  /// "cvt". This is what Engine::Answer.evaluator reports.
   std::string route_label;
 
   /// Conservative tag/axis dependency set (see footprint.hpp) — what the
   /// mview answer cache and subscription manager key invalidation on.
   Footprint footprint;
 };
-
-/// The classic whole-query dispatch (Figure 1): PF → pf-frontier, Core XPath
-/// → core-linear, anything else → cvt.
-Route WholeQueryRoute(const xpath::FragmentReport& fragment);
 
 /// Stage 3: segment fusion. `logical` must be classified (ClassifyOps).
 Physical Lower(Logical logical);

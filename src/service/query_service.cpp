@@ -42,7 +42,6 @@ QueryService::QueryService(const Options& options)
       requests_(registry_.GetCounter("service.requests")),
       batches_(registry_.GetCounter("service.batches")),
       failures_(registry_.GetCounter("service.failures")),
-      staged_segments_(registry_.GetCounter("exec.staged_segments")),
       skipped_segments_(registry_.GetCounter("exec.skipped_segments")),
       latency_(registry_.GetHistogram("latency_ms")),
       stage_doc_lookup_(registry_.GetHistogram("metrics.stage.doc_lookup_ms")),
@@ -259,15 +258,15 @@ Result<QueryService::Answer> QueryService::Process(
   }
   const uint64_t t_cache = sampled ? obs::NowNs() : 0;
 
-  // Per-segment timings for staged plans; empty for everything else. The
-  // trace has exactly one entry per plan segment (skipped segments report
-  // 0.0s), so each segment records its route exactly once.
+  // Per-segment timings of the executed plan: exactly one entry per plan
+  // segment (skipped segments report 0.0s), so each segment records its
+  // route exactly once. Empty for the index fast path and cache hits.
   plan::ExecTrace exec_trace;
   bool indexed = false;
   const bool evaluated = !from_answer_cache;
   *evaluated_out = evaluated;
   const uint64_t t_exec_begin = evaluated ? obs::NowNs() : 0;
-  if (evaluated && options_.indexed_fast_path && plan->fragment.in_pf) {
+  if (evaluated && plan->fragment.in_pf) {
     if (auto nodes = TryIndexedPath(stored->index(), plan->query)) {
       answer.value = eval::Value::Nodes(std::move(*nodes));
       answer.fragment = plan->fragment;
@@ -277,8 +276,7 @@ Result<QueryService::Answer> QueryService::Process(
   }
   if (evaluated && !indexed) {
     auto run = engine.RunPlan(stored->doc(), *plan,
-                              eval::RootContext(stored->doc()),
-                              plan->staged ? &exec_trace : nullptr);
+                              eval::RootContext(stored->doc()), &exec_trace);
     if (!run.ok()) return fail(run.status());
     answer = std::move(run).value();
   }
@@ -292,21 +290,15 @@ Result<QueryService::Answer> QueryService::Process(
   const uint64_t t_insert = tracing_ && evaluated ? obs::NowNs() : 0;
   if (options_.answer_tap) options_.answer_tap(&answer);
 
-  // Route accounting: staged plans record each segment under its route,
-  // everything else records its single whole-query dispatch. An
-  // answer-cache hit executed nothing and records nothing.
-  if (evaluated && plan->staged) {
-    int64_t skipped = 0;
-    for (const plan::SegmentTiming& timing : exec_trace) {
-      RouteHistogram(timing.route)->Record(timing.seconds);
-      skipped += timing.skipped ? 1 : 0;
-    }
-    staged_segments_->Add(static_cast<int64_t>(exec_trace.size()));
-    if (skipped > 0) skipped_segments_->Add(skipped);
-  } else if (evaluated) {
-    (indexed ? routes_[0] : RouteHistogram(plan->choice))
-        ->RecordValue(t_exec - t_exec_begin);
+  // Route accounting from the trace alone, plus the index fast path as
+  // "pf-indexed". An answer-cache hit executed nothing and records nothing.
+  if (indexed) routes_[0]->RecordValue(t_exec - t_exec_begin);
+  int64_t skipped = 0;
+  for (const plan::SegmentTiming& timing : exec_trace) {
+    RouteHistogram(timing.route)->Record(timing.seconds);
+    skipped += timing.skipped ? 1 : 0;
   }
+  if (skipped > 0) skipped_segments_->Add(skipped);
 
   const uint64_t t_end = obs::NowNs();
   if (tracing_) {
@@ -326,13 +318,9 @@ Result<QueryService::Answer> QueryService::Process(
       slow.query = plan->canonical_text;
       slow.revision = static_cast<uint64_t>(stored->revision());
       slow.total_ms = total_ms;
-      if (plan->staged) {
-        for (const plan::SegmentTiming& timing : exec_trace) {
-          slow.routes.emplace_back(plan::RouteName(timing.route));
-        }
-      } else if (evaluated) {
-        slow.routes.emplace_back(indexed ? "pf-indexed"
-                                         : plan::RouteName(plan->choice));
+      if (indexed) slow.routes.emplace_back("pf-indexed");
+      for (const plan::SegmentTiming& timing : exec_trace) {
+        slow.routes.emplace_back(plan::RouteName(timing.route));
       }
       // The breakdown carries every span this request actually stamped:
       // the lookup stages when it was a sampled request, the execution

@@ -20,9 +20,9 @@
 //      lex/parse/classify),
 //   3. answer-cache lookup by (doc, revision, canonical plan) — a hit skips
 //      evaluation entirely and is byte-identical to running the plan,
-//   4. on miss, dispatch: the indexed PF fast path when the plan's shape
-//      allows it (evaluator label "pf-indexed"), otherwise the
-//      fragment-chosen engine exactly as Engine::Run would; the fresh
+//   4. on miss, execute: the indexed PF fast path when the plan's shape
+//      allows it (evaluator label "pf-indexed"), otherwise the plan's
+//      segment pipeline exactly as Engine::RunPlan runs it; the fresh
 //      answer is inserted into the answer cache.
 // Answer *values* are identical to a fresh Engine::Run of the same text.
 // The fragment report and evaluator label describe the cached plan, which
@@ -77,20 +77,17 @@ struct ServiceStats {
   /// skipped_disjoint,evaluations}.
   mview::SubscriptionManager::Counters subscriptions;
   /// How often each served route executed, keyed "pf-indexed",
-  /// "pf-frontier", "core-linear", "cvt" (always all four): a hybrid plan
-  /// counts once per segment, a uniform plan as its single whole-query
-  /// segment, the index fast path as "pf-indexed". Answer-cache hits
-  /// execute nothing and count nothing. These are the counts of the
-  /// routes.<route> latency histograms, recorded whether or not tracing is
-  /// on.
+  /// "pf-frontier", "core-linear", "cvt" (always all four): an evaluated
+  /// plan counts once per segment of its trace (a scalar root as its one
+  /// cvt segment), the index fast path as "pf-indexed". Answer-cache hits
+  /// execute nothing and count nothing; every successful evaluation counts
+  /// at least once. These are the counts of the routes.<route> latency
+  /// histograms, recorded whether or not tracing is on.
   std::map<std::string, int64_t> segment_route_counts;
   /// Whether per-stage tracing is on (Options::obs.tracing).
   bool tracing = false;
-  /// Segments dispatched by staged (hybrid) evaluated plans — the subset of
-  /// Σ segment_route_counts that went through the staged executor.
-  int64_t staged_segments = 0;
-  /// Those of them skipped because the frontier was already empty (see
-  /// plan/exec.hpp); the rest ran.
+  /// Plan segments skipped because the frontier was already empty (see
+  /// plan/exec.hpp); they are counted in segment_route_counts too.
   int64_t exec_skipped_segments = 0;
   /// Requests that crossed the slow-query threshold (including entries the
   /// bounded log has since evicted).
@@ -125,14 +122,12 @@ class QueryService {
     /// SubmitBatch), the calling thread included; 0 = every pool thread
     /// plus the caller. 1 serves every batch serially, in request order.
     int batch_workers = 0;
-    /// Answer eligible PF queries from the DocumentIndex ("pf-indexed").
-    bool indexed_fast_path = true;
     /// Request tracing: the sampled per-stage histograms, the update.*
     /// histograms and the slow-query log (see obs/trace.hpp). Total request
     /// latency and the per-route histograms are recorded regardless.
     obs::TraceOptions obs;
     /// Test-only fault-injection hook: invoked on every successful answer
-    /// (after dispatch or answer-cache hit, before counters/latency are
+    /// (after execution or answer-cache hit, before counters/latency are
     /// recorded) and may mutate it to simulate an engine defect. The soak
     /// harness uses this to prove its oracle catches semantic divergences.
     /// Fresh answers are cached *before* the tap runs, so the cache holds
@@ -308,8 +303,7 @@ class QueryService {
   obs::Counter* requests_;  // Submit calls + batched requests
   obs::Counter* batches_;
   obs::Counter* failures_;
-  obs::Counter* staged_segments_;
-  obs::Counter* skipped_segments_;  // the staged segments that did not run
+  obs::Counter* skipped_segments_;  // plan segments that did not run
   obs::Histogram* latency_;  // total request latency, always recorded
   /// How often and how long each served route ran, always recorded — only
   /// answer-cache misses execute a route, where evaluation amortizes the

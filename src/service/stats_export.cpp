@@ -152,7 +152,6 @@ ServiceStats ReadServiceStats(const Value& document) {
       number("subscriptions.skipped_disjoint");
   stats.subscriptions.evaluations = number("subscriptions.evaluations");
 
-  stats.staged_segments = number("exec.staged_segments");
   stats.exec_skipped_segments = number("exec.skipped_segments");
   if (const Value* routes = document.Find("routes")) {
     for (const auto& [route, summary] : routes->members()) {

@@ -665,10 +665,13 @@ class Replay {
               who + "hits+canonical_hits+misses+parse_failures != requests");
       require(stats.latency.count == stats.requests - stats.failures,
               who + "latency histogram count != successful requests");
-      require(stats.exec_skipped_segments <= stats.staged_segments,
-              who + "skipped segments exceed staged segments");
-      require(stats.staged_segments <= SumCounts(stats.segment_route_counts),
-              who + "staged segments exceed total segment dispatches");
+      // Every evaluated request records at least one route (a failed one
+      // may record none), and skipped segments record theirs too.
+      const int64_t routes = SumCounts(stats.segment_route_counts);
+      require(routes >= stats.answer_cache.misses - stats.failures,
+              who + "an evaluated request recorded no route");
+      require(stats.exec_skipped_segments <= routes,
+              who + "skipped segments exceed total segment dispatches");
       const auto& cache = stats.answer_cache;
       if (stats.answer_cache_enabled && stats.failures == 0) {
         require(cache.hits + cache.misses == stats.requests,

@@ -41,10 +41,11 @@
 //     its initial event.
 //   * Counters, per shard and in aggregate: requests and batches as routed
 //     (a batch counts once per shard it touches), one plan-cache lookup per
-//     request, latency samples per successful request, no more skipped
-//     staged segments than staged ones, answer-cache lookups and inserts,
-//     deliveries and subscription members (a prefix selector reaches every
-//     shard), evictions as observed through on_evict.
+//     request, latency samples per successful request, at least one route
+//     per evaluated request and no more skipped segments than routed ones,
+//     answer-cache lookups and inserts, deliveries and subscription members
+//     (a prefix selector reaches every shard), evictions as observed
+//     through on_evict.
 //   * Isolation. Each shard's store revision grows by exactly the churn on
 //     the documents it owns; a shard owning no churned document records no
 //     answer-cache invalidation, retention or remap; with the answer cache on,

@@ -39,8 +39,8 @@ struct FragmentShare {
 };
 
 /// The serving-realistic default mix: paths dominate, a tail of heavier
-/// fragments keeps every engine (pf-frontier/pf-indexed, core-linear,
-/// cvt-lazy) on the hook.
+/// fragments keeps every route (pf-frontier/pf-indexed, core-linear, cvt)
+/// on the hook.
 std::vector<FragmentShare> DefaultFragmentMix();
 
 struct WorkloadSpec {

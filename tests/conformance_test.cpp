@@ -1,8 +1,8 @@
 // Conformance mini-suite: (document, query, expected) triples transcribed
 // from the XPath 1.0 recommendation's prose and examples, adapted to this
 // data model (element-only dom, root = document element). Each case runs
-// through the Engine facade (classifier + dispatched evaluator) and through
-// the naive spec kernel.
+// through the Engine facade (per-step classifier + plan executor) and
+// through the naive spec kernel.
 
 #include <gtest/gtest.h>
 

@@ -68,6 +68,24 @@ TEST(CvtTablesTest, PositionalPredicateUsesFullContextTable) {
   EXPECT_TRUE(value->Equals(*expected));
 }
 
+TEST(CvtTablesTest, FullContextKeyHoldsPositionsPastTwoToTheTwenty) {
+  // A node-set of 2^20 + 1 nodes puts its last node at the second context,
+  // past the 20-bit fields of a packed 64-bit key: the cell must be keyed
+  // by the whole ⟨node, position, size⟩.
+  auto doc = xml::ParseDocument("<r><a/><b/></r>");
+  ASSERT_TRUE(doc.ok());
+  CvtEvaluator cvt;
+  xpath::Query query = MustParse("position() + 1 = last()");
+  for (const int64_t size : {(int64_t{1} << 20) - 1, (int64_t{1} << 20) + 1}) {
+    auto last = cvt.Evaluate(*doc, query, Context{0, size - 1, size});
+    ASSERT_TRUE(last.ok()) << last.status().ToString();
+    EXPECT_TRUE(last->boolean()) << size;
+    auto earlier = cvt.Evaluate(*doc, query, Context{0, size - 2, size});
+    ASSERT_TRUE(earlier.ok()) << earlier.status().ToString();
+    EXPECT_FALSE(earlier->boolean()) << size;
+  }
+}
+
 TEST(CvtTablesTest, EvaluatorReuseAcrossQueriesAndDocuments) {
   CvtEvaluator cvt;
   xml::Document doc1 = xml::BalancedDocument(2, 4);

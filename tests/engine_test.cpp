@@ -1,6 +1,6 @@
-// Engine facade tests: fragment-driven dispatch (Core queries to the linear
-// engine, everything else to context-value tables), parse error propagation,
-// and end-to-end answers.
+// Engine facade tests: per-step routing through the one executor (Core
+// predicates on the linear engine, everything else on context-value
+// tables), parse error propagation, and end-to-end answers.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +31,7 @@ TEST(EngineTest, DispatchesPositionalToCvt) {
   Engine engine;
   auto answer = engine.Run(doc, "/descendant::a[position() = 2]");
   ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->evaluator, "cvt-lazy");
+  EXPECT_EQ(answer->evaluator, "cvt");
   EXPECT_EQ(answer->fragment.smallest, xpath::Fragment::kPWF);
   EXPECT_EQ(answer->value.nodes(), (NodeSet{4}));
 }
@@ -43,6 +43,7 @@ TEST(EngineTest, ScalarAnswer) {
   ASSERT_TRUE(answer.ok());
   EXPECT_DOUBLE_EQ(answer->value.number(), 20.0);
   EXPECT_EQ(answer->fragment.smallest, xpath::Fragment::kFullXPath);
+  EXPECT_EQ(answer->evaluator, "cvt");
 }
 
 TEST(EngineTest, ParseErrorsPropagate) {
@@ -56,8 +57,9 @@ TEST(EngineTest, ParseErrorsPropagate) {
 TEST(EngineTest, CustomContext) {
   xml::Document doc = Doc();
   Engine engine;
-  xpath::Query query = xpath::MustParse("child::b");
-  auto answer = engine.Run(doc, query, Context{1, 1, 1});
+  auto plan = Engine::Compile("child::b");
+  ASSERT_TRUE(plan.ok());
+  auto answer = engine.RunPlan(doc, *plan, Context{1, 1, 1});
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->value.nodes(), (NodeSet{2, 3}));
 }
@@ -100,13 +102,10 @@ TEST(EngineTest, HybridPlansReportTheRouteList) {
 TEST(EngineTest, CompiledHybridPlanExposesSegments) {
   auto plan = Engine::Compile("/descendant::a/child::b[position() = 2]");
   ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->staged);
   ASSERT_EQ(plan->branches.size(), 1u);
   ASSERT_EQ(plan->branches[0].segments.size(), 2u);
   EXPECT_EQ(plan->branches[0].segments[0].route, plan::Route::kPfFrontier);
   EXPECT_EQ(plan->branches[0].segments[1].route, plan::Route::kCvt);
-  // The whole-query fallback route is what classic dispatch would pick.
-  EXPECT_EQ(plan->choice, plan::Route::kCvt);
   EXPECT_EQ(plan->route_label, "pf-frontier+cvt");
 }
 

@@ -6,6 +6,7 @@
 // semantics at its own complexity (the paper's central premise).
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -207,10 +208,12 @@ TEST(AgreementTest, NonRootContexts) {
   }
 }
 
-// Hybrid (staged) plans: generated mixed queries whose plans route
-// different subexpressions to different engines must still answer
+// Every plan shape through the one executor: generated queries of every
+// fragment — uniform PF and Core plans, hybrids whose subexpressions route
+// to different engines, unions and scalar roots — must answer
 // byte-identically to the naive oracle. This is the differential check for
-// the materialization boundaries of plan::ExecuteStaged.
+// the segment pipeline and its materialization boundaries
+// (plan::ExecuteStaged).
 TEST(StagedPlanAgreementTest, HybridPlansMatchTheNaiveOracle) {
   Rng rng(9001);
   xml::RandomDocumentOptions doc_options;
@@ -220,10 +223,10 @@ TEST(StagedPlanAgreementTest, HybridPlansMatchTheNaiveOracle) {
 
   NaiveEvaluator naive;
   Engine engine;
-  int staged_seen = 0;
+  int hybrids_seen = 0;
   for (Fragment fragment :
-       {Fragment::kPWF, Fragment::kWF, Fragment::kPXPath,
-        Fragment::kFullXPath}) {
+       {Fragment::kPF, Fragment::kCore, Fragment::kPWF, Fragment::kWF,
+        Fragment::kPXPath, Fragment::kFullXPath}) {
     xpath::RandomQueryOptions query_options;
     query_options.fragment = fragment;
     query_options.max_predicates_per_step = 2;
@@ -231,11 +234,9 @@ TEST(StagedPlanAgreementTest, HybridPlansMatchTheNaiveOracle) {
       Document doc = xml::RandomDocument(&rng, doc_options);
       Query query = xpath::RandomQuery(&rng, query_options);
       // The plan normalizes the query; compare against the oracle on the
-      // plan's own AST so the check isolates staged execution (Optimize
+      // plan's own AST so the check isolates plan execution (Optimize
       // soundness is the metamorphic suite's job).
       Engine::Plan plan = Engine::CompileParsed(std::move(query));
-      if (!plan.staged) continue;
-      ++staged_seen;
       auto expected = naive.EvaluateAtRoot(doc, plan.query);
       ASSERT_TRUE(expected.ok()) << plan.canonical_text;
       auto answer = engine.RunPlan(doc, plan);
@@ -245,13 +246,24 @@ TEST(StagedPlanAgreementTest, HybridPlansMatchTheNaiveOracle) {
           << answer->evaluator << " disagrees on " << plan.canonical_text
           << "\n  naive:  " << expected->DebugString()
           << "\n  staged: " << answer->value.DebugString();
-      EXPECT_NE(answer->evaluator.find('+'), std::string::npos)
-          << "staged plans must report a route list: " << answer->evaluator;
+      // A plan that uses more than one route reports the route list.
+      std::set<plan::Route> routes;
+      for (const plan::BranchProgram& branch : plan.branches) {
+        for (const plan::Segment& segment : branch.segments) {
+          routes.insert(segment.route);
+        }
+      }
+      if (routes.size() > 1) {
+        ++hybrids_seen;
+        EXPECT_NE(answer->evaluator.find('+'), std::string::npos)
+            << "multi-route plans must report a route list: "
+            << answer->evaluator;
+      }
     }
   }
   // The generators produce plenty of PF-spine + positional-predicate
-  // shapes; if this drops to zero the lowering stopped staging anything.
-  EXPECT_GT(staged_seen, 20);
+  // shapes; if this drops to zero the lowering stopped mixing routes.
+  EXPECT_GT(hybrids_seen, 20);
 }
 
 // The CVT evaluator must do polynomially bounded work: on the nested

@@ -261,7 +261,7 @@ TEST(ExportStatsTest, JsonRoundTripReconciles) {
       "/descendant::a[child::b]",                // PF with condition
       "count(/descendant::c)",                   // full XPath scalar
       "/descendant::b[position() = 2]",          // positional
-      "/descendant::a/child::b[position() = 1]/descendant::c",  // staged
+      "/descendant::a/child::b[position() = 1]/descendant::c",  // hybrid
   };
   int64_t requests = 0;
   for (int round = 0; round < 3; ++round) {
@@ -284,8 +284,9 @@ TEST(ExportStatsTest, JsonRoundTripReconciles) {
             static_cast<double>(requests));
 
   // Routes: exactly the four served routes. The first round ran each query
-  // once — the staged one once per segment — and the repeat rounds were
-  // answer-cache hits, which run no route.
+  // once — one route per plan segment, so the three-segment one three
+  // times — and the repeat rounds were answer-cache hits, which run no
+  // route.
   EXPECT_TRUE(root.FindPath("service.tracing")->AsBool());
   const json::Value* routes = root.Find("routes");
   ASSERT_NE(routes, nullptr);
@@ -298,9 +299,7 @@ TEST(ExportStatsTest, JsonRoundTripReconciles) {
     route_total += count->AsNumber();
   }
   EXPECT_EQ(root.FindPath("routes.pf-indexed.count")->AsNumber(), 1.0);
-  EXPECT_EQ(route_total,
-            static_cast<double>(queries.size()) - 1.0 +
-                root.FindPath("exec.staged_segments")->AsNumber());
+  EXPECT_EQ(route_total, static_cast<double>(queries.size()) - 1.0 + 3.0);
   EXPECT_EQ(root.Find("segment_route_counts"), nullptr);
   EXPECT_EQ(root.FindPath("metrics.request_latency_ms"), nullptr);
 
@@ -429,7 +428,7 @@ void RunGoldenScript(Service& service) {
     batch.push_back({key, "count(/descendant::c)"});             // cvt
     batch.push_back({key, "/descendant::a[not(child::c)]"});     // core
     batch.push_back(
-        {key, "/descendant::a/child::b[position() = 1]"});        // staged
+        {key, "/descendant::a/child::b[position() = 1]"});        // hybrid
   }
   batch.push_back({"missing", "/descendant::b"});  // unknown document
   batch.push_back({"doc0", "/descendant::"});      // parse failure
@@ -529,7 +528,7 @@ std::string GoldenLeaves(const Service& service) {
   return out;
 }
 
-const char kSingleServiceGolden[] = R"(answer_cache.bytes:number=2433
+const char kSingleServiceGolden[] = R"(answer_cache.bytes:number=2418
 answer_cache.declined:number=0
 answer_cache.enabled:bool=true
 answer_cache.entries:number=12
@@ -541,7 +540,6 @@ answer_cache.misses:number=25
 answer_cache.remapped:number=0
 answer_cache.retained:number=4
 exec.skipped_segments:number=0
-exec.staged_segments:number=12
 latency_ms:summary=29
 metrics.stage.answer_cache_lookup_ms:summary=1
 metrics.stage.cache_insert_ms:summary=25
@@ -596,7 +594,7 @@ subscriptions.fired:number=7
 subscriptions.skipped_disjoint:number=2
 )";
 
-const char kTwoShardRouterGolden[] = R"(answer_cache.bytes:number=2433
+const char kTwoShardRouterGolden[] = R"(answer_cache.bytes:number=2418
 answer_cache.declined:number=0
 answer_cache.enabled:bool=true
 answer_cache.entries:number=12
@@ -608,7 +606,6 @@ answer_cache.misses:number=23
 answer_cache.remapped:number=0
 answer_cache.retained:number=5
 exec.skipped_segments:number=0
-exec.staged_segments:number=12
 latency_ms:summary=29
 metrics.stage.answer_cache_lookup_ms:summary=2
 metrics.stage.cache_insert_ms:summary=23
@@ -642,7 +639,7 @@ service.slow_queries:number=29
 service.slow_query_threshold_ms:number
 service.tracing:bool=true
 sharding.shards:number=2
-shards.0.answer_cache.bytes:number=1614
+shards.0.answer_cache.bytes:number=1604
 shards.0.answer_cache.declined:number=0
 shards.0.answer_cache.enabled:bool=true
 shards.0.answer_cache.entries:number=8
@@ -654,7 +651,6 @@ shards.0.answer_cache.misses:number=12
 shards.0.answer_cache.remapped:number=0
 shards.0.answer_cache.retained:number=4
 shards.0.exec.skipped_segments:number=0
-shards.0.exec.staged_segments:number=6
 shards.0.latency_ms:summary=16
 shards.0.metrics.stage.answer_cache_lookup_ms:summary=1
 shards.0.metrics.stage.cache_insert_ms:summary=12
@@ -708,7 +704,7 @@ shards.0.subscriptions.coalesced:number=0
 shards.0.subscriptions.evaluations:number=4
 shards.0.subscriptions.fired:number=3
 shards.0.subscriptions.skipped_disjoint:number=2
-shards.1.answer_cache.bytes:number=819
+shards.1.answer_cache.bytes:number=814
 shards.1.answer_cache.declined:number=0
 shards.1.answer_cache.enabled:bool=true
 shards.1.answer_cache.entries:number=4
@@ -720,7 +716,6 @@ shards.1.answer_cache.misses:number=11
 shards.1.answer_cache.remapped:number=0
 shards.1.answer_cache.retained:number=1
 shards.1.exec.skipped_segments:number=0
-shards.1.exec.staged_segments:number=6
 shards.1.latency_ms:summary=13
 shards.1.metrics.stage.answer_cache_lookup_ms:summary=1
 shards.1.metrics.stage.cache_insert_ms:summary=11
@@ -811,7 +806,7 @@ subscriptions.fired:number=7
 subscriptions.skipped_disjoint:number=2
 )";
 
-const char kDurableTwoShardRouterGolden[] = R"(answer_cache.bytes:number=2433
+const char kDurableTwoShardRouterGolden[] = R"(answer_cache.bytes:number=2418
 answer_cache.declined:number=0
 answer_cache.enabled:bool=true
 answer_cache.entries:number=12
@@ -823,7 +818,6 @@ answer_cache.misses:number=23
 answer_cache.remapped:number=0
 answer_cache.retained:number=5
 exec.skipped_segments:number=0
-exec.staged_segments:number=12
 latency_ms:summary=29
 metrics.stage.answer_cache_lookup_ms:summary=2
 metrics.stage.cache_insert_ms:summary=23
@@ -864,7 +858,7 @@ service.slow_queries:number=29
 service.slow_query_threshold_ms:number
 service.tracing:bool=true
 sharding.shards:number=2
-shards.0.answer_cache.bytes:number=1614
+shards.0.answer_cache.bytes:number=1604
 shards.0.answer_cache.declined:number=0
 shards.0.answer_cache.enabled:bool=true
 shards.0.answer_cache.entries:number=8
@@ -876,7 +870,6 @@ shards.0.answer_cache.misses:number=12
 shards.0.answer_cache.remapped:number=0
 shards.0.answer_cache.retained:number=4
 shards.0.exec.skipped_segments:number=0
-shards.0.exec.staged_segments:number=6
 shards.0.latency_ms:summary=16
 shards.0.metrics.stage.answer_cache_lookup_ms:summary=1
 shards.0.metrics.stage.cache_insert_ms:summary=12
@@ -937,7 +930,7 @@ shards.0.subscriptions.coalesced:number=0
 shards.0.subscriptions.evaluations:number=4
 shards.0.subscriptions.fired:number=3
 shards.0.subscriptions.skipped_disjoint:number=2
-shards.1.answer_cache.bytes:number=819
+shards.1.answer_cache.bytes:number=814
 shards.1.answer_cache.declined:number=0
 shards.1.answer_cache.enabled:bool=true
 shards.1.answer_cache.entries:number=4
@@ -949,7 +942,6 @@ shards.1.answer_cache.misses:number=11
 shards.1.answer_cache.remapped:number=0
 shards.1.answer_cache.retained:number=1
 shards.1.exec.skipped_segments:number=0
-shards.1.exec.staged_segments:number=6
 shards.1.latency_ms:summary=13
 shards.1.metrics.stage.answer_cache_lookup_ms:summary=1
 shards.1.metrics.stage.cache_insert_ms:summary=11

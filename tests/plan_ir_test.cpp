@@ -1,13 +1,16 @@
 // The staged plan IR: normalize idempotence, per-subexpression
 // classification golden cases, segment lowering, and materialization-
-// boundary correctness (hybrid execution must be byte-identical to the
-// naive spec-reading oracle, from root and non-root contexts alike).
+// boundary correctness (every plan shape runs through the one executor and
+// must be byte-identical to the naive spec-reading oracle, from root and
+// non-root contexts alike).
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "eval/core_linear_evaluator.hpp"
+#include "eval/cvt_evaluator.hpp"
 #include "eval/engine.hpp"
 #include "eval/recursive_base.hpp"
 #include "plan/exec.hpp"
@@ -74,7 +77,6 @@ TEST(ClassifyOpsTest, AnnotatesEveryStepWithItsCheapestRoute) {
   EXPECT_FALSE(plan.steps[1].note.empty());
   EXPECT_EQ(plan.steps[2].route, Route::kPfFrontier);
 
-  EXPECT_TRUE(plan.staged);
   ASSERT_EQ(plan.branches.size(), 1u);
   ASSERT_EQ(plan.branches[0].segments.size(), 3u);
   EXPECT_EQ(plan.route_label, "pf-frontier+cvt+pf-frontier");
@@ -82,33 +84,61 @@ TEST(ClassifyOpsTest, AnnotatesEveryStepWithItsCheapestRoute) {
 
 TEST(ClassifyOpsTest, CorePredicatesStayOnTheBitsetPath) {
   // Core bexpr predicates (including not()) are condition-set evaluable:
-  // the plan stays uniform and keeps the classic whole-query dispatch.
+  // the Core step and the predicate-free step fuse into one bitset segment.
   Physical plan = CompileText("/descendant::a[not(child::b)]/child::c");
   EXPECT_EQ(plan.steps[0].route, Route::kCoreLinear);
   EXPECT_TRUE(plan.steps[0].core_predicates);
   EXPECT_EQ(plan.steps[1].route, Route::kPfFrontier);
-  EXPECT_FALSE(plan.staged) << "no CVT segment => no staging";
-  EXPECT_EQ(plan.choice, Route::kCoreLinear);
+  ASSERT_EQ(plan.branches.size(), 1u);
+  ASSERT_EQ(plan.branches[0].segments.size(), 1u);
+  EXPECT_EQ(plan.branches[0].segments[0].route, Route::kCoreLinear);
   EXPECT_EQ(plan.route_label, "core-linear");
 }
 
 TEST(ClassifyOpsTest, MixedPredicatesOnOneStepNeedCvt) {
   Physical plan = CompileText("/descendant::a[child::b][position() = 2]");
   EXPECT_EQ(plan.steps[0].route, Route::kCvt);
-  EXPECT_FALSE(plan.staged) << "uniform CVT => whole-query dispatch";
-  EXPECT_EQ(plan.route_label, "cvt-lazy");
+  ASSERT_EQ(plan.branches.size(), 1u);
+  ASSERT_EQ(plan.branches[0].segments.size(), 1u);
+  EXPECT_EQ(plan.route_label, "cvt");
 }
 
-TEST(ClassifyOpsTest, ScalarRootsKeepWholeQueryDispatch) {
+TEST(ClassifyOpsTest, ScalarRootsRunWholeOnCvt) {
   Physical plan = CompileText("count(/descendant::a[position() = 2])");
-  EXPECT_FALSE(plan.staged);
-  EXPECT_EQ(plan.choice, Route::kCvt);
+  EXPECT_TRUE(plan.branches.empty());
+  EXPECT_EQ(plan.route_label, "cvt");
+}
+
+TEST(LowerTest, UniformPlansAreOneSegmentPrograms) {
+  Physical pf = CompileText("/descendant::a/child::b");
+  ASSERT_EQ(pf.branches.size(), 1u);
+  ASSERT_EQ(pf.branches[0].segments.size(), 1u);
+  EXPECT_EQ(pf.branches[0].segments[0].step_end, 2);
+  EXPECT_EQ(pf.route_label, "pf-frontier");
+
+  // The root path "/" has no steps: one empty pf-frontier segment.
+  Physical root = CompileText("/");
+  ASSERT_EQ(root.branches.size(), 1u);
+  ASSERT_EQ(root.branches[0].segments.size(), 1u);
+  EXPECT_EQ(root.branches[0].segments[0].step_end, 0);
+  EXPECT_EQ(root.route_label, "pf-frontier");
+}
+
+TEST(LowerTest, BitsetRunsFuseAcrossPredicateFreeAndCoreSteps) {
+  // cvt, then a Core step and a predicate-free step: one bitset segment.
+  Physical plan = CompileText(
+      "/descendant::a[position() = 1]/child::b[child::c]/child::d");
+  ASSERT_EQ(plan.branches.size(), 1u);
+  ASSERT_EQ(plan.branches[0].segments.size(), 2u);
+  EXPECT_EQ(plan.branches[0].segments[1].route, Route::kCoreLinear);
+  EXPECT_EQ(plan.branches[0].segments[1].step_begin, 1);
+  EXPECT_EQ(plan.branches[0].segments[1].step_end, 3);
+  EXPECT_EQ(plan.route_label, "cvt+core-linear");
 }
 
 TEST(LowerTest, UnionBranchesLowerIndependently) {
   Physical plan =
       CompileText("/descendant::a[position() = 2]/child::b | /child::c");
-  EXPECT_TRUE(plan.staged);
   ASSERT_EQ(plan.branches.size(), 2u);
   ASSERT_EQ(plan.branches[0].segments.size(), 2u);
   EXPECT_EQ(plan.branches[0].segments[0].route, Route::kCvt);
@@ -116,9 +146,28 @@ TEST(LowerTest, UnionBranchesLowerIndependently) {
   ASSERT_EQ(plan.branches[1].segments.size(), 1u);
   EXPECT_EQ(plan.branches[1].segments[0].route, Route::kPfFrontier);
   EXPECT_EQ(plan.route_label, "cvt+pf-frontier");
+
+  // Uniform branches keep one segment each; the label lists them all.
+  Physical uniform = CompileText("/child::a | /descendant::b[child::c]");
+  ASSERT_EQ(uniform.branches.size(), 2u);
+  EXPECT_EQ(uniform.route_label, "pf-frontier+core-linear");
 }
 
 // ------------------------------------------------------------------ exec
+
+/// Runs `plan` on fresh engines, the way a new eval::Engine would.
+Result<eval::Value> Execute(const xml::Document& doc, const Physical& plan,
+                            const eval::Context& ctx,
+                            ExecTrace* trace = nullptr) {
+  eval::CoreLinearEvaluator linear;
+  eval::CvtEvaluator cvt;
+  return ExecuteStaged(doc, plan, ctx, &linear, &cvt, trace);
+}
+
+/// True when the plan runs on more than one route.
+bool IsHybrid(const Physical& plan) {
+  return plan.route_label.find('+') != std::string::npos;
+}
 
 /// Hybrid execution vs the naive oracle on the plan's own (normalized)
 /// query — byte-identical node sets required.
@@ -127,7 +176,7 @@ void ExpectStagedMatchesNaive(const xml::Document& doc, const Physical& plan,
   eval::NaiveEvaluator naive;
   auto expected = naive.Evaluate(doc, plan.query, ctx);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  auto actual = ExecuteStaged(doc, plan, ctx);
+  auto actual = Execute(doc, plan, ctx);
   ASSERT_TRUE(actual.ok()) << actual.status().ToString();
   EXPECT_TRUE(expected->Equals(*actual))
       << plan.canonical_text << "\n  naive:  " << expected->DebugString()
@@ -160,7 +209,7 @@ TEST(ExecTest, MaterializationBoundariesPreserveSemantics) {
     xml::Document doc = xml::RandomDocument(&rng, options);
     for (const char* text : queries) {
       Physical plan = CompileText(text);
-      ASSERT_TRUE(plan.staged) << text;
+      ASSERT_TRUE(IsHybrid(plan)) << text;
       ExpectStagedMatchesNaive(doc, plan, eval::RootContext(doc));
     }
   }
@@ -173,7 +222,7 @@ TEST(ExecTest, RelativePlansRespectTheContextNode) {
   options.tag_alphabet = 2;
   xml::Document doc = xml::RandomDocument(&rng, options);
   Physical plan = CompileText("child::t0[position() = 2]/descendant::t1");
-  ASSERT_TRUE(plan.staged);
+  ASSERT_TRUE(IsHybrid(plan));
   for (xml::NodeId start = 0; start < doc.size(); ++start) {
     ExpectStagedMatchesNaive(doc, plan, eval::Context{start, 1, 1});
   }
@@ -186,38 +235,58 @@ TEST(ExecTest, TraceHasOneEntryPerSegmentInPlanOrder) {
   options.chain_bias = 0.85;
   xml::Document doc = xml::RandomDocument(&rng, options);
   const eval::Context ctx = eval::RootContext(doc);
-  const char* queries[] = {
-      "/descendant::t0/descendant::t1/child::t2[position() = last()]"
-      "/child::t3",
-      "/descendant::t0/descendant::t1/child::t2[count(child::t3) = 1]",
+  constexpr Route kPf = Route::kPfFrontier;
+  constexpr Route kCore = Route::kCoreLinear;
+  constexpr Route kCvt = Route::kCvt;
+  const struct {
+    const char* text;
+    std::vector<Route> routes;
+  } cases[] = {
+      {"/descendant::t0/descendant::t1/child::t2[position() = last()]"
+       "/child::t3",
+       {kPf, kCvt, kPf}},
+      {"/descendant::t0/descendant::t1/child::t2[count(child::t3) = 1]",
+       {kPf, kCvt}},
       // No t9 in the document: the frontier empties after segment one.
-      "/descendant::t9/child::t1[position() = 1]/descendant::t2",
+      {"/descendant::t9/child::t1[position() = 1]/descendant::t2",
+       {kPf, kCvt, kPf}},
+      // A uniform PF plan: one segment.
+      {"/descendant::t0/child::t1", {kPf}},
+      // A Core step and predicate-free steps: one core-linear segment.
+      {"/descendant::t0[child::t1]/descendant::t2/child::t3", {kCore}},
+      // A union of uniform branches: one entry per branch segment.
+      {"/descendant::t0/child::t1 | /descendant::t2[not(child::t3)] | "
+       "/child::t1",
+       {kPf, kCore, kPf}},
+      // A scalar root runs whole on cvt: one entry.
+      {"count(/descendant::t1[position() = 2]) + 1", {kCvt}},
   };
   int skipped = 0;
-  for (const char* text : queries) {
-    Physical plan = CompileText(text);
-    ASSERT_TRUE(plan.staged) << text;
+  for (const auto& c : cases) {
+    Physical plan = CompileText(c.text);
     std::vector<Route> routes;
     for (const BranchProgram& branch : plan.branches) {
       for (const Segment& segment : branch.segments) {
         routes.push_back(segment.route);
       }
     }
+    if (plan.branches.empty()) routes.push_back(Route::kCvt);
+    EXPECT_EQ(routes, c.routes) << c.text;
     ExecTrace trace;
-    auto actual = ExecuteStaged(doc, plan, ctx, &trace);
-    ASSERT_TRUE(actual.ok()) << text << ": " << actual.status().ToString();
-    ASSERT_EQ(trace.size(), routes.size()) << text;
+    auto actual = Execute(doc, plan, ctx, &trace);
+    ASSERT_TRUE(actual.ok()) << c.text << ": " << actual.status().ToString();
+    ASSERT_EQ(trace.size(), c.routes.size()) << c.text;
     for (size_t i = 0; i < trace.size(); ++i) {
-      EXPECT_EQ(trace[i].route, routes[i]) << text << " segment " << i;
+      EXPECT_EQ(trace[i].route, c.routes[i]) << c.text << " segment " << i;
       if (trace[i].skipped) {
-        EXPECT_EQ(trace[i].seconds, 0.0) << text << " segment " << i;
+        EXPECT_EQ(trace[i].seconds, 0.0) << c.text << " segment " << i;
         ++skipped;
       }
     }
     eval::NaiveEvaluator naive;
     auto expected = naive.Evaluate(doc, plan.query, ctx);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    EXPECT_TRUE(expected->Equals(*actual)) << text;
+    EXPECT_TRUE(expected->Equals(*actual)) << c.text;
   }
   EXPECT_GE(skipped, 1);
 }

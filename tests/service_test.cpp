@@ -581,12 +581,11 @@ TEST(QueryServiceTest, StatsTrackEvaluatorsAndDocuments) {
 TEST(QueryServiceTest, UniformAndStagedCvtCountUnderOneRoute) {
   QueryService service;
   RegisterCorpus(service);
-  // A uniform cvt plan answers "cvt-lazy" (the engine's own name); a
-  // hybrid plan's cvt segment runs on the same engine. Both are the route
-  // "cvt" in the stats.
+  // A scalar root runs whole on cvt; a hybrid plan's cvt segment runs on
+  // the same engine. Both answer and count under the one route name "cvt".
   auto uniform = service.Submit("a", "count(/descendant::b)");
   ASSERT_TRUE(uniform.ok());
-  EXPECT_EQ(uniform->evaluator, "cvt-lazy");
+  EXPECT_EQ(uniform->evaluator, "cvt");
   auto hybrid = service.Submit("a", "/descendant::a/child::b[position() = 1]");
   ASSERT_TRUE(hybrid.ok());
   EXPECT_EQ(hybrid->evaluator, "pf-frontier+cvt");
@@ -594,7 +593,6 @@ TEST(QueryServiceTest, UniformAndStagedCvtCountUnderOneRoute) {
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.segment_route_counts.at("cvt"), 2);
   EXPECT_EQ(stats.segment_route_counts.at("pf-frontier"), 1);
-  EXPECT_EQ(stats.staged_segments, 2);
   auto document = obs::json::Parse(service.ExportStats(StatsFormat::kJson));
   ASSERT_TRUE(document.ok());
   EXPECT_EQ(document->FindPath("routes.cvt.count")->AsNumber(), 2.0);
@@ -611,8 +609,8 @@ TEST(QueryServiceTest, SegmentsAfterAnEmptyFrontierCountAsSkipped) {
   QueryService service;
   RegisterCorpus(service);
   // No element is named zz, so the frontier is empty after the first
-  // segment and the two segments after it are skipped. They still count
-  // as staged, each under its route.
+  // segment and the two segments after it are skipped. They still count,
+  // each under its route.
   auto answer = service.Submit(
       "a", "/descendant::zz/child::b[position() = 1]/descendant::c");
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
@@ -621,12 +619,9 @@ TEST(QueryServiceTest, SegmentsAfterAnEmptyFrontierCountAsSkipped) {
 
   auto document = obs::json::Parse(service.ExportStats(StatsFormat::kJson));
   ASSERT_TRUE(document.ok());
-  const double staged = document->FindPath("exec.staged_segments")->AsNumber();
-  const double skipped =
-      document->FindPath("exec.skipped_segments")->AsNumber();
-  EXPECT_EQ(staged, 3.0);
-  EXPECT_GE(skipped, 1.0);
-  EXPECT_LE(skipped, staged);
+  EXPECT_EQ(document->FindPath("routes.pf-frontier.count")->AsNumber(), 2.0);
+  EXPECT_EQ(document->FindPath("routes.cvt.count")->AsNumber(), 1.0);
+  EXPECT_EQ(document->FindPath("exec.skipped_segments")->AsNumber(), 2.0);
   EXPECT_EQ(service.Stats().exec_skipped_segments, 2);
 }
 
@@ -646,16 +641,6 @@ TEST(QueryServiceTest, PessimizedSpellingRunsCanonicalPlan) {
   PlanCache::Counters counters = service.plan_cache().counters();
   EXPECT_EQ(counters.misses, 1);  // one compile serves both spellings
   EXPECT_EQ(counters.hits, 1);    // the canonical text raw-hit the entry
-}
-
-TEST(QueryServiceTest, FastPathCanBeDisabled) {
-  QueryService::Options options;
-  options.indexed_fast_path = false;
-  QueryService service(options);
-  ASSERT_TRUE(service.RegisterXml("a", kDocA).ok());
-  auto answer = service.Submit("a", "/descendant::a/child::b");
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->evaluator, "pf-frontier");
 }
 
 }  // namespace

@@ -580,7 +580,7 @@ TEST(ShardedServiceTest, EveryRouterCountIsTheSumOverShards) {
     int checked = 0;
     ExpectLeavesSumOverShards(*parsed, "", shards->items(), &checked);
     // The sections a router always exports, plus the wal.* family.
-    EXPECT_GE(checked, durable ? 53 : 46) << "durable=" << durable;
+    EXPECT_GE(checked, durable ? 52 : 45) << "durable=" << durable;
   }
   std::filesystem::remove_all(dir);
 }

@@ -2,9 +2,9 @@
 // "gkx-stats-v2" document bench_soak writes via --stats-json=). Parses the
 // file back through obs::json, requires every top-level section the schema
 // promises, and re-proves offline the identities between counters that are
-// kept apart: latency samples vs successful requests, skipped vs staged
-// segments vs route counts, the wal.* family, and the sharded aggregate vs
-// its per-shard breakdown.
+// kept apart: latency samples vs successful requests, route counts vs
+// evaluated requests and skipped segments, the wal.* family, and the
+// sharded aggregate vs its per-shard breakdown.
 //
 //   ./check_stats_json BENCH_soak_stats.json
 //
@@ -78,20 +78,7 @@ int main(int argc, char** argv) {
     return Fail("latency_ms.count != service.requests - service.failures");
   }
 
-  // Staged-executor dispatch accounting, offline: a segment is skipped
-  // when its frontier is already empty, and only a staged segment can be.
-  for (const char* path : {"exec.staged_segments", "exec.skipped_segments"}) {
-    if (root.FindPath(path) == nullptr) {
-      return Fail(std::string("missing field \"") + path + "\"");
-    }
-  }
-  const double staged = root.FindPath("exec.staged_segments")->AsNumber();
-  if (root.FindPath("exec.skipped_segments")->AsNumber() > staged) {
-    return Fail("exec.skipped_segments > exec.staged_segments");
-  }
-
   // The route store: exactly the four served routes, each with a count.
-  // Staged segments are a subset of the route counts.
   const char* const kRoutes[] = {"pf-indexed", "pf-frontier", "core-linear",
                                  "cvt"};
   auto route_count = [](const gkx::obs::json::Value& doc, const char* route) {
@@ -107,8 +94,23 @@ int main(int argc, char** argv) {
     if (count < 0) return Fail(std::string("routes.") + route + " has no count");
     route_total += count;
   }
-  if (staged > route_total) {
-    return Fail("exec.staged_segments > sum(routes.*.count)");
+  for (const char* path : {"exec.skipped_segments", "answer_cache.misses"}) {
+    if (root.FindPath(path) == nullptr) {
+      return Fail(std::string("missing field \"") + path + "\"");
+    }
+  }
+  // Every evaluated request records at least one route: the index fast
+  // path one pf-indexed, a plan one per segment (skipped segments too, so
+  // they are a subset of the three engine routes' counts). A failed
+  // request may have missed the answer cache without recording any.
+  const double misses = root.FindPath("answer_cache.misses")->AsNumber();
+  if (route_total < misses - failures) {
+    return Fail(
+        "sum(routes.*.count) < answer_cache.misses - service.failures");
+  }
+  if (root.FindPath("exec.skipped_segments")->AsNumber() >
+      route_total - route_count(root, "pf-indexed")) {
+    return Fail("exec.skipped_segments > the engine routes' counts");
   }
 
   // Durable services export the wal.* family (src/wal/wal.hpp). The
