@@ -1,16 +1,19 @@
-// Shared experiment-harness helpers: the "paper says / we measure" header
-// and a column-aligned table printer. Header-only (every bench_*.cpp is its
-// own binary).
+// Shared experiment-harness helpers: the "paper says / we measure" header,
+// a column-aligned table printer, the BENCH_*.json emitter and the log-log
+// slope fit behind bench_paper's growth bars. Header-only (every
+// bench_*.cpp is its own binary).
 
 #ifndef GKX_BENCH_BENCH_UTIL_HPP_
 #define GKX_BENCH_BENCH_UTIL_HPP_
 
 #include <sys/resource.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -232,6 +235,67 @@ inline std::string Ratio(double value, int decimals = 2) {
 }
 
 inline std::string PassFail(bool ok) { return ok ? "ok" : "MISMATCH"; }
+
+/// Least-squares exponent k of y ≈ c·x^k, i.e. the slope of log y against
+/// log x. nullopt when the fit is undefined: fewer than two points, lengths
+/// that differ, fewer than two distinct x, or any x or y that is not a
+/// finite positive number. So a counter that reads zero fails every bar
+/// instead of fitting a slope.
+inline std::optional<double> LogLogSlope(const std::vector<double>& x,
+                                         const std::vector<double>& y) {
+  if (x.size() != y.size() || x.size() < 2) return std::nullopt;
+  double mean_x = 0;
+  double mean_y = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (!(x[i] > 0) || !(y[i] > 0) || !std::isfinite(x[i]) ||
+        !std::isfinite(y[i])) {
+      return std::nullopt;
+    }
+    mean_x += std::log(x[i]);
+    mean_y += std::log(y[i]);
+  }
+  mean_x /= static_cast<double>(x.size());
+  mean_y /= static_cast<double>(x.size());
+  double sxx = 0;
+  double sxy = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double dx = std::log(x[i]) - mean_x;
+    sxx += dx * dx;
+    sxy += dx * (std::log(y[i]) - mean_y);
+  }
+  if (!(sxx > 0)) return std::nullopt;
+  return sxy / sxx;
+}
+
+/// LogLogSlope of each consecutive pair of points. A polynomial's local
+/// slopes settle at its degree; a superpolynomial's keep rising.
+inline std::vector<std::optional<double>> LocalSlopes(
+    const std::vector<double>& x, const std::vector<double>& y) {
+  std::vector<std::optional<double>> slopes;
+  for (size_t i = 0; i + 1 < x.size() && i + 1 < y.size(); ++i) {
+    slopes.push_back(LogLogSlope({x[i], x[i + 1]}, {y[i], y[i + 1]}));
+  }
+  return slopes;
+}
+
+/// A growth bar on a fitted exponent: holds only when the fit exists and
+/// lies in [lo, hi]. A bar with lo > 0 expects growth, so a zero, constant
+/// or shrinking series fails it; pass -INFINITY for an upper bound alone.
+inline bool SlopeWithin(std::optional<double> slope, double lo, double hi) {
+  return slope.has_value() && *slope >= lo && *slope <= hi;
+}
+
+/// True when every local slope exists and each exceeds the one before
+/// (at least two of them): the signature of superpolynomial growth over
+/// the measured range.
+inline bool SlopesRise(const std::vector<std::optional<double>>& slopes) {
+  if (slopes.size() < 2) return false;
+  for (size_t i = 0; i < slopes.size(); ++i) {
+    if (!slopes[i].has_value()) return false;
+    if (i > 0 && !(*slopes[i] > *slopes[i - 1])) return false;
+  }
+  return true;
+}
 
 }  // namespace gkx::bench
 

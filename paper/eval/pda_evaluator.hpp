@@ -29,7 +29,7 @@
 namespace gkx::eval {
 
 /// Per-run counters for the Table 1 consistency-check rows — the
-/// bench_table1_pda experiment reports how often each row fires.
+/// Table 1 section of bench_paper reports how often each row fires.
 struct Table1Stats {
   int64_t locstep = 0;        // χ::t (last step, no predicate)
   int64_t step_predicate = 0; // χ::t[e]

@@ -427,14 +427,8 @@ void Wal::CommitterLoop() {
   for (;;) {
     work_cv_.wait(lock, [&] { return stop_ || !buffer_.empty(); });
     if (buffer_.empty()) return;  // stop requested and everything flushed
-    if (options_.group_commit_window_us > 0 && !stop_) {
-      // The batching window: concurrent writers enqueue into buffer_ while
-      // we hold off, so one fsync below covers all of them.
-      work_cv_.wait_for(
-          lock, std::chrono::microseconds(options_.group_commit_window_us),
-          [&] { return stop_; });
-      if (buffer_.empty()) continue;  // a simulated crash drained it
-    }
+    // Everything pending is one batch: under concurrent writers, the
+    // records that queued while the previous write + fdatasync ran.
     std::string batch;
     batch.swap(buffer_);
     const int64_t batch_seq = enqueued_seq_;

@@ -14,11 +14,12 @@
 // at the moment the revision is assigned — Enqueue() stamps the revision
 // and appends the frame to an in-memory commit buffer. Journal order is
 // therefore exactly revision order. A dedicated committer thread wakes on
-// the first pending record, sleeps the group-commit window so concurrent
-// writers pile on, then write()s + fdatasync()s the whole batch and
-// advances the durable sequence; WaitDurable(ticket) blocks the mutating
-// caller (outside the store lock) until its record's batch is durable. One
-// fsync thus covers every mutation that arrived within the window — the
+// the first pending record and at once write()s + fdatasync()s everything
+// pending, then advances the durable sequence; WaitDurable(ticket) blocks
+// the mutating caller (outside the store lock) until its record's batch is
+// durable. There is no timed batching window: the records that arrive
+// while one write + fdatasync runs form the next batch, so a lone writer
+// pays one fsync per record and concurrent writers share one — the
 // amortization that keeps durable update throughput within reach of the
 // in-memory rate (bench_wal self-checks >= 0.5x).
 //
@@ -69,10 +70,6 @@ namespace gkx::wal {
 struct WalOptions {
   /// Directory holding journal + manifest + snapshots; created if missing.
   std::string dir;
-  /// How long the committer waits after the first pending record before
-  /// flushing, letting concurrent writers join the batch. 0 flushes
-  /// immediately (lowest latency, one fsync per record under light load).
-  int64_t group_commit_window_us = 200;
   /// fdatasync every batch. Turning this off keeps the journal bytes
   /// correct but loses the durability guarantee — only for tests/benches
   /// isolating the fsync cost.

@@ -198,7 +198,8 @@ TEST(ParallelPdaTest, MatchesSequentialAndScalesThreads) {
   auto expected = sequential.EvaluateNodeSet(doc, query);
   ASSERT_TRUE(expected.ok());
   for (int threads : {1, 2, 4, 8}) {
-    ParallelPdaEvaluator parallel{ParallelPdaEvaluator::Options{.threads = threads}};
+    ParallelPdaEvaluator parallel{
+        ParallelPdaEvaluator::Options{.threads = threads, .pda = {}}};
     auto actual = parallel.EvaluateNodeSet(doc, query);
     ASSERT_TRUE(actual.ok()) << threads;
     EXPECT_EQ(*actual, *expected) << threads << " threads";

@@ -5,8 +5,8 @@
 // evaluation (Get hands out shared_ptrs).
 //
 // Race coverage is strongest under ThreadSanitizer:
-//   cmake -B build-tsan -S . -DGKX_SANITIZE=thread && \
-//   cmake --build build-tsan --target store_churn_test && \
+//   cmake -B build-tsan -S . -DGKX_SANITIZE=thread
+//   cmake --build build-tsan --target store_churn_test
 //   ./build-tsan/store_churn_test
 // (see README "Testing & soak"). The assertions below are also meaningful
 // without TSan: a torn snapshot produces an answer matching no revision.

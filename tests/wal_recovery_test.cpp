@@ -61,7 +61,6 @@ std::unique_ptr<Wal> OpenOk(const std::string& dir,
                             RecoveryReport* report) {
   WalOptions options;
   options.dir = dir;
-  options.group_commit_window_us = 50;
   auto wal = Wal::OpenAndRecover(options, store, report);
   EXPECT_TRUE(wal.ok()) << wal.status().ToString();
   return wal.ok() ? std::move(wal).value() : nullptr;
@@ -109,7 +108,6 @@ TEST(WalRecoverySoakTest, KillCheckpointReopenRoundsLoseNothing) {
   options.rounds = 5;
   options.threads = 4;
   options.wal_dir = TempDirFor("soak");
-  options.service.wal.group_commit_window_us = 100;
   options.service.wal.checkpoint_every_bytes = 96 << 10;
   auto report = testkit::RunSoak(*schedule, options);
   EXPECT_TRUE(report.ok()) << report.Summary();
@@ -143,7 +141,6 @@ TEST(WalRecoverySoakTest, TwoShardCrashRoundsKeepServingOracleAnswers) {
   options.threads = 4;
   options.standing_queries = 2;
   options.wal_dir = TempDirFor("two_shards");
-  options.service.wal.group_commit_window_us = 100;
   auto report = testkit::RunSoak(*schedule, options);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_EQ(report.crashes, 2);

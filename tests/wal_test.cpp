@@ -287,7 +287,6 @@ TEST(WalGroupCommitTest, ConcurrentWritersAllDurable) {
     service::DocumentStore store;
     WalOptions options;
     options.dir = dir;
-    options.group_commit_window_us = 100;
     RecoveryReport report;
     auto wal = Wal::OpenAndRecover(options, &store, &report);
     ASSERT_TRUE(wal.ok()) << wal.status().ToString();
