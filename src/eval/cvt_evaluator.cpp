@@ -59,7 +59,9 @@ Status CvtEvaluator::Prepare() {
 
 bool CvtEvaluator::LookupMemo(const Expr& expr, const Context& ctx, Value* out) {
   const size_t id = static_cast<size_t>(expr.id());
-  switch (analysis_.traits(expr).dependence) {
+  const xpath::ExprTraits& traits = analysis_.traits(expr);
+  if (traits.position_only()) return false;  // recomputed, never tabled
+  switch (traits.dependence) {
     case ContextDependence::kNone: {
       if (!constant_[id].has_value()) return false;
       *out = *constant_[id];
@@ -85,9 +87,11 @@ bool CvtEvaluator::LookupMemo(const Expr& expr, const Context& ctx, Value* out) 
 void CvtEvaluator::StoreMemo(const Expr& expr, const Context& ctx,
                              const Value& value) {
   const size_t id = static_cast<size_t>(expr.id());
+  const xpath::ExprTraits& traits = analysis_.traits(expr);
+  if (traits.position_only()) return;
   // The entry count reflects genuine inserts only.
   bool inserted = false;
-  switch (analysis_.traits(expr).dependence) {
+  switch (traits.dependence) {
     case ContextDependence::kNone:
       if (!constant_[id].has_value()) {
         constant_[id] = value;

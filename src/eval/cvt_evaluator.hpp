@@ -5,15 +5,30 @@
 // Static analysis decides what a context is for each subexpression:
 //   * constants and absolute paths        -> a single cell,
 //   * anything position()/last()-free     -> keyed by the context node,
-//   * position()/last()-dependent         -> keyed by ⟨node, pos, size⟩.
+//   * position()/last()-dependent and
+//     reading the document                -> keyed by ⟨node, pos, size⟩,
+//   * position-only (position()/last()
+//     arithmetic, no path, no zero-argument
+//     string()/number()/name()/...)       -> recomputed, not tabled.
 // Tables are filled on demand (lazy mode) or by a bottom-up pass over all
 // nodes (eager mode — the literal bottom-up algorithm of [3]; tables for
 // position-dependent predicates are always demand-filled with exactly the
 // contexts that arise, which is the paper's "one tuple for each meaningful
 // context"). Both modes share the semantics kernel of RecursiveEvaluatorBase,
 // so they agree with the naive evaluator by construction; the complexity
-// drops from exponential to polynomial because each (expression, context)
-// pair is computed at most once.
+// drops from exponential to polynomial because each tabled (expression,
+// context) pair is computed at most once.
+//
+// Why position-only expressions may go untabled without losing Prop 2.7's
+// polynomial bound: such an expression e is a pure function of the
+// context's position and size, and everything below it is position-only or
+// a constant cell, so one evaluation costs O(|e|). Each evaluation of e is
+// asked for by one evaluation of its parent: a tabled cell, computed at most
+// once per context, or one ⟨origin, candidate⟩ predicate test in ApplyStep,
+// which the tabled algorithm makes as well. Recomputing where a table would
+// look up therefore multiplies the work by at most |Q|. And such a cell is
+// almost never read back: a ⟨node, position, size⟩ recurs only when a node
+// is reached again at the same rank of a candidate list of the same size.
 
 #ifndef GKX_EVAL_CVT_EVALUATOR_HPP_
 #define GKX_EVAL_CVT_EVALUATOR_HPP_
@@ -55,7 +70,7 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   Options options_{};
   xpath::QueryAnalysis analysis_;
   // Per expression id: one of the three table shapes (selected by the
-  // expression's context dependence).
+  // expression's context dependence); position-only expressions use none.
   std::vector<std::optional<Value>> constant_;
   std::vector<std::unordered_map<xml::NodeId, Value>> by_node_;
   // Position-dependent cells are keyed by the full ⟨node, position, size⟩,

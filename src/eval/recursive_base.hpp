@@ -22,7 +22,9 @@ class RecursiveEvaluatorBase : public Evaluator {
                          const Context& ctx) override;
 
   /// Number of expression evaluations performed by the last Evaluate call
-  /// (memo hits excluded) — the work measure the experiments report.
+  /// (memo hits excluded) — the work measure the experiments report. An
+  /// expression CvtEvaluator does not table (a position-only one) counts
+  /// once per evaluation, not once per context.
   int64_t last_eval_count() const { return eval_count_; }
 
   /// Binds doc/query (resolving node tests, resetting counters, running the

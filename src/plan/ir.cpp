@@ -19,7 +19,8 @@ std::string_view RouteName(Route route) {
 }
 
 Logical Normalize(xpath::Query parsed) {
-  Logical out{xpath::Optimize(parsed)};
+  Logical out{xpath::Optimize(parsed), /*canonical_text=*/{},
+              /*classified=*/false, /*fragment=*/{}, /*steps=*/{}};
   out.canonical_text = xpath::ToXPathString(out.query);
   return out;
 }

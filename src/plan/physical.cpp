@@ -80,10 +80,9 @@ bool CollectPaths(const xpath::Expr& expr,
 
 Physical Lower(Logical logical) {
   GKX_CHECK(logical.classified);
-  Physical out{std::move(logical.query)};
-  out.canonical_text = std::move(logical.canonical_text);
-  out.fragment = std::move(logical.fragment);
-  out.steps = std::move(logical.steps);
+  Physical out{std::move(logical.query), std::move(logical.canonical_text),
+               std::move(logical.fragment), std::move(logical.steps),
+               /*branches=*/{}, /*route_label=*/{}, /*footprint=*/{}};
   out.footprint = ExtractFootprint(out.query);
 
   std::vector<const xpath::PathExpr*> paths;

@@ -1,13 +1,15 @@
-// Context-value-table internals: table shapes by dependence class, entry
-// accounting, eager-vs-lazy behavior, evaluator reuse across documents and
-// queries, and the deep-document robustness of the whole xml+eval stack
-// (iterative builder/serializer, chain documents thousands of nodes deep).
+// Context-value-table internals: table shapes by dependence class (and the
+// position-only expressions that get none), entry accounting,
+// eager-vs-lazy behavior, evaluator reuse across documents and queries, and
+// the deep-document robustness of the whole xml+eval stack (iterative
+// builder/serializer, chain documents thousands of nodes deep).
 
 #include <gtest/gtest.h>
 
 #include "eval/cvt_evaluator.hpp"
 #include "eval/pf_evaluator.hpp"
 #include "eval/recursive_base.hpp"
+#include "xml/builder.hpp"
 #include "xml/generator.hpp"
 #include "xml/parser.hpp"
 #include "xml/serializer.hpp"
@@ -18,6 +20,15 @@ namespace gkx::eval {
 namespace {
 
 using xpath::MustParse;
+
+/// `<r>` with `children` `<a/>` children: the root is node 0, child i is
+/// node i.
+xml::Document FlatDocument(int32_t children) {
+  xml::TreeBuilder builder("r");
+  builder.Reserve(children + 1);
+  for (int32_t i = 0; i < children; ++i) builder.AddChild(builder.root(), "a");
+  return std::move(builder).Build();
+}
 
 TEST(CvtTablesTest, ConstantQueryUsesOneCell) {
   xml::Document doc = xml::BalancedDocument(2, 6);
@@ -53,15 +64,41 @@ TEST(CvtTablesTest, LazyTouchesOnlyReachableContexts) {
   EXPECT_GT(eager.last_table_entries(), doc.size());
 }
 
+TEST(CvtTablesTest, PositionOnlyPredicateStoresNoCells) {
+  // ([position() = last()] would take ApplyStep's positional fast path and
+  // never evaluate its predicate; + 1 keeps the predicate evaluated.)
+  xml::Document doc = xml::BalancedDocument(3, 3);
+  xpath::Query query = MustParse("descendant::*[position() + 1 = last()]");
+  NaiveEvaluator naive;
+  auto expected = naive.EvaluateAtRoot(doc, query);
+  ASSERT_TRUE(expected.ok());
+  CvtEvaluator lazy;
+  auto value = lazy.EvaluateAtRoot(doc, query);
+  ASSERT_TRUE(value.ok());
+  EXPECT_TRUE(value->Equals(*expected));
+  // The path's cell at the root and the literal 1's constant cell; the
+  // predicate is recomputed at each of its |D| - 1 contexts.
+  EXPECT_EQ(lazy.last_table_entries(), 2);
+  // Eager fills the path's table at all |D| nodes, and still tables none of
+  // the predicate's contexts.
+  CvtEvaluator eager{CvtEvaluator::Options{.eager = true}};
+  auto eager_value = eager.EvaluateAtRoot(doc, query);
+  ASSERT_TRUE(eager_value.ok());
+  EXPECT_TRUE(eager_value->Equals(*expected));
+  EXPECT_EQ(eager.last_table_entries(), doc.size() + 1);
+}
+
 TEST(CvtTablesTest, PositionalPredicateUsesFullContextTable) {
   xml::Document doc = xml::BalancedDocument(3, 3);
+  xpath::Query query =
+      MustParse("descendant::*[child::* and position() + 1 = last()]");
   CvtEvaluator cvt;
-  xpath::Query query = MustParse("descendant::*[position() = last()]");
   auto value = cvt.EvaluateAtRoot(doc, query);
   ASSERT_TRUE(value.ok());
-  // The predicate context includes position/size; entries exceed |D| since
-  // the same node occurs at different (pos, size) pairs.
-  EXPECT_GT(cvt.last_table_entries(), 0);
+  // The conjunction reads a path, so it has one ⟨node, position, size⟩ cell
+  // per candidate (|D| - 1), and child::* one cell per candidate node; add
+  // the path's cell and the literal's. Its position arithmetic has none.
+  EXPECT_EQ(cvt.last_table_entries(), 2 * int64_t{doc.size()});
   NaiveEvaluator naive;
   auto expected = naive.EvaluateAtRoot(doc, query);
   ASSERT_TRUE(expected.ok());
@@ -71,18 +108,44 @@ TEST(CvtTablesTest, PositionalPredicateUsesFullContextTable) {
 TEST(CvtTablesTest, FullContextKeyHoldsPositionsPastTwoToTheTwenty) {
   // A node-set of 2^20 + 1 nodes puts its last node at the second context,
   // past the 20-bit fields of a packed 64-bit key: the cell must be keyed
-  // by the whole ⟨node, position, size⟩.
+  // by the whole ⟨node, position, size⟩. The conjunction reads a path, so
+  // it is tabled; each context below adds exactly its one cell.
   auto doc = xml::ParseDocument("<r><a/><b/></r>");
   ASSERT_TRUE(doc.ok());
   CvtEvaluator cvt;
-  xpath::Query query = MustParse("position() + 1 = last()");
+  xpath::Query query = MustParse("child::* and position() + 1 = last()");
+  const xml::NodeId root = doc->root();
+  // The first context also stores child::* and the literal 1.
+  int64_t entries = 2;
   for (const int64_t size : {(int64_t{1} << 20) - 1, (int64_t{1} << 20) + 1}) {
-    auto last = cvt.Evaluate(*doc, query, Context{0, size - 1, size});
+    auto last = cvt.Evaluate(*doc, query, Context{root, size - 1, size});
     ASSERT_TRUE(last.ok()) << last.status().ToString();
     EXPECT_TRUE(last->boolean()) << size;
-    auto earlier = cvt.Evaluate(*doc, query, Context{0, size - 2, size});
+    EXPECT_EQ(cvt.last_table_entries(), ++entries) << size;
+    auto earlier = cvt.Evaluate(*doc, query, Context{root, size - 2, size});
     ASSERT_TRUE(earlier.ok()) << earlier.status().ToString();
     EXPECT_FALSE(earlier->boolean()) << size;
+    EXPECT_EQ(cvt.last_table_entries(), ++entries) << size;
+  }
+}
+
+TEST(CvtTablesTest, WidePositionalQueryStoresOnlyThePathCells) {
+  // Tabling the predicate per ⟨node, position, size⟩ would store four cells
+  // per child: on 1.1M children, ~3 s and +505 MiB for one request.
+  const xpath::Query query =
+      MustParse("/descendant::*[(position() + 1) = last()]");
+  for (const int32_t children : {1000, 200000}) {
+    const xml::Document doc = FlatDocument(children);
+    for (const bool eager : {false, true}) {
+      CvtEvaluator cvt{CvtEvaluator::Options{.eager = eager}};
+      auto value = cvt.EvaluateAtRoot(doc, query);
+      ASSERT_TRUE(value.ok()) << value.status().ToString();
+      ASSERT_TRUE(value->is_node_set());
+      ASSERT_EQ(value->nodes().size(), 1u) << children;
+      EXPECT_EQ(value->nodes()[0], children - 1) << children;
+      // The absolute path's one cell and the literal 1's, at any width.
+      EXPECT_EQ(cvt.last_table_entries(), 2) << children << " " << eager;
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "eval/pda_evaluator.hpp"
 #include "eval/recursive_base.hpp"
 #include "plan/physical.hpp"
+#include "testkit/workload.hpp"
 #include "xml/generator.hpp"
 #include "xpath/fragment.hpp"
 #include "xpath/generator.hpp"
@@ -293,6 +295,99 @@ TEST(ComplexityContrastTest, CvtMemoizationBoundsWork) {
   EXPECT_GT(naive_deep, naive_shallow * 8);
   EXPECT_LT(cvt_deep, cvt_shallow * 32);
   EXPECT_LT(cvt_deep, naive_deep / 8);
+}
+
+// The same contrast when every level mixes a path with position arithmetic:
+//   depth 0: descendant::t0
+//   depth k: descendant::t0[position() + 1 != last() and <depth k-1>]
+// Each conjunction reads a path, so it is tabled per ⟨node, position,
+// size⟩; its position arithmetic is not tabled and is recomputed once per
+// conjunction cell, which keeps the cvt count polynomial in the depth.
+TEST(ComplexityContrastTest, PositionArithmeticUnderPathsStaysPolynomial) {
+  Document doc = xml::ChainDocument(20, /*tag_alphabet=*/1);
+  auto query_of_depth = [](int depth) {
+    std::string text = "descendant::t0";
+    for (int level = 0; level < depth; ++level) {
+      text = "descendant::t0[position() + 1 != last() and " + text + "]";
+    }
+    return xpath::MustParse(text);
+  };
+  NaiveEvaluator naive;
+  CvtEvaluator cvt;
+  std::vector<int64_t> naive_counts;
+  std::vector<int64_t> cvt_counts;
+  for (int depth = 1; depth <= 5; ++depth) {
+    const Query query = query_of_depth(depth);
+    auto expected = naive.EvaluateAtRoot(doc, query);
+    ASSERT_TRUE(expected.ok());
+    auto actual = cvt.EvaluateAtRoot(doc, query);
+    ASSERT_TRUE(actual.ok());
+    EXPECT_TRUE(expected->Equals(*actual)) << depth;
+    // Every level stays satisfiable on the chain.
+    EXPECT_FALSE(actual->nodes().empty()) << depth;
+    naive_counts.push_back(naive.last_eval_count());
+    cvt_counts.push_back(cvt.last_eval_count());
+  }
+  // Depths 1..5 read 133, 1,306, 7,834, 33,334 and 107,590 naive
+  // evaluations, and 115, 983, 1,760, 2,451 and 3,061 cvt evaluations:
+  // cvt stays within depth × its depth-2 count.
+  EXPECT_GT(naive_counts[4], naive_counts[1] * 8);
+  for (size_t depth = 2; depth <= 5; ++depth) {
+    EXPECT_LE(cvt_counts[depth - 1],
+              cvt_counts[1] * static_cast<int64_t>(depth))
+        << depth;
+  }
+  EXPECT_LT(cvt_counts[4], naive_counts[4] / 8);
+}
+
+// The 96-query pool of the served benchmark, drawn the way wirebench draws
+// it (testkit::CompileWorkload at pool seed 1, default fragment mix, one
+// one-node document), on a few small random documents: the served executor
+// (Engine::RunPlan) and both cvt modes must answer like the naive oracle.
+TEST(ServedPoolAgreementTest, ExecutorAndBothCvtModesMatchTheNaiveOracle) {
+  testkit::WorkloadSpec pool_spec;
+  pool_spec.seed = 1;
+  pool_spec.operations = 1;
+  pool_spec.documents = 1;
+  pool_spec.min_document_nodes = pool_spec.max_document_nodes = 1;
+  pool_spec.queries = 96;
+  pool_spec.churn_probability = 0.0;
+  auto pool = testkit::CompileWorkload(pool_spec);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  ASSERT_EQ(pool->queries.size(), 96u);
+
+  std::vector<Engine::Plan> plans;
+  for (const std::string& text : pool->queries) {
+    auto plan = Engine::Compile(text);
+    ASSERT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
+    plans.push_back(std::move(plan).value());
+  }
+  Rng rng(2003);
+  xml::RandomDocumentOptions doc_options = pool_spec.document_options;
+  NaiveEvaluator naive;
+  CvtEvaluator lazy;
+  CvtEvaluator eager{CvtEvaluator::Options{.eager = true}};
+  Engine engine;
+  for (const int32_t nodes : {40, 90, 160}) {
+    doc_options.node_count = nodes;
+    const Document doc = xml::RandomDocument(&rng, doc_options);
+    for (const Engine::Plan& plan : plans) {
+      auto expected = naive.EvaluateAtRoot(doc, plan.query);
+      ASSERT_TRUE(expected.ok()) << plan.canonical_text;
+      auto served = engine.RunPlan(doc, plan);
+      ASSERT_TRUE(served.ok()) << plan.canonical_text;
+      EXPECT_TRUE(expected->Equals(served->value))
+          << served->evaluator << " disagrees on " << plan.canonical_text
+          << " at |D| " << nodes;
+      for (CvtEvaluator* cvt : {&lazy, &eager}) {
+        auto actual = cvt->EvaluateAtRoot(doc, plan.query);
+        ASSERT_TRUE(actual.ok()) << plan.canonical_text;
+        EXPECT_TRUE(expected->Equals(*actual))
+            << cvt->name() << " disagrees on " << plan.canonical_text
+            << " at |D| " << nodes;
+      }
+    }
+  }
 }
 
 }  // namespace
