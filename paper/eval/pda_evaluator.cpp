@@ -30,6 +30,17 @@ uint64_t ExistsKey(int expr_id, xml::NodeId n) {
   return (static_cast<uint64_t>(expr_id) << 24) | static_cast<uint64_t>(n);
 }
 
+/// Packs a context into a 64-bit memo key. Limits: |D| < 2^24 nodes and
+/// positions/sizes < 2^20 (checked).
+uint64_t PackContext(const Context& ctx) {
+  GKX_CHECK(ctx.node >= 0 && ctx.node < (1 << 24));
+  GKX_CHECK(ctx.position >= 0 && ctx.position < (1 << 20));
+  GKX_CHECK(ctx.size >= 0 && ctx.size < (1 << 20));
+  return (static_cast<uint64_t>(ctx.node) << 40) |
+         (static_cast<uint64_t>(ctx.position) << 20) |
+         static_cast<uint64_t>(ctx.size);
+}
+
 }  // namespace
 
 Status PdaEvaluator::Bind(const xml::Document& doc, const xpath::Query& query) {

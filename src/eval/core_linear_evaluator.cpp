@@ -1,6 +1,10 @@
 #include "eval/core_linear_evaluator.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,12 +35,84 @@ void ForEachMember(const NodeBitset& set, Fn&& fn) {
   }
 }
 
-/// Sparse-frontier gate. The per-node sweeps are O(|D|) regardless of the
-/// frontier; the member walks below are O(|frontier| + output). A member
-/// walk touching ~4 nodes per member beats a full per-node pass whenever
-/// members*4 < |D|.
+/// Member-count selector for the axes that keep two forms (child,
+/// ancestor* and the sibling axes). A dense pass streams one column,
+/// O(|D|) whatever the input; a member walk costs O(|frontier| + output),
+/// but each member pays pointer chases worth several nodes of a pass. On
+/// cold 1,000–3,000-node documents the walk wins below about 5% members
+/// for child, 8% for ancestor* and 15% for the sibling axes. One cut at
+/// 1/8 sits between those crossovers; the inputs the served pool produces
+/// mostly lie far from it, below 1% or at 20% and over.
 bool UseSparse(const NodeBitset& input, int32_t universe) {
-  return input.Count() * 4 < universe;
+  return input.Count() * 8 < universe;
+}
+
+/// Last member of `set` (one backward word scan), or -1 when it is empty.
+int32_t LastMember(const NodeBitset& set) {
+  const uint64_t* words = set.words();
+  for (size_t wi = set.word_count(); wi-- > 0;) {
+    if (words[wi] != 0) {
+      const int top = 63 - __builtin_clzll(words[wi]);
+      return static_cast<int32_t>(wi * 64) + top;
+    }
+  }
+  return -1;
+}
+
+/// Sets bit v of `words` when column[v] == key, for v in [0, n). Each full
+/// word compares its 64 entries into a byte buffer, a loop compilers
+/// vectorize, and folds every 8 bytes of 0/1 into 8 bits with one multiply:
+/// byte k's value lands on bit 56 + k of the product, and no two partial
+/// products meet. The tail word, if any, is packed bit by bit.
+void PackEquals(const int32_t* column, int32_t n, int32_t key,
+                uint64_t* words) {
+  static_assert(std::endian::native == std::endian::little);
+  const int32_t full = n / 64;
+  for (int32_t wi = 0; wi < full; ++wi) {
+    const int32_t* const chunk = column + static_cast<ptrdiff_t>(wi) * 64;
+    uint8_t equal[64];
+    for (int k = 0; k < 64; ++k) equal[k] = chunk[k] == key;
+    uint64_t word = 0;
+    for (int j = 0; j < 8; ++j) {
+      uint64_t bytes;
+      std::memcpy(&bytes, equal + 8 * j, sizeof(bytes));
+      word |= ((bytes * 0x0102040810204080ULL) >> 56) << (8 * j);
+    }
+    words[wi] = word;
+  }
+  for (int32_t v = full * 64; v < n; ++v) {
+    words[full] |= static_cast<uint64_t>(column[v] == key) << (v & 63);
+  }
+}
+
+/// Dense sibling pass: out[v] = in[s] | out[s] for s = link[v], and 0 when
+/// v has no such sibling. The link points to a node the pass has already
+/// settled (the previous sibling when going forward in preorder, the next
+/// one going backward), so one pass settles every node. The bits of the
+/// current word stay in a register and a link into another word reads
+/// settled memory; the choice between the two is a mask, not a branch.
+template <bool kForward>
+void SiblingPass(const xml::NodeId* link, int32_t n, const uint64_t* in,
+                 uint64_t* out) {
+  const size_t words = (static_cast<size_t>(n) + 63) / 64;
+  for (size_t k = 0; k < words; ++k) {
+    const size_t wi = kForward ? k : words - 1 - k;
+    const int32_t base = static_cast<int32_t>(wi * 64);
+    const int32_t count = std::min(64, n - base);
+    uint64_t cur = 0;
+    for (int32_t i = 0; i < count; ++i) {
+      const int32_t bit = kForward ? i : count - 1 - i;
+      const xml::NodeId s = link[base + bit];
+      const uint32_t linked = s != xml::kNullNode;
+      // s itself, or node 0 (masked off below) when there is no sibling.
+      const uint32_t t = static_cast<uint32_t>(s) & (0u - linked);
+      const uint64_t same_word = (t >> 6) == wi;
+      const uint64_t source =
+          in[t >> 6] | out[t >> 6] | (cur & (0 - same_word));
+      cur |= ((source >> (t & 63)) & linked) << bit;
+    }
+    out[wi] = cur;
+  }
 }
 
 }  // namespace
@@ -59,22 +135,25 @@ Axis InverseAxis(Axis axis) {
   return Axis::kSelf;
 }
 
-// Child, parent and ancestor* have two formulations: a per-node sweep over
-// the whole document, O(|D|), and a walk over the input's members,
-// O(|frontier| + output), which UseSparse picks exactly when it is
-// cheaper. The other axes have one.
+// Every dense pass streams one SoA column in preorder and reads and writes
+// the sets a word (64 nodes) at a time, with no per-node call and no walk
+// of child lists. Child, ancestor* and the sibling axes keep a second form,
+// a walk over the input's members, which UseSparse picks for a sparse
+// input; each other axis has the one form that won at every density.
 NodeBitset AxisImage(const xml::Document& doc, Axis axis,
                      const NodeBitset& input) {
   const int32_t n = doc.size();
   GKX_CHECK_EQ(input.universe(), n);
-  // Raw SoA columns: the sweeps below stream exactly the 4-byte stripe they
-  // need, and every index is already range-proved by the plan/frontier.
+  // Raw SoA columns and words: every node id below comes from the document
+  // or from a member of `input`, so it is already in [0, n).
   const xml::NodeId* const parent = doc.parent_data();
   const xml::NodeId* const first_child = doc.first_child_data();
   const xml::NodeId* const next_sibling = doc.next_sibling_data();
   const xml::NodeId* const prev_sibling = doc.prev_sibling_data();
   const int32_t* const subtree_size = doc.subtree_size_data();
+  const uint64_t* const in = input.words();
   NodeBitset out(n);
+  uint64_t* const o = out.words();
   switch (axis) {
     case Axis::kSelf:
       out = input;
@@ -91,32 +170,27 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
         });
         return out;
       }
-      // Dense: y is a child of some x in input iff parent(y) ∈ input.
-      for (int32_t v = 1; v < n; ++v) {
-        if (input.Test(parent[v])) out.Set(v);
+      // Dense: y is a child of some x in input iff parent(y) ∈ input. Each
+      // output word gathers its 64 parents' input bits without a branch;
+      // the root has no parent, so the first word starts at node 1.
+      for (size_t wi = 0; wi < out.word_count(); ++wi) {
+        const int32_t base = static_cast<int32_t>(wi * 64);
+        const int32_t end = std::min(n, base + 64);
+        uint64_t word = 0;
+        for (int32_t v = std::max(base, 1); v < end; ++v) {
+          const uint32_t p = static_cast<uint32_t>(parent[v]);
+          word |= ((in[p >> 6] >> (p & 63)) & 1) << (v & 63);
+        }
+        o[wi] = word;
       }
       return out;
     case Axis::kParent:
-      if (UseSparse(input, n)) {
-        // O(|frontier|): one parent store per member.
-        ForEachMember(input, [&](xml::NodeId u) {
-          const xml::NodeId p = parent[u];
-          if (p != xml::kNullNode) out.Set(p);
-        });
-        return out;
-      }
-      // Dense: v is a parent of some input node iff one of v's children is
-      // in input — walk each node's child list (O(n) aggregate; every node
-      // is inspected once as a child).
-      for (int32_t v = 0; v < n; ++v) {
-        for (xml::NodeId c = first_child[v]; c != xml::kNullNode;
-             c = next_sibling[c]) {
-          if (input.Test(c)) {
-            out.Set(v);
-            break;
-          }
-        }
-      }
+      // One parent store per member, at any density: a dense pass would
+      // read the parent column of every node to learn no more.
+      ForEachMember(input, [&](xml::NodeId u) {
+        const xml::NodeId p = parent[u];
+        if (p != xml::kNullNode) o[p >> 6] |= uint64_t{1} << (p & 63);
+      });
       return out;
     case Axis::kDescendant:
     case Axis::kDescendantOrSelf: {
@@ -137,13 +211,13 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
     }
     case Axis::kAncestor:
     case Axis::kAncestorOrSelf: {
-      const bool sparse_or_self = axis == Axis::kAncestorOrSelf;
+      const bool or_self = axis == Axis::kAncestorOrSelf;
       if (UseSparse(input, n)) {
         // Chain walk with stop-on-marked: once a walk reaches a node some
         // earlier walk marked, everything above it is already (or will be)
         // marked by that walk — O(unique ancestors + |frontier|) total.
         ForEachMember(input, [&](xml::NodeId u) {
-          if (sparse_or_self) out.Set(u);
+          if (or_self) out.Set(u);
           for (xml::NodeId a = parent[u];
                a != xml::kNullNode && !out.Test(a); a = parent[a]) {
             out.Set(a);
@@ -151,24 +225,22 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
         });
         return out;
       }
-      // Dense: prefix[v] = |input ∩ [0, v)|, so the members inside
-      // subtree(v) number prefix[v + size(v)] − prefix[v]. Strict
-      // ancestors exclude v itself (start the window at v + 1).
-      std::vector<int32_t> prefix(static_cast<size_t>(n) + 1, 0);
-      int32_t running = 0;
-      for (int32_t v = 0; v < n; ++v) {
-        if (input.Test(v)) ++running;
-        prefix[static_cast<size_t>(v) + 1] = running;
-      }
-      const bool or_self = axis == Axis::kAncestorOrSelf;
-      for (int32_t v = 0; v < n; ++v) {
-        const int32_t end = v + subtree_size[v];
-        const int32_t from = or_self ? v : v + 1;
-        if (prefix[static_cast<size_t>(end)] -
-                prefix[static_cast<size_t>(from)] >
-            0) {
-          out.Set(v);
+      // Dense: v's strict subtree is the preorder range (v, v + size(v)),
+      // so v is an ancestor of an input node iff the first input node after
+      // v lies before v + size(v). One reverse-preorder pass carries that
+      // node and streams the subtree-size column; the or-self image adds
+      // the input itself.
+      int32_t next = n;  // first input node after v, or n
+      for (size_t wi = out.word_count(); wi-- > 0;) {
+        const int32_t base = static_cast<int32_t>(wi * 64);
+        const uint64_t members = in[wi];
+        uint64_t word = 0;
+        for (int32_t v = std::min(n, base + 64) - 1; v >= base; --v) {
+          word |= static_cast<uint64_t>(next < v + subtree_size[v])
+                  << (v & 63);
+          next = (members >> (v & 63)) & 1 ? v : next;
         }
+        o[wi] = or_self ? word | members : word;
       }
       return out;
     }
@@ -184,35 +256,47 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
       return out;
     }
     case Axis::kPreceding: {
-      // y ∈ preceding(x) iff y + size(y) <= x, so the maximal input x
-      // decides; then a per-node test over the nodes before it.
-      int32_t max_input = -1;
-      ForEachMember(input, [&](xml::NodeId v) { max_input = v; });
-      for (int32_t v = 0; v < max_input; ++v) {
-        if (v + subtree_size[v] <= max_input) out.Set(v);
+      // y ∈ preceding(x) iff y < x and y is not an ancestor of x. The last
+      // input node m has the largest such set (y + size(y) <= x <= m), so
+      // the image is [0, m) minus m's ancestor chain, at any density.
+      const int32_t m = LastMember(input);
+      if (m <= 0) return out;  // empty input, or only the root
+      out.SetRange(0, m);
+      for (xml::NodeId a = parent[m]; a != xml::kNullNode; a = parent[a]) {
+        o[a >> 6] &= ~(uint64_t{1} << (a & 63));
       }
       return out;
     }
     case Axis::kFollowingSibling:
-      // Member walks with stop-on-marked make the sibling axes
-      // O(output + |frontier|) instead of O(|D|): once a walk reaches a
-      // sibling an earlier walk marked, the rest of the chain is already
-      // marked by that walk.
-      ForEachMember(input, [&](xml::NodeId u) {
-        for (xml::NodeId s = next_sibling[u];
-             s != xml::kNullNode && !out.Test(s); s = next_sibling[s]) {
-          out.Set(s);
-        }
-      });
+      if (UseSparse(input, n)) {
+        // Member walk with stop-on-marked, O(output + |frontier|): once a
+        // walk reaches a sibling an earlier walk marked, the rest of the
+        // chain is already marked by that walk.
+        ForEachMember(input, [&](xml::NodeId u) {
+          for (xml::NodeId s = next_sibling[u];
+               s != xml::kNullNode && !out.Test(s); s = next_sibling[s]) {
+            out.Set(s);
+          }
+        });
+        return out;
+      }
+      // Dense: v follows an input sibling iff its previous sibling is in
+      // input or follows one.
+      SiblingPass<true>(prev_sibling, n, in, o);
       return out;
     case Axis::kPrecedingSibling:
-      // Mirror walk along prev_sibling.
-      ForEachMember(input, [&](xml::NodeId u) {
-        for (xml::NodeId s = prev_sibling[u];
-             s != xml::kNullNode && !out.Test(s); s = prev_sibling[s]) {
-          out.Set(s);
-        }
-      });
+      if (UseSparse(input, n)) {
+        // Mirror walk along prev_sibling.
+        ForEachMember(input, [&](xml::NodeId u) {
+          for (xml::NodeId s = prev_sibling[u];
+               s != xml::kNullNode && !out.Test(s); s = prev_sibling[s]) {
+            out.Set(s);
+          }
+        });
+        return out;
+      }
+      // Dense: the mirror pass along next_sibling, in reverse preorder.
+      SiblingPass<false>(next_sibling, n, in, o);
       return out;
   }
   GKX_CHECK(false);
@@ -262,12 +346,22 @@ const NodeBitset& CoreLinearEvaluator::TestSet(const Step& step) {
   auto cached = test_cache_.find(key);
   if (cached != test_cache_.end()) return cached->second;
 
-  NodeBitset out(doc.size());
+  const int32_t n = doc.size();
+  NodeBitset out(n);
   if (test.kind != xpath::NodeTest::Kind::kName) {
     out.SetAll();  // kAny / kNode match every element node
   } else if (test.name != xml::kNoName) {
-    for (xml::NodeId v = 0; v < doc.size(); ++v) {
-      if (doc.NodeHasName(v, test.name)) out.Set(v);
+    // The tag column, compared and packed 64 nodes to a word. Extra labels
+    // are disjoint from the tag, so their spans are searched in a second
+    // pass, only when the document carries any.
+    PackEquals(doc.tag_data(), n, test.name, out.words());
+    if (doc.has_labels()) {
+      for (xml::NodeId v = 0; v < n; ++v) {
+        const std::span<const xml::NameId> labels = doc.labels(v);
+        if (std::binary_search(labels.begin(), labels.end(), test.name)) {
+          out.Set(v);
+        }
+      }
     }
   }
   // else: name never occurs in the document — empty set.

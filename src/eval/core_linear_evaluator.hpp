@@ -1,9 +1,18 @@
 // The O(|D|·|Q|) Core XPath evaluator of Gottlob–Koch–Pichler [3]
 // (Prop 2.7). Set-at-a-time: conditions are evaluated bottom-up as *sets of
 // nodes satisfying them* (bitsets), location paths as set-to-set axis images;
-// every axis image is computed by an O(|D|) tree sweep, so total time is
-// O(|D|·|Q|). Supports exactly Core XPath (Def 2.5): paths, predicates with
-// and/or/not, union — anything else returns kUnsupported.
+// every node test and every axis image is one O(|D|) set operation, so total
+// time is O(|D|·|Q|). Supports exactly Core XPath (Def 2.5): paths,
+// predicates with and/or/not, union — anything else returns kUnsupported.
+//
+// The set operations run at column speed: a node test compares the tag
+// column and packs 64 nodes to a word, and every dense axis pass streams
+// one SoA column (parent, subtree size or a sibling link) in preorder,
+// reading and writing the sets a word at a time, with no per-node call and
+// no walk of child lists. Child, ancestor* and the sibling axes also have a
+// member walk for sparse inputs, O(|frontier| + output), picked by the
+// member count alone (UseSparse); parent, descendant*, following and
+// preceding have one form at any density.
 //
 // The sweeps run on the calling thread. The paper places Core and PF in
 // LOGCFL (Thm 6.6), so they parallelize in principle, but partitioning the
@@ -77,10 +86,10 @@ class CoreLinearEvaluator : public Evaluator {
   Result<NodeBitset> EvalNodeSetForward(const xpath::Expr& expr,
                                         const NodeBitset& start);
 
-  /// Nodes passing the step's node test. Cached per Bind, keyed by the
-  /// resolved test — a query touching the same name on several steps used
-  /// to rescan all of doc (and re-resolve the name) once per step of every
-  /// segment; now each distinct test is one O(|D|) fill per bound document.
+  /// Nodes passing the step's node test, filled from the tag column (and
+  /// the label spans, when the document has extra labels). Cached per Bind,
+  /// keyed by the resolved test, so each distinct test is one O(|D|) fill
+  /// per bound document.
   const NodeBitset& TestSet(const xpath::Step& step);
 
   const xml::Document* doc_ = nullptr;

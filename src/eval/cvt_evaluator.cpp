@@ -22,14 +22,13 @@ Status CvtEvaluator::Prepare() {
   const size_t n = static_cast<size_t>(query().num_exprs());
   constant_.assign(n, std::nullopt);
   by_node_.assign(n, {});
-  by_context_.assign(n, {});
   table_entries_ = 0;
 
   if (options_.eager) {
     // Bottom-up pass: expression ids are preorder, so reverse id order
     // visits children before parents. Fill the full context-value table of
-    // every node-dependent subexpression; position-dependent tables fill
-    // with their meaningful contexts as side effects of predicate loops.
+    // every node-dependent subexpression; position-dependent ones have no
+    // table.
     for (int id = query().num_exprs() - 1; id >= 0; --id) {
       const Expr& expr = query().expr(id);
       switch (analysis_.traits(expr).dependence) {
@@ -46,7 +45,7 @@ Status CvtEvaluator::Prepare() {
           break;
         }
         case ContextDependence::kFull:
-          break;  // demand-filled
+          break;  // never tabled
       }
     }
   }
@@ -59,9 +58,7 @@ Status CvtEvaluator::Prepare() {
 
 bool CvtEvaluator::LookupMemo(const Expr& expr, const Context& ctx, Value* out) {
   const size_t id = static_cast<size_t>(expr.id());
-  const xpath::ExprTraits& traits = analysis_.traits(expr);
-  if (traits.position_only()) return false;  // recomputed, never tabled
-  switch (traits.dependence) {
+  switch (analysis_.traits(expr).dependence) {
     case ContextDependence::kNone: {
       if (!constant_[id].has_value()) return false;
       *out = *constant_[id];
@@ -73,12 +70,8 @@ bool CvtEvaluator::LookupMemo(const Expr& expr, const Context& ctx, Value* out) 
       *out = it->second;
       return true;
     }
-    case ContextDependence::kFull: {
-      auto it = by_context_[id].find(ctx);
-      if (it == by_context_[id].end()) return false;
-      *out = it->second;
-      return true;
-    }
+    case ContextDependence::kFull:
+      return false;  // recomputed, never tabled
   }
   GKX_CHECK(false);
   return false;
@@ -87,11 +80,9 @@ bool CvtEvaluator::LookupMemo(const Expr& expr, const Context& ctx, Value* out) 
 void CvtEvaluator::StoreMemo(const Expr& expr, const Context& ctx,
                              const Value& value) {
   const size_t id = static_cast<size_t>(expr.id());
-  const xpath::ExprTraits& traits = analysis_.traits(expr);
-  if (traits.position_only()) return;
   // The entry count reflects genuine inserts only.
   bool inserted = false;
-  switch (traits.dependence) {
+  switch (analysis_.traits(expr).dependence) {
     case ContextDependence::kNone:
       if (!constant_[id].has_value()) {
         constant_[id] = value;
@@ -102,8 +93,7 @@ void CvtEvaluator::StoreMemo(const Expr& expr, const Context& ctx,
       inserted = by_node_[id].emplace(ctx.node, value).second;
       break;
     case ContextDependence::kFull:
-      inserted = by_context_[id].emplace(ctx, value).second;
-      break;
+      break;  // never tabled
   }
   if (inserted) ++table_entries_;
 }

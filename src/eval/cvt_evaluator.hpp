@@ -5,30 +5,32 @@
 // Static analysis decides what a context is for each subexpression:
 //   * constants and absolute paths        -> a single cell,
 //   * anything position()/last()-free     -> keyed by the context node,
-//   * position()/last()-dependent and
-//     reading the document                -> keyed by ⟨node, pos, size⟩,
-//   * position-only (position()/last()
-//     arithmetic, no path, no zero-argument
-//     string()/number()/name()/...)       -> recomputed, not tabled.
+//   * position()/last()-dependent (kFull) -> recomputed, never tabled.
 // Tables are filled on demand (lazy mode) or by a bottom-up pass over all
-// nodes (eager mode — the literal bottom-up algorithm of [3]; tables for
-// position-dependent predicates are always demand-filled with exactly the
-// contexts that arise, which is the paper's "one tuple for each meaningful
-// context"). Both modes share the semantics kernel of RecursiveEvaluatorBase,
-// so they agree with the naive evaluator by construction; the complexity
-// drops from exponential to polynomial because each tabled (expression,
-// context) pair is computed at most once.
+// nodes (eager mode — the literal bottom-up algorithm of [3]). Both modes
+// share the semantics kernel of RecursiveEvaluatorBase, so they agree with
+// the naive evaluator by construction; the complexity drops from
+// exponential to polynomial because each tabled (expression, context) pair
+// is computed at most once.
 //
-// Why position-only expressions may go untabled without losing Prop 2.7's
-// polynomial bound: such an expression e is a pure function of the
-// context's position and size, and everything below it is position-only or
-// a constant cell, so one evaluation costs O(|e|). Each evaluation of e is
-// asked for by one evaluation of its parent: a tabled cell, computed at most
-// once per context, or one ⟨origin, candidate⟩ predicate test in ApplyStep,
-// which the tabled algorithm makes as well. Recomputing where a table would
-// look up therefore multiplies the work by at most |Q|. And such a cell is
-// almost never read back: a ⟨node, position, size⟩ recurs only when a node
-// is reached again at the same rank of a candidate list of the same size.
+// Why a position-dependent expression may go untabled without losing
+// Prop 2.7's polynomial bound:
+//   * Every location path and union rebinds the context, so its value
+//     depends on the context node at most (kNode or kNone); the grammar has
+//     no filter expressions, no id() and no lang().
+//   * So a kFull expression is an operator skeleton (and/or, comparisons,
+//     arithmetic, not(), string functions) over constant cells, node-keyed
+//     cells and position()/last(). One evaluation costs the skeleton plus
+//     the comparisons on its node-set operands, which a ⟨node, position,
+//     size⟩ cell would pay as well, once per context.
+//   * Each evaluation is asked for, directly or through its kFull parents,
+//     by one ⟨origin, candidate⟩ predicate test in ApplyStep or by the
+//     root, and the tabled algorithm makes those tests too. Recomputing
+//     where a table would look up therefore multiplies the work by at most
+//     |Q|.
+// And such a cell is almost never read back: a ⟨node, position, size⟩
+// recurs only when a node is reached again at the same rank of a candidate
+// list of the same size.
 
 #ifndef GKX_EVAL_CVT_EVALUATOR_HPP_
 #define GKX_EVAL_CVT_EVALUATOR_HPP_
@@ -69,13 +71,10 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
  private:
   Options options_{};
   xpath::QueryAnalysis analysis_;
-  // Per expression id: one of the three table shapes (selected by the
-  // expression's context dependence); position-only expressions use none.
+  // Per expression id: one of the two table shapes (selected by the
+  // expression's context dependence); kFull expressions use none.
   std::vector<std::optional<Value>> constant_;
   std::vector<std::unordered_map<xml::NodeId, Value>> by_node_;
-  // Position-dependent cells are keyed by the full ⟨node, position, size⟩,
-  // so every context a document can produce has a cell.
-  std::vector<std::unordered_map<Context, Value, ContextHash>> by_context_;
   int64_t table_entries_ = 0;
   // Binding the evaluator is idempotent: when Bind sees the exact same
   // (document, query) pair — identified by (address, serial) on both sides,

@@ -23,7 +23,7 @@ class RecursiveEvaluatorBase : public Evaluator {
 
   /// Number of expression evaluations performed by the last Evaluate call
   /// (memo hits excluded) — the work measure the experiments report. An
-  /// expression CvtEvaluator does not table (a position-only one) counts
+  /// expression CvtEvaluator does not table (a position-dependent one) counts
   /// once per evaluation, not once per context.
   int64_t last_eval_count() const { return eval_count_; }
 

@@ -170,6 +170,10 @@ class Document {
 
   // ------------------------------------------------------------ payloads
 
+  /// False when no node carries an extra label, so a name test reads the
+  /// tag column alone.
+  bool has_labels() const { return v_.label_pool_size != 0; }
+
   /// Extra labels (Remark 3.1), sorted ascending, disjoint from tag(id).
   std::span<const NameId> labels(NodeId id) const {
     const PayloadSpan s = v_.label_span[Checked(id)];

@@ -103,7 +103,6 @@ class Analyzer {
             if (call.arg_count() == 0) {
               traits.dependence =
                   MaxDep(traits.dependence, ContextDependence::kNode);
-              traits.reads_document = true;
             }
             break;
           default:
@@ -115,7 +114,6 @@ class Analyzer {
         const auto& path = expr.As<PathExpr>();
         traits.dependence = path.absolute() ? ContextDependence::kNone
                                             : ContextDependence::kNode;
-        traits.reads_document = true;
         for (size_t i = 0; i < path.step_count(); ++i) {
           const Step& step = path.step(i);
           analysis_.axes_used[static_cast<size_t>(step.axis)] = true;
@@ -133,7 +131,6 @@ class Analyzer {
       }
       case Expr::Kind::kUnion: {
         analysis_.has_union = true;
-        traits.reads_document = true;
         const auto& u = expr.As<UnionExpr>();
         for (size_t i = 0; i < u.branch_count(); ++i) {
           traits = Merge(traits, Visit(u.branch(i)));
@@ -152,7 +149,6 @@ class Analyzer {
     parent.dependence = MaxDep(parent.dependence, child.dependence);
     parent.uses_position |= child.uses_position;
     parent.uses_last |= child.uses_last;
-    parent.reads_document |= child.reads_document;
     return parent;
   }
 

@@ -28,16 +28,6 @@ struct ExprTraits {
   ValueType type = ValueType::kBoolean;
   bool uses_position = false;  // free position() occurrence
   bool uses_last = false;      // free last() occurrence
-  // Is, or has below it, a location path, a union or a zero-argument
-  // string()/number()/string-length()/normalize-space()/name()/local-name().
-  bool reads_document = false;
-
-  /// A pure function of the context's position and size: kFull without
-  /// reading the document, so its subexpressions are position-only or
-  /// constant and one evaluation costs O(|e|).
-  bool position_only() const {
-    return dependence == ContextDependence::kFull && !reads_document;
-  }
 };
 
 /// Whole-query syntactic measures.

@@ -157,12 +157,12 @@ class Expr {
   /// Dense expression id within the owning Query (assigned by Query).
   int id() const { return id_; }
 
-  /// Downcast helper; checked.
+  /// Downcast helper; checked against the kind tag (each subclass names
+  /// its kind as T::kKind), so a wrong cast aborts without an RTTI walk.
   template <typename T>
   const T& As() const {
-    const T* t = dynamic_cast<const T*>(this);
-    GKX_CHECK(t != nullptr);
-    return *t;
+    GKX_CHECK(kind_ == T::kKind);
+    return static_cast<const T&>(*this);
   }
 
  protected:
@@ -177,8 +177,9 @@ class Expr {
 /// A numeric constant.
 class NumberLiteral : public Expr {
  public:
-  explicit NumberLiteral(double value)
-      : Expr(Kind::kNumberLiteral), value_(value) {}
+  static constexpr Kind kKind = Kind::kNumberLiteral;
+
+  explicit NumberLiteral(double value) : Expr(kKind), value_(value) {}
   double value() const { return value_; }
 
  private:
@@ -188,8 +189,10 @@ class NumberLiteral : public Expr {
 /// A string literal.
 class StringLiteral : public Expr {
  public:
+  static constexpr Kind kKind = Kind::kStringLiteral;
+
   explicit StringLiteral(std::string value)
-      : Expr(Kind::kStringLiteral), value_(std::move(value)) {}
+      : Expr(kKind), value_(std::move(value)) {}
   const std::string& value() const { return value_; }
 
  private:
@@ -199,8 +202,10 @@ class StringLiteral : public Expr {
 /// lhs op rhs.
 class BinaryExpr : public Expr {
  public:
+  static constexpr Kind kKind = Kind::kBinary;
+
   BinaryExpr(BinaryOp op, ExprPtr lhs, ExprPtr rhs)
-      : Expr(Kind::kBinary), op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {
+      : Expr(kKind), op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {
     GKX_CHECK(lhs_ != nullptr && rhs_ != nullptr);
   }
   BinaryOp op() const { return op_; }
@@ -216,8 +221,10 @@ class BinaryExpr : public Expr {
 /// Unary minus.
 class NegateExpr : public Expr {
  public:
+  static constexpr Kind kKind = Kind::kNegate;
+
   explicit NegateExpr(ExprPtr operand)
-      : Expr(Kind::kNegate), operand_(std::move(operand)) {
+      : Expr(kKind), operand_(std::move(operand)) {
     GKX_CHECK(operand_ != nullptr);
   }
   const Expr& operand() const { return *operand_; }
@@ -229,8 +236,10 @@ class NegateExpr : public Expr {
 /// f(arg1, ..., argN).
 class FunctionCall : public Expr {
  public:
+  static constexpr Kind kKind = Kind::kFunctionCall;
+
   FunctionCall(Function function, std::vector<ExprPtr> args)
-      : Expr(Kind::kFunctionCall), function_(function), args_(std::move(args)) {
+      : Expr(kKind), function_(function), args_(std::move(args)) {
     for (const ExprPtr& arg : args_) GKX_CHECK(arg != nullptr);
   }
   Function function() const { return function_; }
@@ -246,8 +255,10 @@ class FunctionCall : public Expr {
 /// An absolute path with zero steps denotes the root node itself ("/").
 class PathExpr : public Expr {
  public:
+  static constexpr Kind kKind = Kind::kPath;
+
   PathExpr(bool absolute, std::vector<Step> steps)
-      : Expr(Kind::kPath), absolute_(absolute), steps_(std::move(steps)) {
+      : Expr(kKind), absolute_(absolute), steps_(std::move(steps)) {
     GKX_CHECK(absolute_ || !steps_.empty());
   }
   bool absolute() const { return absolute_; }
@@ -263,8 +274,10 @@ class PathExpr : public Expr {
 /// path1 | path2 | ... (at least two branches; parser flattens).
 class UnionExpr : public Expr {
  public:
+  static constexpr Kind kKind = Kind::kUnion;
+
   explicit UnionExpr(std::vector<ExprPtr> branches)
-      : Expr(Kind::kUnion), branches_(std::move(branches)) {
+      : Expr(kKind), branches_(std::move(branches)) {
     GKX_CHECK_GE(branches_.size(), 2u);
     for (const ExprPtr& b : branches_) GKX_CHECK(b != nullptr);
   }

@@ -10,6 +10,8 @@
 #include "base/stopwatch.hpp"
 #include "eval/axes.hpp"
 #include "eval/core_linear_evaluator.hpp"
+#include "eval/engine.hpp"
+#include "eval/recursive_base.hpp"
 #include "xml/builder.hpp"
 #include "xml/generator.hpp"
 #include "xpath/parser.hpp"
@@ -94,9 +96,10 @@ constexpr DocShape kShapes[] = {
     {8, 1, 0.0}, {9, 2, 1.0}, {70, 63, 0.5}, {71, 64, 0.9}, {72, 65, 0.1},
     {136, 129, 0.95}};
 
-// Input sets are drawn at the given density. Child, parent and ancestor*
-// have a per-node sweep and a member walk, and the walk runs when
-// members * 4 < |D|: density 0.3 mostly takes the sweep, 0.05 the walk.
+// Input sets are drawn at the given density. Child, ancestor* and the
+// sibling axes have a dense column pass and a member walk, and the walk
+// runs when members * 8 < |D|: density 0.3 takes the pass, 0.05 mostly the
+// walk. Densities 0 and 1 are the empty and the full frontier.
 class AxisImageTest
     : public ::testing::TestWithParam<std::tuple<DocShape, double>> {};
 
@@ -115,7 +118,7 @@ TEST_P(AxisImageTest, MatchesPerNodeEnumeration) {
     for (NodeId v = 0; v < doc.size(); ++v) {
       if (rng.Bernoulli(density)) input.Set(v);
     }
-    if (input.Count() * 4 < doc.size()) ++sparse_draws;
+    if (input.Count() * 8 < doc.size()) ++sparse_draws;
     for (Axis axis : kAxes) {
       NodeBitset expected(doc.size());
       for (NodeId v = 0; v < doc.size(); ++v) {
@@ -139,7 +142,8 @@ TEST_P(AxisImageTest, MatchesPerNodeEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, AxisImageTest,
                          ::testing::Combine(::testing::ValuesIn(kShapes),
-                                            ::testing::Values(0.3, 0.05)));
+                                            ::testing::Values(0.0, 0.05,
+                                                              0.3, 1.0)));
 
 TEST(AxisImageTest, FollowingMinimalCutoffIncludesDescendantCase) {
   // Regression: a descendant of an input node can have a smaller following
@@ -201,6 +205,85 @@ TEST(CoreLinearTest, ConditionCacheSharesWork) {
       doc, MustParse("child::*[child::t2] | descendant::*[child::t2]"));
   ASSERT_TRUE(value.ok());
   EXPECT_FALSE(value->empty());
+}
+
+// The served corpora carry no extra labels, so these two cases are where
+// a name test's label pass meets the oracle outside the reduction suites.
+TEST(CoreLinearTest, LabelNamesMatchTheNaiveOracle) {
+  const char* const kQueries[] = {
+      "descendant::l1[child::t2]",
+      "descendant::*[child::l0 and not(parent::l2)]",
+      "descendant-or-self::l3/ancestor::t1",
+      "/descendant::t0[following-sibling::l2] | descendant::l1/parent::*",
+      "descendant::l2[preceding::l0]/following::t3",
+      "descendant::t1[descendant::l1 or ancestor-or-self::l3]",
+      "descendant::l0/preceding-sibling::l1",
+  };
+  NaiveEvaluator naive;
+  for (const uint64_t seed : {11, 12, 13, 14}) {
+    Rng rng(seed);
+    xml::RandomDocumentOptions options;
+    options.node_count = 150;
+    options.max_extra_labels = 2;
+    const Document doc = xml::RandomDocument(&rng, options);
+    ASSERT_TRUE(doc.has_labels());
+    auto labelled = naive.EvaluateNodeSet(doc, MustParse("descendant::l1"));
+    ASSERT_TRUE(labelled.ok());
+    EXPECT_FALSE(labelled->empty()) << "seed " << seed;
+    for (const char* text : kQueries) {
+      const xpath::Query query = MustParse(text);
+      auto expected = naive.EvaluateAtRoot(doc, query);
+      ASSERT_TRUE(expected.ok()) << text;
+      CoreLinearEvaluator linear;
+      auto value = linear.EvaluateAtRoot(doc, query);
+      ASSERT_TRUE(value.ok()) << text << ": " << value.status().ToString();
+      EXPECT_TRUE(value->Equals(*expected)) << text << " seed " << seed;
+      auto plan = Engine::Compile(text);
+      ASSERT_TRUE(plan.ok()) << text;
+      Engine engine;
+      auto served = engine.RunPlan(doc, *plan);
+      ASSERT_TRUE(served.ok()) << text << ": " << served.status().ToString();
+      EXPECT_TRUE(served->value.Equals(*expected)) << text << " seed " << seed;
+    }
+  }
+}
+
+TEST(CoreLinearTest, NameTestReadsTagsAndLabelsAlike) {
+  // "g" is the tag of some nodes and an extra label of others, on both
+  // sides of a 64-node word boundary. Nodes are added in preorder.
+  xml::TreeBuilder b("r");
+  int32_t named_g = 0;
+  for (int i = 0; i < 70; ++i) {
+    const auto child = b.AddChild(b.root(), i % 3 == 0 ? "g" : "x");
+    if (i % 3 != 0) b.AddLabel(child, i % 3 == 1 ? "g" : "h");
+    named_g += i % 3 != 2;
+    if (i % 5 == 0) {
+      b.AddChild(child, "g");
+      b.AddLabel(b.AddChild(child, "x"), "g");
+      named_g += 2;
+    }
+  }
+  const Document doc = std::move(b).Build();
+  ASSERT_TRUE(doc.has_labels());
+  EXPECT_FALSE(xml::BalancedDocument(2, 3).has_labels());
+
+  CoreLinearEvaluator linear;
+  auto all_g = linear.EvaluateNodeSet(doc, MustParse("descendant::g"));
+  ASSERT_TRUE(all_g.ok());
+  EXPECT_EQ(static_cast<int32_t>(all_g->size()), named_g);
+  NaiveEvaluator naive;
+  for (const char* text :
+       {"descendant::g", "child::g", "descendant::g[child::g]",
+        "child::x[child::g and not(self::g)]", "descendant::g/parent::g",
+        "descendant::h/preceding-sibling::g", "descendant::g[following::h]",
+        "descendant::x[ancestor::g]"}) {
+    const xpath::Query query = MustParse(text);
+    auto value = linear.EvaluateAtRoot(doc, query);
+    ASSERT_TRUE(value.ok()) << text;
+    auto expected = naive.EvaluateAtRoot(doc, query);
+    ASSERT_TRUE(expected.ok()) << text;
+    EXPECT_TRUE(value->Equals(*expected)) << text;
+  }
 }
 
 TEST(CoreLinearTest, LinearScalingSmokeCheck) {

@@ -1,5 +1,5 @@
 // Context-value-table internals: table shapes by dependence class (and the
-// position-only expressions that get none), entry accounting,
+// position-dependent expressions that get none), entry accounting,
 // eager-vs-lazy behavior, evaluator reuse across documents and queries, and
 // the deep-document robustness of the whole xml+eval stack (iterative
 // builder/serializer, chain documents thousands of nodes deep).
@@ -88,44 +88,46 @@ TEST(CvtTablesTest, PositionOnlyPredicateStoresNoCells) {
   EXPECT_EQ(eager.last_table_entries(), doc.size() + 1);
 }
 
-TEST(CvtTablesTest, PositionalPredicateUsesFullContextTable) {
+TEST(CvtTablesTest, PositionalPredicateTablesOnlyNodeKeyedCells) {
   xml::Document doc = xml::BalancedDocument(3, 3);
   xpath::Query query =
       MustParse("descendant::*[child::* and position() + 1 = last()]");
   CvtEvaluator cvt;
   auto value = cvt.EvaluateAtRoot(doc, query);
   ASSERT_TRUE(value.ok());
-  // The conjunction reads a path, so it has one ⟨node, position, size⟩ cell
-  // per candidate (|D| - 1), and child::* one cell per candidate node; add
-  // the path's cell and the literal's. Its position arithmetic has none.
-  EXPECT_EQ(cvt.last_table_entries(), 2 * int64_t{doc.size()});
+  // The conjunction depends on the position, so it is recomputed per
+  // candidate and has no cell, nor has its arithmetic. What is tabled:
+  // child::*'s cell per candidate node (|D| - 1), the path's cell and the
+  // literal's.
+  EXPECT_EQ(cvt.last_table_entries(), int64_t{doc.size()} + 1);
   NaiveEvaluator naive;
   auto expected = naive.EvaluateAtRoot(doc, query);
   ASSERT_TRUE(expected.ok());
   EXPECT_TRUE(value->Equals(*expected));
 }
 
-TEST(CvtTablesTest, FullContextKeyHoldsPositionsPastTwoToTheTwenty) {
+TEST(CvtTablesTest, PositionsPastTwoToTheTwentyAddNoCell) {
   // A node-set of 2^20 + 1 nodes puts its last node at the second context,
-  // past the 20-bit fields of a packed 64-bit key: the cell must be keyed
-  // by the whole ⟨node, position, size⟩. The conjunction reads a path, so
-  // it is tabled; each context below adds exactly its one cell.
+  // past the 20-bit fields of a packed 64-bit key. The conjunction depends
+  // on the position, so no context adds a cell: the tables keep child::*'s
+  // cell at the root and the literal 1's, at every position.
   auto doc = xml::ParseDocument("<r><a/><b/></r>");
   ASSERT_TRUE(doc.ok());
   CvtEvaluator cvt;
+  NaiveEvaluator naive;
   xpath::Query query = MustParse("child::* and position() + 1 = last()");
   const xml::NodeId root = doc->root();
-  // The first context also stores child::* and the literal 1.
-  int64_t entries = 2;
   for (const int64_t size : {(int64_t{1} << 20) - 1, (int64_t{1} << 20) + 1}) {
-    auto last = cvt.Evaluate(*doc, query, Context{root, size - 1, size});
-    ASSERT_TRUE(last.ok()) << last.status().ToString();
-    EXPECT_TRUE(last->boolean()) << size;
-    EXPECT_EQ(cvt.last_table_entries(), ++entries) << size;
-    auto earlier = cvt.Evaluate(*doc, query, Context{root, size - 2, size});
-    ASSERT_TRUE(earlier.ok()) << earlier.status().ToString();
-    EXPECT_FALSE(earlier->boolean()) << size;
-    EXPECT_EQ(cvt.last_table_entries(), ++entries) << size;
+    for (const int64_t position : {size - 1, size - 2}) {
+      const Context ctx{root, position, size};
+      auto value = cvt.Evaluate(*doc, query, ctx);
+      ASSERT_TRUE(value.ok()) << value.status().ToString();
+      EXPECT_EQ(value->boolean(), position == size - 1) << size;
+      EXPECT_EQ(cvt.last_table_entries(), 2) << size << " " << position;
+      auto expected = naive.Evaluate(*doc, query, ctx);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      EXPECT_TRUE(value->Equals(*expected)) << size << " " << position;
+    }
   }
 }
 

@@ -46,49 +46,42 @@ TEST(AnalysisTest, ZeroArgStringFunctionsDependOnNode) {
   EXPECT_EQ(Analyze(q).traits(q.root()).dependence, ContextDependence::kNode);
 }
 
-TEST(AnalysisTest, ReadsDocumentAndPositionOnlyGoldens) {
+TEST(AnalysisTest, DependenceGoldens) {
   constexpr auto kNone = ContextDependence::kNone;
   constexpr auto kNode = ContextDependence::kNode;
   constexpr auto kFull = ContextDependence::kFull;
   struct Golden {
     const char* text;
     ContextDependence dependence;
-    bool reads_document;
-    bool position_only;
   };
   const Golden goldens[] = {
-      {"1 + 2", kNone, false, false},
-      {"/descendant::a", kNone, true, false},
-      {"child::a", kNode, true, false},
-      {"child::a | /child::b", kNode, true, false},
-      {"string-length() = 3", kNode, true, false},
-      {"name()", kNode, true, false},
-      {"position() + 1 = last()", kFull, false, true},
-      {"last() - 3 + last() > position() + position() + position()", kFull,
-       false, true},
-      {"concat(position(), 'x')", kFull, false, true},
-      {"string-length('ab') = position()", kFull, false, true},
-      {"child::* and position() + 1 = last()", kFull, true, false},
-      {"position() = count(/descendant::a)", kFull, true, false},
-      {"number() = position()", kFull, true, false},
-      {"local-name() = 'a' or position() = 2", kFull, true, false},
+      {"1 + 2", kNone},
+      {"/descendant::a", kNone},
+      {"child::a", kNode},
+      {"child::a | /child::b", kNode},
+      {"string-length() = 3", kNode},
+      {"name()", kNode},
+      {"position() + 1 = last()", kFull},
+      {"last() - 3 + last() > position() + position() + position()", kFull},
+      {"concat(position(), 'x')", kFull},
+      {"string-length('ab') = position()", kFull},
+      {"child::* and position() + 1 = last()", kFull},
+      {"position() = count(/descendant::a)", kFull},
+      {"number() = position()", kFull},
+      {"local-name() = 'a' or position() = 2", kFull},
   };
   for (const Golden& golden : goldens) {
     Query q = MustParse(golden.text);
-    const QueryAnalysis analysis = Analyze(q);
-    const ExprTraits& traits = analysis.traits(q.root());
-    EXPECT_EQ(traits.dependence, golden.dependence) << golden.text;
-    EXPECT_EQ(traits.reads_document, golden.reads_document) << golden.text;
-    EXPECT_EQ(traits.position_only(), golden.position_only) << golden.text;
+    EXPECT_EQ(Analyze(q).traits(q.root()).dependence, golden.dependence)
+        << golden.text;
   }
-  // A step rebinds the context: its position-only predicate stays
-  // position-only, and the path reads the document.
+  // A step rebinds the context: its position-dependent predicate does not
+  // make the path position-dependent.
   Query q = MustParse("child::a[position() * 2 > last()]");
   const QueryAnalysis analysis = Analyze(q);
-  EXPECT_TRUE(analysis.traits(q.root()).reads_document);
-  EXPECT_FALSE(analysis.traits(q.root()).position_only());
+  EXPECT_EQ(analysis.traits(q.root()).dependence, kNode);
   const Step& step = q.root().As<PathExpr>().step(0);
-  EXPECT_TRUE(analysis.traits(*step.predicates[0]).position_only());
+  EXPECT_EQ(analysis.traits(*step.predicates[0]).dependence, kFull);
 }
 
 TEST(AnalysisTest, PredicateCounts) {
