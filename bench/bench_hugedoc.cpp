@@ -9,9 +9,10 @@
 //             arena vs the in-memory arena (they differ only by header and
 //             name table).
 //   coldstart the restart race: parse-then-first-query vs mmap-then-first-
-//             query on the same plan. The mmap side touches only the pages
-//             the query needs; the parse side must chew through the whole
-//             text first. Self-check: mmap-first-query >= 5x faster.
+//             query on the same plan. The mmap side reads the columns once
+//             to check them, then only the pages the query needs; the parse
+//             side must chew through the whole text first. Self-check:
+//             mmap-first-query >= 5x faster.
 //   answers   every measured plan, evaluated on the DOM document, the
 //             streamed document, and the mapped snapshot — all three must
 //             be value-identical.

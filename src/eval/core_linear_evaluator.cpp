@@ -35,13 +35,12 @@ void ForEachMember(const NodeBitset& set, Fn&& fn) {
   }
 }
 
-/// Member-count selector for the axes that keep two forms (child,
-/// ancestor* and the sibling axes). A dense pass streams one column,
-/// O(|D|) whatever the input; a member walk costs O(|frontier| + output),
-/// but each member pays pointer chases worth several nodes of a pass. On
-/// cold 1,000–3,000-node documents the walk wins below about 5% members
-/// for child, 8% for ancestor* and 15% for the sibling axes. One cut at
-/// 1/8 sits between those crossovers; the inputs the served pool produces
+/// Member-count selector for the axes that keep two forms (child and
+/// ancestor*). A dense pass streams one column, O(|D|) whatever the input;
+/// a member walk costs O(|frontier| + output), but each member pays
+/// pointer chases worth several nodes of a pass. On cold 1,000–3,000-node
+/// documents the walk wins below about 5% members for child and 8% for
+/// ancestor*. The cut sits at 1/8; the inputs the served pool produces
 /// mostly lie far from it, below 1% or at 20% and over.
 bool UseSparse(const NodeBitset& input, int32_t universe) {
   return input.Count() * 8 < universe;
@@ -85,36 +84,6 @@ void PackEquals(const int32_t* column, int32_t n, int32_t key,
   }
 }
 
-/// Dense sibling pass: out[v] = in[s] | out[s] for s = link[v], and 0 when
-/// v has no such sibling. The link points to a node the pass has already
-/// settled (the previous sibling when going forward in preorder, the next
-/// one going backward), so one pass settles every node. The bits of the
-/// current word stay in a register and a link into another word reads
-/// settled memory; the choice between the two is a mask, not a branch.
-template <bool kForward>
-void SiblingPass(const xml::NodeId* link, int32_t n, const uint64_t* in,
-                 uint64_t* out) {
-  const size_t words = (static_cast<size_t>(n) + 63) / 64;
-  for (size_t k = 0; k < words; ++k) {
-    const size_t wi = kForward ? k : words - 1 - k;
-    const int32_t base = static_cast<int32_t>(wi * 64);
-    const int32_t count = std::min(64, n - base);
-    uint64_t cur = 0;
-    for (int32_t i = 0; i < count; ++i) {
-      const int32_t bit = kForward ? i : count - 1 - i;
-      const xml::NodeId s = link[base + bit];
-      const uint32_t linked = s != xml::kNullNode;
-      // s itself, or node 0 (masked off below) when there is no sibling.
-      const uint32_t t = static_cast<uint32_t>(s) & (0u - linked);
-      const uint64_t same_word = (t >> 6) == wi;
-      const uint64_t source =
-          in[t >> 6] | out[t >> 6] | (cur & (0 - same_word));
-      cur |= ((source >> (t & 63)) & linked) << bit;
-    }
-    out[wi] = cur;
-  }
-}
-
 }  // namespace
 
 Axis InverseAxis(Axis axis) {
@@ -137,15 +106,17 @@ Axis InverseAxis(Axis axis) {
 
 // Every dense pass streams one SoA column in preorder and reads and writes
 // the sets a word (64 nodes) at a time, with no per-node call and no walk
-// of child lists. Child, ancestor* and the sibling axes keep a second form,
-// a walk over the input's members, which UseSparse picks for a sparse
-// input; each other axis has the one form that won at every density.
+// of child lists. Child and ancestor* keep a second form, a walk over the
+// input's members, which UseSparse picks for a sparse input; each other
+// axis has the one form that won at every density.
 NodeBitset AxisImage(const xml::Document& doc, Axis axis,
                      const NodeBitset& input) {
   const int32_t n = doc.size();
   GKX_CHECK_EQ(input.universe(), n);
-  // Raw SoA columns and words: every node id below comes from the document
-  // or from a member of `input`, so it is already in [0, n).
+  // Raw SoA columns and words: every node id below is a member of `input`
+  // or a link of the document, and Document's invariant (document.hpp,
+  // enforced for snapshots at decode) puts every link in [0, n) or at
+  // kNullNode, with parent(v) < v.
   const xml::NodeId* const parent = doc.parent_data();
   const xml::NodeId* const first_child = doc.first_child_data();
   const xml::NodeId* const next_sibling = doc.next_sibling_data();
@@ -189,7 +160,7 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
       // read the parent column of every node to learn no more.
       ForEachMember(input, [&](xml::NodeId u) {
         const xml::NodeId p = parent[u];
-        if (p != xml::kNullNode) o[p >> 6] |= uint64_t{1} << (p & 63);
+        if (p != xml::kNullNode) out.Set(p);
       });
       return out;
     case Axis::kDescendant:
@@ -268,35 +239,24 @@ NodeBitset AxisImage(const xml::Document& doc, Axis axis,
       return out;
     }
     case Axis::kFollowingSibling:
-      if (UseSparse(input, n)) {
-        // Member walk with stop-on-marked, O(output + |frontier|): once a
-        // walk reaches a sibling an earlier walk marked, the rest of the
-        // chain is already marked by that walk.
-        ForEachMember(input, [&](xml::NodeId u) {
-          for (xml::NodeId s = next_sibling[u];
-               s != xml::kNullNode && !out.Test(s); s = next_sibling[s]) {
-            out.Set(s);
-          }
-        });
-        return out;
-      }
-      // Dense: v follows an input sibling iff its previous sibling is in
-      // input or follows one.
-      SiblingPass<true>(prev_sibling, n, in, o);
+      // Member walks with stop-on-marked, O(output + |frontier|), at any
+      // density: once a walk reaches a sibling an earlier walk marked, the
+      // rest of the chain is already marked by that walk.
+      ForEachMember(input, [&](xml::NodeId u) {
+        for (xml::NodeId s = next_sibling[u];
+             s != xml::kNullNode && !out.Test(s); s = next_sibling[s]) {
+          out.Set(s);
+        }
+      });
       return out;
     case Axis::kPrecedingSibling:
-      if (UseSparse(input, n)) {
-        // Mirror walk along prev_sibling.
-        ForEachMember(input, [&](xml::NodeId u) {
-          for (xml::NodeId s = prev_sibling[u];
-               s != xml::kNullNode && !out.Test(s); s = prev_sibling[s]) {
-            out.Set(s);
-          }
-        });
-        return out;
-      }
-      // Dense: the mirror pass along next_sibling, in reverse preorder.
-      SiblingPass<false>(next_sibling, n, in, o);
+      // Mirror walk along prev_sibling.
+      ForEachMember(input, [&](xml::NodeId u) {
+        for (xml::NodeId s = prev_sibling[u];
+             s != xml::kNullNode && !out.Test(s); s = prev_sibling[s]) {
+          out.Set(s);
+        }
+      });
       return out;
   }
   GKX_CHECK(false);

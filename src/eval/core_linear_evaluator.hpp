@@ -7,12 +7,13 @@
 //
 // The set operations run at column speed: a node test compares the tag
 // column and packs 64 nodes to a word, and every dense axis pass streams
-// one SoA column (parent, subtree size or a sibling link) in preorder,
-// reading and writing the sets a word at a time, with no per-node call and
-// no walk of child lists. Child, ancestor* and the sibling axes also have a
-// member walk for sparse inputs, O(|frontier| + output), picked by the
-// member count alone (UseSparse); parent, descendant*, following and
-// preceding have one form at any density.
+// one SoA column (parent or subtree size) in preorder, reading and writing
+// the sets a word at a time, with no per-node call and no walk of child
+// lists. Child and ancestor* also have a member walk for sparse inputs,
+// O(|frontier| + output), picked by the member count alone (UseSparse);
+// every other axis has one form at any density: parent and the sibling
+// axes walk the input's members, descendant*, following and preceding set
+// preorder ranges.
 //
 // The sweeps run on the calling thread. The paper places Core and PF in
 // LOGCFL (Thm 6.6), so they parallelize in principle, but partitioning the

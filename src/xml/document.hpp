@@ -158,7 +158,13 @@ class Document {
 
   /// Raw column pointers, each `size()` entries. The axis-image sweeps read
   /// these directly, so a sweep streams one contiguous 4-byte-per-node
-  /// stripe.
+  /// stripe, and index sets and columns with the ids they hold unchecked.
+  /// That is safe because every Document is one tree in preorder: node 0
+  /// is the only node without a parent, parent(v) < v, v's subtree is
+  /// [v, v + subtree_size(v)) inside its parent's, and each child and
+  /// sibling link is the node those sizes put there, or kNullNode. The
+  /// builders, the parsers and ApplyEdit construct that shape; the
+  /// snapshot decoder (xml/snapshot.hpp) rejects bytes that break it.
   const NodeId* parent_data() const { return v_.parent; }
   const NodeId* first_child_data() const { return v_.first_child; }
   const NodeId* last_child_data() const { return v_.last_child; }

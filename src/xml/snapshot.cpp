@@ -126,6 +126,12 @@ class SnapshotCodec {
   static Result<Document> Decode(
       const char* data, uint64_t size, const std::string& label,
       std::shared_ptr<internal::MappedSnapshot> mapping);
+
+  /// The first way the section contents break Document's invariants, or
+  /// null when they hold: one tree in preorder whose links agree with the
+  /// subtree sizes, and names and payload spans inside their tables.
+  static const char* ContentError(const Document::Views& v,
+                                  uint64_t name_count);
 };
 
 SnapshotCodec::Layout SnapshotCodec::ComputeLayout(const Document& doc) {
@@ -402,7 +408,86 @@ Result<Document> SnapshotCodec::Decode(
   v.label_pool_size = header.label_pool_count;
   v.attr_pool_size = header.attr_pool_count;
   v.heap_size = header.heap_size;
+  if (const char* what = ContentError(v, header.name_count)) {
+    return corrupt(what);
+  }
   return doc;
+}
+
+const char* SnapshotCodec::ContentError(const Document::Views& v,
+                                        uint64_t name_count) {
+  const int32_t n = v.size;
+  auto in_pool = [](PayloadSpan s, uint64_t pool) {
+    return uint64_t{s.offset} + s.length <= pool;
+  };
+  auto is_name = [name_count](NameId name) {
+    return name >= 0 && static_cast<uint64_t>(name) < name_count;
+  };
+  // One preorder walk with the open ancestors on a stack: u's parent must
+  // be the innermost open subtree that contains u, and every other link is
+  // then fixed by the subtree sizes. Each check reads only u and nodes
+  // before u, which the walk has already checked: a node's last child is
+  // checked from that child, the one whose subtree ends where its parent's
+  // does.
+  std::vector<NodeId> open;
+  for (NodeId u = 0; u < n; ++u) {
+    const int32_t size = v.subtree_size[u];
+    if (size < 1 || size > n - u) return "subtree size out of range";
+    while (!open.empty() &&
+           u >= open.back() + v.subtree_size[open.back()]) {
+      open.pop_back();
+    }
+    if (u > 0 && open.empty()) return "root subtree does not span the document";
+    const NodeId p = open.empty() ? kNullNode : open.back();
+    const int32_t end = u + size;
+    const int32_t parent_end = p == kNullNode ? n : p + v.subtree_size[p];
+    if (v.parent[u] != p) return "parent link disagrees with subtree sizes";
+    if (end > parent_end) return "subtree runs past its parent's";
+    if (v.depth[u] != (p == kNullNode ? 0 : v.depth[p] + 1)) {
+      return "depth disagrees with parent";
+    }
+    if (v.first_child[u] != (size > 1 ? u + 1 : kNullNode)) {
+      return "first-child link disagrees with subtree sizes";
+    }
+    const NodeId next = p != kNullNode && end < parent_end ? end : kNullNode;
+    if (v.next_sibling[u] != next) {
+      return "next-sibling link disagrees with subtree sizes";
+    }
+    const NodeId prev = v.prev_sibling[u];
+    if (p == kNullNode || u == p + 1
+            ? prev != kNullNode
+            : prev <= p || prev >= u || v.next_sibling[prev] != u) {
+      return "previous-sibling link disagrees with next-sibling link";
+    }
+    if ((size == 1 && v.last_child[u] != kNullNode) ||
+        (p != kNullNode && end == parent_end && v.last_child[p] != u)) {
+      return "last-child link disagrees with subtree sizes";
+    }
+    open.push_back(u);
+
+    if (!is_name(v.tag[u])) return "tag outside the name table";
+    if (!in_pool(v.text_span[u], v.heap_size)) return "text span out of bounds";
+    const PayloadSpan labels = v.label_span[u];
+    if (!in_pool(labels, v.label_pool_size)) return "label span out of bounds";
+    for (uint32_t i = 0; i < labels.length; ++i) {
+      const NameId label = v.label_pool[labels.offset + i];
+      if (!is_name(label) || label == v.tag[u] ||
+          (i > 0 && label <= v.label_pool[labels.offset + i - 1])) {
+        return "labels not ascending names apart from the tag";
+      }
+    }
+    if (!in_pool(v.attr_span[u], v.attr_pool_size)) {
+      return "attribute span out of bounds";
+    }
+  }
+  for (uint64_t i = 0; i < v.attr_pool_size; ++i) {
+    const AttrEntry& e = v.attr_pool[i];
+    if (!in_pool({e.name_offset, e.name_length}, v.heap_size) ||
+        !in_pool({e.value_offset, e.value_length}, v.heap_size)) {
+      return "attribute bytes out of bounds";
+    }
+  }
+  return nullptr;
 }
 
 Status SaveSnapshot(const Document& doc, const std::string& path) {

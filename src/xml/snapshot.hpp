@@ -15,7 +15,12 @@
 // that every section lies inside the actual file before publishing any
 // pointer, so a truncated, version-bumped, or bit-flipped header fails with
 // a clean InvalidArgument diagnostic instead of UB (xml_snapshot_test
-// exercises the corruption matrix).
+// exercises the corruption matrix). The section contents are then checked
+// in one read-only pass over the columns: the links must describe one tree
+// in preorder that agrees with the subtree sizes, and every name and
+// payload span must lie inside its table (Document's invariant, which the
+// evaluators' unchecked column sweeps rely on). A snapshot that arrives
+// over the wire or from the journal is held to the same check.
 
 #ifndef GKX_XML_SNAPSHOT_HPP_
 #define GKX_XML_SNAPSHOT_HPP_
@@ -46,8 +51,9 @@ void SaveSnapshotBytes(const Document& doc, std::string* out);
 
 /// Decodes a snapshot byte string produced by SaveSnapshotBytes with the
 /// same full validation MapSnapshot performs (magic, version, checksum,
-/// section bounds). Returns an owned deep copy — the result does not alias
-/// `bytes`. `label` names the source in error diagnostics.
+/// section bounds, section contents). Returns an owned deep copy — the
+/// result does not alias `bytes`. `label` names the source in error
+/// diagnostics.
 Result<Document> LoadSnapshotBytes(std::string_view bytes,
                                    const std::string& label = "snapshot bytes");
 

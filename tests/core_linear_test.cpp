@@ -96,10 +96,10 @@ constexpr DocShape kShapes[] = {
     {8, 1, 0.0}, {9, 2, 1.0}, {70, 63, 0.5}, {71, 64, 0.9}, {72, 65, 0.1},
     {136, 129, 0.95}};
 
-// Input sets are drawn at the given density. Child, ancestor* and the
-// sibling axes have a dense column pass and a member walk, and the walk
-// runs when members * 8 < |D|: density 0.3 takes the pass, 0.05 mostly the
-// walk. Densities 0 and 1 are the empty and the full frontier.
+// Input sets are drawn at the given density. Child and ancestor* have a
+// dense column pass and a member walk, and the walk runs when
+// members * 8 < |D|: density 0.3 takes the pass, 0.05 mostly the walk.
+// Densities 0 and 1 are the empty and the full frontier.
 class AxisImageTest
     : public ::testing::TestWithParam<std::tuple<DocShape, double>> {};
 

@@ -540,6 +540,61 @@ TEST(NetCodecTest, LoopbackAnswersAHostileBatchCountAndKeepsServing) {
   server.Stop();
 }
 
+// An edit's subtree crosses the wire as snapshot bytes, and the header
+// checksum does not cover the columns. A subtree whose parent link points
+// past its end — which an unchecked axis sweep would follow out of bounds
+// once the edit is spliced in — is answered InvalidArgument at decode; the
+// document stays as it was and the server keeps serving.
+TEST(NetCodecTest, LoopbackRejectsAnEditSubtreeThatBreaksTheTree) {
+  service::ShardedQueryService service;
+  ASSERT_TRUE(service.RegisterXml("d", "<r><a/><a/></r>").ok());
+  Server server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  Message update;
+  update.type = MsgType::kUpdate;
+  update.doc_key = "d";
+  update.edit.kind = xml::SubtreeEdit::Kind::kInsertSubtree;
+  update.edit.target = 0;
+  update.edit.position = 0;
+  auto subtree = xml::ParseDocument("<n><m/><m/></n>");
+  ASSERT_TRUE(subtree.ok());
+  update.edit.subtree = std::move(*subtree);
+  std::string payload = EncodeMessage(update);
+  // The snapshot starts at its magic; the parent column is its first
+  // section, at the offset the header stores at byte 56 (xml/snapshot.cpp).
+  const size_t snapshot = payload.find("GKXARNA\n");
+  ASSERT_NE(snapshot, std::string::npos);
+  uint64_t parent_column = 0;
+  std::memcpy(&parent_column, payload.data() + snapshot + 56,
+              sizeof(parent_column));
+  const int32_t far = 1 << 20;  // the parent of node 2
+  std::memcpy(payload.data() + snapshot + parent_column + 2 * sizeof(far),
+              &far, sizeof(far));
+
+  Result<Message> decoded = DecodeMessage(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("parent link"), std::string::npos)
+      << decoded.status().message();
+
+  RawConnection connection(server);
+  Result<Message> reply = connection.RoundTrip(payload);
+  ASSERT_TRUE(reply.ok()) << reply.status().message();
+  EXPECT_EQ(reply->type, MsgType::kStatusReply);
+  EXPECT_EQ(reply->status.code(), StatusCode::kInvalidArgument);
+  connection.ExpectPong();
+  Message count;
+  count.type = MsgType::kSubmit;
+  count.requests.push_back({"d", "count(/descendant-or-self::*)"});
+  reply = connection.RoundTrip(EncodeMessage(count));
+  ASSERT_TRUE(reply.ok()) << reply.status().message();
+  ASSERT_EQ(reply->answers.size(), 1u);
+  ASSERT_TRUE(reply->answers[0].status.ok());
+  EXPECT_EQ(reply->answers[0].answer.value.number(), 3.0);
+  server.Stop();
+}
+
 TEST(NetCodecTest, LoopbackAnswersADeeplyNestedQueryAndKeepsServing) {
   service::ShardedQueryService service;
   ASSERT_TRUE(service.RegisterXml("d", "<a><a><b/></a></a>").ok());

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -302,6 +303,91 @@ TEST(SnapshotBytesTest, CorruptBytesAreRejected) {
   std::string flipped = bytes;
   flipped[24] = static_cast<char>(flipped[24] ^ 0x5a);
   EXPECT_FALSE(LoadSnapshotBytes(flipped).ok());
+}
+
+// The header checksum does not cover the sections, so the decoder checks
+// their contents against Document's invariant: each damaged link, size,
+// depth, name or payload span below must fail with InvalidArgument, from
+// bytes and from a mapped file alike, before an unchecked column sweep
+// could index with it.
+TEST(SnapshotBytesTest, CorruptContentsAreRejected) {
+  const Document doc = PayloadHeavyDoc();
+  std::string bytes;
+  SaveSnapshotBytes(doc, &bytes);
+  ASSERT_TRUE(LoadSnapshotBytes(bytes).ok());
+  // a's labels open the label pool (r has none), and its tag id is below
+  // its second label, so writing the tag over the first label breaks only
+  // the tag/label disjointness.
+  const NameId a_tag = doc.tag(1);
+  const std::span<const NameId> a_labels = doc.labels(1);
+  ASSERT_TRUE(doc.labels(0).empty());
+  ASSERT_EQ(a_labels.size(), 3u);
+  ASSERT_LT(a_tag, a_labels[1]);
+  // Header layout (xml/snapshot.cpp): u64 section offsets from byte 56, in
+  // the order parent, first_child, last_child, prev_sibling, next_sibling,
+  // subtree_size, depth, tag, text_span, label_span, attr_span, label_pool,
+  // attr_pool. A span is two u32 words, (offset, length).
+  enum { kParent, kFirstChild, kLastChild, kPrevSibling, kNextSibling,
+         kSubtreeSize, kDepth, kTag, kTextSpan, kLabelSpan, kAttrSpan,
+         kLabelPool, kAttrPool };
+  auto section = [&bytes](int s) {
+    uint64_t offset = 0;
+    std::memcpy(&offset, bytes.data() + 56 + 8 * s, sizeof(offset));
+    return offset;
+  };
+  struct Damage {
+    int section;
+    int word;  // 4-byte word within the section
+    int32_t value;
+    const char* what;
+  };
+  // PayloadHeavyDoc in preorder: r(0) a(1) b(2) b2(3) c(4) d(5).
+  const Damage damages[] = {
+      {kParent, 1, 6, "parent link"},   // past the last node
+      {kParent, 2, -1, "parent link"},  // a second root
+      {kParent, 3, 3, "parent link"},   // its own parent
+      {kParent, 3, 1, "parent link"},   // b2 under a, against the sizes
+      {kFirstChild, 2, 7, "first-child link"},
+      {kLastChild, 0, 4, "last-child link"},  // c, which d follows
+      {kPrevSibling, 5, -7, "previous-sibling link"},
+      {kPrevSibling, 2, 2, "previous-sibling link"},
+      {kPrevSibling, 1, 0, "previous-sibling link"},  // a opens r's children
+      {kPrevSibling, 5, 1, "previous-sibling link"},  // a, which b follows
+      {kNextSibling, 1, 3, "next-sibling link"},
+      {kSubtreeSize, 0, 7, "subtree size"},
+      {kSubtreeSize, 2, 0, "subtree size"},
+      {kDepth, 4, 5, "depth"},
+      {kTag, 3, 1000, "tag outside"},
+      {kTag, 3, -1, "tag outside"},
+      {kTextSpan, 2 * 2 + 1, 1 << 20, "text span"},
+      {kLabelSpan, 2 * 1, 1000, "label span"},
+      {kLabelPool, 2, 1000, "labels not ascending"},  // past the names
+      {kLabelPool, 1, a_labels[0], "labels not ascending"},  // repeated
+      {kLabelPool, 0, a_tag, "labels not ascending"},        // the tag
+      {kAttrSpan, 2 * 3 + 1, 100, "attribute span"},
+      {kAttrPool, 0, 1 << 30, "attribute bytes"},
+  };
+  for (const Damage& d : damages) {
+    std::string damaged = bytes;
+    std::memcpy(damaged.data() + section(d.section) + 4 * d.word, &d.value,
+                sizeof(d.value));
+    auto loaded = LoadSnapshotBytes(damaged);
+    ASSERT_FALSE(loaded.ok()) << d.what << " at section " << d.section
+                              << " word " << d.word;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(d.what), std::string::npos)
+        << loaded.status().message();
+  }
+
+  const std::string path = TempPath("damaged_parent.gkx");
+  std::string damaged = bytes;
+  const int32_t far = 1 << 20;
+  std::memcpy(damaged.data() + section(kParent) + 4, &far, sizeof(far));
+  WriteFile(path, damaged);
+  auto mapped = MapSnapshot(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotBytesTest, NameCountBeyondTheNameTableIsRejected) {
