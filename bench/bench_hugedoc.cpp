@@ -24,10 +24,14 @@
 //   --smoke: ~8 MB, correctness checks only (CI tier); the >= 5x cold-start
 //   bar applies at the default scale, where parse cost dominates noise.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "base/stopwatch.hpp"
@@ -97,8 +101,16 @@ void Run(uint64_t target_bytes, bool smoke) {
       "and the restart race: parse-then-query vs mmap-then-query");
 
   bench::JsonReport json("hugedoc", /*seed=*/0);
+  // A unique file in the system temp directory, so the bench runs from any
+  // working directory (and two runs never share a snapshot); removed below.
   const std::string snapshot_path =
-      bench::RepoRootPath("build/bench_hugedoc.snapshot");
+      (std::filesystem::temp_directory_path() /
+       ("gkx_bench_hugedoc." + std::to_string(::getpid()) + "." +
+        std::to_string(std::chrono::steady_clock::now()
+                           .time_since_epoch()
+                           .count()) +
+        ".snapshot"))
+          .string();
 
   // ---- synthesize ----
   int64_t records = 0;

@@ -406,7 +406,7 @@ Result<double> PdaEvaluator::EvalNumber(const Expr& expr, const Context& ctx) {
       if (!lhs.ok()) return lhs;
       auto rhs = EvalNumber(binary.rhs(), ctx);
       if (!rhs.ok()) return rhs;
-      return ArithmeticOp(binary.op(), *lhs, *rhs);
+      return xpath::ArithmeticOp(binary.op(), *lhs, *rhs);
     }
     case Expr::Kind::kFunctionCall: {
       const auto& call = expr.As<FunctionCall>();

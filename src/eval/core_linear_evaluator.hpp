@@ -69,11 +69,16 @@ class CoreLinearEvaluator : public Evaluator {
   Result<NodeBitset> EvalStepRange(const xpath::PathExpr& path, size_t begin,
                                    size_t end, const NodeBitset& frontier);
 
- private:
-  /// Set of nodes where the Core XPath condition holds (bexpr of Def 2.5).
-  /// Returns a pointer into condition_cache_ (stable until the next Bind) so
-  /// fused intersection passes can AND several cached sets without copying.
+  /// Set of nodes where the Core XPath condition holds (bexpr of Def 2.5),
+  /// computed bottom-up for all nodes at once in O(|D|·|expr|) and cached
+  /// until the next Bind. Returns a pointer into the cache, so fused
+  /// intersection passes can AND several sets without copying. Bind must
+  /// have been called, and every expression asked for between two Binds
+  /// must come from one query (the cache is keyed by expression id). The
+  /// staged executor's cvt engine reads its Core conditions from here.
   Result<const NodeBitset*> ConditionSet(const xpath::Expr& expr);
+
+ private:
 
   /// Set of nodes from which the path (suffix starting at `step_index`)
   /// selects at least one node — computed right-to-left via inverse axes.

@@ -1,5 +1,7 @@
 #include "eval/cvt_evaluator.hpp"
 
+#include "eval/core_linear_evaluator.hpp"
+
 namespace gkx::eval {
 
 using xpath::ContextDependence;
@@ -54,6 +56,16 @@ Status CvtEvaluator::Prepare() {
   bound_query_ = &query();
   bound_query_serial_ = query().serial();
   return Status::Ok();
+}
+
+Result<bool> CvtEvaluator::Truth(const Expr& expr, const Context& ctx,
+                                 bool predicate) {
+  if (conditions_ == nullptr || !analysis_.traits(expr).core_condition) {
+    return RecursiveEvaluatorBase::Truth(expr, ctx, predicate);
+  }
+  auto set = conditions_->ConditionSet(expr);
+  if (!set.ok()) return set.status();
+  return (*set)->Test(ctx.node);
 }
 
 bool CvtEvaluator::LookupMemo(const Expr& expr, const Context& ctx, Value* out) {

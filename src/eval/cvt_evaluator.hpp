@@ -31,6 +31,23 @@
 // And such a cell is almost never read back: a ⟨node, position, size⟩
 // recurs only when a node is reached again at the same rank of a candidate
 // list of the same size.
+//
+// Why a Core condition in a boolean position may be one bit test:
+//   * A Core condition (a Def 2.5 bexpr: and/or/not() over location paths
+//     whose predicates are bexprs) depends on the context node only, and
+//     its node-keyed table, read as truth values, is exactly its condition
+//     set: the nodes where it holds.
+//   * CoreLinearEvaluator fills that set for all nodes at once, bottom-up,
+//     in O(|D|·|e|) (Prop 2.7's set-at-a-time reading, Thm 7.2), which is
+//     the eager fill of the same table at linear rather than polynomial
+//     cost.
+//   * In a boolean position (an operand of and/or, the argument of not()
+//     or boolean(), a predicate) only that truth value is read, never the
+//     node set. So when the staged executor hands this engine the linear
+//     engine bound to the same document and query (UseConditionSets), each
+//     such test reads one bit of the set, built on the first test that
+//     asks for it; the expression's own table stays empty. The standalone
+//     engine (no linear engine) keeps the per-node tables of [3].
 
 #ifndef GKX_EVAL_CVT_EVALUATOR_HPP_
 #define GKX_EVAL_CVT_EVALUATOR_HPP_
@@ -42,6 +59,8 @@
 #include "eval/recursive_base.hpp"
 
 namespace gkx::eval {
+
+class CoreLinearEvaluator;
 
 class CvtEvaluator : public RecursiveEvaluatorBase {
  public:
@@ -61,8 +80,17 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   /// Total entries stored across all tables by the last Evaluate call.
   int64_t last_table_entries() const { return table_entries_; }
 
+  /// Answers every Core condition in a boolean position from `linear`'s
+  /// condition sets (see the header comment); nullptr restores per-node
+  /// evaluation. While set, `linear` must be bound to the document this
+  /// engine evaluates, with no condition set of another query cached. The
+  /// staged executor sets it for one run (plan/exec.hpp).
+  void UseConditionSets(CoreLinearEvaluator* linear) { conditions_ = linear; }
+
  protected:
   Status Prepare() override;
+  Result<bool> Truth(const xpath::Expr& expr, const Context& ctx,
+                     bool predicate) override;
   bool LookupMemo(const xpath::Expr& expr, const Context& ctx,
                   Value* out) override;
   void StoreMemo(const xpath::Expr& expr, const Context& ctx,
@@ -76,6 +104,7 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   std::vector<std::optional<Value>> constant_;
   std::vector<std::unordered_map<xml::NodeId, Value>> by_node_;
   int64_t table_entries_ = 0;
+  CoreLinearEvaluator* conditions_ = nullptr;
   // Binding the evaluator is idempotent: when Bind sees the exact same
   // (document, query) pair — identified by (address, serial) on both sides,
   // so recycled allocations can't alias — Prepare keeps the filled tables.

@@ -8,7 +8,9 @@
 // — and every plan runs through the one executor (plan::ExecuteStaged) on
 // this Engine's two evaluators: the path spine stays on the bitset fast
 // path, only non-Core predicate subtrees drop into CVT, and a scalar root
-// runs whole on CVT. Answer.evaluator reports the plan's route list, e.g.
+// runs whole on CVT. Within a run the executor wires CVT to the linear
+// evaluator, so a Core condition that CVT tests is one bit of its
+// condition set. Answer.evaluator reports the plan's route list, e.g.
 // "pf-frontier", "core-linear", "cvt" or "pf-frontier+cvt".
 
 #ifndef GKX_EVAL_ENGINE_HPP_

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "base/check.hpp"
@@ -18,8 +19,14 @@ namespace gkx::eval {
 /// Sorted (document order), duplicate-free set of nodes.
 using NodeSet = std::vector<xml::NodeId>;
 
-/// Sorts and removes duplicates in place.
+/// Sorts and removes duplicates in place. A set that is already strictly
+/// increasing (one origin's forward-axis output, a walk in document order)
+/// costs one scan and is left as it is.
 inline void SortUnique(NodeSet* set) {
+  if (std::adjacent_find(set->begin(), set->end(),
+                         std::greater_equal<xml::NodeId>()) == set->end()) {
+    return;
+  }
   std::sort(set->begin(), set->end());
   set->erase(std::unique(set->begin(), set->end()), set->end());
 }

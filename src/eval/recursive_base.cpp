@@ -43,11 +43,8 @@ Status RecursiveEvaluatorBase::ApplyBoundStep(const xpath::Step& step,
   GKX_CHECK(doc_ != nullptr && query_ != nullptr);
   // Single-pointer capture: fits std::function's small-buffer storage, so
   // the per-origin construction stays allocation-free.
-  PredicateFn eval_predicate = [this](const Expr& expr,
-                                      const Context& ctx) -> Result<bool> {
-    auto value = Eval(expr, ctx);
-    if (!value.ok()) return value.status();
-    return PredicateTruth(*value, ctx);
+  PredicateFn eval_predicate = [this](const Expr& expr, const Context& ctx) {
+    return Truth(expr, ctx, /*predicate=*/true);
   };
   return ApplyStep(*doc_, step, tests_[static_cast<size_t>(step.id)], origin,
                    eval_predicate, out);
@@ -120,14 +117,13 @@ Result<Value> RecursiveEvaluatorBase::EvalBinary(const xpath::BinaryExpr& binary
                                                  const Context& ctx) {
   const BinaryOp op = binary.op();
   if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-    auto lhs = Eval(binary.lhs(), ctx);
+    auto lhs = Truth(binary.lhs(), ctx, /*predicate=*/false);
     if (!lhs.ok()) return lhs.status();
-    const bool lhs_true = lhs->ToBoolean();
-    if (op == BinaryOp::kAnd && !lhs_true) return Value::Boolean(false);
-    if (op == BinaryOp::kOr && lhs_true) return Value::Boolean(true);
-    auto rhs = Eval(binary.rhs(), ctx);
+    if (op == BinaryOp::kAnd && !*lhs) return Value::Boolean(false);
+    if (op == BinaryOp::kOr && *lhs) return Value::Boolean(true);
+    auto rhs = Truth(binary.rhs(), ctx, /*predicate=*/false);
     if (!rhs.ok()) return rhs.status();
-    return Value::Boolean(rhs->ToBoolean());
+    return Value::Boolean(*rhs);
   }
   auto lhs = Eval(binary.lhs(), ctx);
   if (!lhs.ok()) return lhs.status();
@@ -137,7 +133,7 @@ Result<Value> RecursiveEvaluatorBase::EvalBinary(const xpath::BinaryExpr& binary
     return Value::Boolean(CompareValues(doc(), op, *lhs, *rhs));
   }
   return Value::Number(
-      ArithmeticOp(op, lhs->ToNumber(doc()), rhs->ToNumber(doc())));
+      xpath::ArithmeticOp(op, lhs->ToNumber(doc()), rhs->ToNumber(doc())));
 }
 
 Result<Value> RecursiveEvaluatorBase::EvalFunction(const FunctionCall& call,
@@ -160,15 +156,11 @@ Result<Value> RecursiveEvaluatorBase::EvalFunction(const FunctionCall& call,
       return Value::Boolean(true);
     case Function::kFalse:
       return Value::Boolean(false);
-    case Function::kNot: {
-      auto arg = Eval(call.arg(0), ctx);
-      if (!arg.ok()) return arg.status();
-      return Value::Boolean(!arg->ToBoolean());
-    }
+    case Function::kNot:
     case Function::kBoolean: {
-      auto arg = Eval(call.arg(0), ctx);
+      auto arg = Truth(call.arg(0), ctx, /*predicate=*/false);
       if (!arg.ok()) return arg.status();
-      return Value::Boolean(arg->ToBoolean());
+      return Value::Boolean(call.function() == Function::kNot ? !*arg : *arg);
     }
     case Function::kNumber: {
       if (call.arg_count() == 0) {
@@ -347,11 +339,8 @@ Result<NodeSet> RecursiveEvaluatorBase::EvalPathFrom(const PathExpr& path,
                                                      xml::NodeId origin) {
   NodeSet current;
   current.push_back(path.absolute() ? doc().root() : origin);
-  PredicateFn eval_predicate = [this](const Expr& expr,
-                                      const Context& ctx) -> Result<bool> {
-    auto value = Eval(expr, ctx);
-    if (!value.ok()) return value.status();
-    return PredicateTruth(*value, ctx);
+  PredicateFn eval_predicate = [this](const Expr& expr, const Context& ctx) {
+    return Truth(expr, ctx, /*predicate=*/true);
   };
   for (size_t s = 0; s < path.step_count(); ++s) {
     const xpath::Step& step = path.step(s);

@@ -53,6 +53,20 @@ class RecursiveEvaluatorBase : public Evaluator {
   /// Recursive evaluation (memoized via the hooks).
   Result<Value> Eval(const xpath::Expr& expr, const Context& ctx);
 
+  /// The truth of `expr` at `ctx` in a boolean position: an operand of
+  /// and/or, the argument of not() or boolean(), or a predicate. Every
+  /// boolean position of the kernel asks here. In a predicate
+  /// (`predicate`) a number is a position test ([2] means [position() = 2]);
+  /// elsewhere it converts with boolean(). The base evaluates `expr` and
+  /// converts its value; an engine that holds the answer for all nodes at
+  /// once overrides this (CvtEvaluator, for Core conditions).
+  virtual Result<bool> Truth(const xpath::Expr& expr, const Context& ctx,
+                             bool predicate) {
+    auto value = Eval(expr, ctx);
+    if (!value.ok()) return value.status();
+    return predicate ? PredicateTruth(*value, ctx) : value->ToBoolean();
+  }
+
   /// Location-path evaluation from an origin node.
   Result<NodeSet> EvalPathFrom(const xpath::PathExpr& path, xml::NodeId origin);
 

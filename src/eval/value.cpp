@@ -7,6 +7,7 @@
 namespace gkx::eval {
 
 using xpath::BinaryOp;
+using xpath::CompareNumbers;
 
 bool Value::ToBoolean() const {
   switch (type_) {
@@ -91,20 +92,6 @@ std::string Value::DebugString() const {
 }
 
 namespace {
-
-bool CompareNumbers(BinaryOp op, double lhs, double rhs) {
-  switch (op) {
-    case BinaryOp::kEq: return lhs == rhs;
-    case BinaryOp::kNe: return lhs != rhs;
-    case BinaryOp::kLt: return lhs < rhs;
-    case BinaryOp::kLe: return lhs <= rhs;
-    case BinaryOp::kGt: return lhs > rhs;
-    case BinaryOp::kGe: return lhs >= rhs;
-    default:
-      GKX_CHECK(false);
-      return false;
-  }
-}
 
 bool IsOrderOp(BinaryOp op) {
   return op == BinaryOp::kLt || op == BinaryOp::kLe || op == BinaryOp::kGt ||
@@ -193,19 +180,6 @@ bool CompareValues(const xml::Document& doc, BinaryOp op, const Value& lhs,
   if (lns) return CompareNodeSetScalar(doc, op, lhs.nodes(), rhs);
   if (rns) return CompareNodeSetScalar(doc, MirrorOp(op), rhs.nodes(), lhs);
   return CompareScalars(doc, op, lhs, rhs);
-}
-
-double ArithmeticOp(xpath::BinaryOp op, double lhs, double rhs) {
-  switch (op) {
-    case BinaryOp::kAdd: return lhs + rhs;
-    case BinaryOp::kSub: return lhs - rhs;
-    case BinaryOp::kMul: return lhs * rhs;
-    case BinaryOp::kDiv: return lhs / rhs;
-    case BinaryOp::kMod: return std::fmod(lhs, rhs);
-    default:
-      GKX_CHECK(false);
-      return 0.0;
-  }
 }
 
 double XPathRound(double value) {

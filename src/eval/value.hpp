@@ -101,11 +101,6 @@ class Value {
 bool CompareValues(const xml::Document& doc, xpath::BinaryOp op,
                    const Value& lhs, const Value& rhs);
 
-/// XPath arithmetic (operands coerced with number()). `op` must be an
-/// arithmetic operator. div/mod follow IEEE/XPath (mod keeps the dividend's
-/// sign; division by zero yields ±Infinity/NaN).
-double ArithmeticOp(xpath::BinaryOp op, double lhs, double rhs);
-
 /// XPath round(): floor(x + 0.5) with NaN/∞ passed through.
 double XPathRound(double value);
 

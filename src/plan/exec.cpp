@@ -19,17 +19,30 @@ double SecondsSince(uint64_t t0) {
   return static_cast<double>(obs::NowNs() - t0) * 1e-9;
 }
 
-/// One execution of a plan's branch programs on the caller's engines. The
-/// linear engine is bound up front (cheap: a same-document rebind keeps its
-/// test sets); the cvt engine at the first cvt segment that runs, and that
-/// one bind serves every later cvt segment of the run, so they share its
-/// memo tables.
+/// One execution of a plan on the caller's engines. The linear engine is
+/// bound up front, before any cvt evaluation (cheap: a same-document rebind
+/// keeps its test sets, and the rebind drops every condition set of an
+/// earlier run, whose query and document may differ). For the run, the cvt
+/// engine answers Core conditions from the linear engine's condition sets,
+/// so a cvt segment and a core-linear segment of one run share them. The
+/// cvt engine is bound at the first cvt segment that runs, and that one
+/// bind serves every later cvt segment of the run, so they share its memo
+/// tables.
 class StagedRun {
  public:
   StagedRun(const xml::Document& doc, const Physical& plan,
             eval::CoreLinearEvaluator& linear, eval::CvtEvaluator& cvt)
       : doc_(doc), plan_(plan), linear_(linear), cvt_(cvt) {
     linear_.Bind(doc);
+    cvt_.UseConditionSets(&linear_);
+  }
+  ~StagedRun() { cvt_.UseConditionSets(nullptr); }
+  StagedRun(const StagedRun&) = delete;
+  StagedRun& operator=(const StagedRun&) = delete;
+
+  /// A scalar root has no path spine to sweep: it runs whole on cvt.
+  Result<Value> RunScalar(const eval::Context& ctx) {
+    return cvt_.Evaluate(doc_, plan_.query, ctx);
   }
 
   Result<NodeBitset> RunBranch(const BranchProgram& branch,
@@ -100,15 +113,14 @@ Result<Value> ExecuteStaged(const xml::Document& doc, const Physical& plan,
                             eval::CoreLinearEvaluator* linear,
                             eval::CvtEvaluator* cvt, ExecTrace* trace) {
   if (doc.empty()) return InvalidArgumentError("empty document");
+  StagedRun run(doc, plan, *linear, *cvt);
   if (plan.branches.empty()) {
-    // A scalar root has no path spine to sweep: it runs whole on cvt, as
-    // the plan's one cvt segment.
+    // The plan's one cvt segment.
     const uint64_t t0 = trace != nullptr ? obs::NowNs() : 0;
-    auto value = cvt->Evaluate(doc, plan.query, ctx);
+    auto value = run.RunScalar(ctx);
     if (trace != nullptr) trace->push_back({Route::kCvt, SecondsSince(t0)});
     return value;
   }
-  StagedRun run(doc, plan, *linear, *cvt);
   // The first branch's frontier accumulates the union of the others.
   auto merged = run.RunBranch(plan.branches[0], ctx, trace);
   if (!merged.ok()) return merged.status();

@@ -4,8 +4,10 @@
 // CvtEvaluator bound to the plan's query (so predicate memoization is
 // shared across origins and segments); the materialization boundaries
 // convert NodeBitset ⇄ document-order NodeSet exactly at segment seams. A
-// scalar root runs whole on the CvtEvaluator. Answers are byte-identical
-// to the naive oracle — the evaluator-agreement and soak suites pin this.
+// scalar root runs whole on the CvtEvaluator. Wherever cvt tests a Core
+// condition in a boolean position, it reads one bit of the linear engine's
+// condition set for it (cvt_evaluator.hpp). Answers are byte-identical to
+// the naive oracle — the evaluator-agreement and soak suites pin this.
 
 #ifndef GKX_PLAN_EXEC_HPP_
 #define GKX_PLAN_EXEC_HPP_
@@ -43,9 +45,10 @@ using ExecTrace = std::vector<SegmentTiming>;
 /// re-executing the same plan on the same document turns memo fills into
 /// memo hits. They detect same-binding reuse by (address, serial) identity
 /// — see base/identity.hpp — and rebuild when the document or plan changed,
-/// so answers are byte-identical to a cold run. `cvt` is bound only when a
-/// cvt segment runs. The plan is only read; the engines must not be shared
-/// with a concurrent call. When `trace` is non-null, per-segment timings
+/// so answers are byte-identical to a cold run. `linear` is bound first,
+/// and `cvt` reads its condition sets for the length of the call; `cvt` is
+/// bound only when a cvt segment runs. The plan is only read; the engines
+/// must not be shared with a concurrent call. When `trace` is non-null, per-segment timings
 /// are appended to it.
 Result<eval::Value> ExecuteStaged(const xml::Document& doc,
                                   const Physical& plan,

@@ -27,7 +27,8 @@ Logical Normalize(xpath::Query parsed) {
 
 void ClassifyOps(Logical* logical, const xpath::ClassifyOptions& options) {
   const xpath::Query& query = logical->query;
-  logical->fragment = xpath::Classify(query, options);
+  const xpath::QueryAnalysis analysis = xpath::Analyze(query);
+  logical->fragment = xpath::Classify(query, analysis, options);
   logical->steps.assign(static_cast<size_t>(query.num_steps()), StepPlan{});
   for (int id = 0; id < query.num_steps(); ++id) {
     const xpath::Step& step = query.step(id);
@@ -37,7 +38,8 @@ void ClassifyOps(Logical* logical, const xpath::ClassifyOptions& options) {
       continue;
     }
     for (const xpath::ExprPtr& predicate : step.predicates) {
-      xpath::ConditionReport report = xpath::ClassifyCondition(*predicate);
+      xpath::ConditionReport report =
+          xpath::ClassifyCondition(*predicate, analysis);
       if (!report.in_core) {
         plan.core_predicates = false;
         if (plan.note.empty()) plan.note = std::move(report.note);

@@ -135,15 +135,15 @@ std::optional<NodeSet> TryIndexedPath(const xml::DocumentIndex& index,
       return EvalPath(index, root.As<xpath::PathExpr>(), origin);
     case xpath::Expr::Kind::kUnion: {
       const auto& u = root.As<xpath::UnionExpr>();
+      // Each branch is sorted and duplicate-free: merge, don't re-sort.
       NodeSet merged;
       for (size_t i = 0; i < u.branch_count(); ++i) {
         if (u.branch(i).kind() != xpath::Expr::Kind::kPath) return std::nullopt;
         auto branch =
             EvalPath(index, u.branch(i).As<xpath::PathExpr>(), origin);
         if (!branch) return std::nullopt;
-        merged.insert(merged.end(), branch->begin(), branch->end());
+        merged = eval::UnionSets(merged, *branch);
       }
-      SortUnique(&merged);
       return merged;
     }
     default:

@@ -28,6 +28,10 @@ struct ExprTraits {
   ValueType type = ValueType::kBoolean;
   bool uses_position = false;  // free position() occurrence
   bool uses_last = false;      // free last() occurrence
+  // A Core XPath bexpr (Def 2.5): and/or/not() over location paths (and
+  // unions of them) whose predicates are all bexprs. Evaluable
+  // set-at-a-time as a condition set (CoreLinearEvaluator).
+  bool core_condition = false;
 };
 
 /// Whole-query syntactic measures.

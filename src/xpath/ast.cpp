@@ -1,5 +1,6 @@
 #include "xpath/ast.hpp"
 
+#include <cmath>
 #include <utility>
 
 namespace gkx::xpath {
@@ -144,6 +145,33 @@ bool IsArithmeticOp(BinaryOp op) {
     case BinaryOp::kMod:
       return true;
     default:
+      return false;
+  }
+}
+
+double ArithmeticOp(BinaryOp op, double lhs, double rhs) {
+  switch (op) {
+    case BinaryOp::kAdd: return lhs + rhs;
+    case BinaryOp::kSub: return lhs - rhs;
+    case BinaryOp::kMul: return lhs * rhs;
+    case BinaryOp::kDiv: return lhs / rhs;
+    case BinaryOp::kMod: return std::fmod(lhs, rhs);
+    default:
+      GKX_CHECK(false);
+      return 0.0;
+  }
+}
+
+bool CompareNumbers(BinaryOp op, double lhs, double rhs) {
+  switch (op) {
+    case BinaryOp::kEq: return lhs == rhs;
+    case BinaryOp::kNe: return lhs != rhs;
+    case BinaryOp::kLt: return lhs < rhs;
+    case BinaryOp::kLe: return lhs <= rhs;
+    case BinaryOp::kGt: return lhs > rhs;
+    case BinaryOp::kGe: return lhs >= rhs;
+    default:
+      GKX_CHECK(false);
       return false;
   }
 }

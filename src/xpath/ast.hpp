@@ -87,6 +87,15 @@ std::string_view BinaryOpName(BinaryOp op);
 bool IsRelationalOp(BinaryOp op);  // = != < <= > >=
 bool IsArithmeticOp(BinaryOp op);  // + - * div mod
 
+/// XPath arithmetic on numbers. `op` must be an arithmetic operator. div/mod
+/// follow IEEE/XPath (mod keeps the dividend's sign; division by zero yields
+/// ±Infinity/NaN). The evaluators and the optimizer's constant fold share it.
+double ArithmeticOp(BinaryOp op, double lhs, double rhs);
+
+/// `lhs op rhs` on numbers (NaN compares false, except under !=). `op` must
+/// be a relational operator.
+bool CompareNumbers(BinaryOp op, double lhs, double rhs);
+
 /// Built-in functions (the XPath 1.0 core library subset used by the paper's
 /// fragment definitions).
 enum class Function {

@@ -3,64 +3,6 @@
 namespace gkx::xpath {
 namespace {
 
-/// Is this a Core XPath node test? (Def 2.5: a tag or '*'; node() is
-/// equivalent to '*' in an element-only data model and is accepted.)
-bool IsCoreNodeTest(const NodeTest& test) {
-  (void)test;
-  return true;
-}
-
-bool IsCorePath(const Expr& expr);
-
-/// Core XPath "bexpr": and/or/not over bexprs, or a location path
-/// (exists-semantics condition).
-bool IsCoreCondition(const Expr& expr) {
-  switch (expr.kind()) {
-    case Expr::Kind::kBinary: {
-      const auto& binary = expr.As<BinaryExpr>();
-      if (binary.op() != BinaryOp::kAnd && binary.op() != BinaryOp::kOr) {
-        return false;
-      }
-      return IsCoreCondition(binary.lhs()) && IsCoreCondition(binary.rhs());
-    }
-    case Expr::Kind::kFunctionCall: {
-      const auto& call = expr.As<FunctionCall>();
-      return call.function() == Function::kNot && call.arg_count() == 1 &&
-             IsCoreCondition(call.arg(0));
-    }
-    case Expr::Kind::kPath:
-    case Expr::Kind::kUnion:
-      return IsCorePath(expr);
-    default:
-      return false;
-  }
-}
-
-bool IsCorePath(const Expr& expr) {
-  switch (expr.kind()) {
-    case Expr::Kind::kPath: {
-      const auto& path = expr.As<PathExpr>();
-      for (size_t i = 0; i < path.step_count(); ++i) {
-        const Step& step = path.step(i);
-        if (!IsCoreNodeTest(step.test)) return false;
-        for (const ExprPtr& predicate : step.predicates) {
-          if (!IsCoreCondition(*predicate)) return false;
-        }
-      }
-      return true;
-    }
-    case Expr::Kind::kUnion: {
-      const auto& u = expr.As<UnionExpr>();
-      for (size_t i = 0; i < u.branch_count(); ++i) {
-        if (!IsCorePath(u.branch(i))) return false;
-      }
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
 bool IsPredicateFreePath(const Expr& expr) {
   switch (expr.kind()) {
     case Expr::Kind::kPath: {
@@ -190,9 +132,10 @@ bool UsesForbiddenPXPathFunction(const QueryAnalysis& analysis,
 
 }  // namespace
 
-ConditionReport ClassifyCondition(const Expr& expr) {
+ConditionReport ClassifyCondition(const Expr& expr,
+                                  const QueryAnalysis& analysis) {
   ConditionReport report;
-  report.in_core = IsCoreCondition(expr);
+  report.in_core = analysis.traits(expr).core_condition;
   if (!report.in_core) {
     if (IsWfCondition(expr) || IsWfNumber(expr)) {
       report.note = "positional/arithmetic condition (WF, Def 2.6)";
@@ -261,7 +204,9 @@ FragmentReport Classify(const Query& query, const QueryAnalysis& analysis,
   FragmentReport report;
   const Expr& root = query.root();
 
-  report.in_core = IsCorePath(root);
+  report.in_core = (root.kind() == Expr::Kind::kPath ||
+                    root.kind() == Expr::Kind::kUnion) &&
+                   analysis.traits(root).core_condition;
   report.in_positive_core = report.in_core && !analysis.has_negation;
   report.in_pf = report.in_positive_core && IsPredicateFreePath(root) &&
                  !analysis.has_predicates;

@@ -76,8 +76,11 @@ struct ConditionReport {
   std::string note;      // first reason it exceeds Core ("" when in_core)
 };
 
-/// Classifies `expr` as it appears in predicate position.
-ConditionReport ClassifyCondition(const Expr& expr);
+/// Classifies `expr` as it appears in predicate position, reading the
+/// query's analysis (ExprTraits::core_condition), so classifying every
+/// predicate of a query stays O(|Q|).
+ConditionReport ClassifyCondition(const Expr& expr,
+                                  const QueryAnalysis& analysis);
 
 /// Classifies a query. Uses a fresh Analyze() pass.
 FragmentReport Classify(const Query& query, const ClassifyOptions& options = {});

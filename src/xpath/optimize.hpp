@@ -8,8 +8,14 @@
 //                      -> descendant::t[P]
 //                    self::node()                   -> dropped (when another
 //                                                      step remains)
-//   * trivial predicates dropped: [true()], [position() >= 1],
-//                    [position() <= last()]
+//   * trivial predicates dropped: [position() >= 1], [position() <= last()]
+//   * constant predicates folded: a predicate built only from number
+//                    literals, unary minus, arithmetic, number comparisons,
+//                    and/or/not() and true()/false() has one value at every
+//                    context; true drops it ([true()], [2 <= 4]), false
+//                    makes it [false()]. A constant number ([2 + 1]) is a
+//                    position test and stays, and so does a constant inside
+//                    a larger predicate.
 //   * empty-union collapse: single-branch unions unwrapped.
 //
 // Fusions are suppressed where positions are observable (a predicate on the
@@ -27,11 +33,12 @@ struct OptimizeStats {
   int fused_steps = 0;
   int dropped_self_steps = 0;
   int dropped_predicates = 0;
+  int folded_predicates = 0;  // constant false rewritten to false()
   int unwrapped_unions = 0;
 
   int Total() const {
     return fused_steps + dropped_self_steps + dropped_predicates +
-           unwrapped_unions;
+           folded_predicates + unwrapped_unions;
   }
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/cvt_evaluator.hpp"
+#include "eval/recursive_base.hpp"
 #include "xml/generator.hpp"
 #include "xpath/optimize.hpp"
 #include "xpath/parser.hpp"
@@ -70,6 +71,29 @@ TEST(OptimizeTest, DropsTrivialPredicates) {
   EXPECT_EQ(Optimized("child::a[false()]"), "child::a[false()]");
 }
 
+TEST(OptimizeTest, FoldsConstantBooleanPredicates) {
+  OptimizeStats stats;
+  EXPECT_EQ(Optimized("child::t2[2 <= 4]", &stats), "child::t2");
+  EXPECT_EQ(stats.dropped_predicates, 1);
+  EXPECT_EQ(Optimized("child::a[1 > 2]", &stats), "child::a[false()]");
+  EXPECT_EQ(stats.folded_predicates, 1);
+  // NaN equals nothing, itself included.
+  EXPECT_EQ(Optimized("child::a[0 div 0 = 0 div 0]"), "child::a[false()]");
+  // mod keeps the dividend's sign: 5 mod -3 is 2.
+  EXPECT_EQ(Optimized("child::a[5 mod -3 = 2]"), "child::a");
+  EXPECT_EQ(Optimized("child::a[not(1 = 1) or -(2 * 3) < -5]"), "child::a");
+  EXPECT_EQ(Optimized("child::a[true() and false()]"), "child::a[false()]");
+  // Inside a nested path's step too.
+  EXPECT_EQ(Optimized("child::a[child::b[3 > 2]]"), "child::a[child::b]");
+  // A constant number is a position test; a constant inside a larger
+  // predicate is left alone.
+  EXPECT_EQ(Optimized("child::a[2 + 1]"), "child::a[2 + 1]");
+  EXPECT_EQ(Optimized("child::a[2 <= 4 and child::b]"),
+            "child::a[2 <= 4 and child::b]");
+  EXPECT_EQ(Optimized("child::a[position() = 1 + 1]"),
+            "child::a[position() = 1 + 1]");
+}
+
 TEST(OptimizeTest, FlattensNestedUnions) {
   OptimizeStats stats;
   EXPECT_EQ(Optimized("a | (b | c)", &stats), "child::a | child::b | child::c");
@@ -87,7 +111,9 @@ TEST(OptimizeTest, StatsTotals) {
   EXPECT_GE(stats.Total(), 3);  // fusion + trivial predicate + self drop
 }
 
-// Differential: optimization must preserve semantics everywhere.
+// Differential: optimization must preserve semantics everywhere. The
+// optimized query runs on cvt; the referee is the naive evaluator on the
+// query as written.
 class OptimizeEquivalenceTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(OptimizeEquivalenceTest, OptimizedQueryIsEquivalent) {
@@ -96,12 +122,13 @@ TEST_P(OptimizeEquivalenceTest, OptimizedQueryIsEquivalent) {
   Rng rng(2718);
   xml::RandomDocumentOptions options;
   options.node_count = 50;
+  eval::NaiveEvaluator oracle;
   eval::CvtEvaluator engine;
   for (int trial = 0; trial < 5; ++trial) {
     xml::Document doc = xml::RandomDocument(&rng, options);
     for (xml::NodeId v = 0; v < doc.size(); v += 4) {
       eval::Context ctx{v, 1, 1};
-      auto a = engine.Evaluate(doc, original, ctx);
+      auto a = oracle.Evaluate(doc, original, ctx);
       auto b = engine.Evaluate(doc, optimized, ctx);
       ASSERT_TRUE(a.ok() && b.ok()) << GetParam();
       EXPECT_TRUE(a->Equals(*b))
@@ -120,7 +147,14 @@ INSTANTIATE_TEST_SUITE_P(
                       "descendant-or-self::node()/descendant::t3",
                       "t0 | (t1 | t2)",
                       "//t0[.//t1 or not(.//t2)]",
-                      "self::node()/self::node()/t1"));
+                      "self::node()/self::node()/t1",
+                      // Literal predicates: folded, kept as positions, or
+                      // left inside a larger predicate.
+                      "//t0/t1[2 <= 4]", "//t1[1 > 2]",
+                      "//t0[0 div 0 = 0 div 0]", "t0[5 mod -3 = 2]//t1",
+                      "//t1[2 + 1]", "//t0[not(1 = 2)][1]",
+                      "//t0[-1 < 0 and child::t1]",
+                      "//t0[t1[2 <= 4]][position() = 2]"));
 
 }  // namespace
 }  // namespace gkx::xpath

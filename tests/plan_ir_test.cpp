@@ -15,6 +15,7 @@
 #include "eval/recursive_base.hpp"
 #include "plan/exec.hpp"
 #include "plan/physical.hpp"
+#include "xml/edit.hpp"
 #include "xml/generator.hpp"
 #include "xml/parser.hpp"
 #include "xpath/parser.hpp"
@@ -299,6 +300,131 @@ TEST(ExecTest, EngineReportsTheRouteListAndSameValue) {
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->evaluator, "pf-frontier+cvt");
   EXPECT_EQ(answer->value.nodes(), (NodeSet{3}));
+}
+
+// ------------------------------------------------- condition-set route
+// A cvt segment answers a Core condition in a boolean position with one bit
+// of the linear engine's condition set (cvt_evaluator.hpp). The route must
+// answer like the naive oracle, read only the run's own document and query,
+// and leave the Core condition's node-keyed table empty.
+
+/// Plans whose cvt segments test Core conditions next to positional terms.
+/// Generated documents name tags t0..t3 and labels l0..l2.
+const char* const kCoreInCvtQueries[] = {
+    "/descendant::t1[child::t0 and position() < 3]",
+    "/descendant::*[not(descendant::t1) or last() = 2]/child::t2",
+    "/descendant::t0[boolean(child::*) and position() != last()]",
+    // An absolute Core path next to a positional term.
+    "/descendant::l0[/descendant::t2[child::l1] or position() = 1]",
+    // A Core predicate inside a path that cvt evaluates per node.
+    "/descendant::t0[count(child::*[child::t1]) = 1]",
+    // A Core step demoted into cvt between two cvt segments.
+    "/descendant::t0[position() = 2]/child::t1[child::l2 or "
+    "not(child::t0)]/child::*[last() > 1]",
+    // A scalar root.
+    "count(/descendant::*[child::t3 and position() mod 2 = 1])",
+};
+
+TEST(ConditionSetRouteTest, EngineAgreesWithTheNaiveOracle) {
+  std::vector<Physical> plans;
+  for (const char* text : kCoreInCvtQueries) plans.push_back(CompileText(text));
+  EXPECT_EQ(plans[5].route_label, "cvt");  // the Core step was demoted
+  Rng rng(2027);
+  eval::NaiveEvaluator naive;
+  eval::Engine engine;  // one long-lived engine across every run
+  for (const int32_t labels : {0, 2}) {
+    xml::RandomDocumentOptions options;
+    options.node_count = 70;
+    options.max_extra_labels = labels;
+    options.label_alphabet = 3;
+    for (int round = 0; round < 6; ++round) {
+      const xml::Document doc = xml::RandomDocument(&rng, options);
+      for (const Physical& plan : plans) {
+        auto expected = naive.EvaluateAtRoot(doc, plan.query);
+        ASSERT_TRUE(expected.ok()) << plan.canonical_text;
+        auto actual = engine.RunPlan(doc, plan);
+        ASSERT_TRUE(actual.ok()) << plan.canonical_text << ": "
+                                 << actual.status().ToString();
+        EXPECT_TRUE(expected->Equals(actual->value))
+            << plan.canonical_text << " labels " << labels << "\n  naive: "
+            << expected->DebugString()
+            << "\n  engine: " << actual->value.DebugString();
+      }
+    }
+  }
+}
+
+TEST(ConditionSetRouteTest, OneEngineAcrossPlansDocumentsAndRevisions) {
+  // P and Q have one shape, so their expression ids coincide while their
+  // conditions differ; S is a scalar root. A condition set left over from
+  // another query, another document or an older revision answers wrongly.
+  const Physical p = CompileText("/descendant::*[child::t0 and position() < 3]");
+  const Physical q = CompileText("/descendant::*[child::t1 and position() < 3]");
+  const Physical s =
+      CompileText("count(/descendant::*[child::t0 and position() < 3])");
+  Rng rng(77);
+  xml::RandomDocumentOptions options;
+  options.node_count = 80;
+  options.tag_alphabet = 2;
+  xml::Document a = xml::RandomDocument(&rng, options);
+  const xml::Document b = xml::RandomDocument(&rng, options);
+  eval::Engine engine;
+  eval::NaiveEvaluator naive;
+  auto expect_oracle = [&](const Physical& plan, const xml::Document& doc,
+                           const char* step) {
+    auto expected = naive.EvaluateAtRoot(doc, plan.query);
+    ASSERT_TRUE(expected.ok());
+    auto actual = engine.RunPlan(doc, plan);
+    ASSERT_TRUE(actual.ok()) << step << ": " << actual.status().ToString();
+    EXPECT_TRUE(expected->Equals(actual->value))
+        << step << ": " << plan.canonical_text << "\n  naive: "
+        << expected->DebugString()
+        << "\n  engine: " << actual->value.DebugString();
+  };
+  expect_oracle(p, a, "P on A");
+  expect_oracle(q, a, "Q on A");
+  expect_oracle(s, a, "S on A");
+  expect_oracle(p, b, "P on B");
+  expect_oracle(s, b, "S on B");
+  // A new revision of A at A's own address: only the serial tells it apart.
+  for (int edit = 0; edit < 4; ++edit) {
+    auto revised = xml::ApplyEdit(a, xml::RandomSubtreeEdit(&rng, a));
+    ASSERT_TRUE(revised.ok());
+    a = std::move(revised).value();
+    expect_oracle(p, a, "P on a new revision of A");
+    expect_oracle(s, a, "S on a new revision of A");
+  }
+}
+
+TEST(ConditionSetRouteTest, StagedCvtTablesNoCellForTheCoreCondition) {
+  // <r> with 40 <a> children, each with a child <b/>.
+  std::string xml = "<r>";
+  for (int i = 0; i < 40; ++i) xml += "<a><b/></a>";
+  xml += "</r>";
+  auto doc = xml::ParseDocument(xml);
+  ASSERT_TRUE(doc.ok());
+  const Physical plan =
+      CompileText("/descendant::*[child::* and position() + 1 = last()]");
+  ASSERT_EQ(plan.route_label, "cvt");
+
+  eval::CoreLinearEvaluator linear;
+  eval::CvtEvaluator cvt;
+  auto staged = ExecuteStaged(*doc, plan, eval::RootContext(*doc), &linear,
+                              &cvt);
+  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+  // 80 candidates; the second to last is the 40th <a>, which has a child.
+  EXPECT_EQ(staged->nodes(), (NodeSet{79}));
+  // The only cell is the constant 1: child::* is answered from its
+  // condition set, so it has no node-keyed cells.
+  EXPECT_EQ(cvt.last_table_entries(), 1);
+
+  // The paper's algorithm is unchanged: a standalone engine tables
+  // child::* once per candidate node.
+  eval::CvtEvaluator standalone;
+  auto whole = standalone.Evaluate(*doc, plan.query, eval::RootContext(*doc));
+  ASSERT_TRUE(whole.ok());
+  EXPECT_TRUE(whole->Equals(*staged));
+  EXPECT_GE(standalone.last_table_entries(), doc->size() - 1);
 }
 
 // ------------------------------------------------------------- footprints

@@ -11,6 +11,7 @@
 namespace gkx::eval {
 namespace {
 
+using xpath::ArithmeticOp;
 using xpath::BinaryOp;
 
 xml::Document TextDoc() {
