@@ -34,9 +34,9 @@
 //
 // Why a Core condition in a boolean position may be one bit test:
 //   * A Core condition (a Def 2.5 bexpr: and/or/not() over location paths
-//     whose predicates are bexprs) depends on the context node only, and
-//     its node-keyed table, read as truth values, is exactly its condition
-//     set: the nodes where it holds.
+//     whose predicates are bexprs) depends on the context node at most,
+//     and its node-keyed table, read as truth values, is exactly its
+//     condition set: the nodes where it holds.
 //   * CoreLinearEvaluator fills that set for all nodes at once, bottom-up,
 //     in O(|D|·|e|) (Prop 2.7's set-at-a-time reading, Thm 7.2), which is
 //     the eager fill of the same table at linear rather than polynomial

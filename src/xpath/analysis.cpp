@@ -10,47 +10,6 @@ ContextDependence MaxDep(ContextDependence a, ContextDependence b) {
       std::max(static_cast<int>(a), static_cast<int>(b)));
 }
 
-/// Def 2.5's bexpr rule, one level deep: `expr` is a Core condition iff it
-/// is and/or or not() over Core conditions, or a location path (or a union
-/// of paths) whose predicates are all Core conditions. `is_core` answers
-/// for the direct sub-conditions, which Analyze has visited already.
-template <typename IsCore>
-bool IsCoreCondition(const Expr& expr, const IsCore& is_core) {
-  switch (expr.kind()) {
-    case Expr::Kind::kBinary: {
-      const auto& binary = expr.As<BinaryExpr>();
-      return (binary.op() == BinaryOp::kAnd || binary.op() == BinaryOp::kOr) &&
-             is_core(binary.lhs()) && is_core(binary.rhs());
-    }
-    case Expr::Kind::kFunctionCall: {
-      const auto& call = expr.As<FunctionCall>();
-      return call.function() == Function::kNot && call.arg_count() == 1 &&
-             is_core(call.arg(0));
-    }
-    case Expr::Kind::kPath: {
-      const auto& path = expr.As<PathExpr>();
-      for (size_t i = 0; i < path.step_count(); ++i) {
-        for (const ExprPtr& predicate : path.step(i).predicates) {
-          if (!is_core(*predicate)) return false;
-        }
-      }
-      return true;
-    }
-    case Expr::Kind::kUnion: {
-      const auto& u = expr.As<UnionExpr>();
-      for (size_t i = 0; i < u.branch_count(); ++i) {
-        const Expr& branch = u.branch(i);
-        const bool path = branch.kind() == Expr::Kind::kPath ||
-                          branch.kind() == Expr::Kind::kUnion;
-        if (!path || !is_core(branch)) return false;
-      }
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
 class Analyzer {
  public:
   explicit Analyzer(const Query& query) : query_(query) {
@@ -180,13 +139,54 @@ class Analyzer {
       }
     }
 
-    // Children first (above), so the rule reads their filled traits: one
-    // O(|Q|) pass, not one classification per subexpression.
-    traits.core_condition = IsCoreCondition(expr, [this](const Expr& sub) {
-      return analysis_.traits(sub).core_condition;
-    });
+    traits.core_condition = IsCoreCondition(expr);
     analysis_.expr_traits[static_cast<size_t>(expr.id())] = traits;
     return traits;
+  }
+
+  /// Def 2.5's bexpr rule, one level deep: `expr` is a Core condition iff
+  /// it is and/or or not() over Core conditions, or a location path (or a
+  /// union of paths) whose predicates are all Core conditions. Visit fills
+  /// the children's traits first, so the whole query takes one O(|Q|) pass,
+  /// not one classification per subexpression.
+  bool IsCoreCondition(const Expr& expr) const {
+    auto is_core = [this](const Expr& sub) {
+      return analysis_.traits(sub).core_condition;
+    };
+    switch (expr.kind()) {
+      case Expr::Kind::kBinary: {
+        const auto& binary = expr.As<BinaryExpr>();
+        return (binary.op() == BinaryOp::kAnd ||
+                binary.op() == BinaryOp::kOr) &&
+               is_core(binary.lhs()) && is_core(binary.rhs());
+      }
+      case Expr::Kind::kFunctionCall: {
+        const auto& call = expr.As<FunctionCall>();
+        return call.function() == Function::kNot && call.arg_count() == 1 &&
+               is_core(call.arg(0));
+      }
+      case Expr::Kind::kPath: {
+        const auto& path = expr.As<PathExpr>();
+        for (size_t i = 0; i < path.step_count(); ++i) {
+          for (const ExprPtr& predicate : path.step(i).predicates) {
+            if (!is_core(*predicate)) return false;
+          }
+        }
+        return true;
+      }
+      case Expr::Kind::kUnion: {
+        const auto& u = expr.As<UnionExpr>();
+        for (size_t i = 0; i < u.branch_count(); ++i) {
+          const Expr& branch = u.branch(i);
+          const bool path = branch.kind() == Expr::Kind::kPath ||
+                            branch.kind() == Expr::Kind::kUnion;
+          if (!path || !is_core(branch)) return false;
+        }
+        return true;
+      }
+      default:
+        return false;
+    }
   }
 
   // Joins child context info into the parent's traits (type stays the

@@ -358,10 +358,12 @@ TEST(ConditionSetRouteTest, OneEngineAcrossPlansDocumentsAndRevisions) {
   // P and Q have one shape, so their expression ids coincide while their
   // conditions differ; S is a scalar root. A condition set left over from
   // another query, another document or an older revision answers wrongly.
-  const Physical p = CompileText("/descendant::*[child::t0 and position() < 3]");
-  const Physical q = CompileText("/descendant::*[child::t1 and position() < 3]");
-  const Physical s =
-      CompileText("count(/descendant::*[child::t0 and position() < 3])");
+  const Physical p =
+      CompileText("/descendant::*[child::t0 and position() mod 3 != 0]");
+  const Physical q =
+      CompileText("/descendant::*[child::t1 and position() mod 3 != 0]");
+  const Physical s = CompileText(
+      "count(/descendant::*[child::t0 and position() mod 3 != 0])");
   Rng rng(77);
   xml::RandomDocumentOptions options;
   options.node_count = 80;
@@ -381,18 +383,20 @@ TEST(ConditionSetRouteTest, OneEngineAcrossPlansDocumentsAndRevisions) {
         << expected->DebugString()
         << "\n  engine: " << actual->value.DebugString();
   };
+  // The scalar and the path plan take turns at meeting a document first, so
+  // a run that reads sets bound by an earlier run answers wrongly.
   expect_oracle(p, a, "P on A");
   expect_oracle(q, a, "Q on A");
   expect_oracle(s, a, "S on A");
-  expect_oracle(p, b, "P on B");
   expect_oracle(s, b, "S on B");
+  expect_oracle(p, b, "P on B");
   // A new revision of A at A's own address: only the serial tells it apart.
   for (int edit = 0; edit < 4; ++edit) {
     auto revised = xml::ApplyEdit(a, xml::RandomSubtreeEdit(&rng, a));
     ASSERT_TRUE(revised.ok());
     a = std::move(revised).value();
-    expect_oracle(p, a, "P on a new revision of A");
-    expect_oracle(s, a, "S on a new revision of A");
+    expect_oracle(edit % 2 == 0 ? p : s, a, "P or S on a new revision of A");
+    expect_oracle(edit % 2 == 0 ? s : p, a, "S or P on a new revision of A");
   }
 }
 
