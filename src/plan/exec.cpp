@@ -40,11 +40,6 @@ class StagedRun {
   StagedRun(const StagedRun&) = delete;
   StagedRun& operator=(const StagedRun&) = delete;
 
-  /// A scalar root has no path spine to sweep: it runs whole on cvt.
-  Result<Value> RunScalar(const eval::Context& ctx) {
-    return cvt_.Evaluate(doc_, plan_.query, ctx);
-  }
-
   Result<NodeBitset> RunBranch(const BranchProgram& branch,
                                const eval::Context& ctx, ExecTrace* trace) {
     NodeBitset frontier(doc_.size());
@@ -115,9 +110,10 @@ Result<Value> ExecuteStaged(const xml::Document& doc, const Physical& plan,
   if (doc.empty()) return InvalidArgumentError("empty document");
   StagedRun run(doc, plan, *linear, *cvt);
   if (plan.branches.empty()) {
-    // The plan's one cvt segment.
+    // A scalar root has no path spine to sweep: it runs whole on cvt, as
+    // the plan's one cvt segment, with the run's condition sets.
     const uint64_t t0 = trace != nullptr ? obs::NowNs() : 0;
-    auto value = run.RunScalar(ctx);
+    auto value = cvt->Evaluate(doc, plan.query, ctx);
     if (trace != nullptr) trace->push_back({Route::kCvt, SecondsSince(t0)});
     return value;
   }
