@@ -24,8 +24,13 @@
 #include "base/stopwatch.hpp"
 #include "base/string_util.hpp"
 
-// Build provenance, stamped by CMake (add_compile_definitions); the
-// fallbacks cover out-of-tree compiles.
+// Build provenance. The benches' build generates gkx_git_rev.hpp at build
+// time (CMakeLists.txt, cmake/git_rev.cmake) and CMake defines
+// GKX_BUILD_TYPE; the fallbacks cover every other compile (tests, probes,
+// out-of-tree packages).
+#if __has_include("gkx_git_rev.hpp")
+#include "gkx_git_rev.hpp"
+#endif
 #ifndef GKX_GIT_REV
 #define GKX_GIT_REV "unknown"
 #endif

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "xpath/fragment.hpp"
 
@@ -335,27 +334,19 @@ Result<NodeBitset> CoreLinearEvaluator::EvalStepRange(const PathExpr& path,
   GKX_CHECK(begin <= end && end <= path.step_count());
   const xml::Document& doc = *doc_;
   NodeBitset current = frontier;
-  std::vector<const NodeBitset*> masks;
-  for (size_t s = begin; s < end; ++s) {
+  // An empty set settles the range: no later test set is filled and no
+  // later condition set built, for this step or any after it.
+  for (size_t s = begin; s < end && !current.Empty(); ++s) {
     const Step& step = path.step(s);
     current = AxisImage(doc, step.axis, current);
-    // Fused intersection: the test set and every predicate set are ANDed
-    // into `current` in a single word-at-a-time pass instead of one
-    // full-bitset pass per mask.
-    masks.clear();
-    masks.push_back(&TestSet(step));
+    if (current.Empty()) break;
+    current &= TestSet(step);
     for (const xpath::ExprPtr& predicate : step.predicates) {
+      if (current.Empty()) break;
       auto cond = ConditionSet(*predicate);
       if (!cond.ok()) return cond.status();
-      masks.push_back(*cond);
+      current &= **cond;
     }
-    uint64_t* cur = current.words();
-    for (size_t w = 0; w < current.word_count(); ++w) {
-      uint64_t word = cur[w];
-      for (const NodeBitset* mask : masks) word &= mask->words()[w];
-      cur[w] = word;
-    }
-    if (current.Empty()) break;
   }
   return current;
 }
@@ -373,8 +364,11 @@ Result<NodeBitset> CoreLinearEvaluator::EvalPathForward(const PathExpr& path,
 }
 
 Result<NodeBitset> CoreLinearEvaluator::PathOriginSet(const PathExpr& path) {
+  GKX_CHECK(!path.absolute());
   const xml::Document& doc = *doc_;
-  // Right-to-left: R = nodes from which the remaining steps can match.
+  // Right-to-left: R = nodes from which the remaining steps can match. Once
+  // a step's target is empty, so is every origin set to its left: the sweep
+  // stops, and no later predicate's condition set is built.
   NodeBitset reach(doc.size());
   reach.SetAll();
   for (size_t s = path.step_count(); s-- > 0;) {
@@ -382,17 +376,13 @@ Result<NodeBitset> CoreLinearEvaluator::PathOriginSet(const PathExpr& path) {
     NodeBitset target = std::move(reach);
     target &= TestSet(step);
     for (const xpath::ExprPtr& predicate : step.predicates) {
+      if (target.Empty()) return target;
       auto cond = ConditionSet(*predicate);
       if (!cond.ok()) return cond.status();
       target &= **cond;
     }
+    if (target.Empty()) return target;
     reach = AxisImage(doc, InverseAxis(step.axis), target);
-  }
-  if (path.absolute()) {
-    // The path matches from anywhere iff it matches from the root.
-    NodeBitset out(doc.size());
-    if (reach.Test(doc.root())) out.SetAll();
-    return out;
   }
   return reach;
 }
@@ -427,8 +417,20 @@ Result<const NodeBitset*> CoreLinearEvaluator::ConditionSet(const Expr& expr) {
         out.Complement();
         return out;
       }
-      case Expr::Kind::kPath:
-        return PathOriginSet(expr.As<PathExpr>());
+      case Expr::Kind::kPath: {
+        const auto& path = expr.As<PathExpr>();
+        if (!path.absolute()) return PathOriginSet(path);
+        // An absolute path is a constant: it holds at every node or at
+        // none, so it runs once, forward from the root, where an empty
+        // step ends the sweep.
+        NodeBitset root(doc_->size());
+        root.Set(doc_->root());
+        auto selected = EvalStepRange(path, 0, path.step_count(), root);
+        if (!selected.ok()) return selected.status();
+        NodeBitset out(doc_->size());
+        if (!selected->Empty()) out.SetAll();
+        return out;
+      }
       case Expr::Kind::kUnion: {
         const auto& u = expr.As<xpath::UnionExpr>();
         NodeBitset out(doc_->size());

@@ -15,6 +15,16 @@
 // axes walk the input's members, descendant*, following and preceding set
 // preorder ranges.
 //
+// Settled work is skipped. An empty set stops a sweep: EvalStepRange
+// returns at the first empty axis image, before that step's test set or
+// any condition set is built, and builds a predicate's condition set only
+// while the step's set is non-empty; PathOriginSet likewise stops at the
+// first empty target. An absolute path in a condition is a constant (kNone): it
+// holds at every node or at none, so ConditionSet runs it once, forward
+// from the root, instead of right-to-left over every node; from the root
+// the parent, ancestor, sibling, following and preceding axes are empty,
+// so such a path usually ends at its first step.
+//
 // The sweeps run on the calling thread. The paper places Core and PF in
 // LOGCFL (Thm 6.6), so they parallelize in principle, but partitioning the
 // sweeps across a thread pool did not pay at the document sizes the
@@ -63,8 +73,9 @@ class CoreLinearEvaluator : public Evaluator {
   }
 
   /// Applies steps [begin, end) of `path` to the `frontier` set-at-a-time:
-  /// one axis image + test/condition intersection per step, O(|D|) each.
-  /// Every predicate in the range must be a Core bexpr (kUnsupported
+  /// one axis image + test/condition intersection per step, O(|D|) each,
+  /// and returns at the first empty set. Every predicate in the range must
+  /// be a Core bexpr (one the sweep reaches returns kUnsupported
   /// otherwise). Bind must have been called.
   Result<NodeBitset> EvalStepRange(const xpath::PathExpr& path, size_t begin,
                                    size_t end, const NodeBitset& frontier);
@@ -80,8 +91,8 @@ class CoreLinearEvaluator : public Evaluator {
 
  private:
 
-  /// Set of nodes from which the path (suffix starting at `step_index`)
-  /// selects at least one node — computed right-to-left via inverse axes.
+  /// Set of nodes from which the relative path selects at least one node —
+  /// computed right-to-left via inverse axes.
   Result<NodeBitset> PathOriginSet(const xpath::PathExpr& path);
 
   /// Forward evaluation: image of `start` under the whole path.

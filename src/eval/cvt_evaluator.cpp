@@ -1,5 +1,7 @@
 #include "eval/cvt_evaluator.hpp"
 
+#include <cmath>
+
 #include "eval/core_linear_evaluator.hpp"
 
 namespace gkx::eval {
@@ -60,33 +62,50 @@ Status CvtEvaluator::Prepare() {
 
 Result<bool> CvtEvaluator::Truth(const Expr& expr, const Context& ctx,
                                  bool predicate) {
-  if (conditions_ == nullptr || !analysis_.traits(expr).core_condition) {
-    return RecursiveEvaluatorBase::Truth(expr, ctx, predicate);
+  const xpath::ExprTraits& traits = analysis_.traits(expr);
+  if (traits.position_test) {
+    CountEvaluation();
+    const auto position = static_cast<double>(ctx.position);
+    const auto size = static_cast<double>(ctx.size);
+    if (traits.type == xpath::ValueType::kBoolean) {
+      return xpath::PositionBoolean(expr, position, size);
+    }
+    const double number = xpath::PositionNumber(expr, position, size);
+    return predicate ? number == position
+                     : number != 0.0 && !std::isnan(number);
   }
-  auto set = conditions_->ConditionSet(expr);
-  if (!set.ok()) return set.status();
-  return (*set)->Test(ctx.node);
+  if (conditions_ != nullptr && traits.core_condition) {
+    auto set = conditions_->ConditionSet(expr);
+    if (!set.ok()) return set.status();
+    return (*set)->Test(ctx.node);
+  }
+  if (const Value* cell = Cell(expr, ctx)) {
+    return predicate ? PredicateTruth(*cell, ctx) : cell->ToBoolean();
+  }
+  return RecursiveEvaluatorBase::Truth(expr, ctx, predicate);
+}
+
+const Value* CvtEvaluator::Cell(const Expr& expr, const Context& ctx) const {
+  const size_t id = static_cast<size_t>(expr.id());
+  switch (analysis_.traits(expr).dependence) {
+    case ContextDependence::kNone:
+      return constant_[id].has_value() ? &*constant_[id] : nullptr;
+    case ContextDependence::kNode: {
+      auto it = by_node_[id].find(ctx.node);
+      return it == by_node_[id].end() ? nullptr : &it->second;
+    }
+    case ContextDependence::kFull:
+      return nullptr;  // recomputed, never tabled
+  }
+  GKX_CHECK(false);
+  return nullptr;
 }
 
 bool CvtEvaluator::LookupMemo(const Expr& expr, const Context& ctx, Value* out) {
-  const size_t id = static_cast<size_t>(expr.id());
-  switch (analysis_.traits(expr).dependence) {
-    case ContextDependence::kNone: {
-      if (!constant_[id].has_value()) return false;
-      *out = *constant_[id];
-      return true;
-    }
-    case ContextDependence::kNode: {
-      auto it = by_node_[id].find(ctx.node);
-      if (it == by_node_[id].end()) return false;
-      *out = it->second;
-      return true;
-    }
-    case ContextDependence::kFull:
-      return false;  // recomputed, never tabled
-  }
-  GKX_CHECK(false);
-  return false;
+  const Value* cell = Cell(expr, ctx);
+  if (cell == nullptr) return false;
+  *out = *cell;
+  return true;
 }
 
 void CvtEvaluator::StoreMemo(const Expr& expr, const Context& ctx,

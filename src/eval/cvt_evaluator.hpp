@@ -32,6 +32,21 @@
 // recurs only when a node is reached again at the same rank of a candidate
 // list of the same size.
 //
+// Why a position test in a boolean position may skip the tables and the
+// Value interpreter altogether:
+//   * A position test (ExprTraits::position_test: number literals,
+//     position(), last(), unary minus, arithmetic, comparisons of two
+//     numbers, true()/false(), and/or/not() over booleans) reads no node
+//     and no table: its value is a function of ⟨position, size⟩ alone.
+//   * Evaluating it directly on doubles (xpath::PositionNumber /
+//     PositionBoolean) costs O(|e|) per candidate, as the interpreter does;
+//     that is the kFull argument above, with the literals' constant cells
+//     recomputed too, which costs no more than reading them.
+//   * So Truth answers it with no Value, no memo probe and no cell, in
+//     standalone and staged runs alike, and counts it as one evaluation.
+//     In a predicate a number is a position test; elsewhere it converts
+//     with boolean(). NaiveEvaluator keeps the generic path as the oracle.
+//
 // Why a Core condition in a boolean position may be one bit test:
 //   * A Core condition (a Def 2.5 bexpr: and/or/not() over location paths
 //     whose predicates are bexprs) depends on the context node at most,
@@ -48,6 +63,10 @@
 //     such test reads one bit of the set, built on the first test that
 //     asks for it; the expression's own table stays empty. The standalone
 //     engine (no linear engine) keeps the per-node tables of [3].
+//
+// Any other expression in a boolean position that already has a cell is
+// read in place: Truth converts the cell, where Eval would copy its Value
+// (a node set's whole vector) out of the table first.
 
 #ifndef GKX_EVAL_CVT_EVALUATOR_HPP_
 #define GKX_EVAL_CVT_EVALUATOR_HPP_
@@ -97,6 +116,9 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
                  const Value& value) override;
 
  private:
+  /// The tabled cell of `expr` at `ctx`, or nullptr when there is none.
+  const Value* Cell(const xpath::Expr& expr, const Context& ctx) const;
+
   Options options_{};
   xpath::QueryAnalysis analysis_;
   // Per expression id: one of the two table shapes (selected by the

@@ -24,7 +24,8 @@ class RecursiveEvaluatorBase : public Evaluator {
   /// Number of expression evaluations performed by the last Evaluate call
   /// (memo hits excluded) — the work measure the experiments report. An
   /// expression CvtEvaluator does not table (a position-dependent one) counts
-  /// once per evaluation, not once per context.
+  /// once per evaluation, not once per context; a position test it answers
+  /// in a boolean position counts once as a whole, not per subexpression.
   int64_t last_eval_count() const { return eval_count_; }
 
   /// Binds doc/query (resolving node tests, resetting counters, running the
@@ -69,6 +70,10 @@ class RecursiveEvaluatorBase : public Evaluator {
 
   /// Location-path evaluation from an origin node.
   Result<NodeSet> EvalPathFrom(const xpath::PathExpr& path, xml::NodeId origin);
+
+  /// Counts one evaluation an override answered without Eval (see
+  /// last_eval_count()).
+  void CountEvaluation() { ++eval_count_; }
 
   const xml::Document& doc() const { return *doc_; }
   const xpath::Query& query() const { return *query_; }

@@ -27,7 +27,8 @@ struct FlatStep {
 };
 
 /// Flattens a path into supported steps, fusing the '//' idiom. Returns
-/// false if any step falls outside the subset.
+/// false if any step falls outside the subset, a descendant step whose test
+/// is still a wildcard after the fusion included.
 bool FlattenSteps(const xml::Document& doc, const xpath::PathExpr& path,
                   std::vector<FlatStep>* out) {
   for (size_t s = 0; s < path.step_count(); ++s) {
@@ -61,6 +62,13 @@ bool FlattenSteps(const xml::Document& doc, const xpath::PathExpr& path,
       default:
         return false;  // reverse/sibling/parent/following axes: fall back
     }
+    // A wildcard descendant range holds every node in it, and the posting
+    // lists cannot narrow it: copying it node by node loses to the
+    // pf-frontier sweep, which sets the range a word at a time.
+    if (flat.wildcard && (flat.axis == Axis::kDescendant ||
+                          flat.axis == Axis::kDescendantOrSelf)) {
+      return false;
+    }
     out->push_back(flat);
   }
   return true;
@@ -90,15 +98,11 @@ NodeSet ApplyFlatStep(const xml::DocumentIndex& index, const FlatStep& step,
       break;
     case Axis::kDescendant:
     case Axis::kDescendantOrSelf: {
+      // Named: FlattenSteps declines wildcard descendant steps.
       const NodeId self_offset = step.axis == Axis::kDescendant ? 1 : 0;
       for (NodeId f : frontier) {
-        const NodeId first = f + self_offset;
-        const NodeId limit = f + doc.subtree_size(f);
-        if (step.wildcard) {
-          for (NodeId v = first; v < limit; ++v) next.push_back(v);
-        } else {
-          index.AppendNamedInRange(step.name, first, limit, &next);
-        }
+        index.AppendNamedInRange(step.name, f + self_offset,
+                                 f + doc.subtree_size(f), &next);
       }
       break;
     }

@@ -7,8 +7,9 @@
 // ones on large documents with selective tags.
 //
 // Strictly a fast path: TryIndexedPath returns nullopt for anything outside
-// the supported shape (reverse/sibling/parent axes, predicates, non-path
-// roots) and the caller falls back to the regular engine. When it does
+// the supported shape (reverse/sibling/parent axes, predicates, wildcard
+// descendant steps, non-path roots) and the caller falls back to the
+// regular engine. When it does
 // answer, the node set is byte-identical to pf-frontier's (document order,
 // duplicate-free) — the service's differential tests pin this.
 
@@ -31,7 +32,12 @@ namespace gkx::service {
 ///     descendant-or-self,
 ///   * the '//' idiom descendant-or-self::node()/child::t is fused into
 ///     descendant::t (same rewrite Optimize performs; sound because PF has
-///     no positional predicates).
+///     no positional predicates),
+///   * every descendant(-or-self) step left after that fusion has a name
+///     test: a `*`/node() one selects a whole subtree range, which the
+///     posting lists cannot narrow and the pf-frontier sweep sets a word at
+///     a time, so the route declines it (self and child steps may still be
+///     wildcards).
 std::optional<eval::NodeSet> TryIndexedPath(const xml::DocumentIndex& index,
                                             const xpath::Query& query,
                                             xml::NodeId origin = 0);

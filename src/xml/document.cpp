@@ -82,12 +82,6 @@ void Document::CopyFrom(const Document& other) {
   SealViews();
 }
 
-bool Document::NodeHasName(NodeId id, NameId name) const {
-  if (tag(id) == name) return true;
-  const std::span<const NameId> l = labels(id);
-  return std::binary_search(l.begin(), l.end(), name);
-}
-
 std::string_view Document::AttributeValue(NodeId id,
                                           std::string_view name) const {
   const int32_t count = attribute_count(id);

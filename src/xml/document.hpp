@@ -28,6 +28,7 @@
 #ifndef GKX_XML_DOCUMENT_HPP_
 #define GKX_XML_DOCUMENT_HPP_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -228,8 +229,15 @@ class Document {
   /// DocumentIndex::PresentNames is the exact set.
   const std::vector<std::string>& InternedNames() const { return names_; }
 
-  /// True if the node's tag or any extra label equals `name`.
-  bool NodeHasName(NodeId id, NameId name) const;
+  /// True if the node's tag or any extra label equals `name`. Inline: every
+  /// candidate of a recursive engine's step pays it. The label span is
+  /// searched only when the document carries extra labels at all.
+  bool NodeHasName(NodeId id, NameId name) const {
+    if (tag(id) == name) return true;
+    if (!has_labels()) return false;
+    const std::span<const NameId> l = labels(id);
+    return std::binary_search(l.begin(), l.end(), name);
+  }
 
   /// Convenience: NodeHasName by string (kNoName-safe).
   bool NodeHasName(NodeId id, std::string_view name) const {

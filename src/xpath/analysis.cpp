@@ -140,8 +140,51 @@ class Analyzer {
     }
 
     traits.core_condition = IsCoreCondition(expr);
+    traits.position_test = IsPositionTest(expr);
     analysis_.expr_traits[static_cast<size_t>(expr.id())] = traits;
     return traits;
+  }
+
+  /// The position-test grammar, one level deep like IsCoreCondition: a
+  /// number literal, position(), last(), true() or false(); unary minus,
+  /// arithmetic or a comparison over number-typed position tests; and/or or
+  /// not() over boolean-typed ones.
+  bool IsPositionTest(const Expr& expr) const {
+    auto test_of = [this](const Expr& sub, ValueType type) {
+      const ExprTraits& traits = analysis_.traits(sub);
+      return traits.position_test && traits.type == type;
+    };
+    switch (expr.kind()) {
+      case Expr::Kind::kNumberLiteral:
+        return true;
+      case Expr::Kind::kNegate:
+        return test_of(expr.As<NegateExpr>().operand(), ValueType::kNumber);
+      case Expr::Kind::kBinary: {
+        const auto& binary = expr.As<BinaryExpr>();
+        const ValueType operands =
+            binary.op() == BinaryOp::kAnd || binary.op() == BinaryOp::kOr
+                ? ValueType::kBoolean
+                : ValueType::kNumber;
+        return test_of(binary.lhs(), operands) &&
+               test_of(binary.rhs(), operands);
+      }
+      case Expr::Kind::kFunctionCall: {
+        const auto& call = expr.As<FunctionCall>();
+        switch (call.function()) {
+          case Function::kPosition:
+          case Function::kLast:
+          case Function::kTrue:
+          case Function::kFalse:
+            return true;
+          case Function::kNot:
+            return test_of(call.arg(0), ValueType::kBoolean);
+          default:
+            return false;
+        }
+      }
+      default:
+        return false;
+    }
   }
 
   /// Def 2.5's bexpr rule, one level deep: `expr` is a Core condition iff

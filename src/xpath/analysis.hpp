@@ -32,6 +32,13 @@ struct ExprTraits {
   // unions of them) whose predicates are all bexprs. Evaluable
   // set-at-a-time as a condition set (CoreLinearEvaluator).
   bool core_condition = false;
+  // A position test: built only from number literals, position(), last(),
+  // unary minus, arithmetic on numbers, comparisons of two numbers,
+  // true()/false(), and and/or/not() over booleans. Its value is a function
+  // of the context's position and size alone (PositionNumber /
+  // PositionBoolean in ast.hpp); one that reads neither is a constant,
+  // which Optimize folds.
+  bool position_test = false;
 };
 
 /// Whole-query syntactic measures.

@@ -259,6 +259,66 @@ ValueType StaticType(const Expr& expr) {
   return ValueType::kBoolean;
 }
 
+double PositionNumber(const Expr& expr, double position, double size) {
+  switch (expr.kind()) {
+    case Expr::Kind::kNumberLiteral:
+      return expr.As<NumberLiteral>().value();
+    case Expr::Kind::kNegate:
+      return -PositionNumber(expr.As<NegateExpr>().operand(), position, size);
+    case Expr::Kind::kBinary: {
+      const auto& binary = expr.As<BinaryExpr>();
+      return ArithmeticOp(binary.op(),
+                          PositionNumber(binary.lhs(), position, size),
+                          PositionNumber(binary.rhs(), position, size));
+    }
+    case Expr::Kind::kFunctionCall:
+      switch (expr.As<FunctionCall>().function()) {
+        case Function::kPosition: return position;
+        case Function::kLast: return size;
+        default: break;
+      }
+      break;
+    default:
+      break;
+  }
+  GKX_CHECK(false);  // not a number-typed position test
+  return 0.0;
+}
+
+bool PositionBoolean(const Expr& expr, double position, double size) {
+  switch (expr.kind()) {
+    case Expr::Kind::kBinary: {
+      const auto& binary = expr.As<BinaryExpr>();
+      switch (binary.op()) {
+        case BinaryOp::kAnd:
+          return PositionBoolean(binary.lhs(), position, size) &&
+                 PositionBoolean(binary.rhs(), position, size);
+        case BinaryOp::kOr:
+          return PositionBoolean(binary.lhs(), position, size) ||
+                 PositionBoolean(binary.rhs(), position, size);
+        default:
+          return CompareNumbers(binary.op(),
+                                PositionNumber(binary.lhs(), position, size),
+                                PositionNumber(binary.rhs(), position, size));
+      }
+    }
+    case Expr::Kind::kFunctionCall: {
+      const auto& call = expr.As<FunctionCall>();
+      switch (call.function()) {
+        case Function::kTrue: return true;
+        case Function::kFalse: return false;
+        case Function::kNot: return !PositionBoolean(call.arg(0), position, size);
+        default: break;
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  GKX_CHECK(false);  // not a boolean-typed position test
+  return false;
+}
+
 Query Query::Create(ExprPtr root) {
   GKX_CHECK(root != nullptr);
   Query query;

@@ -300,6 +300,16 @@ class UnionExpr : public Expr {
 /// Static XPath 1.0 type of an expression.
 ValueType StaticType(const Expr& expr);
 
+/// The value of a position test (ExprTraits::position_test in
+/// xpath/analysis.hpp: number literals, position(), last(), unary minus,
+/// arithmetic on numbers, comparisons of two numbers, true()/false(), and
+/// and/or/not() over booleans) at a context of the given position and size.
+/// PositionNumber takes a number-typed test, PositionBoolean a boolean-typed
+/// one; anything else aborts. The cvt engine's boolean positions and the
+/// optimizer's constant fold both evaluate through these.
+double PositionNumber(const Expr& expr, double position, double size);
+bool PositionBoolean(const Expr& expr, double position, double size);
+
 /// An immutable, id-indexed query. Construct with Query::Create; after that
 /// the tree never moves, so Expr*/Step* remain valid for the Query lifetime.
 class Query {

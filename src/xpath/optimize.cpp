@@ -32,71 +32,6 @@ bool StepHasPositionalPredicate(const QueryAnalysis& analysis, const Step& step)
   return false;
 }
 
-/// The value of a number built only from number literals, unary minus and
-/// arithmetic; nullopt for anything else.
-std::optional<double> ConstantNumber(const Expr& expr) {
-  switch (expr.kind()) {
-    case Expr::Kind::kNumberLiteral:
-      return expr.As<NumberLiteral>().value();
-    case Expr::Kind::kNegate: {
-      const std::optional<double> operand =
-          ConstantNumber(expr.As<NegateExpr>().operand());
-      if (!operand) return std::nullopt;
-      return -*operand;
-    }
-    case Expr::Kind::kBinary: {
-      const auto& binary = expr.As<BinaryExpr>();
-      if (!IsArithmeticOp(binary.op())) return std::nullopt;
-      const std::optional<double> lhs = ConstantNumber(binary.lhs());
-      const std::optional<double> rhs = ConstantNumber(binary.rhs());
-      if (!lhs || !rhs) return std::nullopt;
-      return ArithmeticOp(binary.op(), *lhs, *rhs);
-    }
-    default:
-      return std::nullopt;
-  }
-}
-
-/// The value of a boolean built only from true()/false(), and/or/not() over
-/// such booleans, and comparisons of constant numbers; nullopt for anything
-/// else. It reads no context, so it has this one value at every context.
-std::optional<bool> ConstantBoolean(const Expr& expr) {
-  switch (expr.kind()) {
-    case Expr::Kind::kFunctionCall: {
-      const auto& call = expr.As<FunctionCall>();
-      switch (call.function()) {
-        case Function::kTrue: return true;
-        case Function::kFalse: return false;
-        case Function::kNot: {
-          const std::optional<bool> arg = ConstantBoolean(call.arg(0));
-          if (!arg) return std::nullopt;
-          return !*arg;
-        }
-        default:
-          return std::nullopt;
-      }
-    }
-    case Expr::Kind::kBinary: {
-      const auto& binary = expr.As<BinaryExpr>();
-      if (IsRelationalOp(binary.op())) {
-        const std::optional<double> lhs = ConstantNumber(binary.lhs());
-        const std::optional<double> rhs = ConstantNumber(binary.rhs());
-        if (!lhs || !rhs) return std::nullopt;
-        return CompareNumbers(binary.op(), *lhs, *rhs);
-      }
-      if (binary.op() != BinaryOp::kAnd && binary.op() != BinaryOp::kOr) {
-        return std::nullopt;
-      }
-      const std::optional<bool> lhs = ConstantBoolean(binary.lhs());
-      const std::optional<bool> rhs = ConstantBoolean(binary.rhs());
-      if (!lhs || !rhs) return std::nullopt;
-      return binary.op() == BinaryOp::kAnd ? *lhs && *rhs : *lhs || *rhs;
-    }
-    default:
-      return std::nullopt;
-  }
-}
-
 /// [position() >= 1] and [position() <= last()] are tautologies that also
 /// keep the re-ranking identity, so they can be dropped.
 bool PredicateIsPositionTautology(const Expr& predicate) {
@@ -181,11 +116,16 @@ class Optimizer {
   Step RewriteStep(const Step& step) {
     std::vector<ExprPtr> predicates;
     for (const ExprPtr& predicate : step.predicates) {
-      // A predicate built from constants alone has one value at every
-      // context: true keeps every candidate, and so the re-ranking too;
-      // false rejects them all. A constant number is a position test, and
-      // stays.
-      const std::optional<bool> constant = ConstantBoolean(*predicate);
+      // A boolean position test that reads neither position() nor last()
+      // has one value at every context: true keeps every candidate, and so
+      // the re-ranking too; false rejects them all. A constant number is a
+      // position test of another kind ([3] is [position() = 3]), and stays.
+      const ExprTraits& traits = analysis_.traits(*predicate);
+      std::optional<bool> constant;
+      if (traits.position_test && traits.type == ValueType::kBoolean &&
+          !traits.uses_position && !traits.uses_last) {
+        constant = PositionBoolean(*predicate, /*position=*/1, /*size=*/1);
+      }
       if (constant == true || PredicateIsPositionTautology(*predicate)) {
         if (stats_ != nullptr) ++stats_->dropped_predicates;
         continue;

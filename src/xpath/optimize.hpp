@@ -9,13 +9,15 @@
 //                    self::node()                   -> dropped (when another
 //                                                      step remains)
 //   * trivial predicates dropped: [position() >= 1], [position() <= last()]
-//   * constant predicates folded: a predicate built only from number
+//   * constant predicates folded: a boolean position test (number
 //                    literals, unary minus, arithmetic, number comparisons,
-//                    and/or/not() and true()/false() has one value at every
-//                    context; true drops it ([true()], [2 <= 4]), false
-//                    makes it [false()]. A constant number ([2 + 1]) is a
-//                    position test and stays, and so does a constant inside
-//                    a larger predicate.
+//                    and/or/not() and true()/false(); ExprTraits::
+//                    position_test) that reads neither position() nor
+//                    last() has one value at every context; true drops it
+//                    ([true()], [2 <= 4]), false makes it [false()]. A
+//                    constant number ([2 + 1]) is a position test and
+//                    stays, and so does a constant inside a larger
+//                    predicate.
 //   * empty-union collapse: single-branch unions unwrapped.
 //
 // Fusions are suppressed where positions are observable (a predicate on the

@@ -76,11 +76,13 @@ TEST(CvtTablesTest, PositionOnlyPredicateStoresNoCells) {
   auto value = lazy.EvaluateAtRoot(doc, query);
   ASSERT_TRUE(value.ok());
   EXPECT_TRUE(value->Equals(*expected));
-  // The path's cell at the root and the literal 1's constant cell; the
-  // predicate is recomputed at each of its |D| - 1 contexts.
-  EXPECT_EQ(lazy.last_table_entries(), 2);
-  // Eager fills the path's table at all |D| nodes, and still tables none of
-  // the predicate's contexts.
+  // Only the path's cell at the root: the predicate is a position test,
+  // evaluated on doubles at each of its |D| - 1 contexts without reading
+  // a table, so not even the literal 1 gets its constant cell.
+  EXPECT_EQ(lazy.last_table_entries(), 1);
+  // Eager fills the path's table at all |D| nodes and, in its bottom-up
+  // pass, the literal's constant cell; it still tables none of the
+  // predicate's contexts.
   CvtEvaluator eager{CvtEvaluator::Options{.eager = true}};
   auto eager_value = eager.EvaluateAtRoot(doc, query);
   ASSERT_TRUE(eager_value.ok());
@@ -96,10 +98,10 @@ TEST(CvtTablesTest, PositionalPredicateTablesOnlyNodeKeyedCells) {
   auto value = cvt.EvaluateAtRoot(doc, query);
   ASSERT_TRUE(value.ok());
   // The conjunction depends on the position, so it is recomputed per
-  // candidate and has no cell, nor has its arithmetic. What is tabled:
-  // child::*'s cell per candidate node (|D| - 1), the path's cell and the
-  // literal's.
-  EXPECT_EQ(cvt.last_table_entries(), int64_t{doc.size()} + 1);
+  // candidate and has no cell; its arithmetic is a position test, which
+  // reads no table, so its literal has no cell either. What is tabled:
+  // child::*'s cell per candidate node (|D| - 1) and the path's cell.
+  EXPECT_EQ(cvt.last_table_entries(), int64_t{doc.size()});
   NaiveEvaluator naive;
   auto expected = naive.EvaluateAtRoot(doc, query);
   ASSERT_TRUE(expected.ok());
@@ -110,7 +112,8 @@ TEST(CvtTablesTest, PositionsPastTwoToTheTwentyAddNoCell) {
   // A node-set of 2^20 + 1 nodes puts its last node at the second context,
   // past the 20-bit fields of a packed 64-bit key. The conjunction depends
   // on the position, so no context adds a cell: the tables keep child::*'s
-  // cell at the root and the literal 1's, at every position.
+  // cell at the root, at every position (the arithmetic is a position
+  // test, so the literal 1 has no cell).
   auto doc = xml::ParseDocument("<r><a/><b/></r>");
   ASSERT_TRUE(doc.ok());
   CvtEvaluator cvt;
@@ -123,7 +126,7 @@ TEST(CvtTablesTest, PositionsPastTwoToTheTwentyAddNoCell) {
       auto value = cvt.Evaluate(*doc, query, ctx);
       ASSERT_TRUE(value.ok()) << value.status().ToString();
       EXPECT_EQ(value->boolean(), position == size - 1) << size;
-      EXPECT_EQ(cvt.last_table_entries(), 2) << size << " " << position;
+      EXPECT_EQ(cvt.last_table_entries(), 1) << size << " " << position;
       auto expected = naive.Evaluate(*doc, query, ctx);
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
       EXPECT_TRUE(value->Equals(*expected)) << size << " " << position;
@@ -145,8 +148,11 @@ TEST(CvtTablesTest, WidePositionalQueryStoresOnlyThePathCells) {
       ASSERT_TRUE(value->is_node_set());
       ASSERT_EQ(value->nodes().size(), 1u) << children;
       EXPECT_EQ(value->nodes()[0], children - 1) << children;
-      // The absolute path's one cell and the literal 1's, at any width.
-      EXPECT_EQ(cvt.last_table_entries(), 2) << children << " " << eager;
+      // The absolute path's one cell at any width; eager also fills the
+      // literal 1's constant cell in its bottom-up pass, where lazy never
+      // asks for it (the predicate is a position test).
+      EXPECT_EQ(cvt.last_table_entries(), eager ? 2 : 1)
+          << children << " " << eager;
     }
   }
 }

@@ -268,6 +268,153 @@ TEST(StagedPlanAgreementTest, HybridPlansMatchTheNaiveOracle) {
   EXPECT_GT(hybrids_seen, 20);
 }
 
+// Settled work is skipped, never answered differently: an absolute
+// condition is one constant per run (all nodes or none), a sweep ends at
+// the first empty axis image or origin target before any later condition
+// set is built, and a position test runs on doubles outside the Value
+// interpreter. Each query must answer like the naive oracle through the
+// executor (Engine::RunPlan) and through standalone CvtEvaluators in both
+// modes, on random documents with and without extra labels.
+void ExpectSettledWorkAgrees(const std::vector<std::string>& texts,
+                             uint64_t seed) {
+  Rng rng(seed);
+  NaiveEvaluator naive;
+  Engine engine;
+  CvtEvaluator cvt_lazy;
+  CvtEvaluator cvt_eager{CvtEvaluator::Options{.eager = true}};
+  for (const int32_t labels : {0, 2}) {
+    xml::RandomDocumentOptions doc_options;
+    doc_options.node_count = 60;
+    doc_options.tag_alphabet = 3;
+    doc_options.max_extra_labels = labels;
+    doc_options.label_alphabet = 3;
+    for (int round = 0; round < 4; ++round) {
+      const Document doc = xml::RandomDocument(&rng, doc_options);
+      for (const std::string& text : texts) {
+        const Query query = xpath::MustParse(text);
+        auto expected = naive.EvaluateAtRoot(doc, query);
+        ASSERT_TRUE(expected.ok()) << text;
+        for (CvtEvaluator* cvt : {&cvt_lazy, &cvt_eager}) {
+          auto actual = cvt->EvaluateAtRoot(doc, query);
+          ASSERT_TRUE(actual.ok()) << text << ": " << actual.status().ToString();
+          EXPECT_TRUE(expected->Equals(*actual))
+              << cvt->name() << " disagrees on " << text << " (labels "
+              << labels << ")\n  naive: " << expected->DebugString()
+              << "\n  cvt:   " << actual->DebugString();
+        }
+        Engine::Plan plan = Engine::CompileParsed(xpath::MustParse(text));
+        auto planned = naive.EvaluateAtRoot(doc, plan.query);
+        ASSERT_TRUE(planned.ok()) << plan.canonical_text;
+        auto answer = engine.RunPlan(doc, plan);
+        ASSERT_TRUE(answer.ok())
+            << plan.canonical_text << ": " << answer.status().ToString();
+        EXPECT_TRUE(planned->Equals(answer->value))
+            << answer->evaluator << " disagrees on " << plan.canonical_text
+            << " (labels " << labels << ")\n  naive:  "
+            << planned->DebugString()
+            << "\n  staged: " << answer->value.DebugString();
+      }
+    }
+  }
+}
+
+TEST(SettledWorkAgreementTest, AbsoluteConditions) {
+  ExpectSettledWorkAgrees(
+      {
+          // Empty from the root ...
+          "descendant::t1[/following::*]",
+          "descendant::*[not(/parent::*)]",
+          "child::*[/preceding-sibling::t1 or child::t2]",
+          "descendant::t2[child::* and not(/following::*)]",
+          "descendant::*[/ancestor::* or /following-sibling::*[child::t1]]",
+          // ... and not.
+          "descendant::t0[/descendant::t1]",
+          "descendant::*[/self::t0 and child::t1]",
+          "descendant::*[not(/descendant::t1) or /self::t0]",
+          "descendant::l1[/descendant::l2 and not(/following::*)]",
+          "descendant::*[/ | child::t1]",
+          // Nested inside relative condition paths.
+          "descendant::*[child::t1[/following::*] or child::t2[/descendant::t1]]",
+          "descendant::t1[ancestor::*[not(/parent::*)]/child::t2]",
+          "descendant::*[child::*[not(/self::t0) or /descendant::t2[child::*]]]",
+          // In a cvt step, and at a scalar root.
+          "descendant::*[/descendant::t1 and position() > 2]",
+          "descendant::*[not(/following::*) or last() = position()]",
+          "boolean(/parent::* or /descendant::t2)",
+      },
+      24001);
+}
+
+TEST(SettledWorkAgreementTest, StepsAfterAnEmptyAxisImage) {
+  ExpectSettledWorkAgrees(
+      {
+          "parent::*[child::t1]",
+          "following::*[child::*]",
+          "preceding-sibling::*[child::t2]/child::*[child::t1]",
+          "child::t1/parent::*/parent::*[child::t2]",
+          "/ancestor::*[child::t1] | descendant::t2",
+          "descendant::t9[child::t1]/child::*[child::t2]",
+          "descendant::*[parent::*/parent::*/parent::*[child::t2]]",
+          "descendant::*[child::t9[child::t1] or following::*[child::*]]",
+          "descendant::*[not(preceding::t2/parent::*[child::t1])]",
+          "descendant::*[child::t1/following-sibling::*[child::t2]/child::t0]",
+          "child::t1/parent::*/parent::*[position() = last()]",
+      },
+      24002);
+}
+
+TEST(SettledWorkAgreementTest, PositionTestsInEverySlot) {
+  ExpectSettledWorkAgrees(
+      {
+          // A number predicate is a position test.
+          "descendant::*[last() - 1]",
+          "descendant::*[2 + 1]",
+          "descendant::*[position() div 2]",
+          // Division and modulo by zero give NaN and ±Infinity: = on NaN
+          // is false, != true.
+          "descendant::*[position() mod 0 = 1]",
+          "descendant::*[position() mod 0 != 1]",
+          "descendant::*[position() div 0 = 1 div 0]",
+          "descendant::*[-position() div 0 < 0]",
+          "descendant::*[0 div 0 != 0 div 0]",
+          // Unary minus and not().
+          "descendant::*[-position() < -2]",
+          "descendant::*[- -last() = position() + 1]",
+          "descendant::*[not(position() = 1)]",
+          "descendant::*[not(position() - 2)]",
+          "descendant::*[boolean(position() - 1)]",
+          "descendant::*[true() and not(false() or position() > last() - 2)]",
+          // And/or of a Core path with a position test, in both orders.
+          "descendant::t0[child::* and position() > 1]",
+          "descendant::t0[position() > 1 and child::*]",
+          "descendant::*[child::t1 or last() - position() < 2]",
+          "descendant::*[last() - position() < 2 or child::t1]",
+          "descendant::*[child::l1 and position() mod 2 = 0]",
+          // The served pool's shapes, iterated predicates, scalar roots.
+          "child::*/descendant-or-self::t2[last() - 3 + last() > "
+          "position() + position() + position()]",
+          "descendant::*[position() > 1][position() mod 2 = 1][1]",
+          "descendant::*[(position() + 1) = last()]",
+          "count(descendant::*[position() > 2])",
+          "position() + 1 = last()",
+      },
+      24003);
+}
+
+// Generated WF queries (Def 2.6: position arithmetic over Core-shaped
+// paths) exercise the position-test route in arbitrary mixes.
+TEST(SettledWorkAgreementTest, RandomWadlerFragmentQueries) {
+  Rng rng(24004);
+  xpath::RandomQueryOptions query_options;
+  query_options.fragment = Fragment::kWF;
+  query_options.max_predicates_per_step = 2;
+  std::vector<std::string> texts;
+  for (int i = 0; i < 60; ++i) {
+    texts.push_back(ToXPathString(xpath::RandomQuery(&rng, query_options)));
+  }
+  ExpectSettledWorkAgrees(texts, 24005);
+}
+
 // The CVT evaluator must do polynomially bounded work: on the nested
 // condition family the naive engine's evaluation count explodes while the
 // CVT count stays flat — the paper's headline contrast, as a unit test.
@@ -300,9 +447,10 @@ TEST(ComplexityContrastTest, CvtMemoizationBoundsWork) {
 // The same contrast when every level mixes a path with position arithmetic:
 //   depth 0: descendant::t0
 //   depth k: descendant::t0[position() + 1 != last() and <depth k-1>]
-// Each conjunction reads a path, so it is tabled per ⟨node, position,
-// size⟩; its position arithmetic is not tabled and is recomputed once per
-// conjunction cell, which keeps the cvt count polynomial in the depth.
+// Each conjunction depends on the position, so it is recomputed at every
+// candidate and never tabled; its position arithmetic is a position test,
+// one evaluation on doubles per conjunction, and its path operand is
+// tabled per node, which keeps the cvt count polynomial in the depth.
 TEST(ComplexityContrastTest, PositionArithmeticUnderPathsStaysPolynomial) {
   Document doc = xml::ChainDocument(20, /*tag_alphabet=*/1);
   auto query_of_depth = [](int depth) {
@@ -329,7 +477,7 @@ TEST(ComplexityContrastTest, PositionArithmeticUnderPathsStaysPolynomial) {
     cvt_counts.push_back(cvt.last_eval_count());
   }
   // Depths 1..5 read 133, 1,306, 7,834, 33,334 and 107,590 naive
-  // evaluations, and 115, 983, 1,760, 2,451 and 3,061 cvt evaluations:
+  // evaluations, and 57, 414, 734, 1,019 and 1,271 cvt evaluations:
   // cvt stays within depth × its depth-2 count.
   EXPECT_GT(naive_counts[4], naive_counts[1] * 8);
   for (size_t depth = 2; depth <= 5; ++depth) {

@@ -434,6 +434,19 @@ TEST(QueryServiceTest, IndexedFastPathDeclinesUnsupportedShapes) {
   EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("//t1/following-sibling::t2")));
   EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("count(//t1)")));
   EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("/descendant::t1[child::t2]")));
+  // A descendant step that is still a wildcard after the '//' fusion: the
+  // posting lists cannot narrow its range, and the pf-frontier sweep sets
+  // it a word at a time.
+  EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("descendant::*/self::t3")));
+  EXPECT_FALSE(TryIndexedPath(
+      index, xpath::MustParse("descendant-or-self::* | self::*")));
+  EXPECT_FALSE(TryIndexedPath(
+      index, xpath::MustParse("child::*/descendant-or-self::*")));
+  EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("//*")));
+  // Named descendant steps and wildcard child/self steps stay indexed.
+  EXPECT_TRUE(TryIndexedPath(index, xpath::MustParse("//t1/child::*/self::*")));
+  EXPECT_TRUE(TryIndexedPath(
+      index, xpath::MustParse("child::*/descendant-or-self::t2")));
 }
 
 TEST(QueryServiceTest, ConcurrentSubmitStress) {

@@ -84,6 +84,44 @@ TEST(AnalysisTest, DependenceGoldens) {
   EXPECT_EQ(analysis.traits(*step.predicates[0]).dependence, kFull);
 }
 
+TEST(AnalysisTest, PositionTestGoldens) {
+  // Number literals, position(), last(), unary minus, arithmetic on
+  // numbers, comparisons of two numbers, true()/false() and and/or/not()
+  // over booleans: a function of the context's position and size alone.
+  struct Golden {
+    const char* text;
+    bool position_test;
+  };
+  const Golden goldens[] = {
+      {"last() - 3 + last() > position()", true},
+      {"not(1 >= last())", true},
+      {"2 + 1", true},
+      {"true()", true},
+      {"-position() mod 0 != 1 div 0 or false()", true},
+      {"position() and child::t1", false},
+      {"string-length('ab') > position()", false},
+      {"count(child::*) = last()", false},
+      {"(1 < 2) = true()", false},
+      {"not(position())", false},
+      {"1 and true()", false},
+  };
+  for (const Golden& golden : goldens) {
+    Query q = MustParse(golden.text);
+    EXPECT_EQ(Analyze(q).traits(q.root()).position_test, golden.position_test)
+        << golden.text;
+  }
+  // In a mixed predicate each operand keeps its own trait: the Core path
+  // is a Core condition, the arithmetic a position test.
+  Query q = MustParse("child::a[child::b or position() + 1 = last()]");
+  const QueryAnalysis analysis = Analyze(q);
+  const auto& mixed =
+      q.root().As<PathExpr>().step(0).predicates[0]->As<BinaryExpr>();
+  EXPECT_FALSE(analysis.traits(mixed).position_test);
+  EXPECT_TRUE(analysis.traits(mixed.lhs()).core_condition);
+  EXPECT_FALSE(analysis.traits(mixed.lhs()).position_test);
+  EXPECT_TRUE(analysis.traits(mixed.rhs()).position_test);
+}
+
 TEST(AnalysisTest, PredicateCounts) {
   EXPECT_EQ(AnalyzeText("a[b][c][d]").max_predicates_per_step, 3);
   EXPECT_EQ(AnalyzeText("a[b]/c[d]").max_predicates_per_step, 1);
