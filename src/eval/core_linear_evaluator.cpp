@@ -387,6 +387,18 @@ Result<NodeBitset> CoreLinearEvaluator::PathOriginSet(const PathExpr& path) {
   return reach;
 }
 
+Result<NodeBitset> CoreLinearEvaluator::AbsolutePathSet(const PathExpr& path) {
+  // A constant: it runs once, forward from the root, where an empty step
+  // ends the sweep.
+  NodeBitset root(doc_->size());
+  root.Set(doc_->root());
+  auto selected = EvalStepRange(path, 0, path.step_count(), root);
+  if (!selected.ok()) return selected.status();
+  NodeBitset out(doc_->size());
+  if (!selected->Empty()) out.SetAll();
+  return out;
+}
+
 Result<const NodeBitset*> CoreLinearEvaluator::ConditionSet(const Expr& expr) {
   auto cached = condition_cache_.find(expr.id());
   if (cached != condition_cache_.end()) return &cached->second;
@@ -419,17 +431,7 @@ Result<const NodeBitset*> CoreLinearEvaluator::ConditionSet(const Expr& expr) {
       }
       case Expr::Kind::kPath: {
         const auto& path = expr.As<PathExpr>();
-        if (!path.absolute()) return PathOriginSet(path);
-        // An absolute path is a constant: it holds at every node or at
-        // none, so it runs once, forward from the root, where an empty
-        // step ends the sweep.
-        NodeBitset root(doc_->size());
-        root.Set(doc_->root());
-        auto selected = EvalStepRange(path, 0, path.step_count(), root);
-        if (!selected.ok()) return selected.status();
-        NodeBitset out(doc_->size());
-        if (!selected->Empty()) out.SetAll();
-        return out;
+        return path.absolute() ? AbsolutePathSet(path) : PathOriginSet(path);
       }
       case Expr::Kind::kUnion: {
         const auto& u = expr.As<xpath::UnionExpr>();

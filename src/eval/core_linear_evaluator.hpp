@@ -95,6 +95,14 @@ class CoreLinearEvaluator : public Evaluator {
   /// computed right-to-left via inverse axes.
   Result<NodeBitset> PathOriginSet(const xpath::PathExpr& path);
 
+  /// Condition set of an absolute path: every node when the path selects
+  /// anything from the root, none otherwise. Out of line, so its
+  /// temporaries stay out of ConditionSet's frame, which every nesting
+  /// level of a condition pays (a deep Core query must fit a thread's
+  /// stack in sanitizer builds too).
+  [[gnu::noinline]] Result<NodeBitset> AbsolutePathSet(
+      const xpath::PathExpr& path);
+
   /// Forward evaluation: image of `start` under the whole path.
   Result<NodeBitset> EvalPathForward(const xpath::PathExpr& path,
                                      const NodeBitset& start);
