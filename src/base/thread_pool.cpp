@@ -1,17 +1,58 @@
 #include "base/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <utility>
 
 namespace gkx {
+namespace {
+
+// The CPUs the calling thread may run on, ascending; empty where the
+// platform does not say.
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+    }
+  }
+#endif
+  return cpus;
+}
+
+void RunCallingThreadOn(int cpu) {
+#if defined(__linux__)
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  sched_setaffinity(0, sizeof one, &one);
+#else
+  (void)cpu;
+#endif
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads < 1) threads = 1;
   }
+  // One CPU per worker when the creator's CPUs suffice (see the header).
+  const std::vector<int> cpus = AllowedCpus();
+  const bool spread = cpus.size() >= static_cast<size_t>(threads);
   workers_.reserve(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    const int cpu = spread ? cpus[static_cast<size_t>(t)] : -1;
+    workers_.emplace_back([this, cpu] {
+      if (cpu >= 0) RunCallingThreadOn(cpu);
+      WorkerLoop();
+    });
   }
 }
 

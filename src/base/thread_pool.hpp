@@ -20,6 +20,15 @@
 // condition variable of its own group instead of broadcasting on the pool's
 // queue cv (which used to wake every idle worker per finished group).
 //
+// Placement: when the thread that builds the pool may run on at least as
+// many CPUs as the pool has workers, worker i runs on the i-th of those
+// CPUs only; a wider pool leaves its workers to the scheduler. Left alone,
+// Linux's wake-up placement can put two workers on one CPU, and workers
+// that block and wake once per ParallelFor stay there while other CPUs of
+// the set idle: each fork then runs at one worker's width. In the wire
+// benchmark (a 2-worker pool on 3 CPUs) that happened in about one cold_eval
+// run in seven, for the whole run, at three quarters of the throughput.
+//
 // Exception contract:
 //   * A task body passed to ParallelFor may throw. The first exception (in
 //     completion order) is captured and rethrown on the ParallelFor caller;

@@ -1,12 +1,20 @@
 // ThreadPool: task execution, ParallelFor coverage, nesting (the service
 // fans batches out while the parallel PDA engine fans candidates out on the
 // same pool — progress must be guaranteed even at width 1), the
-// group-isolation tail-latency regression, and the exception contract.
+// group-isolation tail-latency regression, the exception contract, and
+// worker placement.
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -133,6 +141,76 @@ TEST(ThreadPoolTest, NestedParallelForUnderConcurrentGroups) {
   });
   EXPECT_EQ(leaves.load(), 32);
 }
+
+#if defined(__linux__)
+std::vector<int> CallingThreadCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+void SetCallingThreadCpus(const std::vector<int>& cpus) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int cpu : cpus) CPU_SET(cpu, &set);
+  ASSERT_EQ(sched_setaffinity(0, sizeof set, &set), 0);
+}
+
+// Builds a pool of `width` workers from a thread restricted to `cpus`.
+std::unique_ptr<ThreadPool> PoolBuiltOn(const std::vector<int>& cpus,
+                                        int width) {
+  const std::vector<int> own = CallingThreadCpus();
+  SetCallingThreadCpus(cpus);
+  auto pool = std::make_unique<ThreadPool>(width);
+  SetCallingThreadCpus(own);
+  return pool;
+}
+
+// The CPU set of every worker, sorted: one ParallelFor index per worker and
+// one for the caller, each held until all have been claimed, so every
+// thread runs exactly one.
+std::vector<std::vector<int>> WorkerCpuSets(ThreadPool& pool) {
+  const int width = pool.thread_count() + 1;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::mutex mu;
+  std::vector<std::vector<int>> sets;
+  pool.ParallelFor(width, [&](int) {
+    arrived.fetch_add(1);
+    while (arrived.load() < width) std::this_thread::yield();
+    if (std::this_thread::get_id() == caller) return;
+    std::vector<int> cpus = CallingThreadCpus();
+    std::lock_guard<std::mutex> lock(mu);
+    sets.push_back(std::move(cpus));
+  });
+  std::sort(sets.begin(), sets.end());
+  return sets;
+}
+
+TEST(ThreadPoolTest, WorkersTakeOneCpuEachOfTheCreatorsSet) {
+  const std::vector<int> all = CallingThreadCpus();
+  if (all.size() < 2) GTEST_SKIP() << "needs two CPUs";
+  // The last two CPUs this process may use: worker i runs on the i-th.
+  const std::vector<int> set(all.end() - 2, all.end());
+  auto pool = PoolBuiltOn(set, 2);
+  EXPECT_EQ(WorkerCpuSets(*pool),
+            (std::vector<std::vector<int>>{{set[0]}, {set[1]}}));
+}
+
+TEST(ThreadPoolTest, PoolWiderThanTheCreatorsSetKeepsTheSet) {
+  const std::vector<int> all = CallingThreadCpus();
+  if (all.size() < 2) GTEST_SKIP() << "needs two CPUs";
+  const std::vector<int> set(all.end() - 2, all.end());
+  auto pool = PoolBuiltOn(set, 3);
+  EXPECT_EQ(WorkerCpuSets(*pool),
+            (std::vector<std::vector<int>>{set, set, set}));
+}
+#endif
 
 TEST(ThreadPoolTest, SharedPoolIsUsable) {
   std::atomic<int> count{0};
