@@ -26,8 +26,9 @@
 // Linux's wake-up placement can put two workers on one CPU, and workers
 // that block and wake once per ParallelFor stay there while other CPUs of
 // the set idle: each fork then runs at one worker's width. In the wire
-// benchmark (a 2-worker pool on 3 CPUs) that happened in about one cold_eval
-// run in seven, for the whole run, at three quarters of the throughput.
+// benchmark (a 2-worker pool on 3 of a 4-vCPU KVM guest's CPUs) that held
+// for the whole 20 s window in about one cold_eval run in nine, at three
+// quarters of the throughput.
 //
 // Exception contract:
 //   * A task body passed to ParallelFor may throw. The first exception (in
