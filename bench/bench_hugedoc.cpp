@@ -2,9 +2,10 @@
 // Synthesizes a deterministic corpus document (default ~256 MB of XML),
 // then measures the full ingestion-to-serving path:
 //
-//   ingest    DOM parse vs one-pass streaming parse (which also builds the
-//             posting lists) — throughput in MB/s — plus the pre-scan node
-//             estimate that sizes the arena columns up front.
+//   ingest    ParseDocument, and ParseDocument followed by the
+//             DocumentIndex a first query builds — throughput in MB/s —
+//             plus the pre-scan node estimate that sizes the arena columns
+//             up front.
 //   snapshot  SaveSnapshot wall time and bytes: the relocatable on-disk
 //             arena vs the in-memory arena (they differ only by header and
 //             name table).
@@ -13,9 +14,8 @@
 //             to check them, then only the pages the query needs; the parse
 //             side must chew through the whole text first. Self-check:
 //             mmap-first-query >= 5x faster.
-//   answers   every measured plan, evaluated on the DOM document, the
-//             streamed document, and the mapped snapshot — all three must
-//             be value-identical.
+//   answers   every measured plan, evaluated on the parsed document and on
+//             the mapped snapshot — both must be value-identical.
 //
 // Cold start here means cold *process*, warm page cache (the snapshot was
 // just written) — the serving-restart case the snapshot format exists for.
@@ -37,10 +37,10 @@
 #include "base/stopwatch.hpp"
 #include "bench/bench_util.hpp"
 #include "eval/engine.hpp"
+#include "xml/index.hpp"
 #include "xml/parser.hpp"
 #include "xml/parser_core.hpp"
 #include "xml/snapshot.hpp"
-#include "xml/stream_parser.hpp"
 
 namespace gkx {
 namespace {
@@ -97,7 +97,7 @@ void Run(uint64_t target_bytes, bool smoke) {
       "EXP-HD: structure-of-arrays arena at huge-document scale",
       "LOGCFL/PTIME combined complexity presumes documents too large to "
       "re-walk casually; the data layout must make one pass count",
-      "ingestion throughput (DOM vs streaming+index), snapshot save size, "
+      "ingestion throughput (parse, parse + index), snapshot save size, "
       "and the restart race: parse-then-query vs mmap-then-query");
 
   bench::JsonReport json("hugedoc", /*seed=*/0);
@@ -126,31 +126,30 @@ void Run(uint64_t target_bytes, bool smoke) {
   const int32_t estimated = xml::parser_internal::EstimateNodeCount(xml);
   const double estimate_seconds = estimate_sw.ElapsedSeconds();
 
-  // ---- ingest: DOM parse ----
-  Stopwatch dom_sw;
-  auto dom = xml::ParseDocument(xml);
-  const double dom_seconds = dom_sw.ElapsedSeconds();
-  GKX_CHECK(dom.ok());
-  const int64_t nodes = dom->size();
-
-  // ---- ingest: streaming parse (arena + posting lists, no DOM) ----
-  Stopwatch stream_sw;
-  auto streamed = xml::ParseDocumentStream(xml);
-  const double stream_seconds = stream_sw.ElapsedSeconds();
-  GKX_CHECK(streamed.ok());
-  GKX_CHECK(streamed->doc.size() == nodes);
+  // ---- ingest: parse, then the index the first query would build ----
+  Stopwatch ingest_sw;
+  auto parsed = xml::ParseDocument(xml);
+  const double parse_seconds = ingest_sw.ElapsedSeconds();
+  GKX_CHECK(parsed.ok());
+  const int64_t nodes = parsed->size();
+  double parse_index_seconds = 0.0;
+  {
+    const xml::DocumentIndex index(*parsed);
+    parse_index_seconds = ingest_sw.ElapsedSeconds();
+    GKX_CHECK(index.posting_count() >= nodes);
+  }
 
   const double estimate_ratio =
       static_cast<double>(estimated) / static_cast<double>(nodes);
   bench::Table ingest({"path", "seconds", "MB/s", "nodes", "arena MB"});
   const double arena_mb =
-      static_cast<double>(dom->ArenaBytes()) / (1024.0 * 1024.0);
-  ingest.AddRow({"dom parse", bench::Ratio(dom_seconds),
-                 bench::Ratio(xml_mb / dom_seconds, 1), bench::Num(nodes),
+      static_cast<double>(parsed->ArenaBytes()) / (1024.0 * 1024.0);
+  ingest.AddRow({"parse", bench::Ratio(parse_seconds),
+                 bench::Ratio(xml_mb / parse_seconds, 1), bench::Num(nodes),
                  bench::Ratio(arena_mb, 1)});
-  ingest.AddRow({"stream parse + index", bench::Ratio(stream_seconds),
-                 bench::Ratio(xml_mb / stream_seconds, 1), bench::Num(nodes),
-                 bench::Ratio(arena_mb, 1)});
+  ingest.AddRow({"parse + index", bench::Ratio(parse_index_seconds),
+                 bench::Ratio(xml_mb / parse_index_seconds, 1),
+                 bench::Num(nodes), bench::Ratio(arena_mb, 1)});
   ingest.Print();
   std::printf(
       "  pre-scan estimate: %d nodes vs %lld actual (ratio %.3f, %.3fs)\n\n",
@@ -162,17 +161,18 @@ void Run(uint64_t target_bytes, bool smoke) {
   json.AddRow({{"section", bench::JsonStr("ingest")},
                {"xml_mb", bench::JsonNum(xml_mb)},
                {"nodes", bench::JsonNum(static_cast<double>(nodes))},
-               {"dom_parse_s", bench::JsonNum(dom_seconds)},
-               {"stream_parse_index_s", bench::JsonNum(stream_seconds)},
-               {"dom_mb_per_s", bench::JsonNum(xml_mb / dom_seconds)},
-               {"stream_mb_per_s", bench::JsonNum(xml_mb / stream_seconds)},
+               {"parse_s", bench::JsonNum(parse_seconds)},
+               {"parse_index_s", bench::JsonNum(parse_index_seconds)},
+               {"parse_mb_per_s", bench::JsonNum(xml_mb / parse_seconds)},
+               {"parse_index_mb_per_s",
+                bench::JsonNum(xml_mb / parse_index_seconds)},
                {"estimate_ratio", bench::JsonNum(estimate_ratio)},
                {"prescan_s", bench::JsonNum(estimate_seconds)},
                {"arena_mb", bench::JsonNum(arena_mb)}});
 
   // ---- snapshot ----
   Stopwatch save_sw;
-  GKX_CHECK(xml::SaveSnapshot(*dom, snapshot_path).ok());
+  GKX_CHECK(xml::SaveSnapshot(*parsed, snapshot_path).ok());
   const double save_seconds = save_sw.ElapsedSeconds();
   std::printf("  snapshot: wrote %.1f MB arena in %.2fs\n\n", arena_mb,
               save_seconds);
@@ -204,12 +204,8 @@ void Run(uint64_t target_bytes, bool smoke) {
     const double map_side_seconds = map_side_sw.ElapsedSeconds();
     GKX_CHECK(mapped_answer.ok());
 
-    // The same plan on the streamed document: three independent ingestion
-    // paths, one answer.
-    auto streamed_answer = engine.RunPlan(streamed->doc, *plan);
-    GKX_CHECK(streamed_answer.ok());
-    const bool identical = mapped_answer->value.Equals(parse_answer->value) &&
-                           streamed_answer->value.Equals(parse_answer->value);
+    // Two ingestion paths, one answer.
+    const bool identical = mapped_answer->value.Equals(parse_answer->value);
     GKX_CHECK(identical);
 
     const double speedup = parse_side_seconds / map_side_seconds;

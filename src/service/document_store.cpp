@@ -8,7 +8,6 @@
 #include "wal/wal.hpp"
 #include "xml/parser.hpp"
 #include "xml/snapshot.hpp"
-#include "xml/stream_parser.hpp"
 
 namespace gkx::service {
 
@@ -100,21 +99,6 @@ Status DocumentStore::PutXml(std::string key, std::string_view xml) {
   auto doc = xml::ParseDocument(xml);
   if (!doc.ok()) return doc.status();
   return Put(std::move(key), std::move(doc).value());
-}
-
-Status DocumentStore::PutXmlStreamed(std::string key, std::string_view xml) {
-  auto parsed = xml::ParseDocumentStream(xml);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed->doc.empty()) {
-    return InvalidArgumentError("cannot register empty document under key '" +
-                                key + "'");
-  }
-  auto stored = std::make_shared<StoredDocument>(std::move(parsed->doc));
-  // The parse already built the posting lists; adopt them so the first
-  // query pays no index-building walk.
-  stored->AdoptIndex(std::make_unique<xml::DocumentIndex>(
-      stored->doc(), std::move(parsed->postings)));
-  return Install(std::move(key), std::move(stored));
 }
 
 Status DocumentStore::PutSnapshot(std::string key, const std::string& path) {

@@ -166,12 +166,6 @@ class DocumentStore {
   /// Parses `xml` and registers the result under `key`.
   Status PutXml(std::string key, std::string_view xml);
 
-  /// Parses `xml` with the one-pass streaming arena parser and registers the
-  /// result under `key`. The posting lists built during the parse are
-  /// adopted as the stored document's index, so the first query pays neither
-  /// a DOM intermediate nor an index-building document walk.
-  Status PutXmlStreamed(std::string key, std::string_view xml);
-
   /// Memory-maps the arena snapshot at `path` (xml/snapshot.hpp) and
   /// registers the mapped document under `key`. The document serves queries
   /// straight out of the mapping — no parse, no copy, page-fault-bound cold

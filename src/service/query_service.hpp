@@ -142,7 +142,7 @@ class QueryService {
     /// If open/recovery fails the service still constructs and serves — in
     /// memory, without a WAL — and wal_status() carries the reason.
     std::string wal_dir;
-    /// WAL tuning (group-commit window, fsync, checkpoint threshold).
+    /// WAL tuning (fsync, checkpoint threshold).
     /// `wal.dir` is ignored; wal_dir above is the switch and the path.
     wal::WalOptions wal;
   };

@@ -25,10 +25,9 @@ xml::Document NaiveApplyEdit(const xml::Document& doc,
                              const xml::SubtreeEdit& edit);
 
 /// Field-by-field equality over every node: links, depth, subtree size,
-/// tag/label names, attributes, text. Stricter than
-/// Document::StructurallyEquals (which ignores sibling links, depths, and
-/// sizes). On mismatch returns false and, when `why` is non-null, describes
-/// the first differing node.
+/// tag/label names, attributes, text. Heap offsets and NameIds are not
+/// compared, only what they name. On mismatch returns false and, when `why`
+/// is non-null, describes the first differing node.
 bool ExhaustiveEquals(const xml::Document& a, const xml::Document& b,
                       std::string* why = nullptr);
 

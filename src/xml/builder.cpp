@@ -5,12 +5,122 @@
 
 namespace gkx::xml {
 
-TreeBuilder::TreeBuilder(std::string_view root_tag) {
-  nodes_.push_back(PendingNode{std::string(root_tag), {}, {}, {}, {}});
+PreorderBuilder::PreorderBuilder(int32_t reserve_hint) {
+  if (reserve_hint <= 0) return;
+  const size_t n = static_cast<size_t>(reserve_hint);
+  Document::Owned& a = doc_.owned_;
+  a.parent.reserve(n);
+  a.first_child.reserve(n);
+  a.last_child.reserve(n);
+  a.prev_sibling.reserve(n);
+  a.next_sibling.reserve(n);
+  a.subtree_size.reserve(n);
+  a.depth.reserve(n);
+  a.tag.reserve(n);
+  a.text_span.reserve(n);
+  a.label_span.reserve(n);
+  a.attr_span.reserve(n);
 }
 
-void TreeBuilder::Reserve(int32_t node_count) {
-  if (node_count > 0) nodes_.reserve(static_cast<size_t>(node_count));
+void PreorderBuilder::StartElement(std::string_view tag) {
+  FlushLabels();
+  Document::Owned& a = doc_.owned_;
+  const NodeId id = static_cast<NodeId>(a.parent.size());
+  const NodeId parent =
+      depth_ == 0 ? kNullNode : open_ids_[static_cast<size_t>(depth_ - 1)];
+
+  a.parent.push_back(parent);
+  a.first_child.push_back(kNullNode);
+  a.last_child.push_back(kNullNode);
+  a.prev_sibling.push_back(kNullNode);
+  a.next_sibling.push_back(kNullNode);
+  a.subtree_size.push_back(1);  // finalized at EndElement
+  a.depth.push_back(depth_);
+  a.tag.push_back(doc_.InternName(tag));
+  a.text_span.push_back(PayloadSpan{});   // finalized at EndElement
+  a.label_span.push_back(PayloadSpan{});  // finalized at FlushLabels
+  a.attr_span.push_back(
+      PayloadSpan{static_cast<uint32_t>(a.attr_pool.size()), 0});
+
+  if (parent != kNullNode) {
+    const size_t p = static_cast<size_t>(parent);
+    if (a.first_child[p] == kNullNode) {
+      a.first_child[p] = id;
+    } else {
+      a.next_sibling[static_cast<size_t>(a.last_child[p])] = id;
+      a.prev_sibling[static_cast<size_t>(id)] = a.last_child[p];
+    }
+    a.last_child[p] = id;
+  }
+  labels_node_ = id;
+
+  if (open_ids_.size() == static_cast<size_t>(depth_)) {
+    open_ids_.push_back(id);
+    open_texts_.emplace_back();
+  } else {
+    open_ids_[static_cast<size_t>(depth_)] = id;
+    open_texts_[static_cast<size_t>(depth_)].clear();
+  }
+  ++depth_;
+}
+
+void PreorderBuilder::AddAttribute(std::string_view name,
+                                   std::string_view value) {
+  Document::Owned& a = doc_.owned_;
+  a.attr_pool.push_back(doc_.MakeAttrEntry(name, value));
+  ++a.attr_span.back().length;
+}
+
+void PreorderBuilder::AddLabel(std::string_view label) {
+  pending_labels_.push_back(doc_.InternName(label));
+}
+
+void PreorderBuilder::AppendText(std::string_view text) {
+  FlushLabels();
+  open_texts_[static_cast<size_t>(depth_ - 1)] += text;
+}
+
+void PreorderBuilder::EndElement() {
+  FlushLabels();
+  Document::Owned& a = doc_.owned_;
+  --depth_;
+  const NodeId id = open_ids_[static_cast<size_t>(depth_)];
+  a.subtree_size[static_cast<size_t>(id)] =
+      static_cast<int32_t>(a.parent.size()) - id;
+  a.text_span[static_cast<size_t>(id)] =
+      doc_.AppendHeapBytes(open_texts_[static_cast<size_t>(depth_)]);
+}
+
+Document PreorderBuilder::Finish() && {
+  GKX_CHECK_EQ(depth_, 0);
+  doc_.SealViews();
+  return std::move(doc_);
+}
+
+/// Interns are append-only, so a node's label set is sorted/deduped once,
+/// when the next event proves no more labels can arrive for it.
+void PreorderBuilder::FlushLabels() {
+  if (labels_node_ == kNullNode) return;
+  const NodeId id = labels_node_;
+  labels_node_ = kNullNode;
+  if (pending_labels_.empty()) return;
+  Document::Owned& a = doc_.owned_;
+  const NameId tag = a.tag[static_cast<size_t>(id)];
+  std::sort(pending_labels_.begin(), pending_labels_.end());
+  pending_labels_.erase(
+      std::unique(pending_labels_.begin(), pending_labels_.end()),
+      pending_labels_.end());
+  const uint32_t start = static_cast<uint32_t>(a.label_pool.size());
+  for (NameId label : pending_labels_) {
+    if (label != tag) a.label_pool.push_back(label);  // tag/labels disjoint
+  }
+  a.label_span[static_cast<size_t>(id)] = PayloadSpan{
+      start, static_cast<uint32_t>(a.label_pool.size()) - start};
+  pending_labels_.clear();
+}
+
+TreeBuilder::TreeBuilder(std::string_view root_tag) {
+  nodes_.push_back(PendingNode{std::string(root_tag), {}, {}, {}, {}});
 }
 
 TreeBuilder::PendingNode& TreeBuilder::At(BuildNodeId id) {
@@ -54,94 +164,39 @@ void TreeBuilder::AddAttribute(BuildNodeId node, std::string_view name,
 }
 
 Document TreeBuilder::Build() && {
-  Document doc;
-  Document::Owned& a = doc.owned_;
-  const size_t n = nodes_.size();
-  a.parent.reserve(n);
-  a.first_child.reserve(n);
-  a.last_child.reserve(n);
-  a.prev_sibling.reserve(n);
-  a.next_sibling.reserve(n);
-  a.subtree_size.reserve(n);
-  a.depth.reserve(n);
-  a.tag.reserve(n);
-  a.text_span.reserve(n);
-  a.label_span.reserve(n);
-  a.attr_span.reserve(n);
-
-  // Iterative preorder DFS: documents can be deep chains (the reductions
-  // build Θ(n)-deep spines), so no recursion.
+  PreorderBuilder out(size());
+  // Iterative preorder walk: documents can be deep chains (the reductions
+  // build Θ(n)-deep spines), so no recursion. A frame is an open node and
+  // the index of its next child to replay.
   struct Frame {
-    BuildNodeId build_id;
-    NodeId parent;
-    int32_t depth;
+    BuildNodeId node;
+    size_t next_child;
   };
-  std::vector<NameId> label_ids;
   std::vector<Frame> stack;
-  stack.push_back(Frame{0, kNullNode, 0});
-  while (!stack.empty()) {
-    Frame frame = stack.back();
-    stack.pop_back();
-    PendingNode& pending = nodes_[static_cast<size_t>(frame.build_id)];
-
-    const NodeId id = static_cast<NodeId>(a.parent.size());
-    a.parent.push_back(frame.parent);
-    a.first_child.push_back(kNullNode);
-    a.last_child.push_back(kNullNode);
-    a.prev_sibling.push_back(kNullNode);
-    a.next_sibling.push_back(kNullNode);
-    a.subtree_size.push_back(1);
-    a.depth.push_back(frame.depth);
-    const NameId tag = doc.InternName(pending.tag);
-    a.tag.push_back(tag);
-
-    a.text_span.push_back(doc.AppendHeapBytes(pending.text));
-
-    label_ids.clear();
-    for (const std::string& label : pending.labels) {
-      NameId name = doc.InternName(label);
-      if (name != tag) label_ids.push_back(name);
-    }
-    std::sort(label_ids.begin(), label_ids.end());
-    label_ids.erase(std::unique(label_ids.begin(), label_ids.end()),
-                    label_ids.end());
-    a.label_span.push_back(
-        PayloadSpan{static_cast<uint32_t>(a.label_pool.size()),
-                    static_cast<uint32_t>(label_ids.size())});
-    a.label_pool.insert(a.label_pool.end(), label_ids.begin(), label_ids.end());
-
-    a.attr_span.push_back(
-        PayloadSpan{static_cast<uint32_t>(a.attr_pool.size()),
-                    static_cast<uint32_t>(pending.attributes.size())});
+  auto open = [&](BuildNodeId id) {
+    const PendingNode& pending = nodes_[static_cast<size_t>(id)];
+    out.StartElement(pending.tag);
+    for (const std::string& label : pending.labels) out.AddLabel(label);
     for (const Attribute& attr : pending.attributes) {
-      a.attr_pool.push_back(doc.MakeAttrEntry(attr.name, attr.value));
+      out.AddAttribute(attr.name, attr.value);
     }
-
-    if (frame.parent != kNullNode) {
-      const size_t p = static_cast<size_t>(frame.parent);
-      if (a.first_child[p] == kNullNode) {
-        a.first_child[p] = id;
-      } else {
-        a.next_sibling[static_cast<size_t>(a.last_child[p])] = id;
-        a.prev_sibling[static_cast<size_t>(id)] = a.last_child[p];
-      }
-      a.last_child[p] = id;
+    out.AppendText(pending.text);
+    stack.push_back(Frame{id, 0});
+  };
+  open(root());
+  while (!stack.empty()) {
+    Frame& top = stack.back();
+    const std::vector<BuildNodeId>& children =
+        nodes_[static_cast<size_t>(top.node)].children;
+    if (top.next_child == children.size()) {
+      out.EndElement();
+      stack.pop_back();
+      continue;
     }
-
-    // Push children in reverse so they pop in document order.
-    for (auto it = pending.children.rbegin(); it != pending.children.rend(); ++it) {
-      stack.push_back(Frame{*it, id, frame.depth + 1});
-    }
+    const BuildNodeId child = children[top.next_child++];
+    open(child);  // may reallocate the stack: `top` is not used after this
   }
-
-  // subtree_size: children have larger preorder ids, so a reverse sweep
-  // accumulates sizes bottom-up.
-  for (NodeId v = static_cast<NodeId>(a.parent.size()) - 1; v > 0; --v) {
-    a.subtree_size[static_cast<size_t>(a.parent[static_cast<size_t>(v)])] +=
-        a.subtree_size[static_cast<size_t>(v)];
-  }
-  doc.SealViews();
-  return doc;
+  return std::move(out).Finish();
 }
 
 }  // namespace gkx::xml

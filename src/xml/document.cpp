@@ -135,31 +135,4 @@ int64_t Document::ArenaBytes() const {
          static_cast<int64_t>(v_.heap_size);
 }
 
-bool Document::StructurallyEquals(const Document& other) const {
-  if (size() != other.size()) return false;
-  for (NodeId v = 0; v < size(); ++v) {
-    if (parent(v) != other.parent(v) || text(v) != other.text(v)) return false;
-    if (TagName(v) != other.TagName(v)) return false;
-    const std::span<const NameId> la = labels(v);
-    const std::span<const NameId> lb = other.labels(v);
-    if (la.size() != lb.size()) return false;
-    // Labels are sorted by per-document NameId, whose order depends on
-    // interning history — compare as sets of names.
-    std::vector<std::string_view> a_names;
-    std::vector<std::string_view> b_names;
-    for (NameId name : la) a_names.push_back(NameText(name));
-    for (NameId name : lb) b_names.push_back(other.NameText(name));
-    std::sort(a_names.begin(), a_names.end());
-    std::sort(b_names.begin(), b_names.end());
-    if (a_names != b_names) return false;
-    if (attribute_count(v) != other.attribute_count(v)) return false;
-    for (int32_t i = 0; i < attribute_count(v); ++i) {
-      const AttributeRef a = attribute(v, i);
-      const AttributeRef b = other.attribute(v, i);
-      if (a.name != b.name || a.value != b.value) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace gkx::xml

@@ -54,6 +54,11 @@ using NameId = int32_t;
 /// Sentinel for a name that is not interned in the document.
 inline constexpr NameId kNoName = -1;
 
+/// The attribute that carries a node's extra labels in XML text (Remark
+/// 3.1): ParseDocument reads it as a whitespace-separated label list, and
+/// the serializer writes labels into it by default.
+inline constexpr std::string_view kLabelsAttribute = "labels";
+
 /// An XML attribute as builder/test input (name is not interned; attributes
 /// are payload, not navigation — the paper's fragments have no attribute
 /// axis). Inside a Document attributes are stored as heap spans; this owning
@@ -96,9 +101,11 @@ namespace internal {
 class MappedSnapshot;  // snapshot.cpp: RAII mmap handle
 }  // namespace internal
 
-/// An immutable preorder element tree. Construct via TreeBuilder,
-/// ParseDocument / ParseDocumentStream, or MapSnapshot; Documents are movable
-/// and cheaply shareable by const ref.
+/// An immutable preorder element tree. ParseDocument (from XML text) and
+/// TreeBuilder (nodes in any order) both construct it through the one
+/// arena writer, PreorderBuilder (xml/builder.hpp); ApplyEdit splices an
+/// edited copy and MapSnapshot maps a saved one. Documents are movable and
+/// cheaply shareable by const ref.
 class Document {
  public:
   Document() = default;
@@ -163,8 +170,8 @@ class Document {
   /// That is safe because every Document is one tree in preorder: node 0
   /// is the only node without a parent, parent(v) < v, v's subtree is
   /// [v, v + subtree_size(v)) inside its parent's, and each child and
-  /// sibling link is the node those sizes put there, or kNullNode. The
-  /// builders, the parsers and ApplyEdit construct that shape; the
+  /// sibling link is the node those sizes put there, or kNullNode.
+  /// PreorderBuilder and ApplyEdit construct that shape; the
   /// snapshot decoder (xml/snapshot.hpp) rejects bytes that break it.
   const NodeId* parent_data() const { return v_.parent; }
   const NodeId* first_child_data() const { return v_.first_child; }
@@ -220,7 +227,7 @@ class Document {
   /// Id of an interned name, or kNoName if this document never uses it.
   NameId FindName(std::string_view name) const;
 
-  /// The interned name pool, indexed by NameId. TreeBuilder interns a name
+  /// The interned name pool, indexed by NameId. PreorderBuilder interns a name
   /// only when a node carries it; ApplyEdit (xml/edit.hpp) keeps the old
   /// pool so NameIds stay stable across edits, which can leave entries no
   /// node carries any more. The pool is therefore a cheap SUPERSET of the
@@ -266,9 +273,6 @@ class Document {
 
   DocumentStats Stats() const;
 
-  /// Structural equality: same shape, tags, labels, attributes, and text.
-  bool StructurallyEquals(const Document& other) const;
-
   // ------------------------------------------------------------ snapshots
 
   /// True when this document's columns view a memory-mapped snapshot
@@ -280,10 +284,9 @@ class Document {
   int64_t ArenaBytes() const;
 
  private:
-  friend class TreeBuilder;
-  friend class EditSplicer;    // xml/edit.cpp: subtree splicing
-  friend class StreamBuilder;  // xml/stream_parser.cpp: one-pass ingestion
-  friend class SnapshotCodec;  // xml/snapshot.cpp: save/map
+  friend class PreorderBuilder;  // xml/builder.cpp: the arena writer
+  friend class EditSplicer;      // xml/edit.cpp: subtree splicing
+  friend class SnapshotCodec;    // xml/snapshot.cpp: save/map
 
   /// Owned column storage. Empty (all vectors) for mapped documents.
   struct Owned {

@@ -41,24 +41,6 @@ DocumentIndex::DocumentIndex(const Document& doc) : doc_(&doc) {
   std::sort(name_set_.begin(), name_set_.end());
 }
 
-DocumentIndex::DocumentIndex(const Document& doc, Prebuilt prebuilt)
-    : doc_(&doc),
-      by_name_(std::move(prebuilt.by_name)),
-      by_attribute_(std::move(prebuilt.by_attribute)) {
-  for (const std::vector<NodeId>& postings : by_name_) {
-    posting_count_ += static_cast<int64_t>(postings.size());
-  }
-  for (const auto& [attribute, postings] : by_attribute_) {
-    posting_count_ += static_cast<int64_t>(postings.size());
-  }
-  for (NameId name = 0; name < static_cast<NameId>(by_name_.size()); ++name) {
-    if (!by_name_[static_cast<size_t>(name)].empty()) {
-      name_set_.emplace_back(doc.NameText(name));
-    }
-  }
-  std::sort(name_set_.begin(), name_set_.end());
-}
-
 DocumentIndex::DocumentIndex(const Document& doc,
                              const DocumentIndex& old_index,
                              const DocumentDelta& delta)

@@ -1,6 +1,8 @@
 // A per-document acceleration side-structure. Document is immutable and
-// knows nothing about query workloads; DocumentIndex is built next to it
-// (lazily, by the service's DocumentStore) and maps
+// knows nothing about query workloads; DocumentIndex is built next to it,
+// never during a parse: the service's DocumentStore builds it on the first
+// query that needs it, or splices the previous revision's after an edit.
+// It maps
 //   * each interned name  -> the preorder-sorted list of nodes carrying it
 //                            (as tag or extra label, Remark 3.1), and
 //   * each attribute name -> the preorder-sorted list of nodes carrying it.
@@ -26,21 +28,9 @@ namespace gkx::xml {
 
 class DocumentIndex {
  public:
-  /// Posting lists assembled externally (by the streaming parser, which sees
-  /// every node exactly once in preorder, so each list is born sorted). Ids
-  /// must be final Document NodeIds; by_name is indexed by NameId.
-  struct Prebuilt {
-    std::vector<std::vector<NodeId>> by_name;
-    std::unordered_map<std::string, std::vector<NodeId>> by_attribute;
-  };
-
   /// Builds the full index in one O(|D| + Σ postings) pass. The document
   /// must outlive the index.
   explicit DocumentIndex(const Document& doc);
-
-  /// Adopts posting lists built alongside `doc` (no document walk). The
-  /// lists must be exactly what DocumentIndex(doc) would have produced.
-  DocumentIndex(const Document& doc, Prebuilt prebuilt);
 
   /// Delta-aware construction: `doc` must be the result of applying the
   /// edit described by `delta` to `old_index.doc()` (ApplyEdit keeps

@@ -1,65 +1,17 @@
 #include "xml/parser.hpp"
 
 #include <utility>
-#include <vector>
 
 #include "xml/builder.hpp"
 #include "xml/parser_core.hpp"
 
 namespace gkx::xml {
-namespace {
 
-/// Event sink feeding a TreeBuilder (the DOM-building frontend).
-class BuilderSink {
- public:
-  explicit BuilderSink(int32_t reserve_hint)
-      : builder_(""), reserve_hint_(reserve_hint) {}
-
-  void StartElement(std::string_view tag) {
-    BuildNodeId node;
-    if (!have_root_) {
-      // Retag the placeholder root, applying the pre-scan reserve hint.
-      builder_ = TreeBuilder(tag);
-      builder_.Reserve(reserve_hint_);
-      node = builder_.root();
-      have_root_ = true;
-    } else {
-      node = builder_.AddChild(open_.back(), tag);
-    }
-    open_.push_back(node);
-  }
-
-  void AddAttribute(std::string_view name, std::string_view value) {
-    builder_.AddAttribute(open_.back(), name, value);
-  }
-
-  void AddLabel(std::string_view label) {
-    builder_.AddLabel(open_.back(), label);
-  }
-
-  void AppendText(std::string_view text) {
-    builder_.AppendText(open_.back(), text);
-  }
-
-  void EndElement() { open_.pop_back(); }
-
-  Document Finish() && { return std::move(builder_).Build(); }
-
- private:
-  TreeBuilder builder_;
-  int32_t reserve_hint_ = 0;
-  bool have_root_ = false;
-  std::vector<BuildNodeId> open_;
-};
-
-}  // namespace
-
-Result<Document> ParseDocument(std::string_view xml,
-                               const ParseOptions& options) {
-  BuilderSink sink(parser_internal::EstimateNodeCount(xml));
-  parser_internal::EventParser<BuilderSink> parser(xml, options, &sink);
+Result<Document> ParseDocument(std::string_view xml) {
+  PreorderBuilder builder(parser_internal::EstimateNodeCount(xml));
+  parser_internal::EventParser parser(xml, &builder);
   GKX_RETURN_IF_ERROR(parser.Run());
-  return std::move(sink).Finish();
+  return std::move(builder).Finish();
 }
 
 }  // namespace gkx::xml

@@ -4,15 +4,19 @@
 // DOCTYPE, and the predefined + numeric character references. Namespaces are
 // not interpreted (colons are allowed in names and kept verbatim).
 //
-// Multi-label round-tripping: if `options.labels_attribute` is non-empty
-// (default "labels"), an attribute of that name is parsed as a
-// whitespace-separated list of extra node labels (Remark 3.1) instead of a
-// plain attribute. The serializer emits the same convention.
+// Two conventions are fixed. An attribute named kLabelsAttribute ("labels")
+// is a whitespace-separated list of extra node labels (Remark 3.1), not a
+// plain attribute; the serializer emits the same convention. Text that is
+// only whitespace is dropped, and each text chunk is trimmed.
+//
+// The parse is one pass: elements appear in the text in preorder, the order
+// the arena stores them, so the lexer (xml/parser_core.hpp) feeds each one
+// straight into the arena writer (PreorderBuilder, xml/builder.hpp), whose
+// columns a pre-scan of the text reserves up front.
 
 #ifndef GKX_XML_PARSER_HPP_
 #define GKX_XML_PARSER_HPP_
 
-#include <string>
 #include <string_view>
 
 #include "base/status.hpp"
@@ -20,16 +24,8 @@
 
 namespace gkx::xml {
 
-struct ParseOptions {
-  /// Attribute treated as the extra-label list; empty disables the convention.
-  std::string labels_attribute = "labels";
-  /// If true, text consisting only of whitespace is dropped.
-  bool strip_whitespace_text = true;
-};
-
 /// Parse error with 1-based position information baked into the message.
-Result<Document> ParseDocument(std::string_view xml,
-                               const ParseOptions& options = {});
+Result<Document> ParseDocument(std::string_view xml);
 
 }  // namespace gkx::xml
 

@@ -1,21 +1,17 @@
-// The event-driven core shared by the two parsing frontends. ParseDocument
-// (parser.cpp) feeds events into a TreeBuilder; ParseDocumentStreaming
-// (stream_parser.cpp) feeds the same events straight into the SoA arena and
-// its posting lists. Keeping one lexer/control-flow means the frontends
-// cannot disagree on the accepted language, entity decoding, whitespace
-// stripping, or error positions — the differential fuzz suite then only has
-// to catch sink bugs, not grammar drift.
-//
-// Sink contract (all calls strictly nested, elements open/close like the
-// source text):
-//   void StartElement(std::string_view tag);       // also the root
-//   void AddAttribute(std::string_view name, std::string_view value);
-//   void AddLabel(std::string_view label);         // labels_attribute entry
-//   void AppendText(std::string_view text);        // innermost open element
-//   void EndElement();                             // matches StartElement
-// Attribute/label events arrive between an element's StartElement and its
-// first child/text/EndElement event. Text arrives decoded (and per-chunk
-// trimmed under strip_whitespace_text); CDATA content arrives verbatim.
+// The event-driven XML lexer behind ParseDocument (parser.cpp). It checks
+// the grammar, decodes entities and character references, drops
+// whitespace-only text, reads the `labels` attribute as extra labels
+// (Remark 3.1), and reports errors with their line and column. Every
+// element it accepts goes straight into a PreorderBuilder (xml/builder.hpp)
+// as one of these calls, nested like the source text:
+//   StartElement(tag)            // also the root
+//   AddAttribute(name, value)
+//   AddLabel(label)              // one per kLabelsAttribute entry
+//   AppendText(text)             // innermost open element
+//   EndElement()                 // matches StartElement
+// Attribute and label calls arrive between an element's StartElement and
+// its first child, text or EndElement. Text arrives decoded and trimmed per
+// chunk; CDATA content arrives verbatim.
 
 #ifndef GKX_XML_PARSER_CORE_HPP_
 #define GKX_XML_PARSER_CORE_HPP_
@@ -29,7 +25,8 @@
 
 #include "base/status.hpp"
 #include "base/string_util.hpp"
-#include "xml/parser.hpp"
+#include "xml/builder.hpp"
+#include "xml/document.hpp"
 
 namespace gkx::xml::parser_internal {
 
@@ -46,6 +43,13 @@ inline bool IsNameChar(char c) {
   return IsNameStart(c) || (c >= '0' && c <= '9') || c == '.' || c == '-';
 }
 
+/// XML 1.0's Char production: the code points a character reference may
+/// name. `code` is at most 0x10FFFF.
+inline bool IsXmlChar(uint32_t code) {
+  if (code < 0x20) return code == 0x9 || code == 0xA || code == 0xD;
+  return code < 0xD800 || (code >= 0xE000 && code != 0xFFFE && code != 0xFFFF);
+}
+
 /// Cheap pre-scan element-count estimate: every open tag is a '<' followed
 /// by a name-start character. Over-counts matches inside comments/CDATA and
 /// counts nothing else, so it is a good reserve() hint, not a promise.
@@ -58,11 +62,10 @@ inline int32_t EstimateNodeCount(std::string_view xml) {
       std::min<int64_t>(count, std::numeric_limits<int32_t>::max()));
 }
 
-template <typename Sink>
 class EventParser {
  public:
-  EventParser(std::string_view xml, const ParseOptions& options, Sink* sink)
-      : xml_(xml), options_(options), sink_(sink) {}
+  EventParser(std::string_view xml, PreorderBuilder* builder)
+      : xml_(xml), builder_(builder) {}
 
   Status Run() {
     SkipMisc(/*allow_doctype=*/true);
@@ -80,7 +83,7 @@ class EventParser {
           GKX_RETURN_IF_ERROR(SkipUntil("]]>", "unterminated CDATA section"));
           if (!open_names_.empty()) {
             // CDATA content is verbatim: no entity decoding, no trimming.
-            sink_->AppendText(xml_.substr(start, pos_ - 3 - start));
+            builder_->AppendText(xml_.substr(start, pos_ - 3 - start));
           }
         } else if (Match("<?")) {
           GKX_RETURN_IF_ERROR(
@@ -99,7 +102,7 @@ class EventParser {
                          ">, expected </" + open_names_.back() + ">");
           }
           open_names_.pop_back();
-          sink_->EndElement();
+          builder_->EndElement();
           if (open_names_.empty()) {
             SkipMisc(/*allow_doctype=*/false);
             if (!AtEnd()) return Error("content after root element");
@@ -113,11 +116,11 @@ class EventParser {
             return Error("multiple root elements");
           }
           have_root = true;
-          sink_->StartElement(name);
+          builder_->StartElement(name);
           GKX_RETURN_IF_ERROR(ReadAttributes());
           SkipSpace();
           if (Match("/>")) {
-            sink_->EndElement();
+            builder_->EndElement();
             if (open_names_.empty()) {  // self-closing root
               SkipMisc(/*allow_doctype=*/false);
               if (!AtEnd()) return Error("content after root element");
@@ -142,13 +145,9 @@ class EventParser {
         std::string text;
         GKX_RETURN_IF_ERROR(
             DecodeText(xml_.substr(start, pos_ - start), &text));
-        if (options_.strip_whitespace_text) {
-          // Trim each chunk: indentation around markup is not content.
-          std::string trimmed(StripWhitespace(text));
-          if (!trimmed.empty()) sink_->AppendText(trimmed);
-        } else {
-          sink_->AppendText(text);
-        }
+        // Trim each chunk: indentation around markup is not content.
+        const std::string_view trimmed = StripWhitespace(text);
+        if (!trimmed.empty()) builder_->AppendText(trimmed);
       }
     }
     if (!open_names_.empty()) {
@@ -241,13 +240,12 @@ class EventParser {
       std::string value;
       GKX_RETURN_IF_ERROR(DecodeText(xml_.substr(start, pos_ - start), &value));
       ++pos_;  // closing quote
-      if (!options_.labels_attribute.empty() &&
-          name == options_.labels_attribute) {
+      if (name == kLabelsAttribute) {
         for (const std::string& label : Split(value, ' ')) {
-          if (!label.empty()) sink_->AddLabel(label);
+          if (!label.empty()) builder_->AddLabel(label);
         }
       } else {
-        sink_->AddAttribute(name, value);
+        builder_->AddAttribute(name, value);
       }
     }
   }
@@ -294,11 +292,13 @@ class EventParser {
           } else {
             return Error("bad character reference");
           }
+          // Bounded after every digit, so the sum cannot wrap.
           code =
               code * static_cast<uint32_t>(base) + static_cast<uint32_t>(digit);
+          if (code > 0x10FFFF) return Error("bad character reference");
           ok = true;
         }
-        if (!ok || code > 0x10FFFF) return Error("bad character reference");
+        if (!ok || !IsXmlChar(code)) return Error("bad character reference");
         AppendUtf8(code, out);
       } else {
         return Error("unknown entity &" + std::string(entity) + ";");
@@ -344,8 +344,7 @@ class EventParser {
   }
 
   std::string_view xml_;
-  const ParseOptions& options_;
-  Sink* sink_;
+  PreorderBuilder* builder_;
   size_t pos_ = 0;
   std::vector<std::string> open_names_;
 };

@@ -15,7 +15,7 @@ struct SerializeOptions {
   /// Indent per nesting level; 0 emits everything on one line.
   int indent = 2;
   /// Attribute used for extra labels; empty drops labels from the output.
-  std::string labels_attribute = "labels";
+  std::string labels_attribute{kLabelsAttribute};
 };
 
 /// Serializes the whole document.

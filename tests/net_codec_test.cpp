@@ -34,6 +34,7 @@
 #include "net/server.hpp"
 #include "service/sharded_service.hpp"
 #include "testkit/oracle.hpp"
+#include "testkit/reference_edit.hpp"
 #include "wal/record.hpp"
 #include "xml/parser.hpp"
 
@@ -207,7 +208,8 @@ TEST(NetCodecTest, MutationsRoundTripIncludingSubtrees) {
   EXPECT_EQ(decoded.edit.kind, xml::SubtreeEdit::Kind::kInsertSubtree);
   EXPECT_EQ(decoded.edit.position, 1);
   ASSERT_FALSE(decoded.edit.subtree.empty());
-  EXPECT_TRUE(decoded.edit.subtree.StructurallyEquals(update.edit.subtree));
+  EXPECT_TRUE(
+      testkit::ExhaustiveEquals(decoded.edit.subtree, update.edit.subtree));
 
   Message relabel;
   relabel.type = MsgType::kUpdate;

@@ -10,6 +10,7 @@
 #include "eval/core_linear_evaluator.hpp"
 #include "eval/cvt_evaluator.hpp"
 #include "reductions/circuit_to_core_xpath.hpp"
+#include "testkit/reference_edit.hpp"
 #include "xml/parser.hpp"
 #include "xml/serializer.hpp"
 #include "xpath/analysis.hpp"
@@ -208,7 +209,9 @@ TEST(CircuitReductionTest, SurfaceSyntaxAndXmlRoundTrip) {
     const std::string xml_text = xml::SerializeDocument(instance.doc);
     auto reparsed_doc = xml::ParseDocument(xml_text);
     ASSERT_TRUE(reparsed_doc.ok()) << reparsed_doc.status().ToString();
-    ASSERT_TRUE(instance.doc.StructurallyEquals(*reparsed_doc));
+    std::string why;
+    ASSERT_TRUE(testkit::ExhaustiveEquals(instance.doc, *reparsed_doc, &why))
+        << why;
 
     CoreLinearEvaluator linear;
     auto original = linear.EvaluateNodeSet(instance.doc, instance.query);

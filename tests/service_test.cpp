@@ -153,29 +153,6 @@ TEST(DocumentStoreTest, UpdateSplicesIndexInsteadOfRebuilding) {
   EXPECT_FALSE(lazy_store.Get("a")->index_built());
 }
 
-TEST(DocumentStoreTest, PutXmlStreamedAdoptsParseTimeIndex) {
-  DocumentStore store;
-  ASSERT_TRUE(store.PutXmlStreamed("a", kDocA).ok());
-  auto stored = store.Get("a");
-  ASSERT_NE(stored, nullptr);
-  // The index arrived with the parse — no lazy build pending.
-  EXPECT_TRUE(stored->index_built());
-  EXPECT_EQ(stored->index().NodesWithName("b").size(), 3u);
-  // Document and postings match the DOM path exactly.
-  DocumentStore dom_store;
-  ASSERT_TRUE(dom_store.PutXml("a", kDocA).ok());
-  auto dom = dom_store.Get("a");
-  EXPECT_TRUE(stored->doc().StructurallyEquals(dom->doc()));
-  xml::DocumentIndex fresh(stored->doc());
-  for (const std::string& name : fresh.PresentNames()) {
-    EXPECT_EQ(stored->index().NodesWithName(name), fresh.NodesWithName(name))
-        << name;
-  }
-  EXPECT_EQ(stored->NameSet(), fresh.PresentNames());
-  // Streamed parse errors surface like DOM parse errors.
-  EXPECT_FALSE(store.PutXmlStreamed("bad", "<r><unclosed>").ok());
-}
-
 TEST(DocumentStoreTest, PutSnapshotServesFromMapping) {
   const std::string path = ::testing::TempDir() + "/store_snapshot.gkx";
   {

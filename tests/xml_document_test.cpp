@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testkit/reference_edit.hpp"
 #include "xml/builder.hpp"
 #include "xml/document.hpp"
 #include "xml/generator.hpp"
@@ -138,11 +139,11 @@ TEST(DocumentTest, Stats) {
 TEST(DocumentTest, StructuralEquality) {
   Document a = SampleDoc();
   Document b = SampleDoc();
-  EXPECT_TRUE(a.StructurallyEquals(b));
+  EXPECT_TRUE(testkit::ExhaustiveEquals(a, b));
   TreeBuilder builder("a");
   builder.AddChild(builder.root(), "b");
   Document c = std::move(builder).Build();
-  EXPECT_FALSE(a.StructurallyEquals(c));
+  EXPECT_FALSE(testkit::ExhaustiveEquals(a, c));
 }
 
 TEST(BuilderTest, AddChain) {
@@ -164,7 +165,7 @@ TEST(GeneratorTest, RandomDocumentSizeAndDeterminism) {
   Document a = RandomDocument(&rng1, options);
   Document b = RandomDocument(&rng2, options);
   EXPECT_EQ(a.size(), 200);
-  EXPECT_TRUE(a.StructurallyEquals(b));
+  EXPECT_TRUE(testkit::ExhaustiveEquals(a, b));
 }
 
 TEST(GeneratorTest, ChainBiasProducesDeepTrees) {

@@ -1,11 +1,16 @@
 // Robustness tests for the XML and XPath parsers: random byte soup, mutated
 // well-formed inputs, and truncations must never crash or hang — they must
 // return clean Status errors (or succeed). The XPath printer round-trip is
-// additionally applied whenever a mutated query still parses. The streaming
-// arena parser is differential-fuzzed against the DOM parser on every input
-// class (identical accept/reject decisions, ExhaustiveEquals-identical
-// documents, identical index postings), and accepted documents additionally
-// round-trip through the snapshot save/map path.
+// additionally applied whenever a mutated query still parses.
+//
+// Every document ParseDocument accepts is checked against the snapshot
+// decoder's invariant, which owes nothing to the arena writer
+// (PreorderBuilder) that the parser and TreeBuilder share: the parent,
+// child, sibling and last-child links, depths and subtree sizes must
+// describe one tree in preorder, labels must be sorted apart from the tag,
+// and every span must lie in its pool. A round trip through two parses, or
+// through a parse and a TreeBuilder replay, cannot see a writer bug, since
+// the same writer built both sides.
 
 #include <cstdio>
 #include <string>
@@ -15,38 +20,30 @@
 #include "base/rng.hpp"
 #include "testkit/reference_edit.hpp"
 #include "xml/generator.hpp"
-#include "xml/index.hpp"
 #include "xml/parser.hpp"
 #include "xml/serializer.hpp"
 #include "xml/snapshot.hpp"
-#include "xml/stream_parser.hpp"
 #include "xpath/parser.hpp"
 #include "xpath/printer.hpp"
 
 namespace gkx {
 namespace {
 
-// Streaming and DOM parsers must agree exactly: same accept/reject decision,
-// same error text, and — on accept — documents that are indistinguishable to
-// an exhaustive field-by-field comparison, with streaming-built posting
-// lists identical to a from-scratch index.
-void ExpectParsersAgree(std::string_view input) {
-  auto dom = xml::ParseDocument(input);
-  auto stream = xml::ParseDocumentStream(input);
-  ASSERT_EQ(dom.ok(), stream.ok())
-      << "accept/reject disagreement on: " << input;
-  if (!dom.ok()) {
-    EXPECT_EQ(dom.status().message(), stream.status().message());
+// An accepted input must decode from its own snapshot bytes (the decoder
+// checks the arena invariant) into an ExhaustiveEquals-identical document;
+// a rejected one gets InvalidArgument.
+void ExpectParsedArenaValid(std::string_view input) {
+  auto doc = xml::ParseDocument(input);
+  if (!doc.ok()) {
+    EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument);
     return;
   }
+  std::string bytes;
+  xml::SaveSnapshotBytes(*doc, &bytes);
+  auto loaded = xml::LoadSnapshotBytes(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString() << " on: " << input;
   std::string why;
-  EXPECT_TRUE(testkit::ExhaustiveEquals(*dom, stream->doc, &why)) << why;
-  xml::DocumentIndex streamed(stream->doc, std::move(stream->postings));
-  xml::DocumentIndex fresh(stream->doc);
-  for (const std::string& name : fresh.PresentNames()) {
-    EXPECT_EQ(streamed.NodesWithName(name), fresh.NodesWithName(name)) << name;
-  }
-  EXPECT_EQ(streamed.PresentNames(), fresh.PresentNames());
+  EXPECT_TRUE(testkit::ExhaustiveEquals(*doc, *loaded, &why)) << why;
 }
 
 std::string RandomBytes(Rng* rng, size_t length, bool xmlish) {
@@ -119,14 +116,14 @@ TEST(XmlFuzzTest, TruncationsNeverCrash) {
   }
 }
 
-TEST(XmlFuzzTest, StreamingParserAgreesOnByteSoup) {
+TEST(XmlFuzzTest, ParsedByteSoupPassesSnapshotCheck) {
   Rng rng(90210);
   for (int i = 0; i < 400; ++i) {
-    ExpectParsersAgree(RandomBytes(&rng, 1 + i % 120, i % 2 == 0));
+    ExpectParsedArenaValid(RandomBytes(&rng, 1 + i % 120, i % 2 == 0));
   }
 }
 
-TEST(XmlFuzzTest, StreamingParserAgreesOnMutatedDocuments) {
+TEST(XmlFuzzTest, ParsedMutatedDocumentsPassSnapshotCheck) {
   Rng rng(2468);
   xml::RandomDocumentOptions options;
   options.node_count = 30;
@@ -135,23 +132,23 @@ TEST(XmlFuzzTest, StreamingParserAgreesOnMutatedDocuments) {
   for (int i = 0; i < 150; ++i) {
     xml::Document doc = xml::RandomDocument(&rng, options);
     std::string xml = xml::SerializeDocument(doc);
-    // Unmutated first: the accept path must agree too, not just rejections.
-    ExpectParsersAgree(xml);
+    // Unmutated first, so the accept path is covered, not just rejections.
+    ExpectParsedArenaValid(xml);
     for (int m = 0; m < 2; ++m) {
       size_t at = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(xml.size()) - 1));
       xml[at] = static_cast<char>(rng.UniformInt(32, 126));
     }
-    ExpectParsersAgree(xml);
+    ExpectParsedArenaValid(xml);
   }
 }
 
-TEST(XmlFuzzTest, StreamingParserAgreesOnTruncations) {
+TEST(XmlFuzzTest, ParsedTruncationsPassSnapshotCheck) {
   std::string xml =
       "<?xml version=\"1.0\"?><!DOCTYPE r [<!ELEMENT r ANY>]>"
       "<r a=\"v\"><x labels=\"G R\">t&amp;x<![CDATA[raw]]></x><!--c--></r>";
   for (size_t length = 0; length <= xml.size(); ++length) {
-    ExpectParsersAgree(std::string_view(xml).substr(0, length));
+    ExpectParsedArenaValid(std::string_view(xml).substr(0, length));
   }
 }
 

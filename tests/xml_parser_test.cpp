@@ -1,9 +1,11 @@
 // XML parser and serializer tests: happy paths, every supported construct,
 // error paths with positions, the labels-attribute convention, and
-// parse/serialize round-trips (including randomized documents).
+// parse/serialize round-trips (including randomized documents), compared
+// node for node with testkit::ExhaustiveEquals.
 
 #include <gtest/gtest.h>
 
+#include "testkit/reference_edit.hpp"
 #include "xml/builder.hpp"
 #include "xml/generator.hpp"
 #include "xml/parser.hpp"
@@ -45,14 +47,6 @@ TEST(XmlParserTest, WhitespaceOnlyTextDropped) {
   EXPECT_TRUE(doc.text(0).empty());
 }
 
-TEST(XmlParserTest, WhitespacePreservedWhenConfigured) {
-  ParseOptions options;
-  options.strip_whitespace_text = false;
-  auto doc = ParseDocument("<a> <b/> </a>", options);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->text(0), "  ");
-}
-
 TEST(XmlParserTest, Attributes) {
   Document doc = MustParseXml("<a x=\"1\" y='two'/>");
   EXPECT_EQ(doc.AttributeValue(0, "x"), "1");
@@ -67,15 +61,6 @@ TEST(XmlParserTest, LabelsAttributeBecomesLabels) {
   EXPECT_EQ(doc.attribute_count(0), 0);
 }
 
-TEST(XmlParserTest, LabelsConventionCanBeDisabled) {
-  ParseOptions options;
-  options.labels_attribute.clear();
-  auto doc = ParseDocument("<a labels=\"G\"/>", options);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_FALSE(doc->NodeHasName(0, "G"));
-  EXPECT_EQ(doc->AttributeValue(0, "labels"), "G");
-}
-
 TEST(XmlParserTest, EntitiesDecoded) {
   Document doc = MustParseXml("<a>&lt;&gt;&amp;&quot;&apos;</a>");
   EXPECT_EQ(doc.text(0), "<>&\"'");
@@ -84,6 +69,15 @@ TEST(XmlParserTest, EntitiesDecoded) {
 TEST(XmlParserTest, NumericCharacterReferences) {
   Document doc = MustParseXml("<a>&#65;&#x42;&#xe9;</a>");
   EXPECT_EQ(doc.text(0), "AB\xC3\xA9");  // é in UTF-8
+}
+
+TEST(XmlParserTest, CharacterReferencesAtTheCharBounds) {
+  // A tab, the last code point before the surrogates, and the last code
+  // point of all (four UTF-8 bytes).
+  Document doc =
+      MustParseXml("<a k='&#x10FFFF;'>x&#x9;&#xD7FF;&#x10FFFF;</a>");
+  EXPECT_EQ(doc.text(0), "x\t\xED\x9F\xBF\xF4\x8F\xBF\xBF");
+  EXPECT_EQ(doc.AttributeValue(0, "k"), "\xF4\x8F\xBF\xBF");
 }
 
 TEST(XmlParserTest, CommentsIgnored) {
@@ -137,6 +131,27 @@ TEST(XmlParserErrorTest, TextOutsideRoot) {
 
 TEST(XmlParserErrorTest, UnknownEntity) {
   ExpectParseError("<a>&bogus;</a>", "unknown entity");
+}
+
+// A reference past U+10FFFF is rejected at the digit that passes it, so a
+// value that wraps 32 bits (2^32 + 65) cannot come back as 'A'.
+TEST(XmlParserErrorTest, WrappedDecimalCharacterReference) {
+  ExpectParseError("<a>&#4294967361;</a>", "bad character reference");
+  ExpectParseError("<a k='&#4294967361;'/>", "bad character reference");
+}
+
+TEST(XmlParserErrorTest, WrappedHexCharacterReference) {
+  ExpectParseError("<a>&#x100000041;</a>", "bad character reference");
+  ExpectParseError("<a k='&#x100000041;'/>", "bad character reference");
+}
+
+// XML 1.0's Char production excludes NUL and the surrogates.
+TEST(XmlParserErrorTest, NulCharacterReference) {
+  ExpectParseError("<a>x&#0;y</a>", "bad character reference");
+}
+
+TEST(XmlParserErrorTest, SurrogateCharacterReference) {
+  ExpectParseError("<a>&#xD800;</a>", "bad character reference");
 }
 
 TEST(XmlParserErrorTest, BadAttribute) {
@@ -194,7 +209,8 @@ TEST(XmlRoundTripTest, HandWrittenDocument) {
   Document original = MustParseXml(
       "<a x=\"1\"><b labels=\"G I1\">text</b><c><d y='2'>deep</d></c></a>");
   Document reparsed = MustParseXml(SerializeDocument(original));
-  EXPECT_TRUE(original.StructurallyEquals(reparsed));
+  std::string why;
+  EXPECT_TRUE(testkit::ExhaustiveEquals(original, reparsed, &why)) << why;
 }
 
 class XmlRoundTripRandomTest : public ::testing::TestWithParam<uint64_t> {};
@@ -211,7 +227,8 @@ TEST_P(XmlRoundTripRandomTest, SerializeParseIsIdentity) {
     ser.indent = indent;
     auto reparsed = ParseDocument(SerializeDocument(original, ser));
     ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-    EXPECT_TRUE(original.StructurallyEquals(*reparsed));
+    std::string why;
+    EXPECT_TRUE(testkit::ExhaustiveEquals(original, *reparsed, &why)) << why;
   }
 }
 
