@@ -32,6 +32,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "base/stopwatch.hpp"
@@ -184,6 +185,7 @@ void Run(uint64_t target_bytes, bool smoke) {
   eval::Engine engine;
   bench::Table cold({"plan", "parse+query s", "mmap+query s", "speedup",
                      "answers"});
+  double min_speedup = std::numeric_limits<double>::infinity();
   for (const PlanCase& plan_case : kPlans) {
     auto plan = eval::Engine::Compile(plan_case.text);
     GKX_CHECK(plan.ok());
@@ -217,14 +219,18 @@ void Run(uint64_t target_bytes, bool smoke) {
                  {"parse_query_s", bench::JsonNum(parse_side_seconds)},
                  {"mmap_query_s", bench::JsonNum(map_side_seconds)},
                  {"speedup", bench::JsonNum(speedup)}});
-    // The acceptance bar: serving off a snapshot must beat re-parsing by
-    // at least 5x to first answer. Smoke scale is too small for a stable
-    // ratio; correctness still holds there.
-    if (!smoke) GKX_CHECK(speedup >= 5.0);
+    min_speedup = std::min(min_speedup, speedup);
   }
   cold.Print();
+  std::fflush(stdout);
 
   std::remove(snapshot_path.c_str());
+  // The acceptance bar: serving off a snapshot must beat re-parsing by
+  // at least 5x to first answer on every plan. Checked once the table is
+  // out and the snapshot removed, so a failed run still shows all three
+  // ratios and leaves no file behind. Smoke scale is too small for a
+  // stable ratio; correctness still holds there.
+  if (!smoke) GKX_CHECK(min_speedup >= 5.0);
   json.Write(bench::RepoRootPath("BENCH_hugedoc.json"));
 }
 
