@@ -69,15 +69,12 @@ TEST(XmlParserTest, EntitiesDecoded) {
 TEST(XmlParserTest, NumericCharacterReferences) {
   Document doc = MustParseXml("<a>&#65;&#x42;&#xe9;</a>");
   EXPECT_EQ(doc.text(0), "AB\xC3\xA9");  // é in UTF-8
-}
-
-TEST(XmlParserTest, CharacterReferencesAtTheCharBounds) {
-  // A tab, the last code point before the surrogates, and the last code
-  // point of all (four UTF-8 bytes).
-  Document doc =
+  // At the bounds of XML's Char: a tab, the last code point before the
+  // surrogates, and the last code point of all (four UTF-8 bytes).
+  Document bounds =
       MustParseXml("<a k='&#x10FFFF;'>x&#x9;&#xD7FF;&#x10FFFF;</a>");
-  EXPECT_EQ(doc.text(0), "x\t\xED\x9F\xBF\xF4\x8F\xBF\xBF");
-  EXPECT_EQ(doc.AttributeValue(0, "k"), "\xF4\x8F\xBF\xBF");
+  EXPECT_EQ(bounds.text(0), "x\t\xED\x9F\xBF\xF4\x8F\xBF\xBF");
+  EXPECT_EQ(bounds.AttributeValue(0, "k"), "\xF4\x8F\xBF\xBF");
 }
 
 TEST(XmlParserTest, CommentsIgnored) {
