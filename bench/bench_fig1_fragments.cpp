@@ -79,11 +79,10 @@ void RunHybridRouting(bench::JsonReport* json) {
     GKX_CHECK(hybrid.ok());
 
     // Forced whole-query CVT on the same normalized AST — what the old
-    // whole-query dispatch did to every mixed query. A FRESH evaluator per
-    // rep keeps this baseline cold: the dispatch it models rebinds (and so
-    // refills its tables) on every query, whereas the hybrid side above
-    // runs on a persistent Engine whose binds stay warm across reps — the
-    // serving configuration each side actually has.
+    // whole-query dispatch did to every mixed query. Both sides are cold in
+    // every rep: an Engine binds its evaluators afresh on each run, as the
+    // service does (it never runs a plan twice on a warm engine), and this
+    // side takes a fresh evaluator per rep.
     double cvt_seconds = 1e99;
     Result<eval::Value> forced =
         eval::CvtEvaluator().Evaluate(doc, plan->query, eval::RootContext(doc));

@@ -681,7 +681,7 @@ bool Thm57(bench::JsonReport* report) {
       query_size = instance.query.size();
       baseline_size =
           reductions::CircuitToCoreXPath(circuit, assignment).query.size();
-      const xpath::QueryAnalysis analysis = xpath::Analyze(instance.query);
+      const xpath::QueryAnalysis& analysis = instance.query.analysis();
       chain = std::max(chain, analysis.max_predicates_per_step);
       negation_free = negation_free && !analysis.has_negation;
       cvt_s += s.Decide<CvtEvaluator>(3, instance, circuit.Evaluate(assignment),
@@ -797,7 +797,7 @@ bool Thm59(bench::JsonReport* report) {
     for (int i = 0; i < kQueries; ++i) {
       const xpath::Query query = NestedNegation(&rng, depth);
       const xpath::Query pushed = xpath::PushNegationsDown(query);
-      const int seen = xpath::Analyze(pushed).max_not_depth;
+      const int seen = pushed.analysis().max_not_depth;
       min_seen = std::min(min_seen, seen);
       max_seen = std::max(max_seen, seen);
       const std::string at =

@@ -30,7 +30,7 @@ void Advise(const std::string& text) {
   std::printf("  combined complexity: %s\n",
               std::string(gkx::xpath::FragmentComplexity(report.smallest))
                   .c_str());
-  for (const std::string& note : report.notes) {
+  for (const std::string& note : gkx::xpath::ExplainFragments(*query)) {
     std::printf("  note: %s\n", note.c_str());
   }
 

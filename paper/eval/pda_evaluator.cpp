@@ -3,6 +3,8 @@
 #include <string>
 #include <utility>
 
+#include "xpath/analysis.hpp"
+
 namespace gkx::eval {
 
 using xpath::BinaryOp;
@@ -47,19 +49,19 @@ Status PdaEvaluator::Bind(const xml::Document& doc, const xpath::Query& query) {
   if (doc.empty()) return InvalidArgumentError("empty document");
   doc_ = &doc;
   query_ = &query;
-  analysis_ = xpath::Analyze(query);
-  if (analysis_.max_not_depth > options_.max_not_depth) {
+  const xpath::QueryAnalysis& analysis = query.analysis();
+  if (analysis.max_not_depth > options_.max_not_depth) {
     return UnsupportedError(
-        "pda: not() nesting depth " + std::to_string(analysis_.max_not_depth) +
+        "pda: not() nesting depth " + std::to_string(analysis.max_not_depth) +
         " exceeds the configured bound " + std::to_string(options_.max_not_depth) +
         " (Theorem 5.9 requires bounded negation)");
   }
-  if (analysis_.max_predicates_per_step > 1) {
+  if (analysis.max_predicates_per_step > 1) {
     return UnsupportedError(
         "pda: iterated predicates are outside pWF/pXPath (Def 5.1/6.1; their "
         "addition makes evaluation P-complete, Theorem 5.7)");
   }
-  for (Function f : analysis_.functions_used) {
+  for (Function f : analysis.functions_used) {
     switch (f) {
       case Function::kPosition:
       case Function::kLast:
@@ -77,7 +79,7 @@ Status PdaEvaluator::Bind(const xml::Document& doc, const xpath::Query& query) {
             "() is excluded from pWF/pXPath (Def 6.1 restriction 2)");
     }
   }
-  if (analysis_.relop_with_boolean_operand) {
+  if (analysis.relop_with_boolean_operand) {
     return UnsupportedError(
         "pda: RelOp with boolean operand encodes negation (Def 6.1 "
         "restriction 3)");

@@ -24,7 +24,6 @@
 #include <unordered_map>
 
 #include "eval/evaluator.hpp"
-#include "xpath/analysis.hpp"
 
 namespace gkx::eval {
 
@@ -102,7 +101,6 @@ class PdaEvaluator : public Evaluator {
   const xml::Document* doc_ = nullptr;
   const xpath::Query* query_ = nullptr;
   std::vector<ResolvedTest> tests_;  // by step id
-  xpath::QueryAnalysis analysis_;
   Table1Stats stats_;
 
   // Memoization: deterministic search must not revisit states, or the

@@ -225,8 +225,7 @@ ExprPtr RewriteNeg(const Expr& expr, bool negated) {
 }  // namespace
 
 Query NormalizeIteratedPredicates(const Query& query) {
-  QueryAnalysis analysis = Analyze(query);
-  Normalizer normalizer(analysis);
+  Normalizer normalizer(query.analysis());
   return Query::Create(normalizer.Rewrite(query.root()));
 }
 

@@ -266,8 +266,7 @@ Result<Value> CoreLinearEvaluator::Evaluate(const xml::Document& doc,
                                             const xpath::Query& query,
                                             const Context& ctx) {
   if (doc.empty()) return InvalidArgumentError("empty document");
-  xpath::FragmentReport report = xpath::Classify(query);
-  if (!report.in_core) {
+  if (!xpath::Classify(query).in_core) {
     return UnsupportedError(
         "core-linear evaluates Core XPath only (Def 2.5); query is outside");
   }

@@ -57,18 +57,12 @@ class CoreLinearEvaluator : public Evaluator {
   Result<Value> Evaluate(const xml::Document& doc, const xpath::Query& query,
                          const Context& ctx) override;
 
-  /// Binds a document. The condition cache is query-scoped (keyed by
-  /// expression id, which collides across queries), so it always clears;
-  /// the test-set cache is document-scoped, so rebinding the SAME document
-  /// — identified by (address, serial), never by address alone — keeps it
-  /// warm. A long-lived evaluator thus pays each O(|D|) test fill once per
-  /// (document, name), not once per run; answers are identical either way
-  /// because documents are immutable.
+  /// Binds a document for one run: the condition and test-set caches both
+  /// start empty, so nothing of an earlier run (another query, document or
+  /// revision) is read.
   void Bind(const xml::Document& doc) {
-    condition_cache_.clear();
-    if (doc_ == &doc && bound_serial_ == doc.serial()) return;
     doc_ = &doc;
-    bound_serial_ = doc.serial();
+    condition_cache_.clear();
     test_cache_.clear();
   }
 
@@ -112,13 +106,12 @@ class CoreLinearEvaluator : public Evaluator {
                                         const NodeBitset& start);
 
   /// Nodes passing the step's node test, filled from the tag column (and
-  /// the label spans, when the document has extra labels). Cached per Bind,
-  /// keyed by the resolved test, so each distinct test is one O(|D|) fill
-  /// per bound document.
+  /// the label spans, when the document has extra labels). Cached until the
+  /// next Bind, keyed by the resolved test, so each distinct test is one
+  /// O(|D|) fill per run.
   const NodeBitset& TestSet(const xpath::Step& step);
 
   const xml::Document* doc_ = nullptr;
-  uint64_t bound_serial_ = 0;  // serial of *doc_ when test_cache_ was built
   // Condition sets are shared across all uses of a subexpression (the query
   // is processed as a DAG of conditions), keyed by expression id.
   std::unordered_map<int, NodeBitset> condition_cache_;

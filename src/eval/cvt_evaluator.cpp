@@ -10,19 +10,6 @@ using xpath::ContextDependence;
 using xpath::Expr;
 
 Status CvtEvaluator::Prepare() {
-  // Same (document, query) as the tables were built for: keep them. Cells
-  // are deterministic over an immutable document, so the warm tables
-  // answer byte-identically; this turns a long-lived engine's repeat runs
-  // of one plan into pure memo hits.
-  if (bound_doc_ == &doc() && bound_doc_serial_ == doc().serial() &&
-      bound_query_ == &query() && bound_query_serial_ == query().serial()) {
-    return Status::Ok();
-  }
-  // Invalidate up front: if the (eager) fill below fails partway, the next
-  // Bind must rebuild rather than trust half-filled tables from this one.
-  bound_doc_ = nullptr;
-
-  analysis_ = xpath::Analyze(query());
   const size_t n = static_cast<size_t>(query().num_exprs());
   constant_.assign(n, std::nullopt);
   by_node_.assign(n, {});
@@ -35,7 +22,7 @@ Status CvtEvaluator::Prepare() {
     // table.
     for (int id = query().num_exprs() - 1; id >= 0; --id) {
       const Expr& expr = query().expr(id);
-      switch (analysis_.traits(expr).dependence) {
+      switch (query().analysis().traits(expr).dependence) {
         case ContextDependence::kNone: {
           auto value = Eval(expr, RootContext(doc()));
           if (!value.ok()) return value.status();
@@ -53,16 +40,12 @@ Status CvtEvaluator::Prepare() {
       }
     }
   }
-  bound_doc_ = &doc();
-  bound_doc_serial_ = doc().serial();
-  bound_query_ = &query();
-  bound_query_serial_ = query().serial();
   return Status::Ok();
 }
 
 Result<bool> CvtEvaluator::Truth(const Expr& expr, const Context& ctx,
                                  bool predicate) {
-  const xpath::ExprTraits& traits = analysis_.traits(expr);
+  const xpath::ExprTraits& traits = query().analysis().traits(expr);
   if (traits.position_test) {
     CountEvaluation();
     const auto position = static_cast<double>(ctx.position);
@@ -87,7 +70,7 @@ Result<bool> CvtEvaluator::Truth(const Expr& expr, const Context& ctx,
 
 const Value* CvtEvaluator::Cell(const Expr& expr, const Context& ctx) const {
   const size_t id = static_cast<size_t>(expr.id());
-  switch (analysis_.traits(expr).dependence) {
+  switch (query().analysis().traits(expr).dependence) {
     case ContextDependence::kNone:
       return constant_[id].has_value() ? &*constant_[id] : nullptr;
     case ContextDependence::kNode: {
@@ -113,7 +96,7 @@ void CvtEvaluator::StoreMemo(const Expr& expr, const Context& ctx,
   const size_t id = static_cast<size_t>(expr.id());
   // The entry count reflects genuine inserts only.
   bool inserted = false;
-  switch (analysis_.traits(expr).dependence) {
+  switch (query().analysis().traits(expr).dependence) {
     case ContextDependence::kNone:
       if (!constant_[id].has_value()) {
         constant_[id] = value;

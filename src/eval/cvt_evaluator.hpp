@@ -11,7 +11,9 @@
 // share the semantics kernel of RecursiveEvaluatorBase, so they agree with
 // the naive evaluator by construction; the complexity drops from
 // exponential to polynomial because each tabled (expression, context) pair
-// is computed at most once.
+// is computed at most once. The table shapes come from the query's own
+// analysis (Query::analysis()), and the tables last one run: every Bind
+// starts them empty, as [3] fills them for one evaluation.
 //
 // Why a position-dependent expression may go untabled without losing
 // Prop 2.7's polynomial bound:
@@ -120,24 +122,13 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   const Value* Cell(const xpath::Expr& expr, const Context& ctx) const;
 
   Options options_{};
-  xpath::QueryAnalysis analysis_;
   // Per expression id: one of the two table shapes (selected by the
-  // expression's context dependence); kFull expressions use none.
+  // expression's context dependence); kFull expressions use none. Every
+  // Bind rebuilds them, so they hold one run's cells.
   std::vector<std::optional<Value>> constant_;
   std::vector<std::unordered_map<xml::NodeId, Value>> by_node_;
   int64_t table_entries_ = 0;
   CoreLinearEvaluator* conditions_ = nullptr;
-  // Binding the evaluator is idempotent: when Bind sees the exact same
-  // (document, query) pair — identified by (address, serial) on both sides,
-  // so recycled allocations can't alias — Prepare keeps the filled tables.
-  // Cell values are pure functions of (expression, context) over an
-  // immutable document, so a warm table returns byte-identical answers; a
-  // long-lived engine re-running the same plan pays the memo fills once.
-  // Any mismatch rebuilds everything.
-  const xml::Document* bound_doc_ = nullptr;
-  uint64_t bound_doc_serial_ = 0;
-  const xpath::Query* bound_query_ = nullptr;
-  uint64_t bound_query_serial_ = 0;
 };
 
 }  // namespace gkx::eval

@@ -1,6 +1,6 @@
 // The user-facing facade over the staged compile pipeline (src/plan):
-//   normalize (canonical rewrites) → classify per subexpression (Figure 1,
-//   per step) → lower (fused segments) → execute.
+//   normalize (canonical rewrites) → lower (Figure 1 per step, fused
+//   segments) → execute.
 // Every step is routed to the cheapest sound engine —
 //   predicate-free (PF, NL)               -> pf-frontier bitset sweeps
 //   Core XPath predicates                 -> core-linear, O(|D|·|Q|)
@@ -11,7 +11,13 @@
 // runs whole on CVT. Within a run the executor wires CVT to the linear
 // evaluator, so a Core condition that CVT tests is one bit of its
 // condition set. Answer.evaluator reports the plan's route list, e.g.
-// "pf-frontier", "core-linear", "cvt" or "pf-frontier+cvt".
+// "pf-frontier", "core-linear", "cvt" or "pf-frontier+cvt", and
+// Answer.fragment the plan's fragment flags.
+//
+// An Engine keeps nothing between runs: each run binds its evaluators
+// afresh, so no table, test set or condition set outlives the run that
+// filled it. Only their containers' capacity carries over, to the next run
+// on the same Engine (a batch's runs on one thread share one).
 
 #ifndef GKX_EVAL_ENGINE_HPP_
 #define GKX_EVAL_ENGINE_HPP_
@@ -41,9 +47,8 @@ class Engine {
   /// Plans are immutable after Compile and safe to share across threads.
   using Plan = plan::Physical;
 
-  /// Parses, normalizes, classifies per subexpression, and lowers a query
-  /// into a reusable Plan. Running a Plan via RunPlan gives answers
-  /// value-identical to Run(doc, query_text).
+  /// Parses, normalizes, and lowers a query into a reusable Plan. Running a
+  /// Plan via RunPlan gives answers value-identical to Run(doc, query_text).
   static Result<Plan> Compile(std::string_view query_text);
 
   /// Compiles an already-parsed query into a Plan (the query is moved in).
@@ -69,9 +74,7 @@ class Engine {
   Result<Answer> Run(const xml::Document& doc, std::string_view query_text);
 
  private:
-  // The executor's engines. An Engine lives across requests, so their binds
-  // (test-set bitsets, context-value tables) stay warm for repeat
-  // executions of the same plan on the same document.
+  // The executor's engines, bound afresh by every run (see above).
   CoreLinearEvaluator linear_;
   CvtEvaluator cvt_;
 };

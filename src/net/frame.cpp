@@ -154,7 +154,7 @@ Result<eval::Value> DecodeValue(Reader* reader) {
 
 // --------------------------------------------------------------- fragment
 
-// [u8 membership flags][u8 smallest]. `notes` stays off the wire.
+// [u8 membership flags][u8 smallest].
 constexpr uint8_t kFragPf = 1 << 0;
 constexpr uint8_t kFragPositiveCore = 1 << 1;
 constexpr uint8_t kFragCore = 1 << 2;

@@ -15,9 +15,7 @@
 //
 // Answer values round-trip exactly (numbers as raw IEEE-754 bits, node-sets
 // as id lists), so a wire answer is byte-identical — DebugString and all —
-// to the in-process answer it serializes. The one lossy field is
-// FragmentReport::notes (human-readable classifier prose), which
-// deliberately stays off the wire.
+// to the in-process answer it serializes, fragment flags included.
 
 #ifndef GKX_NET_FRAME_HPP_
 #define GKX_NET_FRAME_HPP_

@@ -20,14 +20,12 @@ double SecondsSince(uint64_t t0) {
 }
 
 /// One execution of a plan on the caller's engines. The linear engine is
-/// bound up front, before any cvt evaluation (cheap: a same-document rebind
-/// keeps its test sets, and the rebind drops every condition set of an
-/// earlier run, whose query and document may differ). For the run, the cvt
-/// engine answers Core conditions from the linear engine's condition sets,
-/// so a cvt segment and a core-linear segment of one run share them. The
-/// cvt engine is bound at the first cvt segment that runs, and that one
-/// bind serves every later cvt segment of the run, so they share its memo
-/// tables.
+/// bound up front, before any cvt evaluation, and the bind drops every test
+/// and condition set of an earlier run. For the run, the cvt engine answers
+/// Core conditions from the linear engine's condition sets, so a cvt
+/// segment and a core-linear segment of one run share them. The cvt engine
+/// is bound at the first cvt segment that runs, and that one bind serves
+/// every later cvt segment of the run, so they share its memo tables.
 class StagedRun {
  public:
   StagedRun(const xml::Document& doc, const Physical& plan,

@@ -1,6 +1,6 @@
-// Execution of a Physical plan (stage 4 of the pipeline in ir.hpp) — the
-// one executor every plan runs on. Bitset segments run as frontier sweeps
-// on a CoreLinearEvaluator; cvt segments run per origin node through a
+// Execution of a Physical plan (the last stage of the pipeline in ir.hpp) —
+// the one executor every plan runs on. Bitset segments run as frontier
+// sweeps on a CoreLinearEvaluator; cvt segments run per origin node through a
 // CvtEvaluator bound to the plan's query (so predicate memoization is
 // shared across origins and segments); the materialization boundaries
 // convert NodeBitset ⇄ document-order NodeSet exactly at segment seams. A
@@ -40,16 +40,12 @@ struct SegmentTiming {
 using ExecTrace = std::vector<SegmentTiming>;
 
 /// Runs `plan` from `ctx` on the calling thread, on the caller's engines.
-/// The engines are long-lived (the prepared-statement pattern): their
-/// test-set bitsets and context-value tables persist across runs, so
-/// re-executing the same plan on the same document turns memo fills into
-/// memo hits. They detect same-binding reuse by (address, serial) identity
-/// — see base/identity.hpp — and rebuild when the document or plan changed,
-/// so answers are byte-identical to a cold run. `linear` is bound first,
-/// and `cvt` reads its condition sets for the length of the call; `cvt` is
-/// bound only when a cvt segment runs. The plan is only read; the engines
-/// must not be shared with a concurrent call. When `trace` is non-null, per-segment timings
-/// are appended to it.
+/// The run binds them afresh: `linear` first, and `cvt` at the first cvt
+/// segment that runs, so their test sets, condition sets and context-value
+/// tables last this run only. For the length of the call `cvt` reads
+/// `linear`'s condition sets. The plan is only read; the engines must not
+/// be shared with a concurrent call. When `trace` is non-null, per-segment
+/// timings are appended to it.
 Result<eval::Value> ExecuteStaged(const xml::Document& doc,
                                   const Physical& plan,
                                   const eval::Context& ctx,

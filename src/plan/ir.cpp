@@ -18,36 +18,10 @@ std::string_view RouteName(Route route) {
   return {};
 }
 
-Logical Normalize(xpath::Query parsed) {
-  Logical out{xpath::Optimize(parsed), /*canonical_text=*/{},
-              /*classified=*/false, /*fragment=*/{}, /*steps=*/{}};
-  out.canonical_text = xpath::ToXPathString(out.query);
-  return out;
-}
-
-void ClassifyOps(Logical* logical, const xpath::ClassifyOptions& options) {
-  const xpath::Query& query = logical->query;
-  const xpath::QueryAnalysis analysis = xpath::Analyze(query);
-  logical->fragment = xpath::Classify(query, analysis, options);
-  logical->steps.assign(static_cast<size_t>(query.num_steps()), StepPlan{});
-  for (int id = 0; id < query.num_steps(); ++id) {
-    const xpath::Step& step = query.step(id);
-    StepPlan& plan = logical->steps[static_cast<size_t>(id)];
-    if (step.predicates.empty()) {
-      plan.route = Route::kPfFrontier;
-      continue;
-    }
-    for (const xpath::ExprPtr& predicate : step.predicates) {
-      xpath::ConditionReport report =
-          xpath::ClassifyCondition(*predicate, analysis);
-      if (!report.in_core) {
-        plan.core_predicates = false;
-        if (plan.note.empty()) plan.note = std::move(report.note);
-      }
-    }
-    plan.route = plan.core_predicates ? Route::kCoreLinear : Route::kCvt;
-  }
-  logical->classified = true;
+Normalized Normalize(xpath::Query parsed) {
+  xpath::Query query = xpath::Optimize(parsed);
+  std::string canonical_text = xpath::ToXPathString(query);
+  return Normalized{std::move(query), std::move(canonical_text)};
 }
 
 }  // namespace gkx::plan

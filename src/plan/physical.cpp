@@ -3,22 +3,33 @@
 #include <optional>
 #include <utility>
 
-#include "base/check.hpp"
+#include "xpath/analysis.hpp"
 
 namespace gkx::plan {
 
 namespace {
+
+/// The cheapest sound engine for one step: predicate-free → the NL
+/// frontier sweep; every predicate a Core bexpr (Def 2.5) → the
+/// condition-set engine; anything else → the context-value tables.
+Route StepRoute(const xpath::Step& step, const xpath::QueryAnalysis& analysis) {
+  if (step.predicates.empty()) return Route::kPfFrontier;
+  for (const xpath::ExprPtr& predicate : step.predicates) {
+    if (!analysis.traits(*predicate).core_condition) return Route::kCvt;
+  }
+  return Route::kCoreLinear;
+}
 
 /// Fuses the top-level steps of `path` into segments: a run of cvt steps is
 /// one cvt segment, and a run of predicate-free and Core steps is one
 /// bitset segment, routed core-linear as soon as one of its steps has a
 /// predicate.
 std::vector<Segment> FuseSegments(const xpath::PathExpr& path,
-                                  const std::vector<StepPlan>& steps) {
+                                  const xpath::QueryAnalysis& analysis) {
   std::vector<Segment> segments;
   for (int s = 0; s < static_cast<int>(path.step_count()); ++s) {
-    const xpath::Step& step = path.step(static_cast<size_t>(s));
-    const Route route = steps[static_cast<size_t>(step.id)].route;
+    const Route route =
+        StepRoute(path.step(static_cast<size_t>(s)), analysis);
     if (!segments.empty() &&
         (segments.back().route == Route::kCvt) == (route == Route::kCvt)) {
       segments.back().step_end = s + 1;
@@ -78,11 +89,11 @@ bool CollectPaths(const xpath::Expr& expr,
 
 }  // namespace
 
-Physical Lower(Logical logical) {
-  GKX_CHECK(logical.classified);
-  Physical out{std::move(logical.query), std::move(logical.canonical_text),
-               std::move(logical.fragment), std::move(logical.steps),
+Physical Lower(Normalized normalized) {
+  Physical out{std::move(normalized.query),
+               std::move(normalized.canonical_text), /*fragment=*/{},
                /*branches=*/{}, /*route_label=*/{}, /*footprint=*/{}};
+  out.fragment = xpath::Classify(out.query);
   out.footprint = ExtractFootprint(out.query);
 
   std::vector<const xpath::PathExpr*> paths;
@@ -94,7 +105,7 @@ Physical Lower(Logical logical) {
   for (const xpath::PathExpr* path : paths) {
     BranchProgram branch;
     branch.path = path;
-    branch.segments = FuseSegments(*path, out.steps);
+    branch.segments = FuseSegments(*path, out.query.analysis());
     DemoteSandwichedSegments(&branch.segments);
     for (const Segment& segment : branch.segments) {
       // Collapse consecutive duplicates, across branch boundaries too.
@@ -109,9 +120,7 @@ Physical Lower(Logical logical) {
 }
 
 Physical Compile(xpath::Query parsed) {
-  Logical logical = Normalize(std::move(parsed));
-  ClassifyOps(&logical);
-  return Lower(std::move(logical));
+  return Lower(Normalize(std::move(parsed)));
 }
 
 }  // namespace gkx::plan

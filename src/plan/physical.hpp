@@ -1,17 +1,18 @@
-// The physical program: stage 3 of the compile pipeline (see ir.hpp).
+// The physical program: stage 2 of the compile pipeline (see ir.hpp).
 //
 // Lower() turns every plan into one shape: a program per branch path of the
 // root (the root path, or each branch of a union of paths), each a list of
-// fused segments. Contiguous predicate-free and Core-predicate steps fuse
-// into one bitset segment that flows a NodeBitset frontier from step to
-// step in O(|D|) sweeps — labelled core-linear if any of its steps has a
-// predicate, pf-frontier otherwise; the two differ only in the condition
-// intersection. A cvt segment evaluates its steps per origin node through
-// the context-value tables. Between a bitset segment and a cvt segment sits
-// an explicit materialization boundary (NodeBitset ⇄ document-order
-// NodeSet) — the only points where representation conversion happens, so a
-// mixed query pays for generality exactly where it uses it. A uniform plan
-// is simply a one-segment program.
+// fused segments. Each step is routed by its predicates' Core-ness
+// (ExprTraits::core_condition). Contiguous predicate-free and
+// Core-predicate steps fuse into one bitset segment that flows a NodeBitset
+// frontier from step to step in O(|D|) sweeps — labelled core-linear if any
+// of its steps has a predicate, pf-frontier otherwise; the two differ only
+// in the condition intersection. A cvt segment evaluates its steps per
+// origin node through the context-value tables. Between a bitset segment
+// and a cvt segment sits an explicit materialization boundary (NodeBitset ⇄
+// document-order NodeSet) — the only points where representation
+// conversion happens, so a mixed query pays for generality exactly where it
+// uses it. A uniform plan is simply a one-segment program.
 //
 // The one exception is a scalar root (count(...), arithmetic, a
 // comparison): it has no path spine to sweep, so it has no branches and
@@ -28,6 +29,7 @@
 
 #include "plan/footprint.hpp"
 #include "plan/ir.hpp"
+#include "xpath/fragment.hpp"
 
 namespace gkx::plan {
 
@@ -75,7 +77,6 @@ struct Physical {
   xpath::Query query;              // normalized AST (owns the tree)
   std::string canonical_text;      // the PlanCache normal form
   xpath::FragmentReport fragment;  // whole-query report
-  std::vector<StepPlan> steps;     // per-step annotations, by Step::id
 
   /// One program per branch path of the root, in union order; empty for a
   /// scalar root, which runs whole on cvt.
@@ -92,10 +93,10 @@ struct Physical {
   Footprint footprint;
 };
 
-/// Stage 3: segment fusion. `logical` must be classified (ClassifyOps).
-Physical Lower(Logical logical);
+/// Stage 2: per-step routing and segment fusion.
+Physical Lower(Normalized normalized);
 
-/// The whole pipeline: Normalize + ClassifyOps + Lower.
+/// The whole pipeline: Normalize + Lower.
 Physical Compile(xpath::Query parsed);
 
 }  // namespace gkx::plan

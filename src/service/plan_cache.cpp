@@ -74,11 +74,12 @@ Result<std::shared_ptr<const eval::Engine::Plan>> PlanCache::GetOrCompile(
     return parsed.status();
   }
 
-  // Stage 1 (normalize) yields both the IR the plan is lowered from and the
-  // canonical alias key — one normal form for cache aliasing and planning,
-  // so every spelling in an equivalence class shares ONE physical plan.
-  plan::Logical logical = plan::Normalize(std::move(*parsed));
-  const std::string canonical = logical.canonical_text;
+  // Stage 1 (normalize) yields both the query the plan is lowered from and
+  // the canonical alias key — one normal form for cache aliasing and
+  // planning, so every spelling in an equivalence class shares ONE physical
+  // plan.
+  plan::Normalized normalized = plan::Normalize(std::move(*parsed));
+  const std::string canonical = normalized.canonical_text;
   if (canonical != query_text) {
     if (PlanPtr plan = Lookup(canonical)) {
       // Equivalent spelling compiled before; alias the raw text to it.
@@ -87,21 +88,15 @@ Result<std::shared_ptr<const eval::Engine::Plan>> PlanCache::GetOrCompile(
     }
   }
 
-  // Stages 2 + 3: per-subexpression classification and segment fusion.
+  // Stage 2: per-step routing and segment fusion.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  plan::ClassifyOps(&logical);
   auto plan = std::make_shared<const eval::Engine::Plan>(
-      plan::Lower(std::move(logical)));
+      plan::Lower(std::move(normalized)));
   // Adopt the resident canonical plan: if a concurrent compile of an
   // equivalent spelling won the race, aliasing the raw text to OUR plan
   // would leave two Plan objects for one equivalence class.
   if (canonical != query_text) plan = Insert(canonical, std::move(plan));
   return Insert(query_text, std::move(plan));
-}
-
-std::shared_ptr<const eval::Engine::Plan> PlanCache::Peek(
-    const std::string& query_text) {
-  return Lookup(query_text);
 }
 
 PlanCache::Counters PlanCache::counters() const {

@@ -1,16 +1,15 @@
 // The compile half of the query service: an LRU cache from query text to
-// compiled physical plans (plan::Physical — normalize + per-subexpression
-// classification + segment lowering; see plan/ir.hpp). A plan is
-// document-independent, so one cache serves every registered document.
+// compiled physical plans (plan::Physical — normalize + per-step routing
+// and segment lowering; see plan/ir.hpp). A plan is document-independent,
+// so one cache serves every registered document.
 //
 // Two-level keying. A lookup first tries the raw query text — a hit skips
 // the whole compile pipeline (`hits`). On a raw miss the text is parsed and
 // normalized (plan::Normalize — the same canonical form
 // xpath::CanonicalXPathString prints); if an equivalent spelling was
 // compiled before, that plan is reused (`canonical_hits` — the parse and
-// normalize happened, but classification/lowering and the plan slot are
-// shared) and the raw text is inserted as an alias so the next lookup is a
-// first-level hit.
+// normalize happened, but lowering and the plan slot are shared) and the
+// raw text is inserted as an alias so the next lookup is a first-level hit.
 //
 // Every spelling in an equivalence class shares ONE plan, compiled from the
 // canonical (optimized) AST. Values are identical to evaluating the raw
@@ -82,9 +81,6 @@ class PlanCache {
   /// Parse errors are returned (and counted) but not cached.
   Result<std::shared_ptr<const eval::Engine::Plan>> GetOrCompile(
       const std::string& query_text);
-
-  /// Raw-text lookup only; nullptr on miss. Bumps LRU but not counters.
-  std::shared_ptr<const eval::Engine::Plan> Peek(const std::string& query_text);
 
   Counters counters() const;
 

@@ -117,15 +117,13 @@ QueryService::QueryService(const Options& options)
        {"evaluations", &SubscriptionCounters::evaluations}});
 
   store_.set_report_deltas(options.delta_invalidation);
-  if (!options_.wal_dir.empty()) {
+  if (!options_.wal.dir.empty()) {
     // Open + recover BEFORE the update listener is installed: replay feeds
     // the store through the Recover* paths (no journaling, no listener), so
     // the mview layer starts cold against the recovered corpus instead of
     // re-processing history as churn. On failure the service still serves —
     // in memory, WAL-less — and wal_status() carries the reason.
-    wal::WalOptions wal_options = options_.wal;
-    wal_options.dir = options_.wal_dir;
-    auto wal = wal::Wal::OpenAndRecover(wal_options, &store_, &wal_recovery_,
+    auto wal = wal::Wal::OpenAndRecover(options_.wal, &store_, &wal_recovery_,
                                         &registry_);
     if (wal.ok()) {
       wal_ = std::move(wal).value();

@@ -134,16 +134,14 @@ class QueryService {
     /// true answers and the tap perturbs every serve alike. Must be
     /// thread-safe. nullptr (the default) = production behaviour.
     std::function<void(eval::Engine::Answer* answer)> answer_tap;
-    /// Durability (src/wal/wal.hpp). Non-empty = open a write-ahead log in
-    /// this directory at construction: recover whatever a previous
-    /// incarnation persisted there (checkpoint snapshots + journal replay,
-    /// torn tail truncated), then journal every subsequent corpus mutation
-    /// before it is acknowledged. Empty (the default) = in-memory only.
-    /// If open/recovery fails the service still constructs and serves — in
-    /// memory, without a WAL — and wal_status() carries the reason.
-    std::string wal_dir;
-    /// WAL tuning (fsync, checkpoint threshold).
-    /// `wal.dir` is ignored; wal_dir above is the switch and the path.
+    /// Durability (src/wal/wal.hpp). A non-empty `wal.dir` opens a
+    /// write-ahead log in that directory at construction: recover whatever
+    /// a previous incarnation persisted there (checkpoint snapshots +
+    /// journal replay, torn tail truncated), then journal every subsequent
+    /// corpus mutation before it is acknowledged. Empty (the default) =
+    /// in-memory only. If open/recovery fails the service still constructs
+    /// and serves — in memory, without a WAL — and wal_status() carries the
+    /// reason. The other fields tune the log (fsync, checkpoint threshold).
     wal::WalOptions wal;
   };
 
@@ -230,7 +228,7 @@ class QueryService {
   const mview::AnswerCache& answer_cache() const { return answer_cache_; }
 
   // ----------------------------------------------------------- durability
-  /// True when Options::wal_dir was set and the log opened (and recovered)
+  /// True when Options::wal.dir was set and the log opened (and recovered)
   /// successfully — every mutation from now on is durable before it is
   /// acknowledged.
   bool wal_enabled() const { return wal_ != nullptr; }

@@ -12,7 +12,7 @@ namespace gkx::service {
 
 ShardedQueryService::ShardedQueryService(const Options& options)
     : options_(options), map_(options.shards) {
-  GKX_CHECK(options.shard.wal_dir.empty());  // configure via Options::wal_dir
+  GKX_CHECK(options.shard.wal.dir.empty());  // configure via Options::wal_dir
   pool_ = options.pool != nullptr     ? options.pool
           : options.shard.pool != nullptr ? options.shard.pool
                                           : &ThreadPool::Shared();
@@ -20,7 +20,7 @@ ShardedQueryService::ShardedQueryService(const Options& options)
   for (int i = 0; i < options.shards; ++i) {
     QueryService::Options shard_options = options.shard;
     if (!options.wal_dir.empty()) {
-      shard_options.wal_dir = options.wal_dir + "/shard" + std::to_string(i);
+      shard_options.wal.dir = options.wal_dir + "/shard" + std::to_string(i);
     }
     shards_.push_back(std::make_unique<QueryService>(shard_options));
   }

@@ -69,7 +69,7 @@ class ShardedQueryService {
   struct Options {
     /// Number of shards (>= 1).
     int shards = 1;
-    /// Per-shard configuration template. `shard.wal_dir` must stay empty —
+    /// Per-shard configuration template. `shard.wal.dir` must stay empty —
     /// durability is configured through `wal_dir` below so the router can
     /// lay out one journal directory per shard.
     QueryService::Options shard;

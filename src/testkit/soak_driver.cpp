@@ -151,7 +151,7 @@ class Replay {
         watermark_(schedule.revisions.size(), 0) {
     GKX_CHECK(options.rounds >= 1);
     GKX_CHECK(options.rounds == 1 || durable_);  // kills need a WAL
-    GKX_CHECK(options.service.wal_dir.empty());  // the router lays it out
+    GKX_CHECK(options.service.wal.dir.empty());  // the router lays it out
     for (const std::string& key : schedule.doc_keys) {
       shard_of_.push_back(map_.ShardOf(key));
       ++owned_[static_cast<size_t>(shard_of_.back())];

@@ -85,7 +85,7 @@ struct SoakOptions {
   /// Non-empty = durable shards plus the kill/reopen after every segment.
   /// The directory must be fresh (the caller wipes it).
   std::string wal_dir;
-  /// Per-shard service template (wal_dir must stay empty). answer_tap and
+  /// Per-shard service template (wal.dir must stay empty). answer_tap and
   /// plan-cache hooks set here are preserved; the driver composes its own
   /// observation on top.
   service::QueryService::Options service;

@@ -78,7 +78,6 @@ void Document::CopyFrom(const Document& other) {
   names_ = other.names_;
   name_ids_ = other.name_ids_;
   mapping_.reset();
-  identity_ = IdentitySerial();  // copies are new bind identities
   SealViews();
 }
 

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "base/check.hpp"
-#include "base/identity.hpp"
 
 namespace gkx::xml {
 
@@ -116,8 +115,7 @@ class Document {
     return *this;
   }
   Document(Document&& other) noexcept
-      : identity_(std::move(other.identity_)),
-        owned_(std::move(other.owned_)),
+      : owned_(std::move(other.owned_)),
         v_(other.v_),
         mapping_(std::move(other.mapping_)),
         names_(std::move(other.names_)),
@@ -126,7 +124,6 @@ class Document {
   }
   Document& operator=(Document&& other) noexcept {
     if (this != &other) {
-      identity_ = std::move(other.identity_);
       owned_ = std::move(other.owned_);
       v_ = other.v_;
       mapping_ = std::move(other.mapping_);
@@ -136,12 +133,6 @@ class Document {
     }
     return *this;
   }
-
-  /// Process-unique bind identity (base/identity.hpp). Evaluators that keep
-  /// per-document caches across Bind calls compare (address, serial) — a
-  /// match guarantees this is the exact object the cache was built against,
-  /// even if the allocator recycled a freed document's address.
-  uint64_t serial() const { return identity_.value(); }
 
   /// Root node id (always 0 for a non-empty document).
   NodeId root() const { return 0; }
@@ -342,7 +333,6 @@ class Document {
   /// Deep copy through `other`'s views into owned storage.
   void CopyFrom(const Document& other);
 
-  IdentitySerial identity_;
   Owned owned_;
   Views v_;
   std::shared_ptr<internal::MappedSnapshot> mapping_;

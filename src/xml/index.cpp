@@ -27,11 +27,6 @@ DocumentIndex::DocumentIndex(const Document& doc) : doc_(&doc) {
       by_name_[static_cast<size_t>(label)].push_back(v);
       ++posting_count_;
     }
-    const int32_t attr_count = doc.attribute_count(v);
-    for (int32_t i = 0; i < attr_count; ++i) {
-      by_attribute_[std::string(doc.attribute(v, i).name)].push_back(v);
-      ++posting_count_;
-    }
   }
   for (NameId name = 0; name < static_cast<NameId>(by_name_.size()); ++name) {
     if (!by_name_[static_cast<size_t>(name)].empty()) {
@@ -54,58 +49,32 @@ DocumentIndex::DocumentIndex(const Document& doc,
   // interval (ascending ids keep each list born sorted).
   const size_t pool = doc.InternedNames().size();
   std::vector<std::vector<NodeId>> region_by_name(pool);
-  std::unordered_map<std::string, std::vector<NodeId>> region_by_attribute;
   for (NodeId v = begin; v < new_end; ++v) {
     region_by_name[static_cast<size_t>(doc.tag(v))].push_back(v);
     for (NameId label : doc.labels(v)) {
       region_by_name[static_cast<size_t>(label)].push_back(v);
     }
-    const int32_t attr_count = doc.attribute_count(v);
-    for (int32_t i = 0; i < attr_count; ++i) {
-      region_by_attribute[std::string(doc.attribute(v, i).name)].push_back(v);
-    }
   }
 
   // Per-list splice: prefix verbatim ++ region ++ suffix shifted. NameIds
   // are stable across ApplyEdit, so old lists line up with new names.
-  auto splice = [&](const std::vector<NodeId>& old_postings,
-                    std::vector<NodeId>* region) {
-    std::vector<NodeId> out;
-    auto lo = std::lower_bound(old_postings.begin(), old_postings.end(), begin);
-    auto hi = std::lower_bound(lo, old_postings.end(), old_end);
-    out.reserve(static_cast<size_t>(lo - old_postings.begin()) +
-                (region ? region->size() : 0) +
-                static_cast<size_t>(old_postings.end() - hi));
-    out.insert(out.end(), old_postings.begin(), lo);
-    if (region != nullptr) {
-      out.insert(out.end(), region->begin(), region->end());
-    }
-    for (auto it = hi; it != old_postings.end(); ++it) {
-      out.push_back(*it + shift);
-    }
-    posting_count_ += static_cast<int64_t>(out.size());
-    return out;
-  };
-
   by_name_.resize(pool);
   for (size_t name = 0; name < pool; ++name) {
     const std::vector<NodeId>& old_postings =
         name < old_index.by_name_.size() ? old_index.by_name_[name]
                                          : EmptyPostings();
-    by_name_[name] = splice(old_postings, &region_by_name[name]);
-  }
-  for (const auto& [attribute, old_postings] : old_index.by_attribute_) {
-    auto region = region_by_attribute.find(attribute);
-    std::vector<NodeId> spliced = splice(
-        old_postings,
-        region == region_by_attribute.end() ? nullptr : &region->second);
-    if (!spliced.empty()) by_attribute_.emplace(attribute, std::move(spliced));
-    region_by_attribute.erase(attribute);
-  }
-  // Attributes the edit introduced that the old document never had.
-  for (auto& [attribute, postings] : region_by_attribute) {
-    posting_count_ += static_cast<int64_t>(postings.size());
-    by_attribute_.emplace(attribute, std::move(postings));
+    const std::vector<NodeId>& region = region_by_name[name];
+    std::vector<NodeId>& out = by_name_[name];
+    auto lo = std::lower_bound(old_postings.begin(), old_postings.end(), begin);
+    auto hi = std::lower_bound(lo, old_postings.end(), old_end);
+    out.reserve(static_cast<size_t>(lo - old_postings.begin()) +
+                region.size() + static_cast<size_t>(old_postings.end() - hi));
+    out.insert(out.end(), old_postings.begin(), lo);
+    out.insert(out.end(), region.begin(), region.end());
+    for (auto it = hi; it != old_postings.end(); ++it) {
+      out.push_back(*it + shift);
+    }
+    posting_count_ += static_cast<int64_t>(out.size());
   }
 
   for (NameId name = 0; name < static_cast<NameId>(by_name_.size()); ++name) {
@@ -121,20 +90,6 @@ const std::vector<NodeId>& DocumentIndex::NodesWithName(NameId name) const {
     return EmptyPostings();
   }
   return by_name_[static_cast<size_t>(name)];
-}
-
-const std::vector<NodeId>& DocumentIndex::NodesWithAttribute(
-    std::string_view name) const {
-  auto it = by_attribute_.find(std::string(name));
-  return it == by_attribute_.end() ? EmptyPostings() : it->second;
-}
-
-int32_t DocumentIndex::CountWithNameInSubtree(NameId name, NodeId v) const {
-  const std::vector<NodeId>& postings = NodesWithName(name);
-  const NodeId limit = v + doc_->subtree_size(v);
-  auto lo = std::lower_bound(postings.begin(), postings.end(), v);
-  auto hi = std::lower_bound(lo, postings.end(), limit);
-  return static_cast<int32_t>(hi - lo);
 }
 
 void DocumentIndex::AppendNamedInRange(NameId name, NodeId first, NodeId limit,

@@ -2,15 +2,12 @@
 // knows nothing about query workloads; DocumentIndex is built next to it,
 // never during a parse: the service's DocumentStore builds it on the first
 // query that needs it, or splices the previous revision's after an edit.
-// It maps
-//   * each interned name  -> the preorder-sorted list of nodes carrying it
-//                            (as tag or extra label, Remark 3.1), and
-//   * each attribute name -> the preorder-sorted list of nodes carrying it.
-// Because NodeId is preorder rank and a subtree is the contiguous interval
-// [v, v + subtree_size), "descendants of v named t" is a binary-search range
-// in the name's posting list — O(log |D| + answer) instead of an O(subtree)
-// walk. The service's indexed PF fast path (service/indexed_path.hpp) is
-// built on exactly this.
+// It maps each interned name to the preorder-sorted list of nodes carrying
+// it (as tag or extra label, Remark 3.1). Because NodeId is preorder rank
+// and a subtree is the contiguous interval [v, v + subtree_size),
+// "descendants of v named t" is a binary-search range in the name's posting
+// list — O(log |D| + answer) instead of an O(subtree) walk. The service's
+// indexed PF fast path (service/indexed_path.hpp) is built on exactly this.
 
 #ifndef GKX_XML_INDEX_HPP_
 #define GKX_XML_INDEX_HPP_
@@ -18,7 +15,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "xml/document.hpp"
@@ -54,18 +50,12 @@ class DocumentIndex {
     return NodesWithName(doc_->FindName(name));
   }
 
-  /// Preorder-sorted ids of nodes carrying an attribute called `name`.
-  const std::vector<NodeId>& NodesWithAttribute(std::string_view name) const;
-
-  /// Number of nodes named `name` in the subtree rooted at `v` (v included).
-  int32_t CountWithNameInSubtree(NameId name, NodeId v) const;
-
   /// Appends (in preorder) the nodes named `name` inside the half-open
   /// preorder interval [first, limit) to *out.
   void AppendNamedInRange(NameId name, NodeId first, NodeId limit,
                           std::vector<NodeId>* out) const;
 
-  /// Total posting-list entries (for stats / memory accounting).
+  /// Total name-posting entries (for stats / memory accounting).
   int64_t posting_count() const { return posting_count_; }
 
   /// The document's tag set: sorted, duplicate-free names (tags and extra
@@ -77,7 +67,6 @@ class DocumentIndex {
  private:
   const Document* doc_;
   std::vector<std::vector<NodeId>> by_name_;  // indexed by NameId
-  std::unordered_map<std::string, std::vector<NodeId>> by_attribute_;
   std::vector<std::string> name_set_;  // sorted names with >= 1 posting
   int64_t posting_count_ = 0;
 };

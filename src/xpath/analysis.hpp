@@ -1,7 +1,8 @@
 // Static analysis over a Query: per-expression context dependence (what the
 // context-value-table evaluator keys its tables on) and the global syntactic
 // measures that the fragment definitions of the paper regulate (Defs 2.5,
-// 2.6, 5.1, 6.1).
+// 2.6, 5.1, 6.1). Query::Create runs it once per query; every consumer reads
+// Query::analysis().
 
 #ifndef GKX_XPATH_ANALYSIS_HPP_
 #define GKX_XPATH_ANALYSIS_HPP_
@@ -73,7 +74,8 @@ struct QueryAnalysis {
   }
 };
 
-/// Analyzes a query (linear in |Q|).
+/// Analyzes a query (linear in |Q|). Query::Create is the one caller; read
+/// the result through Query::analysis().
 QueryAnalysis Analyze(const Query& query);
 
 }  // namespace gkx::xpath

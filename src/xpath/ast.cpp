@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "xpath/analysis.hpp"
+
 namespace gkx::xpath {
 namespace {
 
@@ -324,8 +326,13 @@ Query Query::Create(ExprPtr root) {
   Query query;
   query.root_ = std::move(root);
   query.Index(query.root_.get());
+  query.analysis_ = std::make_unique<const QueryAnalysis>(Analyze(query));
   return query;
 }
+
+Query::Query(Query&&) noexcept = default;
+Query& Query::operator=(Query&&) noexcept = default;
+Query::~Query() = default;
 
 void Query::Index(Expr* expr) {
   expr->id_ = static_cast<int>(exprs_.size());

@@ -10,7 +10,8 @@
 //
 // Ownership: expressions form a unique_ptr tree. A finished tree is wrapped
 // in a Query, which assigns dense ids to every expression and every step
-// (evaluators key their memo tables by these ids) and exposes a flat index.
+// (evaluators key their memo tables by these ids), exposes a flat index, and
+// holds the tree's static analysis (xpath/analysis.hpp), computed once.
 
 #ifndef GKX_XPATH_AST_HPP_
 #define GKX_XPATH_AST_HPP_
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "base/check.hpp"
-#include "base/identity.hpp"
 
 namespace gkx::xpath {
 
@@ -310,22 +310,24 @@ ValueType StaticType(const Expr& expr);
 double PositionNumber(const Expr& expr, double position, double size);
 bool PositionBoolean(const Expr& expr, double position, double size);
 
+struct QueryAnalysis;  // xpath/analysis.hpp
+
 /// An immutable, id-indexed query. Construct with Query::Create; after that
 /// the tree never moves, so Expr*/Step* remain valid for the Query lifetime.
 class Query {
  public:
-  /// Wraps an expression tree, assigning dense ids (preorder).
+  /// Wraps an expression tree, assigning dense ids (preorder), and analyzes
+  /// it (xpath::Analyze) — the one analysis every consumer reads.
   static Query Create(ExprPtr root);
 
-  Query(Query&&) = default;
-  Query& operator=(Query&&) = default;
+  Query(Query&&) noexcept;
+  Query& operator=(Query&&) noexcept;
+  ~Query();
 
   const Expr& root() const { return *root_; }
 
-  /// Process-unique bind identity (base/identity.hpp): evaluators that keep
-  /// memo tables across Bind calls compare (address, serial) so a recycled
-  /// allocation can never masquerade as the query the tables were built for.
-  uint64_t serial() const { return identity_.value(); }
+  /// The static analysis of this query (xpath/analysis.hpp).
+  const QueryAnalysis& analysis() const { return *analysis_; }
 
   /// Number of expressions / steps (ids are dense in [0, count)).
   int num_exprs() const { return static_cast<int>(exprs_.size()); }
@@ -347,10 +349,10 @@ class Query {
   Query() = default;
   void Index(Expr* expr);
 
-  IdentitySerial identity_;
   ExprPtr root_;
   std::vector<Expr*> exprs_;
   std::vector<Step*> steps_;
+  std::unique_ptr<const QueryAnalysis> analysis_;
 };
 
 }  // namespace gkx::xpath

@@ -1,5 +1,9 @@
 #include "xpath/fragment.hpp"
 
+#include <optional>
+
+#include "xpath/analysis.hpp"
+
 namespace gkx::xpath {
 namespace {
 
@@ -108,8 +112,8 @@ bool IsWfQuery(const Expr& expr) {
   return IsWfPath(expr) || IsWfCondition(expr) || IsWfNumber(expr);
 }
 
-bool UsesForbiddenPXPathFunction(const QueryAnalysis& analysis,
-                                 std::string* which) {
+/// The first function of the query that pXPath excludes, if any.
+std::optional<Function> ForbiddenPXPathFunction(const QueryAnalysis& analysis) {
   static constexpr Function kForbidden[] = {
       Function::kNot,          Function::kCount,
       Function::kSum,          Function::kString,
@@ -122,29 +126,12 @@ bool UsesForbiddenPXPathFunction(const QueryAnalysis& analysis,
       Function::kSubstringAfter, Function::kTranslate,
   };
   for (Function f : kForbidden) {
-    if (analysis.functions_used.count(f) > 0) {
-      *which = std::string(FunctionName(f));
-      return true;
-    }
+    if (analysis.functions_used.count(f) > 0) return f;
   }
-  return false;
+  return std::nullopt;
 }
 
 }  // namespace
-
-ConditionReport ClassifyCondition(const Expr& expr,
-                                  const QueryAnalysis& analysis) {
-  ConditionReport report;
-  report.in_core = analysis.traits(expr).core_condition;
-  if (!report.in_core) {
-    if (IsWfCondition(expr) || IsWfNumber(expr)) {
-      report.note = "positional/arithmetic condition (WF, Def 2.6)";
-    } else {
-      report.note = "uses constructs beyond Core bexprs (Def 2.5)";
-    }
-  }
-  return report;
-}
 
 std::string_view FragmentName(Fragment fragment) {
   switch (fragment) {
@@ -196,11 +183,7 @@ bool FragmentReport::Contains(Fragment fragment) const {
 }
 
 FragmentReport Classify(const Query& query, const ClassifyOptions& options) {
-  return Classify(query, Analyze(query), options);
-}
-
-FragmentReport Classify(const Query& query, const QueryAnalysis& analysis,
-                        const ClassifyOptions& options) {
+  const QueryAnalysis& analysis = query.analysis();
   FragmentReport report;
   const Expr& root = query.root();
 
@@ -215,56 +198,11 @@ FragmentReport Classify(const Query& query, const QueryAnalysis& analysis,
   const bool nesting_ok = analysis.max_arith_depth <= options.nesting_bound;
   report.in_pwf = report.in_wf && !analysis.has_negation &&
                   analysis.max_predicates_per_step <= 1 && nesting_ok;
-
-  std::string forbidden_function;
-  const bool pxpath_functions_ok =
-      !UsesForbiddenPXPathFunction(analysis, &forbidden_function);
-  report.in_pxpath = pxpath_functions_ok &&
+  report.in_pxpath = !ForbiddenPXPathFunction(analysis).has_value() &&
                      analysis.max_predicates_per_step <= 1 &&
                      !analysis.relop_with_boolean_operand && nesting_ok &&
                      analysis.max_concat_depth <= options.nesting_bound &&
                      analysis.max_concat_arity <= options.nesting_bound;
-
-  // Notes: why the query fails each next-smaller fragment.
-  if (!report.in_pf && report.in_positive_core) {
-    report.notes.push_back("not PF: uses conditions");
-  }
-  if (!report.in_positive_core && report.in_core) {
-    report.notes.push_back("not positive Core XPath: uses not()");
-  }
-  if (!report.in_pwf && report.in_wf) {
-    if (analysis.has_negation) {
-      report.notes.push_back("not pWF: uses not() (Def 5.1 restriction 2)");
-    }
-    if (analysis.max_predicates_per_step > 1) {
-      report.notes.push_back(
-          "not pWF: iterated predicates (Def 5.1 restriction 1)");
-    }
-    if (!nesting_ok) {
-      report.notes.push_back(
-          "not pWF: arithmetic nesting exceeds the bound (restriction 3)");
-    }
-  }
-  if (!report.in_pxpath) {
-    if (!pxpath_functions_ok) {
-      report.notes.push_back("not pXPath: uses " + forbidden_function +
-                             "() (Def 6.1 restriction 2)");
-    }
-    if (analysis.max_predicates_per_step > 1) {
-      report.notes.push_back(
-          "not pXPath: iterated predicates (Def 6.1 restriction 1)");
-    }
-    if (analysis.relop_with_boolean_operand) {
-      report.notes.push_back(
-          "not pXPath: RelOp with a boolean operand (Def 6.1 restriction 3)");
-    }
-    if (!nesting_ok || analysis.max_concat_depth > options.nesting_bound ||
-        analysis.max_concat_arity > options.nesting_bound) {
-      report.notes.push_back(
-          "not pXPath: arithmetic/concat nesting or arity exceeds the bound "
-          "(Def 6.1 restriction 4)");
-    }
-  }
 
   if (report.in_pf) {
     report.smallest = Fragment::kPF;
@@ -282,6 +220,55 @@ FragmentReport Classify(const Query& query, const QueryAnalysis& analysis,
     report.smallest = Fragment::kFullXPath;
   }
   return report;
+}
+
+std::vector<std::string> ExplainFragments(const Query& query,
+                                          const ClassifyOptions& options) {
+  const QueryAnalysis& analysis = query.analysis();
+  const FragmentReport report = Classify(query, options);
+  const bool nesting_ok = analysis.max_arith_depth <= options.nesting_bound;
+  std::vector<std::string> notes;
+  if (!report.in_pf && report.in_positive_core) {
+    notes.push_back("not PF: uses conditions");
+  }
+  if (!report.in_positive_core && report.in_core) {
+    notes.push_back("not positive Core XPath: uses not()");
+  }
+  if (!report.in_pwf && report.in_wf) {
+    if (analysis.has_negation) {
+      notes.push_back("not pWF: uses not() (Def 5.1 restriction 2)");
+    }
+    if (analysis.max_predicates_per_step > 1) {
+      notes.push_back("not pWF: iterated predicates (Def 5.1 restriction 1)");
+    }
+    if (!nesting_ok) {
+      notes.push_back(
+          "not pWF: arithmetic nesting exceeds the bound (restriction 3)");
+    }
+  }
+  if (!report.in_pxpath) {
+    if (const std::optional<Function> forbidden =
+            ForbiddenPXPathFunction(analysis)) {
+      notes.push_back("not pXPath: uses " +
+                      std::string(FunctionName(*forbidden)) +
+                      "() (Def 6.1 restriction 2)");
+    }
+    if (analysis.max_predicates_per_step > 1) {
+      notes.push_back(
+          "not pXPath: iterated predicates (Def 6.1 restriction 1)");
+    }
+    if (analysis.relop_with_boolean_operand) {
+      notes.push_back(
+          "not pXPath: RelOp with a boolean operand (Def 6.1 restriction 3)");
+    }
+    if (!nesting_ok || analysis.max_concat_depth > options.nesting_bound ||
+        analysis.max_concat_arity > options.nesting_bound) {
+      notes.push_back(
+          "not pXPath: arithmetic/concat nesting or arity exceeds the bound "
+          "(Def 6.1 restriction 4)");
+    }
+  }
+  return notes;
 }
 
 }  // namespace gkx::xpath

@@ -10,9 +10,12 @@
 //                 restrictions)                                    LOGCFL-complete
 //   XPath         everything parsed                                P-complete
 //
-// Membership is syntactic. Remark 5.2's observation — positive Core XPath
-// with iterated predicates is *semantically* in pWF — is available through
-// the NormalizeIteratedPredicates transform (transform.hpp).
+// Membership is syntactic, read from the query's analysis
+// (Query::analysis()). Classify returns the membership flags, which plans
+// and answers carry; ExplainFragments returns the reasons as prose, for
+// people. Remark 5.2's observation — positive Core XPath with iterated
+// predicates is *semantically* in pWF — is available through the
+// NormalizeIteratedPredicates transform (transform.hpp).
 
 #ifndef GKX_XPATH_FRAGMENT_HPP_
 #define GKX_XPATH_FRAGMENT_HPP_
@@ -21,7 +24,6 @@
 #include <string_view>
 #include <vector>
 
-#include "xpath/analysis.hpp"
 #include "xpath/ast.hpp"
 
 namespace gkx::xpath {
@@ -60,34 +62,17 @@ struct FragmentReport {
   /// Core, WF, pXPath, XPath).
   Fragment smallest = Fragment::kFullXPath;
 
-  /// Human-readable exclusion reasons, one per fragment boundary crossed.
-  std::vector<std::string> notes;
-
   bool Contains(Fragment fragment) const;
 };
 
-/// Classification of a single predicate subtree — the bexpr grammar slot of
-/// the fragment definitions, as opposed to a whole query. The plan layer
-/// classifies every step's predicates through this to decide which engine a
-/// subexpression can soundly run on (Core bexprs are evaluable set-at-a-time
-/// as condition sets; anything else needs per-context evaluation).
-struct ConditionReport {
-  bool in_core = false;  // Core XPath bexpr (Def 2.5): and/or/not over paths
-  std::string note;      // first reason it exceeds Core ("" when in_core)
-};
-
-/// Classifies `expr` as it appears in predicate position, reading the
-/// query's analysis (ExprTraits::core_condition), so classifying every
-/// predicate of a query stays O(|Q|).
-ConditionReport ClassifyCondition(const Expr& expr,
-                                  const QueryAnalysis& analysis);
-
-/// Classifies a query. Uses a fresh Analyze() pass.
+/// Classifies a query.
 FragmentReport Classify(const Query& query, const ClassifyOptions& options = {});
 
-/// Classifies with a precomputed analysis (must belong to the same query).
-FragmentReport Classify(const Query& query, const QueryAnalysis& analysis,
-                        const ClassifyOptions& options = {});
+/// Why the query falls outside each next-smaller fragment: one line of
+/// prose per fragment boundary it crosses, in Classify's order (PF,
+/// positive Core, pWF, pXPath), e.g. "not PF: uses conditions".
+std::vector<std::string> ExplainFragments(const Query& query,
+                                          const ClassifyOptions& options = {});
 
 }  // namespace gkx::xpath
 

@@ -199,8 +199,7 @@ class Optimizer {
 }  // namespace
 
 Query Optimize(const Query& query, OptimizeStats* stats) {
-  QueryAnalysis analysis = Analyze(query);
-  Optimizer optimizer(analysis, stats);
+  Optimizer optimizer(query.analysis(), stats);
   return Query::Create(optimizer.Rewrite(query.root()));
 }
 

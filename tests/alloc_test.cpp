@@ -3,7 +3,9 @@
 // answers entirely, and compares what a batch allocated with what copying
 // its answers allocates. Serving a hit may cost that copy of the cached
 // Answer and nothing else per request, plus a constant per batch; the
-// 2-shard router adds nothing per request.
+// 2-shard router adds nothing per request. The copy itself costs at most one
+// allocation per answer: an Answer holds its value, the plan's fragment
+// flags and its route string, and no classifier prose.
 //
 // The corpus has the shape of wirebench's hot_read workload: 64 documents
 // of 200-600 nodes keyed "doc<i>" and 48 generated queries.
@@ -172,6 +174,7 @@ TEST(WarmPathAllocationTest, QueryServiceAllocatesOnlyTheAnswerCopy) {
     Report("QueryService", m, n);
     EXPECT_EQ(m.hits, static_cast<int64_t>(n));
     EXPECT_GT(m.copied, 0);
+    EXPECT_LE(m.copied, static_cast<int64_t>(n)) << n << " answer copies";
     EXPECT_LE(m.served, m.copied + kPerBatch) << n << " requests";
   }
 }
@@ -194,6 +197,7 @@ TEST(WarmPathAllocationTest, RouterAddsNoAllocationPerRequest) {
         });
     Report("2-shard router", m, n);
     EXPECT_EQ(m.hits, static_cast<int64_t>(n));
+    EXPECT_LE(m.copied, static_cast<int64_t>(n)) << n << " answer copies";
     EXPECT_LE(m.served, m.copied + kPerBatch) << n << " requests";
   }
 }

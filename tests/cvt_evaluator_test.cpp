@@ -1,6 +1,7 @@
 // Context-value-table internals: table shapes by dependence class (and the
 // position-dependent expressions that get none), entry accounting,
-// eager-vs-lazy behavior, evaluator reuse across documents and queries, and
+// eager-vs-lazy behavior, evaluator reuse across runs, documents and
+// queries, and
 // the deep-document robustness of the whole xml+eval stack (iterative
 // builder/serializer, chain documents thousands of nodes deep).
 
@@ -172,6 +173,25 @@ TEST(CvtTablesTest, EvaluatorReuseAcrossQueriesAndDocuments) {
   NaiveEvaluator naive;
   EXPECT_TRUE(b->Equals(*naive.EvaluateAtRoot(doc2, q1)));
   EXPECT_TRUE(c->Equals(*naive.EvaluateAtRoot(doc1, q2)));
+}
+
+TEST(CvtTablesTest, EveryRunFillsItsOwnTables) {
+  // One evaluator, the same query on the same document twice: each run
+  // binds afresh, so the second does the first's work again, cell for cell.
+  xml::Document doc = xml::BalancedDocument(2, 6);
+  xpath::Query query =
+      MustParse("descendant::t1[child::t2 and count(child::*) = 2]");
+  CvtEvaluator cvt;
+  auto first = cvt.EvaluateAtRoot(doc, query);
+  ASSERT_TRUE(first.ok());
+  const int64_t evaluations = cvt.last_eval_count();
+  const int64_t entries = cvt.last_table_entries();
+  ASSERT_GT(evaluations, 0);
+  auto second = cvt.EvaluateAtRoot(doc, query);
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(first->Equals(*second));
+  EXPECT_EQ(cvt.last_eval_count(), evaluations);
+  EXPECT_EQ(cvt.last_table_entries(), entries);
 }
 
 TEST(CvtTablesTest, ErrorsInsidePredicatesPropagate) {

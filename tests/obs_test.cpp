@@ -528,7 +528,7 @@ std::string GoldenLeaves(const Service& service) {
   return out;
 }
 
-const char kSingleServiceGolden[] = R"(answer_cache.bytes:number=2418
+const char kSingleServiceGolden[] = R"(answer_cache.bytes:number=2130
 answer_cache.declined:number=0
 answer_cache.enabled:bool=true
 answer_cache.entries:number=12
@@ -594,7 +594,7 @@ subscriptions.fired:number=7
 subscriptions.skipped_disjoint:number=2
 )";
 
-const char kTwoShardRouterGolden[] = R"(answer_cache.bytes:number=2418
+const char kTwoShardRouterGolden[] = R"(answer_cache.bytes:number=2130
 answer_cache.declined:number=0
 answer_cache.enabled:bool=true
 answer_cache.entries:number=12
@@ -639,7 +639,7 @@ service.slow_queries:number=29
 service.slow_query_threshold_ms:number
 service.tracing:bool=true
 sharding.shards:number=2
-shards.0.answer_cache.bytes:number=1604
+shards.0.answer_cache.bytes:number=1412
 shards.0.answer_cache.declined:number=0
 shards.0.answer_cache.enabled:bool=true
 shards.0.answer_cache.entries:number=8
@@ -704,7 +704,7 @@ shards.0.subscriptions.coalesced:number=0
 shards.0.subscriptions.evaluations:number=4
 shards.0.subscriptions.fired:number=3
 shards.0.subscriptions.skipped_disjoint:number=2
-shards.1.answer_cache.bytes:number=814
+shards.1.answer_cache.bytes:number=718
 shards.1.answer_cache.declined:number=0
 shards.1.answer_cache.enabled:bool=true
 shards.1.answer_cache.entries:number=4
@@ -806,7 +806,7 @@ subscriptions.fired:number=7
 subscriptions.skipped_disjoint:number=2
 )";
 
-const char kDurableTwoShardRouterGolden[] = R"(answer_cache.bytes:number=2418
+const char kDurableTwoShardRouterGolden[] = R"(answer_cache.bytes:number=2130
 answer_cache.declined:number=0
 answer_cache.enabled:bool=true
 answer_cache.entries:number=12
@@ -858,7 +858,7 @@ service.slow_queries:number=29
 service.slow_query_threshold_ms:number
 service.tracing:bool=true
 sharding.shards:number=2
-shards.0.answer_cache.bytes:number=1604
+shards.0.answer_cache.bytes:number=1412
 shards.0.answer_cache.declined:number=0
 shards.0.answer_cache.enabled:bool=true
 shards.0.answer_cache.entries:number=8
@@ -930,7 +930,7 @@ shards.0.subscriptions.coalesced:number=0
 shards.0.subscriptions.evaluations:number=4
 shards.0.subscriptions.fired:number=3
 shards.0.subscriptions.skipped_disjoint:number=2
-shards.1.answer_cache.bytes:number=814
+shards.1.answer_cache.bytes:number=718
 shards.1.answer_cache.declined:number=0
 shards.1.answer_cache.enabled:bool=true
 shards.1.answer_cache.entries:number=4

@@ -175,9 +175,15 @@ TEST(PlanCachePropertyTest, ConcurrentEquivalentSpellingsConvergeOnOnePlan) {
       EXPECT_EQ(returned[0].get(), returned[i].get())
           << spellings[i] << " round " << round;
     }
+    // Every spelling is resident: each lookup is a raw-text hit.
+    const int64_t hits = cache.counters().hits;
     for (const std::string& spelling : spellings) {
-      EXPECT_EQ(cache.Peek(spelling).get(), returned[0].get()) << spelling;
+      auto resident = cache.GetOrCompile(spelling);
+      ASSERT_TRUE(resident.ok());
+      EXPECT_EQ(resident->get(), returned[0].get()) << spelling;
     }
+    EXPECT_EQ(cache.counters().hits,
+              hits + static_cast<int64_t>(spellings.size()));
   }
 }
 

@@ -1,5 +1,5 @@
-// The staged plan IR: normalize idempotence, per-subexpression
-// classification golden cases, segment lowering, and materialization-
+// The staged plan IR: normalize idempotence, per-step routing golden
+// cases, segment lowering, and materialization-
 // boundary correctness (every plan shape runs through the one executor and
 // must be byte-identical to the naive spec-reading oracle, from root and
 // non-root contexts alike).
@@ -26,7 +26,7 @@ namespace {
 
 using eval::NodeSet;
 
-Logical NormalizeText(const std::string& text) {
+Normalized NormalizeText(const std::string& text) {
   auto parsed = xpath::ParseQuery(text);
   GKX_CHECK(parsed.ok());
   return Normalize(std::move(*parsed));
@@ -49,8 +49,8 @@ TEST(NormalizeTest, CanonicalFormIsIdempotent) {
       "self::node()/child::a/self::node()",
   };
   for (const char* text : spellings) {
-    Logical once = NormalizeText(text);
-    Logical twice = NormalizeText(once.canonical_text);
+    Normalized once = NormalizeText(text);
+    Normalized twice = NormalizeText(once.canonical_text);
     EXPECT_EQ(once.canonical_text, twice.canonical_text) << text;
   }
 }
@@ -67,44 +67,43 @@ TEST(NormalizeTest, SharesThePlanCacheNormalForm) {
   }
 }
 
-TEST(ClassifyOpsTest, AnnotatesEveryStepWithItsCheapestRoute) {
+TEST(StepRouteTest, EveryStepTakesItsCheapestRoute) {
   Physical plan =
       CompileText("/descendant::a/child::b[position() = 2]/descendant::c");
   ASSERT_EQ(plan.query.num_steps(), 3);
-  // Step ids are preorder within the query; the three top-level steps.
-  EXPECT_EQ(plan.steps[0].route, Route::kPfFrontier);
-  EXPECT_EQ(plan.steps[1].route, Route::kCvt);
-  EXPECT_FALSE(plan.steps[1].core_predicates);
-  EXPECT_FALSE(plan.steps[1].note.empty());
-  EXPECT_EQ(plan.steps[2].route, Route::kPfFrontier);
-
+  // A predicate-free step, a positional one, a predicate-free one: one
+  // segment each.
   ASSERT_EQ(plan.branches.size(), 1u);
-  ASSERT_EQ(plan.branches[0].segments.size(), 3u);
+  const std::vector<Segment>& segments = plan.branches[0].segments;
+  ASSERT_EQ(segments.size(), 3u);
+  EXPECT_EQ(segments[0].route, Route::kPfFrontier);
+  EXPECT_EQ(segments[1].route, Route::kCvt);
+  EXPECT_EQ(segments[1].step_begin, 1);
+  EXPECT_EQ(segments[1].step_end, 2);
+  EXPECT_EQ(segments[2].route, Route::kPfFrontier);
   EXPECT_EQ(plan.route_label, "pf-frontier+cvt+pf-frontier");
 }
 
-TEST(ClassifyOpsTest, CorePredicatesStayOnTheBitsetPath) {
+TEST(StepRouteTest, CorePredicatesStayOnTheBitsetPath) {
   // Core bexpr predicates (including not()) are condition-set evaluable:
   // the Core step and the predicate-free step fuse into one bitset segment.
   Physical plan = CompileText("/descendant::a[not(child::b)]/child::c");
-  EXPECT_EQ(plan.steps[0].route, Route::kCoreLinear);
-  EXPECT_TRUE(plan.steps[0].core_predicates);
-  EXPECT_EQ(plan.steps[1].route, Route::kPfFrontier);
   ASSERT_EQ(plan.branches.size(), 1u);
   ASSERT_EQ(plan.branches[0].segments.size(), 1u);
   EXPECT_EQ(plan.branches[0].segments[0].route, Route::kCoreLinear);
+  EXPECT_EQ(plan.branches[0].segments[0].step_end, 2);
   EXPECT_EQ(plan.route_label, "core-linear");
 }
 
-TEST(ClassifyOpsTest, MixedPredicatesOnOneStepNeedCvt) {
+TEST(StepRouteTest, MixedPredicatesOnOneStepNeedCvt) {
   Physical plan = CompileText("/descendant::a[child::b][position() = 2]");
-  EXPECT_EQ(plan.steps[0].route, Route::kCvt);
   ASSERT_EQ(plan.branches.size(), 1u);
   ASSERT_EQ(plan.branches[0].segments.size(), 1u);
+  EXPECT_EQ(plan.branches[0].segments[0].route, Route::kCvt);
   EXPECT_EQ(plan.route_label, "cvt");
 }
 
-TEST(ClassifyOpsTest, ScalarRootsRunWholeOnCvt) {
+TEST(StepRouteTest, ScalarRootsRunWholeOnCvt) {
   Physical plan = CompileText("count(/descendant::a[position() = 2])");
   EXPECT_TRUE(plan.branches.empty());
   EXPECT_EQ(plan.route_label, "cvt");
@@ -390,7 +389,8 @@ TEST(ConditionSetRouteTest, OneEngineAcrossPlansDocumentsAndRevisions) {
   expect_oracle(s, a, "S on A");
   expect_oracle(s, b, "S on B");
   expect_oracle(p, b, "P on B");
-  // A new revision of A at A's own address: only the serial tells it apart.
+  // A new revision of A at A's own address: every run binds the engine
+  // afresh, so nothing read for an earlier revision answers for this one.
   for (int edit = 0; edit < 4; ++edit) {
     auto revised = xml::ApplyEdit(a, xml::RandomSubtreeEdit(&rng, a));
     ASSERT_TRUE(revised.ok());

@@ -113,7 +113,7 @@ TEST(CircuitReductionTest, AxisCensusDefault) {
   Circuit circuit = CarryCircuit(2);
   CircuitReduction instance =
       CircuitToCoreXPath(circuit, {false, false, false, false});
-  xpath::QueryAnalysis analysis = xpath::Analyze(instance.query);
+  const xpath::QueryAnalysis& analysis = instance.query.analysis();
   using xpath::Axis;
   EXPECT_TRUE(analysis.axes_used[static_cast<size_t>(Axis::kDescendantOrSelf)]);
   EXPECT_TRUE(analysis.axes_used[static_cast<size_t>(Axis::kAncestorOrSelf)]);
@@ -131,7 +131,7 @@ TEST(CircuitReductionTest, Corollary33AxisSet) {
   options.corollary33_axes = true;
   CircuitReduction instance =
       CircuitToCoreXPath(circuit, {true, true, false, true}, options);
-  xpath::QueryAnalysis analysis = xpath::Analyze(instance.query);
+  const xpath::QueryAnalysis& analysis = instance.query.analysis();
   using xpath::Axis;
   EXPECT_FALSE(analysis.axes_used[static_cast<size_t>(Axis::kAncestorOrSelf)]);
   EXPECT_FALSE(analysis.axes_used[static_cast<size_t>(Axis::kAncestor)]);

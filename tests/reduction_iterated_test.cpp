@@ -67,7 +67,7 @@ TEST(IteratedReductionTest, QueryShapeMatchesCorollary58) {
   Circuit circuit = CarryCircuit(2);
   CircuitReduction instance =
       CircuitToIteratedPwf(circuit, {true, false, true, true});
-  xpath::QueryAnalysis analysis = xpath::Analyze(instance.query);
+  const xpath::QueryAnalysis& analysis = instance.query.analysis();
   // Negation-free, predicate chains of length exactly <= 2 (Cor 5.8), uses
   // last(), stays inside WF + iterated predicates.
   EXPECT_FALSE(analysis.has_negation);

@@ -66,7 +66,7 @@ TEST(ReachReductionTest, QueryIsPF) {
   EXPECT_TRUE(report.in_pf);
   EXPECT_EQ(report.smallest, xpath::Fragment::kPF);
 
-  xpath::QueryAnalysis analysis = xpath::Analyze(instance.query);
+  const xpath::QueryAnalysis& analysis = instance.query.analysis();
   using xpath::Axis;
   EXPECT_EQ(analysis.max_predicates_per_step, 0);
   for (int a = 0; a < xpath::kNumAxes; ++a) {

@@ -245,9 +245,12 @@ TEST(PlanCacheTest, LruEviction) {
   ASSERT_TRUE(cache.GetOrCompile("child::t4").ok());
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.counters().evictions, 1);
-  EXPECT_NE(cache.Peek("child::t0"), nullptr);
-  EXPECT_EQ(cache.Peek("child::t1"), nullptr);  // evicted
-  EXPECT_NE(cache.Peek("child::t4"), nullptr);
+  const PlanCache::Counters before = cache.counters();
+  ASSERT_TRUE(cache.GetOrCompile("child::t0").ok());
+  ASSERT_TRUE(cache.GetOrCompile("child::t4").ok());
+  EXPECT_EQ(cache.counters().hits, before.hits + 2);
+  ASSERT_TRUE(cache.GetOrCompile("child::t1").ok());  // evicted: recompiles
+  EXPECT_EQ(cache.counters().misses, before.misses + 1);
 }
 
 // -------------------------------------------------------------- QueryService

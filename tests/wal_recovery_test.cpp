@@ -221,7 +221,7 @@ TEST(WalFaultTest, CorruptManifestFailsOpenAndServiceDegrades) {
   const std::string dir = TempDirFor("manifest");
   {
     service::QueryService::Options options;
-    options.wal_dir = dir;
+    options.wal.dir = dir;
     service::QueryService service(options);
     ASSERT_TRUE(service.wal_status().ok()) << service.wal_status().ToString();
     ASSERT_TRUE(service.RegisterDocument("d", xml::ChainDocument(4)).ok());
@@ -244,7 +244,7 @@ TEST(WalFaultTest, CorruptManifestFailsOpenAndServiceDegrades) {
   }
   // Through the service: constructs, serves, reports why it is not durable.
   service::QueryService::Options options;
-  options.wal_dir = dir;
+  options.wal.dir = dir;
   service::QueryService degraded(options);
   EXPECT_FALSE(degraded.wal_enabled());
   EXPECT_FALSE(degraded.wal_status().ok());
@@ -398,7 +398,7 @@ TEST(WalRecoveryTest, ServiceRoundTripServesRecoveredCorpus) {
   std::string expect_b;
   {
     service::QueryService::Options options;
-    options.wal_dir = dir;
+    options.wal.dir = dir;
     service::QueryService service(options);
     ASSERT_TRUE(service.wal_status().ok()) << service.wal_status().ToString();
     ASSERT_TRUE(service.RegisterDocument("a", xml::ChainDocument(6)).ok());
@@ -418,7 +418,7 @@ TEST(WalRecoveryTest, ServiceRoundTripServesRecoveredCorpus) {
     expect_b = testkit::AnswerDigest(baseline->value);
   }
   service::QueryService::Options options;
-  options.wal_dir = dir;
+  options.wal.dir = dir;
   service::QueryService service(options);
   ASSERT_TRUE(service.wal_status().ok()) << service.wal_status().ToString();
   ASSERT_TRUE(service.wal_enabled());

@@ -1,6 +1,5 @@
-// DocumentIndex: posting lists agree with brute-force scans over tags,
-// extra labels (Remark 3.1), and attributes, on handcrafted and random
-// documents.
+// DocumentIndex: posting lists agree with brute-force scans over tags and
+// extra labels (Remark 3.1), on handcrafted and random documents.
 
 #include <gtest/gtest.h>
 
@@ -26,9 +25,6 @@ TEST(DocumentIndexTest, PostingListsAreSortedAndComplete) {
   EXPECT_EQ(index.NodesWithName("b"), (std::vector<NodeId>{2, 3}));
   EXPECT_EQ(index.NodesWithName("r"), (std::vector<NodeId>{0}));
   EXPECT_TRUE(index.NodesWithName("zzz").empty());
-  EXPECT_EQ(index.NodesWithAttribute("x"), (std::vector<NodeId>{1, 5}));
-  EXPECT_EQ(index.NodesWithAttribute("y"), (std::vector<NodeId>{5}));
-  EXPECT_TRUE(index.NodesWithAttribute("absent").empty());
 }
 
 TEST(DocumentIndexTest, ExtraLabelsAreIndexed) {
@@ -38,17 +34,6 @@ TEST(DocumentIndexTest, ExtraLabelsAreIndexed) {
   EXPECT_EQ(index.NodesWithName("l0"), (std::vector<NodeId>{1}));
   EXPECT_EQ(index.NodesWithName("l1"), (std::vector<NodeId>{1, 2}));
   EXPECT_EQ(index.NodesWithName("a"), (std::vector<NodeId>{1}));
-}
-
-TEST(DocumentIndexTest, CountWithNameInSubtree) {
-  Document doc = Doc("<r><a><b/><b/></a><a><b/></a></r>");
-  DocumentIndex index(doc);
-  NameId b = doc.FindName("b");
-  EXPECT_EQ(index.CountWithNameInSubtree(b, 0), 3);
-  EXPECT_EQ(index.CountWithNameInSubtree(b, 1), 2);
-  EXPECT_EQ(index.CountWithNameInSubtree(b, 4), 1);
-  EXPECT_EQ(index.CountWithNameInSubtree(b, 2), 1);  // a b node itself
-  EXPECT_EQ(index.CountWithNameInSubtree(doc.FindName("a"), 1), 1);
 }
 
 TEST(DocumentIndexTest, AppendNamedInRange) {

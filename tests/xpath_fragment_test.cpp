@@ -14,14 +14,13 @@
 namespace gkx::xpath {
 namespace {
 
-QueryAnalysis AnalyzeText(std::string_view text) {
-  Query q = MustParse(text);
-  return Analyze(q);
+QueryAnalysis AnalysisOf(std::string_view text) {
+  return MustParse(text).analysis();
 }
 
 TEST(AnalysisTest, DependenceClasses) {
   Query q = MustParse("child::a[position() = 2]/child::b[self::c]");
-  QueryAnalysis analysis = Analyze(q);
+  const QueryAnalysis& analysis = q.analysis();
   // The whole path depends on the context node only (positions rebind).
   EXPECT_EQ(analysis.traits(q.root()).dependence, ContextDependence::kNode);
   // Inside the first predicate, position()=2 depends on the full context.
@@ -32,18 +31,18 @@ TEST(AnalysisTest, DependenceClasses) {
 
 TEST(AnalysisTest, AbsolutePathIsContextFree) {
   Query q = MustParse("/descendant::a");
-  QueryAnalysis analysis = Analyze(q);
+  const QueryAnalysis& analysis = q.analysis();
   EXPECT_EQ(analysis.traits(q.root()).dependence, ContextDependence::kNone);
 }
 
 TEST(AnalysisTest, LiteralsAreContextFree) {
   Query q = MustParse("1 + 2");
-  EXPECT_EQ(Analyze(q).traits(q.root()).dependence, ContextDependence::kNone);
+  EXPECT_EQ(q.analysis().traits(q.root()).dependence, ContextDependence::kNone);
 }
 
 TEST(AnalysisTest, ZeroArgStringFunctionsDependOnNode) {
   Query q = MustParse("string-length() = 3");
-  EXPECT_EQ(Analyze(q).traits(q.root()).dependence, ContextDependence::kNode);
+  EXPECT_EQ(q.analysis().traits(q.root()).dependence, ContextDependence::kNode);
 }
 
 TEST(AnalysisTest, DependenceGoldens) {
@@ -72,13 +71,13 @@ TEST(AnalysisTest, DependenceGoldens) {
   };
   for (const Golden& golden : goldens) {
     Query q = MustParse(golden.text);
-    EXPECT_EQ(Analyze(q).traits(q.root()).dependence, golden.dependence)
+    EXPECT_EQ(q.analysis().traits(q.root()).dependence, golden.dependence)
         << golden.text;
   }
   // A step rebinds the context: its position-dependent predicate does not
   // make the path position-dependent.
   Query q = MustParse("child::a[position() * 2 > last()]");
-  const QueryAnalysis analysis = Analyze(q);
+  const QueryAnalysis& analysis = q.analysis();
   EXPECT_EQ(analysis.traits(q.root()).dependence, kNode);
   const Step& step = q.root().As<PathExpr>().step(0);
   EXPECT_EQ(analysis.traits(*step.predicates[0]).dependence, kFull);
@@ -107,13 +106,13 @@ TEST(AnalysisTest, PositionTestGoldens) {
   };
   for (const Golden& golden : goldens) {
     Query q = MustParse(golden.text);
-    EXPECT_EQ(Analyze(q).traits(q.root()).position_test, golden.position_test)
+    EXPECT_EQ(q.analysis().traits(q.root()).position_test, golden.position_test)
         << golden.text;
   }
   // In a mixed predicate each operand keeps its own trait: the Core path
   // is a Core condition, the arithmetic a position test.
   Query q = MustParse("child::a[child::b or position() + 1 = last()]");
-  const QueryAnalysis analysis = Analyze(q);
+  const QueryAnalysis& analysis = q.analysis();
   const auto& mixed =
       q.root().As<PathExpr>().step(0).predicates[0]->As<BinaryExpr>();
   EXPECT_FALSE(analysis.traits(mixed).position_test);
@@ -123,40 +122,40 @@ TEST(AnalysisTest, PositionTestGoldens) {
 }
 
 TEST(AnalysisTest, PredicateCounts) {
-  EXPECT_EQ(AnalyzeText("a[b][c][d]").max_predicates_per_step, 3);
-  EXPECT_EQ(AnalyzeText("a[b]/c[d]").max_predicates_per_step, 1);
-  EXPECT_EQ(AnalyzeText("a/b").max_predicates_per_step, 0);
+  EXPECT_EQ(AnalysisOf("a[b][c][d]").max_predicates_per_step, 3);
+  EXPECT_EQ(AnalysisOf("a[b]/c[d]").max_predicates_per_step, 1);
+  EXPECT_EQ(AnalysisOf("a/b").max_predicates_per_step, 0);
 }
 
 TEST(AnalysisTest, NotDepth) {
-  EXPECT_EQ(AnalyzeText("a[not(b)]").max_not_depth, 1);
-  EXPECT_EQ(AnalyzeText("a[not(b[not(c)])]").max_not_depth, 2);
-  EXPECT_EQ(AnalyzeText("a[not(b) and not(c)]").max_not_depth, 1);
-  EXPECT_EQ(AnalyzeText("a[b]").max_not_depth, 0);
+  EXPECT_EQ(AnalysisOf("a[not(b)]").max_not_depth, 1);
+  EXPECT_EQ(AnalysisOf("a[not(b[not(c)])]").max_not_depth, 2);
+  EXPECT_EQ(AnalysisOf("a[not(b) and not(c)]").max_not_depth, 1);
+  EXPECT_EQ(AnalysisOf("a[b]").max_not_depth, 0);
 }
 
 TEST(AnalysisTest, ArithDepth) {
-  EXPECT_EQ(AnalyzeText("1 + 2").max_arith_depth, 1);
-  EXPECT_EQ(AnalyzeText("1 + 2 * 3").max_arith_depth, 2);
-  EXPECT_EQ(AnalyzeText("position() = 2").max_arith_depth, 0);
-  EXPECT_EQ(AnalyzeText("-(1 + 2 * 3)").max_arith_depth, 3);
+  EXPECT_EQ(AnalysisOf("1 + 2").max_arith_depth, 1);
+  EXPECT_EQ(AnalysisOf("1 + 2 * 3").max_arith_depth, 2);
+  EXPECT_EQ(AnalysisOf("position() = 2").max_arith_depth, 0);
+  EXPECT_EQ(AnalysisOf("-(1 + 2 * 3)").max_arith_depth, 3);
 }
 
 TEST(AnalysisTest, ConcatMeasures) {
-  QueryAnalysis a = AnalyzeText("concat('a', concat('b', 'c', 'd'))");
+  QueryAnalysis a = AnalysisOf("concat('a', concat('b', 'c', 'd'))");
   EXPECT_EQ(a.max_concat_depth, 2);
   EXPECT_EQ(a.max_concat_arity, 3);
 }
 
 TEST(AnalysisTest, RelopOperandTyping) {
-  EXPECT_TRUE(AnalyzeText("boolean(a) = true()").relop_with_boolean_operand);
-  EXPECT_FALSE(AnalyzeText("position() = 2").relop_with_boolean_operand);
-  EXPECT_TRUE(AnalyzeText("child::a = 'x'").relop_with_nonnumber_operand);
-  EXPECT_FALSE(AnalyzeText("1 < 2").relop_with_nonnumber_operand);
+  EXPECT_TRUE(AnalysisOf("boolean(a) = true()").relop_with_boolean_operand);
+  EXPECT_FALSE(AnalysisOf("position() = 2").relop_with_boolean_operand);
+  EXPECT_TRUE(AnalysisOf("child::a = 'x'").relop_with_nonnumber_operand);
+  EXPECT_FALSE(AnalysisOf("1 < 2").relop_with_nonnumber_operand);
 }
 
 TEST(AnalysisTest, AxisCensus) {
-  QueryAnalysis a = AnalyzeText("ancestor::x/child::y");
+  QueryAnalysis a = AnalysisOf("ancestor::x/child::y");
   EXPECT_TRUE(a.axes_used[static_cast<size_t>(Axis::kAncestor)]);
   EXPECT_TRUE(a.axes_used[static_cast<size_t>(Axis::kChild)]);
   EXPECT_FALSE(a.axes_used[static_cast<size_t>(Axis::kFollowing)]);
@@ -250,13 +249,21 @@ TEST(FragmentTest, ComplexityStrings) {
             std::string_view::npos);
 }
 
-TEST(FragmentTest, NotesExplainExclusions) {
-  FragmentReport report = Classify(MustParse("a[not(b)]"));
+TEST(FragmentTest, ExplainFragmentsNamesExclusions) {
+  const std::vector<std::string> notes =
+      ExplainFragments(MustParse("a[not(b)]"));
   bool found = false;
-  for (const std::string& note : report.notes) {
+  for (const std::string& note : notes) {
     if (note.find("not()") != std::string::npos) found = true;
   }
   EXPECT_TRUE(found);
+  // One line per boundary crossed, in Classify's order; none for PF.
+  EXPECT_EQ(ExplainFragments(MustParse("a[b][c]")),
+            (std::vector<std::string>{
+                "not PF: uses conditions",
+                "not pWF: iterated predicates (Def 5.1 restriction 1)",
+                "not pXPath: iterated predicates (Def 6.1 restriction 1)"}));
+  EXPECT_TRUE(ExplainFragments(MustParse("/descendant::a/child::b")).empty());
 }
 
 // --- Paper's own example queries classify sensibly ---
