@@ -1,9 +1,8 @@
 // Context-value-table internals: table shapes by dependence class (and the
 // position-dependent expressions that get none), entry accounting,
 // eager-vs-lazy behavior, evaluator reuse across runs, documents and
-// queries, and
-// the deep-document robustness of the whole xml+eval stack (iterative
-// builder/serializer, chain documents thousands of nodes deep).
+// queries, and the deep-document robustness of the whole xml+eval stack
+// (iterative builder/serializer, chain documents thousands of nodes deep).
 
 #include <gtest/gtest.h>
 
