@@ -222,8 +222,8 @@ FragmentReport Classify(const Query& query, const ClassifyOptions& options) {
   return report;
 }
 
-std::vector<std::string> ExplainFragments(const Query& query,
-                                          const ClassifyOptions& options) {
+std::vector<std::string> ExplainFragments(const Query& query) {
+  const ClassifyOptions options;
   const QueryAnalysis& analysis = query.analysis();
   const FragmentReport report = Classify(query, options);
   const bool nesting_ok = analysis.max_arith_depth <= options.nesting_bound;

@@ -68,11 +68,11 @@ struct FragmentReport {
 /// Classifies a query.
 FragmentReport Classify(const Query& query, const ClassifyOptions& options = {});
 
-/// Why the query falls outside each next-smaller fragment: one line of
-/// prose per fragment boundary it crosses, in Classify's order (PF,
-/// positive Core, pWF, pXPath), e.g. "not PF: uses conditions".
-std::vector<std::string> ExplainFragments(const Query& query,
-                                          const ClassifyOptions& options = {});
+/// Why the query falls outside each next-smaller fragment under the
+/// default ClassifyOptions: one line of prose per fragment boundary it
+/// crosses, in Classify's order (PF, positive Core, pWF, pXPath), e.g.
+/// "not PF: uses conditions".
+std::vector<std::string> ExplainFragments(const Query& query);
 
 }  // namespace gkx::xpath
 
