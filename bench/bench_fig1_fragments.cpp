@@ -5,17 +5,23 @@
 // (the route census), and per-fragment timings on a fixed document are
 // reported.
 
+#include <time.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "eval/cvt_evaluator.hpp"
 #include "eval/engine.hpp"
 #include "plan/physical.hpp"
+#include "testkit/workload.hpp"
 #include "xml/generator.hpp"
+#include "xml/parser.hpp"
+#include "xml/serializer.hpp"
 #include "xpath/generator.hpp"
 #include "xpath/parser.hpp"
 #include "xpath/printer.hpp"
@@ -193,6 +199,148 @@ void RunRandomCensusAndTiming(bench::JsonReport* json) {
   table.Print();
 }
 
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// FNV-1a over 64-bit words.
+uint64_t Fnv(uint64_t hash, uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (word >> (8 * i)) & 0xff;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// The served pool's evaluation layer, route by route: the 96 cold_eval pool
+// queries (pool seed 1, drawn as wirebench draws them) over the first 128
+// seed-7 cold_eval-shaped documents (1,000-3,000 nodes, serialized and
+// re-parsed as wirebench registers them), each pair run through
+// Engine::RunPlan on a fresh Engine, best of 5 in thread CPU, with an
+// ExecTrace per segment. Reported, not barred: µs per document for each
+// segment route (the best of 5 of each segment's traced time), the pool
+// total (the best of 5 of each pair's thread CPU) and an answer checksum,
+// so an evaluator change can read its effect on this layer from the
+// committed file.
+void RunServedPoolCensus(bench::JsonReport* json) {
+  constexpr int kDocuments = 128;
+  constexpr int kReps = 5;
+  testkit::WorkloadSpec pool_spec;
+  pool_spec.seed = 1;
+  pool_spec.operations = 1;
+  pool_spec.documents = 1;
+  pool_spec.min_document_nodes = pool_spec.max_document_nodes = 1;
+  pool_spec.queries = 96;
+  pool_spec.churn_probability = 0.0;
+  auto pool = testkit::CompileWorkload(pool_spec);
+  GKX_CHECK(pool.ok());
+  testkit::WorkloadSpec corpus_spec;
+  corpus_spec.seed = 7;
+  corpus_spec.operations = 1;
+  corpus_spec.documents = 512;
+  corpus_spec.min_document_nodes = 1000;
+  corpus_spec.max_document_nodes = 3000;
+  corpus_spec.queries = 1;
+  corpus_spec.churn_probability = 0.0;
+  auto corpus = testkit::CompileWorkload(corpus_spec);
+  GKX_CHECK(corpus.ok());
+
+  std::vector<eval::Engine::Plan> plans;
+  for (const std::string& text : pool->queries) {
+    auto plan = eval::Engine::Compile(text);
+    GKX_CHECK(plan.ok());
+    plans.push_back(std::move(plan).value());
+  }
+  xml::SerializeOptions compact;
+  compact.indent = 0;
+  std::map<plan::Route, double> route_seconds;
+  std::map<plan::Route, int64_t> route_segments;
+  std::vector<double> query_seconds(plans.size(), 0.0);
+  double total_seconds = 0.0;
+  uint64_t checksum = 0xcbf29ce484222325ULL;
+  for (int d = 0; d < kDocuments; ++d) {
+    auto doc = xml::ParseDocument(xml::SerializeDocument(
+        corpus->revisions[static_cast<size_t>(d)].front(), compact));
+    GKX_CHECK(doc.ok());
+    for (size_t q = 0; q < plans.size(); ++q) {
+      double best_cpu = 1e99;
+      std::vector<double> best_segment;
+      plan::ExecTrace trace;
+      Result<eval::Engine::Answer> answer = InternalError("not run");
+      for (int r = 0; r < kReps; ++r) {
+        trace.clear();
+        eval::Engine engine;
+        const double t0 = ThreadCpuSeconds();
+        answer = engine.RunPlan(*doc, plans[q], eval::RootContext(*doc), &trace);
+        best_cpu = std::min(best_cpu, ThreadCpuSeconds() - t0);
+        GKX_CHECK(answer.ok());
+        best_segment.resize(trace.size(), 1e99);
+        for (size_t i = 0; i < trace.size(); ++i) {
+          best_segment[i] = std::min(best_segment[i], trace[i].seconds);
+        }
+      }
+      total_seconds += best_cpu;
+      query_seconds[q] += best_cpu;
+      for (size_t i = 0; i < trace.size(); ++i) {
+        route_seconds[trace[i].route] += best_segment[i];
+        ++route_segments[trace[i].route];
+      }
+      const eval::Value& value = answer->value;
+      checksum = Fnv(checksum, (uint64_t{q} << 32) | static_cast<uint32_t>(d));
+      if (value.is_node_set()) {
+        for (xml::NodeId v : value.nodes()) {
+          checksum = Fnv(checksum, static_cast<uint64_t>(v));
+        }
+      } else {
+        checksum = Fnv(checksum, std::hash<std::string>()(value.ToString(*doc)));
+      }
+    }
+  }
+
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(checksum));
+  const double per_doc = 1e6 / kDocuments;
+  bench::Table table({"segment route", "segments", "us per document"});
+  for (const auto& [route, seconds] : route_seconds) {
+    table.AddRow({std::string(plan::RouteName(route)),
+                  bench::Num(route_segments[route]),
+                  bench::Ratio(seconds * per_doc, 1)});
+    json->AddRow({{"section", bench::JsonStr("served_pool")},
+                  {"route", bench::JsonStr(plan::RouteName(route))},
+                  {"segments", bench::JsonNum(static_cast<double>(
+                                   route_segments[route]))},
+                  {"us_per_doc", bench::JsonNum(seconds * per_doc)}});
+  }
+  table.AddRow({"pool total (thread CPU)",
+                bench::Num(static_cast<int64_t>(plans.size()) * kDocuments),
+                bench::Ratio(total_seconds * per_doc, 1)});
+  table.Print();
+  json->AddRow({{"section", bench::JsonStr("served_pool")},
+                {"route", bench::JsonStr("total")},
+                {"pairs", bench::JsonNum(static_cast<double>(plans.size()) *
+                                         kDocuments)},
+                {"us_per_doc", bench::JsonNum(total_seconds * per_doc)},
+                {"answer_checksum", bench::JsonStr(hex)}});
+  std::printf("answer checksum %s\n", hex);
+
+  // The costliest queries, for reading a change's effect query by query.
+  std::vector<size_t> order(plans.size());
+  for (size_t q = 0; q < order.size(); ++q) order[q] = q;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return query_seconds[a] > query_seconds[b];
+  });
+  bench::Table top({"query", "route", "us per document"});
+  for (size_t i = 0; i < 5; ++i) {
+    const size_t q = order[i];
+    top.AddRow({"q" + std::to_string(q), plans[q].route_label,
+                bench::Ratio(query_seconds[q] * per_doc, 1)});
+  }
+  top.Print();
+}
+
 }  // namespace
 }  // namespace gkx
 
@@ -203,11 +351,13 @@ int main() {
       "NL-c / LOGCFL-c / P-c as labeled in Figure 1",
       "classification of a corpus + generated-per-fragment census with "
       "plan routes and timings, plus hybrid routing vs forced "
-      "whole-query CVT — expect >= 2x on PF-spine queries");
+      "whole-query CVT — expect >= 2x on PF-spine queries — and the "
+      "served pool's per-route census (reported, not barred)");
   gkx::bench::JsonReport json("fig1_fragments", 2003);
   gkx::RunCorpusClassification();
   gkx::RunRandomCensusAndTiming(&json);
   gkx::RunHybridRouting(&json);
+  gkx::RunServedPoolCensus(&json);
   json.Write(gkx::bench::RepoRootPath("BENCH_fragments.json"));
   return 0;
 }

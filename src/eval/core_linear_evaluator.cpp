@@ -20,20 +20,6 @@ using xpath::Step;
 
 namespace {
 
-/// Calls fn(v) for every member of `set`, in document order.
-template <typename Fn>
-void ForEachMember(const NodeBitset& set, Fn&& fn) {
-  const uint64_t* words = set.words();
-  for (size_t wi = 0; wi < set.word_count(); ++wi) {
-    uint64_t w = words[wi];
-    while (w != 0) {
-      const int bit = __builtin_ctzll(w);
-      fn(static_cast<xml::NodeId>(wi * 64 + static_cast<size_t>(bit)));
-      w &= w - 1;
-    }
-  }
-}
-
 /// Member-count selector for the axes that keep two forms (child and
 /// ancestor*). A dense pass streams one column, O(|D|) whatever the input;
 /// a member walk costs O(|frontier| + output), but each member pays

@@ -83,6 +83,13 @@ class CoreLinearEvaluator : public Evaluator {
   /// staged executor's cvt engine reads its Core conditions from here.
   Result<const NodeBitset*> ConditionSet(const xpath::Expr& expr);
 
+  /// Nodes passing the step's node test, filled from the tag column (and
+  /// the label spans, when the document has extra labels). Cached until the
+  /// next Bind, keyed by the resolved test, so each distinct test is one
+  /// O(|D|) fill per run. Bind must have been called. The staged
+  /// executor's cvt steps read their candidates' tests from here.
+  const NodeBitset& TestSet(const xpath::Step& step);
+
  private:
 
   /// Set of nodes from which the relative path selects at least one node —
@@ -104,12 +111,6 @@ class CoreLinearEvaluator : public Evaluator {
   /// Forward evaluation of a path-or-union expression.
   Result<NodeBitset> EvalNodeSetForward(const xpath::Expr& expr,
                                         const NodeBitset& start);
-
-  /// Nodes passing the step's node test, filled from the tag column (and
-  /// the label spans, when the document has extra labels). Cached until the
-  /// next Bind, keyed by the resolved test, so each distinct test is one
-  /// O(|D|) fill per run.
-  const NodeBitset& TestSet(const xpath::Step& step);
 
   const xml::Document* doc_ = nullptr;
   // Condition sets are shared across all uses of a subexpression (the query

@@ -73,6 +73,7 @@
 #ifndef GKX_EVAL_CVT_EVALUATOR_HPP_
 #define GKX_EVAL_CVT_EVALUATOR_HPP_
 
+#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -108,6 +109,13 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   /// staged executor sets it for one run (plan/exec.hpp).
   void UseConditionSets(CoreLinearEvaluator* linear) { conditions_ = linear; }
 
+  /// Maps `frontier` through `step` of the bound query set-at-a-time (see
+  /// the header comment): the image holds every node the step selects from
+  /// some member of `frontier`. The staged executor runs each cvt step
+  /// through here, after Bind and with the condition sets in use.
+  Result<NodeBitset> StepImage(const xpath::Step& step,
+                               const NodeBitset& frontier);
+
  protected:
   Status Prepare() override;
   Result<bool> Truth(const xpath::Expr& expr, const Context& ctx,
@@ -121,6 +129,28 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   /// The tabled cell of `expr` at `ctx`, or nullptr when there is none.
   const Value* Cell(const xpath::Expr& expr, const Context& ctx) const;
 
+  /// Applies `predicate` to one origin's candidate list (axis order),
+  /// keeping the survivors in order, so positions re-rank for the next one.
+  Status FilterCandidates(const xpath::Expr& predicate,
+                          std::vector<xml::NodeId>* list);
+
+  /// The truth of `expr` in a boolean position at ⟨list[i], i + 1, |list|⟩
+  /// for every bit i of `where`, as bits of `out` (clear outside `where`);
+  /// see the header comment. Its temporaries take column slots from `slot`
+  /// up.
+  Status TruthColumn(const xpath::Expr& expr, bool predicate,
+                     const std::vector<xml::NodeId>& list,
+                     const uint64_t* where, uint64_t* out, size_t slot);
+
+  /// The truth of position test `expr` at positions 1..size of a list of
+  /// `size`, one bit per position, memoized per (expression, size) for the
+  /// run while kMaskMemoWords allows.
+  const uint64_t* PositionMask(const xpath::Expr& expr, bool predicate,
+                               int64_t size);
+
+  /// Column slot `slot`, sized to `words` words.
+  uint64_t* Column(size_t slot, size_t words);
+
   Options options_{};
   // Per expression id: one of the two table shapes (selected by the
   // expression's context dependence); kFull expressions use none. Every
@@ -129,6 +159,19 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   std::vector<std::unordered_map<xml::NodeId, Value>> by_node_;
   int64_t table_entries_ = 0;
   CoreLinearEvaluator* conditions_ = nullptr;
+
+  // Staged steps (StepImage), for one run like the tables. Position masks
+  // are keyed by (expression id, size); past kMaskMemoWords a mask is
+  // computed into `unmemoized_mask_` and used at once.
+  static constexpr size_t kMaskMemoWords = size_t{1} << 20;  // 8 MiB
+  std::unordered_map<uint64_t, std::vector<uint64_t>> position_masks_;
+  size_t mask_memo_words_ = 0;
+  std::vector<uint64_t> unmemoized_mask_;
+  xpath::PositionBlock position_block_;
+  // One origin's candidates, and the truth columns over them (a deque, so
+  // a slot's buffer stays put while later slots are added).
+  std::vector<xml::NodeId> candidates_;
+  std::deque<std::vector<uint64_t>> columns_;
 };
 
 }  // namespace gkx::eval

@@ -25,64 +25,10 @@ bool PredicateTruth(const Value& value, const Context& ctx) {
 
 namespace {
 
-/// Static shapes whose survivor set is a pure index selection — the
-/// classic XPath positional fast path. [k], [position() = k], and
-/// [position() = last()] pick one candidate without evaluating anything
-/// per candidate (a predicate eval costs axis-order position bookkeeping
-/// plus an expression walk per candidate; the selection is O(1)).
-/// kNone means "evaluate normally". Semantics are identical by
-/// construction: positions are 1-based ranks in the same candidate order
-/// the per-candidate loop would have used.
-struct PositionalShape {
-  enum Kind { kNone, kIndex, kLast } kind = kNone;
-  int64_t index = 0;  // for kIndex, the 1-based position
-
-  static PositionalShape Of(const xpath::Expr& predicate) {
-    using xpath::Expr;
-    using xpath::Function;
-    using xpath::FunctionCall;
-    if (predicate.kind() == Expr::Kind::kNumberLiteral) {
-      return FromNumber(predicate.As<xpath::NumberLiteral>().value());
-    }
-    if (predicate.kind() != Expr::Kind::kBinary) return {};
-    const auto& binary = predicate.As<xpath::BinaryExpr>();
-    if (binary.op() != xpath::BinaryOp::kEq) return {};
-    const Expr* position = &binary.lhs();
-    const Expr* target = &binary.rhs();
-    if (!IsCall(*position, Function::kPosition)) {
-      std::swap(position, target);
-    }
-    if (!IsCall(*position, Function::kPosition)) return {};
-    if (IsCall(*target, Function::kLast)) {
-      return PositionalShape{kLast, 0};
-    }
-    if (target->kind() == Expr::Kind::kNumberLiteral) {
-      return FromNumber(target->As<xpath::NumberLiteral>().value());
-    }
-    return {};
-  }
-
- private:
-  static bool IsCall(const xpath::Expr& expr, xpath::Function fn) {
-    return expr.kind() == xpath::Expr::Kind::kFunctionCall &&
-           expr.As<xpath::FunctionCall>().function() == fn &&
-           expr.As<xpath::FunctionCall>().arg_count() == 0;
-  }
-  static PositionalShape FromNumber(double value) {
-    const auto index = static_cast<int64_t>(value);
-    // Non-integral or non-positive positions match nothing; an empty
-    // selection falls out of the out-of-range check at the use site.
-    if (static_cast<double>(index) != value || index < 1) {
-      return PositionalShape{kIndex, 0};
-    }
-    return PositionalShape{kIndex, index};
-  }
-};
-
-/// Recycled candidate buffers for ApplyStep. The per-origin cvt loop calls
-/// ApplyStep once per origin — on a frontier of thousands of origins the
-/// malloc/free pair of a fresh candidates vector dominates the (often
-/// empty) axis walk itself. The pool is a stack because ApplyStep
+/// Recycled candidate buffers for ApplyStep. A path evaluated per origin
+/// (EvalPathFrom) calls ApplyStep once per origin of each step — on a
+/// frontier of thousands of origins the malloc/free pair of a fresh
+/// candidates vector dominates the (often empty) axis walk itself. The pool is a stack because ApplyStep
 /// re-enters through predicate evaluation (a predicate's path runs
 /// ApplyStep on its own origins), and per thread because the engines of a
 /// forked batch run concurrently, each on its own thread. A buffer that
@@ -131,14 +77,7 @@ Status ApplyStep(const xml::Document& doc, const xpath::Step& step,
     if (candidates.empty()) break;
     const PositionalShape positional = PositionalShape::Of(*predicate);
     if (positional.kind != PositionalShape::kNone) {
-      const auto size = static_cast<int64_t>(candidates.size());
-      const int64_t index =
-          positional.kind == PositionalShape::kLast ? size : positional.index;
-      if (index < 1 || index > size) {
-        candidates.clear();
-      } else {
-        candidates.assign(1, candidates[static_cast<size_t>(index - 1)]);
-      }
+      positional.Select(&candidates);
       continue;
     }
     std::vector<xml::NodeId> survivors = AcquireBuffer();

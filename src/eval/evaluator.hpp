@@ -8,8 +8,11 @@
 #ifndef GKX_EVAL_EVALUATOR_HPP_
 #define GKX_EVAL_EVALUATOR_HPP_
 
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/status.hpp"
@@ -53,6 +56,71 @@ bool PredicateTruth(const Value& value, const Context& ctx);
 /// Evaluation of a predicate expression in a context: Result<bool>.
 using PredicateFn =
     std::function<Result<bool>(const xpath::Expr&, const Context&)>;
+
+/// Static shapes whose survivor set is a pure index selection — the
+/// classic XPath positional fast path. [k], [position() = k], [last()] and
+/// [position() = last()] pick one candidate without evaluating anything per
+/// candidate (a predicate eval costs an expression walk per candidate; the
+/// selection is O(1)). kNone means "evaluate normally". Semantics are
+/// identical by construction: positions are 1-based ranks in the same
+/// candidate order the per-candidate loop would have used. ApplyStep and
+/// the cvt engine's staged steps both select through it.
+struct PositionalShape {
+  enum Kind { kNone, kIndex, kLast } kind = kNone;
+  int64_t index = 0;  // for kIndex, the 1-based position
+
+  static PositionalShape Of(const xpath::Expr& predicate) {
+    using xpath::Expr;
+    using xpath::Function;
+    if (predicate.kind() == Expr::Kind::kNumberLiteral) {
+      return FromNumber(predicate.As<xpath::NumberLiteral>().value());
+    }
+    if (IsCall(predicate, Function::kLast)) return PositionalShape{kLast, 0};
+    if (predicate.kind() != Expr::Kind::kBinary) return {};
+    const auto& binary = predicate.As<xpath::BinaryExpr>();
+    if (binary.op() != xpath::BinaryOp::kEq) return {};
+    const Expr* position = &binary.lhs();
+    const Expr* target = &binary.rhs();
+    if (!IsCall(*position, Function::kPosition)) {
+      std::swap(position, target);
+    }
+    if (!IsCall(*position, Function::kPosition)) return {};
+    if (IsCall(*target, Function::kLast)) {
+      return PositionalShape{kLast, 0};
+    }
+    if (target->kind() == Expr::Kind::kNumberLiteral) {
+      return FromNumber(target->As<xpath::NumberLiteral>().value());
+    }
+    return {};
+  }
+
+  /// Keeps the selected one of `candidates` (in axis order), or none.
+  void Select(std::vector<xml::NodeId>* candidates) const {
+    const auto size = static_cast<int64_t>(candidates->size());
+    const int64_t at = kind == kLast ? size : index;
+    if (at < 1 || at > size) {
+      candidates->clear();
+      return;
+    }
+    (*candidates)[0] = (*candidates)[static_cast<size_t>(at - 1)];
+    candidates->resize(1);
+  }
+
+ private:
+  static bool IsCall(const xpath::Expr& expr, xpath::Function fn) {
+    return expr.kind() == xpath::Expr::Kind::kFunctionCall &&
+           expr.As<xpath::FunctionCall>().function() == fn &&
+           expr.As<xpath::FunctionCall>().arg_count() == 0;
+  }
+  static PositionalShape FromNumber(double value) {
+    // Non-integral, non-positive or unreachable positions match nothing;
+    // Select's range check turns index 0 into an empty selection.
+    if (!(value >= 1.0 && value <= 0x1p53) || value != std::floor(value)) {
+      return PositionalShape{kIndex, 0};
+    }
+    return PositionalShape{kIndex, static_cast<int64_t>(value)};
+  }
+};
 
 /// Applies one location step from `origin`: enumerates axis::test candidates
 /// in axis order, filters through the predicate chain (positions re-ranked

@@ -169,6 +169,18 @@ class NodeBitset {
   std::vector<uint64_t> words_;
 };
 
+/// Calls fn(v) for every member of `set`, in document order.
+template <typename Fn>
+void ForEachMember(const NodeBitset& set, Fn&& fn) {
+  const uint64_t* words = set.words();
+  for (size_t wi = 0; wi < set.word_count(); ++wi) {
+    for (uint64_t w = words[wi]; w != 0; w &= w - 1) {
+      fn(static_cast<xml::NodeId>(wi * 64 +
+                                  static_cast<size_t>(__builtin_ctzll(w))));
+    }
+  }
+}
+
 }  // namespace gkx::eval
 
 #endif  // GKX_EVAL_NODE_SET_HPP_

@@ -37,19 +37,6 @@ Result<Value> RecursiveEvaluatorBase::Evaluate(const xml::Document& doc,
   return Eval(query.root(), ctx);
 }
 
-Status RecursiveEvaluatorBase::ApplyBoundStep(const xpath::Step& step,
-                                              xml::NodeId origin,
-                                              NodeSet* out) {
-  GKX_CHECK(doc_ != nullptr && query_ != nullptr);
-  // Single-pointer capture: fits std::function's small-buffer storage, so
-  // the per-origin construction stays allocation-free.
-  PredicateFn eval_predicate = [this](const Expr& expr, const Context& ctx) {
-    return Truth(expr, ctx, /*predicate=*/true);
-  };
-  return ApplyStep(*doc_, step, tests_[static_cast<size_t>(step.id)], origin,
-                   eval_predicate, out);
-}
-
 bool RecursiveEvaluatorBase::LookupMemo(const Expr&, const Context&, Value*) {
   return false;
 }

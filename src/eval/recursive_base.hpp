@@ -31,14 +31,8 @@ class RecursiveEvaluatorBase : public Evaluator {
   /// Binds doc/query (resolving node tests, resetting counters, running the
   /// subclass Prepare) without evaluating anything. The staged plan executor
   /// uses this to drive individual steps of a bound query through this
-  /// engine's memo tables via ApplyBoundStep.
+  /// engine's memo tables (CvtEvaluator::StepImage).
   Status Bind(const xml::Document& doc, const xpath::Query& query);
-
-  /// Applies one step of the bound query from `origin` (predicates evaluated
-  /// recursively on this engine, positions re-ranked per the spec), appending
-  /// the survivors in axis order. Bind must have been called.
-  Status ApplyBoundStep(const xpath::Step& step, xml::NodeId origin,
-                        NodeSet* out);
 
  protected:
   /// Memo hooks; the base implementations are no-ops (naive semantics).
@@ -71,9 +65,9 @@ class RecursiveEvaluatorBase : public Evaluator {
   /// Location-path evaluation from an origin node.
   Result<NodeSet> EvalPathFrom(const xpath::PathExpr& path, xml::NodeId origin);
 
-  /// Counts one evaluation an override answered without Eval (see
+  /// Counts evaluations an override answered without Eval (see
   /// last_eval_count()).
-  void CountEvaluation() { ++eval_count_; }
+  void CountEvaluation(int64_t times = 1) { eval_count_ += times; }
 
   const xml::Document& doc() const { return *doc_; }
   const xpath::Query& query() const { return *query_; }

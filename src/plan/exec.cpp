@@ -10,7 +10,6 @@
 namespace gkx::plan {
 
 using eval::NodeBitset;
-using eval::NodeSet;
 using eval::Value;
 
 namespace {
@@ -68,21 +67,15 @@ class StagedRun {
             GKX_RETURN_IF_ERROR(cvt_.Bind(doc_, plan_.query));
             cvt_bound_ = true;
           }
-          // Materialization boundary: bitset -> document-order node set,
-          // per-origin step application on the CVT engine, and back.
-          NodeSet current = frontier.ToNodeSet();
+          // Set-at-a-time, like the bitset segments: each step maps the
+          // frontier to its image on the CVT engine.
           for (int s = segment.step_begin;
-               s < segment.step_end && !current.empty(); ++s) {
-            const xpath::Step& step =
-                branch.path->step(static_cast<size_t>(s));
-            NodeSet next;
-            for (xml::NodeId origin : current) {
-              GKX_RETURN_IF_ERROR(cvt_.ApplyBoundStep(step, origin, &next));
-            }
-            eval::SortUnique(&next);
-            current = std::move(next);
+               s < segment.step_end && !frontier.Empty(); ++s) {
+            auto image = cvt_.StepImage(
+                branch.path->step(static_cast<size_t>(s)), frontier);
+            if (!image.ok()) return image.status();
+            frontier = *std::move(image);
           }
-          frontier = NodeBitset::FromNodeSet(current, doc_.size());
           break;
         }
       }

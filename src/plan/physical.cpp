@@ -42,35 +42,6 @@ std::vector<Segment> FuseSegments(const xpath::PathExpr& path,
   return segments;
 }
 
-/// Cost-model boundary placement: a short bitset segment sandwiched between
-/// two cvt segments pays two NodeBitset⇄NodeSet materializations for a
-/// handful of sweeps. Running those steps on the (already bound) cvt engine
-/// is sound — cvt evaluates the full fragment — and removes both seams, so
-/// demote while the CostModel says the boundaries dominate, then re-fuse.
-void DemoteSandwichedSegments(std::vector<Segment>* segments) {
-  const int max_steps = kDefaultCostModel.max_demoted_steps();
-  bool demoted = false;
-  for (size_t i = 1; i + 1 < segments->size(); ++i) {
-    Segment& mid = (*segments)[i];
-    if (mid.route != Route::kCvt && (*segments)[i - 1].route == Route::kCvt &&
-        (*segments)[i + 1].route == Route::kCvt &&
-        mid.step_end - mid.step_begin <= max_steps) {
-      mid.route = Route::kCvt;
-      demoted = true;
-    }
-  }
-  if (!demoted) return;
-  std::vector<Segment> fused;
-  for (const Segment& segment : *segments) {
-    if (!fused.empty() && fused.back().route == segment.route) {
-      fused.back().step_end = segment.step_end;
-    } else {
-      fused.push_back(segment);
-    }
-  }
-  *segments = std::move(fused);
-}
-
 /// The branch paths of a path root or a (possibly nested) union of paths,
 /// in union order; false for anything else (a scalar root).
 bool CollectPaths(const xpath::Expr& expr,
@@ -106,7 +77,6 @@ Physical Lower(Normalized normalized) {
     BranchProgram branch;
     branch.path = path;
     branch.segments = FuseSegments(*path, out.query.analysis());
-    DemoteSandwichedSegments(&branch.segments);
     for (const Segment& segment : branch.segments) {
       // Collapse consecutive duplicates, across branch boundaries too.
       if (segment.route == last) continue;

@@ -33,29 +33,6 @@
 
 namespace gkx::plan {
 
-/// Measured per-route execution costs, in relative units of one O(|D|)
-/// bitset sweep. The constants come from the BENCH_fragments hybrid census
-/// on the committed 8k-node deep corpus (bench/bench_fig1_fragments.cpp,
-/// seed 4242): a NodeBitset⇄NodeSet materialization boundary costs about
-/// two sweeps (bit-iteration + document-order set build), and a cvt step
-/// over a typical mid-plan frontier about three and a half. Lower uses them
-/// to place materialization boundaries.
-struct CostModel {
-  double sweep_step = 1.0;   // one bitset axis sweep over |D|
-  double boundary = 1.9;     // one NodeBitset⇄NodeSet conversion
-  double cvt_step = 3.4;     // one per-origin cvt step, mid-plan frontier
-
-  /// Longest bitset segment worth demoting to cvt when it sits between two
-  /// cvt segments: running s steps on the (already bound) cvt engine costs
-  /// cvt_step·s but removes the two materialization boundaries around it;
-  /// demotion wins while cvt_step·s < sweep_step·s + 2·boundary.
-  int max_demoted_steps() const {
-    return static_cast<int>(2.0 * boundary / (cvt_step - sweep_step));
-  }
-};
-
-inline constexpr CostModel kDefaultCostModel{};
-
 /// A fused run of steps [step_begin, step_end) of one branch path, all
 /// executed by the same engine. A zero-step branch ("/") is one empty
 /// pf-frontier segment, so every branch has at least one segment.

@@ -52,7 +52,8 @@ inline bool IsXmlChar(uint32_t code) {
 
 /// Cheap pre-scan element-count estimate: every open tag is a '<' followed
 /// by a name-start character. Over-counts matches inside comments/CDATA and
-/// counts nothing else, so it is a good reserve() hint, not a promise.
+/// counts nothing else, so it is a good reserve() hint, not a promise; a
+/// hostile input can make it anything, so ParseDocument caps the hint.
 inline int32_t EstimateNodeCount(std::string_view xml) {
   int64_t count = 0;
   for (size_t i = 0; i + 1 < xml.size(); ++i) {

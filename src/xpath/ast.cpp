@@ -1,5 +1,6 @@
 #include "xpath/ast.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -319,6 +320,111 @@ bool PositionBoolean(const Expr& expr, double position, double size) {
   }
   GKX_CHECK(false);  // not a boolean-typed position test
   return false;
+}
+
+void PositionBlock::Truths(const Expr& expr, bool predicate, double first,
+                           int count, double size, uint8_t* truth) {
+  GKX_CHECK(count >= 0 && count <= kLanes);
+  first_ = first;
+  count_ = count;
+  size_ = size;
+  if (StaticType(expr) == ValueType::kBoolean) {
+    Booleans(expr, 0, truth);
+    return;
+  }
+  double* const numbers = At(0).lhs;
+  Numbers(expr, 1, numbers);
+  for (int i = 0; i < count; ++i) {
+    truth[i] = predicate ? numbers[i] == first + i
+                         : numbers[i] != 0.0 && !std::isnan(numbers[i]);
+  }
+}
+
+PositionBlock::Level& PositionBlock::At(size_t depth) {
+  while (levels_.size() <= depth) levels_.emplace_back();
+  return levels_[depth];
+}
+
+// Each operator writes its block into `out` and keeps its operands' blocks
+// at its own level; its operands evaluate one level deeper.
+void PositionBlock::Numbers(const Expr& expr, size_t depth, double* out) {
+  switch (expr.kind()) {
+    case Expr::Kind::kNumberLiteral:
+      std::fill(out, out + count_, expr.As<NumberLiteral>().value());
+      return;
+    case Expr::Kind::kNegate:
+      Numbers(expr.As<NegateExpr>().operand(), depth, out);
+      for (int i = 0; i < count_; ++i) out[i] = -out[i];
+      return;
+    case Expr::Kind::kBinary: {
+      const auto& binary = expr.As<BinaryExpr>();
+      Numbers(binary.lhs(), depth + 1, out);
+      double* const rhs = At(depth).rhs;
+      Numbers(binary.rhs(), depth + 1, rhs);
+      for (int i = 0; i < count_; ++i) {
+        out[i] = ArithmeticOp(binary.op(), out[i], rhs[i]);
+      }
+      return;
+    }
+    case Expr::Kind::kFunctionCall:
+      switch (expr.As<FunctionCall>().function()) {
+        case Function::kPosition:
+          for (int i = 0; i < count_; ++i) out[i] = first_ + i;
+          return;
+        case Function::kLast:
+          std::fill(out, out + count_, size_);
+          return;
+        default:
+          break;
+      }
+      break;
+    default:
+      break;
+  }
+  GKX_CHECK(false);  // not a number-typed position test
+}
+
+void PositionBlock::Booleans(const Expr& expr, size_t depth, uint8_t* out) {
+  switch (expr.kind()) {
+    case Expr::Kind::kBinary: {
+      const auto& binary = expr.As<BinaryExpr>();
+      Level& level = At(depth);
+      if (binary.op() == BinaryOp::kAnd || binary.op() == BinaryOp::kOr) {
+        Booleans(binary.lhs(), depth + 1, out);
+        Booleans(binary.rhs(), depth + 1, level.truth);
+        const bool is_and = binary.op() == BinaryOp::kAnd;
+        for (int i = 0; i < count_; ++i) {
+          out[i] = is_and ? out[i] & level.truth[i] : out[i] | level.truth[i];
+        }
+        return;
+      }
+      Numbers(binary.lhs(), depth + 1, level.lhs);
+      Numbers(binary.rhs(), depth + 1, level.rhs);
+      for (int i = 0; i < count_; ++i) {
+        out[i] = CompareNumbers(binary.op(), level.lhs[i], level.rhs[i]);
+      }
+      return;
+    }
+    case Expr::Kind::kFunctionCall: {
+      const auto& call = expr.As<FunctionCall>();
+      switch (call.function()) {
+        case Function::kTrue:
+        case Function::kFalse:
+          std::fill(out, out + count_, call.function() == Function::kTrue);
+          return;
+        case Function::kNot:
+          Booleans(call.arg(0), depth, out);
+          for (int i = 0; i < count_; ++i) out[i] = !out[i];
+          return;
+        default:
+          break;
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  GKX_CHECK(false);  // not a boolean-typed position test
 }
 
 Query Query::Create(ExprPtr root) {

@@ -16,6 +16,8 @@
 #ifndef GKX_XPATH_AST_HPP_
 #define GKX_XPATH_AST_HPP_
 
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -309,6 +311,42 @@ ValueType StaticType(const Expr& expr);
 /// optimizer's constant fold both evaluate through these.
 double PositionNumber(const Expr& expr, double position, double size);
 bool PositionBoolean(const Expr& expr, double position, double size);
+
+/// PositionNumber / PositionBoolean column-wise: a position test at the
+/// consecutive positions first .. first + count - 1 (count ≤ kLanes) of one
+/// size, one operator at a time across the block, with the same operator
+/// definitions. It keeps two blocks of numbers and one of truth values per
+/// nesting level of the test, so its memory is bounded by the test's depth,
+/// not by the number of positions. The cvt engine's staged steps fill their
+/// per-size position masks through it.
+class PositionBlock {
+ public:
+  static constexpr int kLanes = 256;
+
+  /// truth[i] := the test at position first + i. In a predicate
+  /// (`predicate`) a number-typed test holds where it equals the position;
+  /// elsewhere a number converts with boolean().
+  void Truths(const Expr& expr, bool predicate, double first, int count,
+              double size, uint8_t* truth);
+
+ private:
+  struct Level {
+    double lhs[kLanes];
+    double rhs[kLanes];
+    uint8_t truth[kLanes];
+  };
+
+  /// The scratch of nesting level `depth`. The deque only grows, so a
+  /// reference stays valid while deeper levels are added.
+  Level& At(size_t depth);
+  void Numbers(const Expr& expr, size_t depth, double* out);
+  void Booleans(const Expr& expr, size_t depth, uint8_t* out);
+
+  double first_ = 0.0;  // the block being evaluated
+  int count_ = 0;
+  double size_ = 0.0;
+  std::deque<Level> levels_;
+};
 
 struct QueryAnalysis;  // xpath/analysis.hpp
 

@@ -401,6 +401,92 @@ TEST(SettledWorkAgreementTest, PositionTestsInEverySlot) {
       24003);
 }
 
+// A staged cvt step maps its whole frontier at once (CvtEvaluator::
+// StepImage): position-free leading predicates filter the union of all
+// origins' candidates, and from the first position-dependent predicate on
+// each origin's candidate list is filtered column by column. A leading
+// bitset step makes the frontier many nested origins that share siblings;
+// every positional shape on every axis must answer like the naive oracle,
+// and fail exactly where it fails, with its status code.
+TEST(SetAtATimeStepAgreementTest, PositionalStepsFromManyOrigins) {
+  const char* const kAxes[] = {
+      "self",      "child",        "parent",     "descendant",
+      "descendant-or-self",        "ancestor",   "ancestor-or-self",
+      "following", "following-sibling",          "preceding",
+      "preceding-sibling",
+  };
+  const char* const kPredicates[] = {
+      "[2]",
+      "[last()]",
+      "[position() mod 2 = 0]",
+      "[last() - 1]",
+      // A position-free non-Core predicate before a positional one.
+      "[count(child::*) >= 1][position() < 3]",
+      "[starts-with(name(), 't')][last() > 1]",
+      // A number-typed node predicate is a position test too.
+      "[count(child::*)]",
+      // Mixed connectives: Core operands, position tests, negation.
+      "[child::t0 or position() = 1]",
+      "[not(child::*) and last() > 2]",
+      "[not(position() = 1 or descendant::t2)]",
+      // The erroring operand is never reached ...
+      "[position() > last() and count(1 + 1) = 0]",
+      // ... and here it is, at every first candidate.
+      "[position() = 1 and count(1 + 1) = 0]",
+  };
+  const char* const kLeads[] = {"/descendant::t1/", "descendant::*/"};
+  std::vector<Engine::Plan> plans;
+  for (const char* lead : kLeads) {
+    for (const char* axis : kAxes) {
+      for (const char* predicate : kPredicates) {
+        for (const char* test : {"*", "t2"}) {
+          auto plan = Engine::Compile(std::string(lead) + axis + "::" + test +
+                                      predicate);
+          ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+          plans.push_back(std::move(plan).value());
+        }
+      }
+    }
+  }
+  Rng rng(28001);
+  NaiveEvaluator naive;
+  Engine engine;
+  int failures = 0;
+  int cvt_plans = 0;
+  for (const int32_t labels : {0, 2}) {
+    xml::RandomDocumentOptions doc_options;
+    doc_options.node_count = 320;
+    doc_options.tag_alphabet = 3;
+    doc_options.max_extra_labels = labels;
+    doc_options.label_alphabet = 3;
+    const Document doc = xml::RandomDocument(&rng, doc_options);
+    for (const Engine::Plan& plan : plans) {
+      if (plan.route_label.find("cvt") != std::string::npos) ++cvt_plans;
+      auto expected = naive.EvaluateAtRoot(doc, plan.query);
+      auto answer = engine.RunPlan(doc, plan);
+      if (!expected.ok()) {
+        ++failures;
+        ASSERT_FALSE(answer.ok())
+            << plan.canonical_text << " answers where the oracle fails with "
+            << expected.status().ToString();
+        EXPECT_EQ(answer.status().code(), expected.status().code())
+            << plan.canonical_text;
+        continue;
+      }
+      ASSERT_TRUE(answer.ok())
+          << plan.canonical_text << ": " << answer.status().ToString();
+      EXPECT_TRUE(expected->Equals(answer->value))
+          << answer->evaluator << " disagrees on " << plan.canonical_text
+          << " (labels " << labels << ")\n  naive:  "
+          << expected->DebugString()
+          << "\n  staged: " << answer->value.DebugString();
+    }
+  }
+  // Every plan runs a cvt step, and the reached error fires on most axes.
+  EXPECT_EQ(cvt_plans, static_cast<int>(2 * plans.size()));
+  EXPECT_GE(failures, 2 * 2 * 8);
+}
+
 // Generated WF queries (Def 2.6: position arithmetic over Core-shaped
 // paths) exercise the position-test route in arbitrary mixes.
 TEST(SettledWorkAgreementTest, RandomWadlerFragmentQueries) {

@@ -317,7 +317,7 @@ const char* const kCoreInCvtQueries[] = {
     "/descendant::l0[/descendant::t2[child::l1] or position() = 1]",
     // A Core predicate inside a path that cvt evaluates per node.
     "/descendant::t0[count(child::*[child::t1]) = 1]",
-    // A Core step demoted into cvt between two cvt segments.
+    // A Core step between two cvt segments.
     "/descendant::t0[position() = 2]/child::t1[child::l2 or "
     "not(child::t0)]/child::*[last() > 1]",
     // A scalar root.
@@ -327,7 +327,8 @@ const char* const kCoreInCvtQueries[] = {
 TEST(ConditionSetRouteTest, EngineAgreesWithTheNaiveOracle) {
   std::vector<Physical> plans;
   for (const char* text : kCoreInCvtQueries) plans.push_back(CompileText(text));
-  EXPECT_EQ(plans[5].route_label, "cvt");  // the Core step was demoted
+  // The Core step between the two cvt steps keeps its own route.
+  EXPECT_EQ(plans[5].route_label, "cvt+core-linear+cvt");
   Rng rng(2027);
   eval::NaiveEvaluator naive;
   eval::Engine engine;  // one long-lived engine across every run

@@ -3,6 +3,11 @@
 // parse/serialize round-trips (including randomized documents), compared
 // node for node with testkit::ExhaustiveEquals.
 
+#include <sys/resource.h>
+
+#include <cstdlib>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "testkit/reference_edit.hpp"
@@ -18,6 +23,42 @@ Document MustParseXml(std::string_view text) {
   auto doc = ParseDocument(text);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
   return std::move(doc).value();
+}
+
+// AddressSanitizer and ThreadSanitizer reserve terabytes of shadow memory,
+// more address space than the death test below may use.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define GKX_SHADOW_MEMORY_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define GKX_SHADOW_MEMORY_SANITIZER 1
+#endif
+#endif
+
+// The parse sizes its column reservation from a count read off the input,
+// so a hostile document must not decide how much address space that takes:
+// 64 MiB of "<a" counts 32M elements, about 1.8 GB of columns. Under a 1 GiB
+// address-space limit the parse must fail with a typed error, not abort in
+// an allocation.
+void ParseHostileCountUnderOneGiB() {
+  const rlimit limit{rlim_t{1} << 30, rlim_t{1} << 30};
+  if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+  std::string xml;
+  xml.reserve(size_t{64} << 20);
+  while (xml.size() < (size_t{64} << 20)) xml += "<a";
+  const auto doc = ParseDocument(xml);
+  const bool typed =
+      !doc.ok() && doc.status().code() == StatusCode::kInvalidArgument;
+  std::_Exit(typed ? 0 : 1);
+}
+
+TEST(XmlParserDeathTest, HostileCountReservesBoundedColumns) {
+#ifdef GKX_SHADOW_MEMORY_SANITIZER
+  GTEST_SKIP() << "sanitizer shadow memory exceeds the address-space limit";
+#else
+  EXPECT_EXIT(ParseHostileCountUnderOneGiB(), ::testing::ExitedWithCode(0),
+              "");
+#endif
 }
 
 TEST(XmlParserTest, MinimalDocument) {
