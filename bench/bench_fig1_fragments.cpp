@@ -202,7 +202,8 @@ void RunRandomCensusAndTiming(bench::JsonReport* json) {
 double ThreadCpuSeconds() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 /// FNV-1a over 64-bit words.
@@ -273,7 +274,8 @@ void RunServedPoolCensus(bench::JsonReport* json) {
         trace.clear();
         eval::Engine engine;
         const double t0 = ThreadCpuSeconds();
-        answer = engine.RunPlan(*doc, plans[q], eval::RootContext(*doc), &trace);
+        answer =
+            engine.RunPlan(*doc, plans[q], eval::RootContext(*doc), &trace);
         best_cpu = std::min(best_cpu, ThreadCpuSeconds() - t0);
         GKX_CHECK(answer.ok());
         best_segment.resize(trace.size(), 1e99);
@@ -294,7 +296,9 @@ void RunServedPoolCensus(bench::JsonReport* json) {
           checksum = Fnv(checksum, static_cast<uint64_t>(v));
         }
       } else {
-        checksum = Fnv(checksum, std::hash<std::string>()(value.ToString(*doc)));
+        for (const char c : value.ToString(*doc)) {
+          checksum = Fnv(checksum, static_cast<unsigned char>(c));
+        }
       }
     }
   }

@@ -1,7 +1,6 @@
 #include "eval/cvt_evaluator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "eval/core_linear_evaluator.hpp"
@@ -66,7 +65,8 @@ void GatherCandidates(const xml::Document& doc, Axis axis, xml::NodeId origin,
         while (w != 0) {
           const int top = 63 - __builtin_clzll(w);
           w &= ~(uint64_t{1} << top);
-          const auto v = static_cast<xml::NodeId>(wi * 64 + static_cast<size_t>(top));
+          const auto v = static_cast<xml::NodeId>(
+              wi * 64 + static_cast<size_t>(top));
           if (v + subtree_size[v] <= origin) out->push_back(v);
         }
       }
@@ -134,14 +134,9 @@ Result<bool> CvtEvaluator::Truth(const Expr& expr, const Context& ctx,
   const xpath::ExprTraits& traits = query().analysis().traits(expr);
   if (traits.position_test) {
     CountEvaluation();
-    const auto position = static_cast<double>(ctx.position);
-    const auto size = static_cast<double>(ctx.size);
-    if (traits.type == xpath::ValueType::kBoolean) {
-      return xpath::PositionBoolean(expr, position, size);
-    }
-    const double number = xpath::PositionNumber(expr, position, size);
-    return predicate ? number == position
-                     : number != 0.0 && !std::isnan(number);
+    return position_block_.Truth(expr, predicate,
+                                 static_cast<double>(ctx.position),
+                                 static_cast<double>(ctx.size));
   }
   if (conditions_ != nullptr && traits.core_condition) {
     auto set = conditions_->ConditionSet(expr);
@@ -369,26 +364,28 @@ const uint64_t* CvtEvaluator::PositionMask(const Expr& expr, bool predicate,
   auto cached = position_masks_.find(key);
   if (cached != position_masks_.end()) return cached->second.data();
   const auto words = static_cast<size_t>((size + 63) / 64);
-  std::vector<uint64_t>* mask = &unmemoized_mask_;
-  if (mask_memo_words_ + words <= kMaskMemoWords) {
-    mask = &position_masks_[key];
-    mask_memo_words_ += words;
+  if (mask_memo_words_ + words > kMaskMemoWords) {
+    position_masks_.clear();
+    mask_memo_words_ = 0;
   }
-  mask->assign(words, 0);
+  std::vector<uint64_t>& mask = position_masks_[key];
+  mask_memo_words_ += words;
+  mask.assign(words, 0);
   constexpr int kLanes = xpath::PositionBlock::kLanes;
   uint8_t truth[kLanes];
   for (int64_t first = 1; first <= size; first += kLanes) {
-    const int count = static_cast<int>(std::min<int64_t>(kLanes, size - first + 1));
+    const int count =
+        static_cast<int>(std::min<int64_t>(kLanes, size - first + 1));
     position_block_.Truths(expr, predicate, static_cast<double>(first), count,
                            static_cast<double>(size), truth);
     for (int i = 0; i < count; ++i) {
       const int64_t bit = first - 1 + i;
-      (*mask)[static_cast<size_t>(bit >> 6)] |= static_cast<uint64_t>(truth[i])
-                                                << (bit & 63);
+      mask[static_cast<size_t>(bit >> 6)] |= static_cast<uint64_t>(truth[i])
+                                             << (bit & 63);
     }
   }
   CountEvaluation(size);
-  return mask->data();
+  return mask.data();
 }
 
 uint64_t* CvtEvaluator::Column(size_t slot, size_t words) {

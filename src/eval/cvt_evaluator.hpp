@@ -40,10 +40,10 @@
 //     position(), last(), unary minus, arithmetic, comparisons of two
 //     numbers, true()/false(), and/or/not() over booleans) reads no node
 //     and no table: its value is a function of ⟨position, size⟩ alone.
-//   * Evaluating it directly on doubles (xpath::PositionNumber /
-//     PositionBoolean) costs O(|e|) per candidate, as the interpreter does;
-//     that is the kFull argument above, with the literals' constant cells
-//     recomputed too, which costs no more than reading them.
+//   * Evaluating it directly on doubles (xpath::PositionBlock) costs
+//     O(|e|) per candidate, as the interpreter does; that is the kFull
+//     argument above, with the literals' constant cells recomputed too,
+//     which costs no more than reading them.
 //   * So Truth answers it with no Value, no memo probe and no cell, in
 //     standalone and staged runs alike, and counts it as one evaluation.
 //     In a predicate a number is a position test; elsewhere it converts
@@ -69,11 +69,44 @@
 // Any other expression in a boolean position that already has a cell is
 // read in place: Truth converts the cell, where Eval would copy its Value
 // (a node set's whole vector) out of the table first.
+//
+// Why a staged step may run over its whole frontier at once (StepImage),
+// as Prop 2.7's set-at-a-time reading maps a set of context nodes through
+// each location step:
+//   * A step's image is the union over origins of each origin's survivors,
+//     and a predicate that reads neither position() nor last() and is not
+//     a number has one truth value per node. So the axis image of the
+//     frontier ∩ the test set holds every origin's candidates, and the
+//     leading such predicates filter that set once: a Core condition with
+//     one AND against its condition set, any other one with one Truth per
+//     node at ⟨v, 1, 1⟩, which reads the same node-keyed cell every origin
+//     would. Each node they test is a candidate of some origin, the
+//     interpreter tests it too, so an error surfaces where it does there.
+//   * From the first position-dependent predicate on, a position is a rank
+//     in one origin's candidate list, so the step works per origin: the
+//     candidates are read off the filtered set in axis order, and each
+//     remaining predicate is evaluated once for the whole list. [k] and
+//     [last()] select by index (PositionalShape), a Core condition is a
+//     bit gather, and/or/not() combine their operands' columns, evaluating
+//     the right operand only where the left one did not decide, and
+//     anything else is one Truth per candidate. A position test is a mask
+//     over positions 1..size, computed column-wise on doubles in blocks of
+//     PositionBlock::kLanes and memoized per (expression, size) for the
+//     run; the memo starts over when it would pass kMaskMemoWords, so its
+//     memory stays bounded whatever the frontier.
+//   * So each ⟨origin, candidate⟩ pair is still visited at most once, as
+//     ApplyStep visits it, and each position test is evaluated at most
+//     once per distinct ⟨position, size⟩ between two restarts of the memo
+//     (and never more often than once per pair): Prop 2.7's polynomial
+//     bound holds. The survivors go straight into the output bitset, with
+//     no per-origin node set to sort, merge or convert.
+// The standalone engine (Evaluate: the paper census, cvt-eager, a scalar
+// root, and every path nested inside a predicate) keeps the per-origin
+// ApplyStep of [3].
 
 #ifndef GKX_EVAL_CVT_EVALUATOR_HPP_
 #define GKX_EVAL_CVT_EVALUATOR_HPP_
 
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -144,7 +177,7 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
 
   /// The truth of position test `expr` at positions 1..size of a list of
   /// `size`, one bit per position, memoized per (expression, size) for the
-  /// run while kMaskMemoWords allows.
+  /// run. The bits stay valid until the next call.
   const uint64_t* PositionMask(const xpath::Expr& expr, bool predicate,
                                int64_t size);
 
@@ -161,17 +194,17 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   CoreLinearEvaluator* conditions_ = nullptr;
 
   // Staged steps (StepImage), for one run like the tables. Position masks
-  // are keyed by (expression id, size); past kMaskMemoWords a mask is
-  // computed into `unmemoized_mask_` and used at once.
+  // are keyed by (expression id, size); the memo is emptied before it
+  // would hold more than kMaskMemoWords.
   static constexpr size_t kMaskMemoWords = size_t{1} << 20;  // 8 MiB
   std::unordered_map<uint64_t, std::vector<uint64_t>> position_masks_;
   size_t mask_memo_words_ = 0;
-  std::vector<uint64_t> unmemoized_mask_;
   xpath::PositionBlock position_block_;
-  // One origin's candidates, and the truth columns over them (a deque, so
-  // a slot's buffer stays put while later slots are added).
+  // One origin's candidates, and the truth columns over them by slot. A
+  // slot's words stay put while later slots are added: growing the outer
+  // vector moves the inner ones, not their buffers.
   std::vector<xml::NodeId> candidates_;
-  std::deque<std::vector<uint64_t>> columns_;
+  std::vector<std::vector<uint64_t>> columns_;
 };
 
 }  // namespace gkx::eval

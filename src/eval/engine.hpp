@@ -6,11 +6,12 @@
 //   Core XPath predicates                 -> core-linear, O(|D|·|Q|)
 //   anything else                         -> context-value tables, polynomial
 // — and every plan runs through the one executor (plan::ExecuteStaged) on
-// this Engine's two evaluators: the path spine stays on the bitset fast
-// path, only non-Core predicate subtrees drop into CVT, and a scalar root
-// runs whole on CVT. Within a run the executor wires CVT to the linear
-// evaluator, so a Core condition that CVT tests is one bit of its
-// condition set. Answer.evaluator reports the plan's route list, e.g.
+// this Engine's two evaluators: one bitset frontier flows through every
+// segment, the path spine on the linear engine's sweeps and the steps with
+// non-Core predicates through CVT, which maps the whole frontier per step;
+// a scalar root runs whole on CVT. Within a run the executor wires CVT to
+// the linear evaluator, so a Core condition that CVT tests is one bit of
+// its condition set. Answer.evaluator reports the plan's route list, e.g.
 // "pf-frontier", "core-linear", "cvt" or "pf-frontier+cvt", and
 // Answer.fragment the plan's fragment flags.
 //

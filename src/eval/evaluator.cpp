@@ -28,12 +28,12 @@ namespace {
 /// Recycled candidate buffers for ApplyStep. A path evaluated per origin
 /// (EvalPathFrom) calls ApplyStep once per origin of each step — on a
 /// frontier of thousands of origins the malloc/free pair of a fresh
-/// candidates vector dominates the (often empty) axis walk itself. The pool is a stack because ApplyStep
-/// re-enters through predicate evaluation (a predicate's path runs
-/// ApplyStep on its own origins), and per thread because the engines of a
-/// forked batch run concurrently, each on its own thread. A buffer that
-/// leaves via an error return simply isn't recycled — no leak, the pool
-/// just refills later.
+/// candidates vector dominates the (often empty) axis walk itself. The pool
+/// is a stack because ApplyStep re-enters through predicate evaluation (a
+/// predicate's path runs ApplyStep on its own origins), and per thread
+/// because the engines of a forked batch run concurrently, each on its own
+/// thread. A buffer that leaves via an error return simply isn't recycled —
+/// no leak, the pool just refills later.
 std::vector<std::vector<xml::NodeId>>& BufferPool() {
   thread_local std::vector<std::vector<xml::NodeId>> pool;
   return pool;

@@ -1,13 +1,13 @@
 // Execution of a Physical plan (the last stage of the pipeline in ir.hpp) —
-// the one executor every plan runs on. Bitset segments run as frontier
-// sweeps on a CoreLinearEvaluator; cvt segments run per origin node through a
-// CvtEvaluator bound to the plan's query (so predicate memoization is
-// shared across origins and segments); the materialization boundaries
-// convert NodeBitset ⇄ document-order NodeSet exactly at segment seams. A
-// scalar root runs whole on the CvtEvaluator. Wherever cvt tests a Core
-// condition in a boolean position, it reads one bit of the linear engine's
-// condition set for it (cvt_evaluator.hpp). Answers are byte-identical to
-// the naive oracle — the evaluator-agreement and soak suites pin this.
+// the one executor every plan runs on. A NodeBitset frontier flows through
+// every segment: bitset segments run as frontier sweeps on a
+// CoreLinearEvaluator, and cvt segments map it step by step through a
+// CvtEvaluator bound to the plan's query (CvtEvaluator::StepImage, so
+// predicate memoization is shared across origins and segments). A scalar
+// root runs whole on the CvtEvaluator. Wherever cvt tests a Core condition
+// in a boolean position, it reads one bit of the linear engine's condition
+// set for it (cvt_evaluator.hpp). Answers are byte-identical to the naive
+// oracle — the evaluator-agreement and soak suites pin this.
 
 #ifndef GKX_PLAN_EXEC_HPP_
 #define GKX_PLAN_EXEC_HPP_

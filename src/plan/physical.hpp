@@ -7,12 +7,10 @@
 // Core-predicate steps fuse into one bitset segment that flows a NodeBitset
 // frontier from step to step in O(|D|) sweeps — labelled core-linear if any
 // of its steps has a predicate, pf-frontier otherwise; the two differ only
-// in the condition intersection. A cvt segment evaluates its steps per
-// origin node through the context-value tables. Between a bitset segment
-// and a cvt segment sits an explicit materialization boundary (NodeBitset ⇄
-// document-order NodeSet) — the only points where representation
-// conversion happens, so a mixed query pays for generality exactly where it
-// uses it. A uniform plan is simply a one-segment program.
+// in the condition intersection. A cvt segment maps the same frontier
+// through its steps on the context-value-table engine, so a mixed query
+// pays for generality exactly in the steps that need it, with no
+// conversion at the seams. A uniform plan is simply a one-segment program.
 //
 // The one exception is a scalar root (count(...), arithmetic, a
 // comparison): it has no path spine to sweep, so it has no branches and

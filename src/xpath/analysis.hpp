@@ -36,9 +36,8 @@ struct ExprTraits {
   // A position test: built only from number literals, position(), last(),
   // unary minus, arithmetic on numbers, comparisons of two numbers,
   // true()/false(), and and/or/not() over booleans. Its value is a function
-  // of the context's position and size alone (PositionNumber /
-  // PositionBoolean in ast.hpp); one that reads neither is a constant,
-  // which Optimize folds.
+  // of the context's position and size alone (PositionBlock in ast.hpp);
+  // one that reads neither is a constant, which Optimize folds.
   bool position_test = false;
 };
 

@@ -262,66 +262,6 @@ ValueType StaticType(const Expr& expr) {
   return ValueType::kBoolean;
 }
 
-double PositionNumber(const Expr& expr, double position, double size) {
-  switch (expr.kind()) {
-    case Expr::Kind::kNumberLiteral:
-      return expr.As<NumberLiteral>().value();
-    case Expr::Kind::kNegate:
-      return -PositionNumber(expr.As<NegateExpr>().operand(), position, size);
-    case Expr::Kind::kBinary: {
-      const auto& binary = expr.As<BinaryExpr>();
-      return ArithmeticOp(binary.op(),
-                          PositionNumber(binary.lhs(), position, size),
-                          PositionNumber(binary.rhs(), position, size));
-    }
-    case Expr::Kind::kFunctionCall:
-      switch (expr.As<FunctionCall>().function()) {
-        case Function::kPosition: return position;
-        case Function::kLast: return size;
-        default: break;
-      }
-      break;
-    default:
-      break;
-  }
-  GKX_CHECK(false);  // not a number-typed position test
-  return 0.0;
-}
-
-bool PositionBoolean(const Expr& expr, double position, double size) {
-  switch (expr.kind()) {
-    case Expr::Kind::kBinary: {
-      const auto& binary = expr.As<BinaryExpr>();
-      switch (binary.op()) {
-        case BinaryOp::kAnd:
-          return PositionBoolean(binary.lhs(), position, size) &&
-                 PositionBoolean(binary.rhs(), position, size);
-        case BinaryOp::kOr:
-          return PositionBoolean(binary.lhs(), position, size) ||
-                 PositionBoolean(binary.rhs(), position, size);
-        default:
-          return CompareNumbers(binary.op(),
-                                PositionNumber(binary.lhs(), position, size),
-                                PositionNumber(binary.rhs(), position, size));
-      }
-    }
-    case Expr::Kind::kFunctionCall: {
-      const auto& call = expr.As<FunctionCall>();
-      switch (call.function()) {
-        case Function::kTrue: return true;
-        case Function::kFalse: return false;
-        case Function::kNot: return !PositionBoolean(call.arg(0), position, size);
-        default: break;
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  GKX_CHECK(false);  // not a boolean-typed position test
-  return false;
-}
-
 void PositionBlock::Truths(const Expr& expr, bool predicate, double first,
                            int count, double size, uint8_t* truth) {
   GKX_CHECK(count >= 0 && count <= kLanes);
@@ -341,8 +281,8 @@ void PositionBlock::Truths(const Expr& expr, bool predicate, double first,
 }
 
 PositionBlock::Level& PositionBlock::At(size_t depth) {
-  while (levels_.size() <= depth) levels_.emplace_back();
-  return levels_[depth];
+  while (levels_.size() <= depth) levels_.push_back(std::make_unique<Level>());
+  return *levels_[depth];
 }
 
 // Each operator writes its block into `out` and keeps its operands' blocks

@@ -17,7 +17,6 @@
 #define GKX_XPATH_AST_HPP_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -305,20 +304,16 @@ ValueType StaticType(const Expr& expr);
 /// The value of a position test (ExprTraits::position_test in
 /// xpath/analysis.hpp: number literals, position(), last(), unary minus,
 /// arithmetic on numbers, comparisons of two numbers, true()/false(), and
-/// and/or/not() over booleans) at a context of the given position and size.
-/// PositionNumber takes a number-typed test, PositionBoolean a boolean-typed
-/// one; anything else aborts. The cvt engine's boolean positions and the
-/// optimizer's constant fold both evaluate through these.
-double PositionNumber(const Expr& expr, double position, double size);
-bool PositionBoolean(const Expr& expr, double position, double size);
-
-/// PositionNumber / PositionBoolean column-wise: a position test at the
+/// and/or/not() over booleans) in a boolean position, at a block of
 /// consecutive positions first .. first + count - 1 (count ≤ kLanes) of one
-/// size, one operator at a time across the block, with the same operator
-/// definitions. It keeps two blocks of numbers and one of truth values per
-/// nesting level of the test, so its memory is bounded by the test's depth,
-/// not by the number of positions. The cvt engine's staged steps fill their
-/// per-size position masks through it.
+/// size: one operator at a time across the block, with the interpreter's
+/// operator definitions (ArithmeticOp, CompareNumbers). It keeps two blocks
+/// of numbers and one of truth values per nesting level of the test, so its
+/// memory is bounded by the test's depth, not by the number of positions.
+/// The cvt engine's staged steps fill their per-size position masks through
+/// it, and its boolean positions and the optimizer's constant fold evaluate
+/// one context at a time through Truth. Anything but a position test
+/// aborts.
 class PositionBlock {
  public:
   static constexpr int kLanes = 256;
@@ -329,6 +324,13 @@ class PositionBlock {
   void Truths(const Expr& expr, bool predicate, double first, int count,
               double size, uint8_t* truth);
 
+  /// The test at one context: a block of one position.
+  bool Truth(const Expr& expr, bool predicate, double position, double size) {
+    uint8_t truth = 0;
+    Truths(expr, predicate, position, 1, size, &truth);
+    return truth != 0;
+  }
+
  private:
   struct Level {
     double lhs[kLanes];
@@ -336,8 +338,9 @@ class PositionBlock {
     uint8_t truth[kLanes];
   };
 
-  /// The scratch of nesting level `depth`. The deque only grows, so a
-  /// reference stays valid while deeper levels are added.
+  /// The scratch of nesting level `depth`, allocated on first use. Each
+  /// level is a heap object of its own, so a reference stays valid while
+  /// deeper levels are added.
   Level& At(size_t depth);
   void Numbers(const Expr& expr, size_t depth, double* out);
   void Booleans(const Expr& expr, size_t depth, uint8_t* out);
@@ -345,7 +348,7 @@ class PositionBlock {
   double first_ = 0.0;  // the block being evaluated
   int count_ = 0;
   double size_ = 0.0;
-  std::deque<Level> levels_;
+  std::vector<std::unique_ptr<Level>> levels_;
 };
 
 struct QueryAnalysis;  // xpath/analysis.hpp

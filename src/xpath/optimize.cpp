@@ -124,7 +124,8 @@ class Optimizer {
       std::optional<bool> constant;
       if (traits.position_test && traits.type == ValueType::kBoolean &&
           !traits.uses_position && !traits.uses_last) {
-        constant = PositionBoolean(*predicate, /*position=*/1, /*size=*/1);
+        constant = position_block_.Truth(*predicate, /*predicate=*/true,
+                                         /*position=*/1, /*size=*/1);
       }
       if (constant == true || PredicateIsPositionTautology(*predicate)) {
         if (stats_ != nullptr) ++stats_->dropped_predicates;
@@ -194,6 +195,7 @@ class Optimizer {
 
   const QueryAnalysis& analysis_;
   OptimizeStats* stats_;
+  PositionBlock position_block_;
 };
 
 }  // namespace

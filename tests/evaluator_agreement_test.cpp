@@ -214,8 +214,7 @@ TEST(AgreementTest, NonRootContexts) {
 // fragment — uniform PF and Core plans, hybrids whose subexpressions route
 // to different engines, unions and scalar roots — must answer
 // byte-identically to the naive oracle. This is the differential check for
-// the segment pipeline and its materialization boundaries
-// (plan::ExecuteStaged).
+// the segment pipeline and its seams (plan::ExecuteStaged).
 TEST(StagedPlanAgreementTest, HybridPlansMatchTheNaiveOracle) {
   Rng rng(9001);
   xml::RandomDocumentOptions doc_options;

@@ -1,8 +1,7 @@
 // The staged plan IR: normalize idempotence, per-step routing golden
-// cases, segment lowering, and materialization-
-// boundary correctness (every plan shape runs through the one executor and
-// must be byte-identical to the naive spec-reading oracle, from root and
-// non-root contexts alike).
+// cases, segment lowering, and correctness across segment seams (every plan
+// shape runs through the one executor and must be byte-identical to the
+// naive spec-reading oracle, from root and non-root contexts alike).
 
 #include <string>
 #include <vector>
@@ -183,10 +182,10 @@ void ExpectStagedMatchesNaive(const xml::Document& doc, const Physical& plan,
       << "\n  staged: " << actual->DebugString();
 }
 
-TEST(ExecTest, MaterializationBoundariesPreserveSemantics) {
+TEST(ExecTest, SegmentSeamsPreserveSemantics) {
   // Generated documents use tag names t0..t{alphabet-1}.
   const char* queries[] = {
-      // pf ⇄ cvt boundaries in both directions.
+      // pf ⇄ cvt seams in both directions.
       "/descendant::t0/child::t1[position() = 2]/descendant::t2",
       "/descendant::t0[position() = 1]/child::t1",
       "/descendant::t1[position() = last()]/parent::t0/child::t1",
