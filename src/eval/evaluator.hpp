@@ -58,7 +58,7 @@ using PredicateFn =
     std::function<Result<bool>(const xpath::Expr&, const Context&)>;
 
 /// Static shapes whose survivor set is a pure index selection — the
-/// classic XPath positional fast path. [k], [position() = k], [last()] and
+/// classic XPath positional fast path. [k], [position() = k] and
 /// [position() = last()] pick one candidate without evaluating anything per
 /// candidate (a predicate eval costs an expression walk per candidate; the
 /// selection is O(1)). kNone means "evaluate normally". Semantics are
@@ -75,7 +75,6 @@ struct PositionalShape {
     if (predicate.kind() == Expr::Kind::kNumberLiteral) {
       return FromNumber(predicate.As<xpath::NumberLiteral>().value());
     }
-    if (IsCall(predicate, Function::kLast)) return PositionalShape{kLast, 0};
     if (predicate.kind() != Expr::Kind::kBinary) return {};
     const auto& binary = predicate.As<xpath::BinaryExpr>();
     if (binary.op() != xpath::BinaryOp::kEq) return {};

@@ -422,7 +422,7 @@ TEST(SetAtATimeStepAgreementTest, PositionalStepsFromManyOrigins) {
       // A position-free non-Core predicate before a positional one.
       "[count(child::*) >= 1][position() < 3]",
       "[starts-with(name(), 't')][last() > 1]",
-      // A number-typed node predicate is a position test too.
+      // A number-typed node predicate, compared with position().
       "[count(child::*)]",
       // Mixed connectives: Core operands, position tests, negation.
       "[child::t0 or position() = 1]",
