@@ -36,13 +36,11 @@ void AppendMembers(const NodeBitset& set, int32_t lo, int32_t hi,
 
 /// Appends the members of `set` on `axis` from `origin` to *out, in axis
 /// order. Descendant, descendant-or-self and following scan their preorder
-/// range a word at a time, preceding its range backwards, skipping the
-/// origin's ancestors; the other axes walk their chain with one bit test per
-/// node.
+/// range a word at a time; the other axes walk their chain with one bit test
+/// per node.
 void GatherCandidates(const xml::Document& doc, Axis axis, xml::NodeId origin,
                       const NodeBitset& set, std::vector<xml::NodeId>* out) {
-  const int32_t* const subtree_size = doc.subtree_size_data();
-  const int32_t end = origin + subtree_size[origin];
+  const int32_t end = origin + doc.subtree_size(origin);
   switch (axis) {
     case Axis::kDescendant:
       AppendMembers(set, origin + 1, end, out);
@@ -53,25 +51,6 @@ void GatherCandidates(const xml::Document& doc, Axis axis, xml::NodeId origin,
     case Axis::kFollowing:
       AppendMembers(set, end, doc.size(), out);
       return;
-    case Axis::kPreceding: {
-      // [0, origin) in reverse document order; a node there whose subtree
-      // reaches past the origin is one of its ancestors.
-      const uint64_t* const words = set.words();
-      for (size_t wi = static_cast<size_t>(origin + 63) >> 6; wi-- > 0;) {
-        uint64_t w = words[wi];
-        if (wi == static_cast<size_t>(origin >> 6)) {
-          w &= (uint64_t{1} << (origin & 63)) - 1;
-        }
-        while (w != 0) {
-          const int top = 63 - __builtin_clzll(w);
-          w &= ~(uint64_t{1} << top);
-          const auto v = static_cast<xml::NodeId>(
-              wi * 64 + static_cast<size_t>(top));
-          if (v + subtree_size[v] <= origin) out->push_back(v);
-        }
-      }
-      return;
-    }
     default:
       ForEachOnAxis(doc, origin, axis, [&](xml::NodeId v) {
         if (set.Test(v)) out->push_back(v);
@@ -79,6 +58,12 @@ void GatherCandidates(const xml::Document& doc, Axis axis, xml::NodeId origin,
       });
       return;
   }
+}
+
+/// Whether `predicate` is a bare last(), which keeps the last candidate.
+bool IsLast(const Expr& predicate) {
+  return predicate.kind() == Expr::Kind::kFunctionCall &&
+         predicate.As<xpath::FunctionCall>().function() == Function::kLast;
 }
 
 /// Calls fn(i) for every set bit i of the `words` words at `bits`.
@@ -98,8 +83,7 @@ Status CvtEvaluator::Prepare() {
   constant_.assign(n, std::nullopt);
   by_node_.assign(n, {});
   table_entries_ = 0;
-  position_masks_.clear();
-  mask_memo_words_ = 0;
+  small_known_.assign(n, 0);
 
   if (options_.eager) {
     // Bottom-up pass: expression ids are preorder, so reverse id order
@@ -258,21 +242,24 @@ Status CvtEvaluator::FilterCandidates(const Expr& predicate,
     shape.Select(list);
     return Status::Ok();
   }
+  if (IsLast(predicate)) {
+    list->front() = list->back();
+    list->resize(1);
+    return Status::Ok();
+  }
   const size_t size = list->size();
   const size_t words = (size + 63) / 64;
-  const uint64_t* keep;
+  uint64_t* const keep = Column(0, words);
   if (query().analysis().traits(predicate).position_test) {
     // Its mask over positions 1..size is the survivors.
-    keep = PositionMask(predicate, /*predicate=*/true,
-                        static_cast<int64_t>(size));
+    PositionMask(predicate, /*predicate=*/true, static_cast<int64_t>(size),
+                 keep);
   } else {
-    uint64_t* const all = Column(0, words);
+    uint64_t* const all = Column(1, words);
     std::fill(all, all + words, ~uint64_t{0});
     if (size % 64 != 0) all[words - 1] = (uint64_t{1} << (size % 64)) - 1;
-    uint64_t* const truth = Column(1, words);
     GKX_RETURN_IF_ERROR(
-        TruthColumn(predicate, /*predicate=*/true, *list, all, truth, 2));
-    keep = truth;
+        TruthColumn(predicate, /*predicate=*/true, *list, all, keep, 2));
   }
   size_t kept = 0;
   ForEachBit(keep, words, [&](size_t i) { (*list)[kept++] = (*list)[i]; });
@@ -291,9 +278,8 @@ Status CvtEvaluator::TruthColumn(const Expr& expr, bool predicate,
   }
   const xpath::ExprTraits& traits = query().analysis().traits(expr);
   if (traits.position_test) {
-    const uint64_t* const mask =
-        PositionMask(expr, predicate, static_cast<int64_t>(list.size()));
-    for (size_t w = 0; w < words; ++w) out[w] = mask[w] & where[w];
+    PositionMask(expr, predicate, static_cast<int64_t>(list.size()), out);
+    for (size_t w = 0; w < words; ++w) out[w] &= where[w];
     return Status::Ok();
   }
   if (traits.core_condition) {
@@ -355,22 +341,19 @@ Status CvtEvaluator::TruthColumn(const Expr& expr, bool predicate,
   return status;
 }
 
-const uint64_t* CvtEvaluator::PositionMask(const Expr& expr, bool predicate,
-                                           int64_t size) {
+void CvtEvaluator::PositionMask(const Expr& expr, bool predicate,
+                                int64_t size, uint64_t* out) {
   // An expression sits in one place of the query, so its id fixes whether
   // it is a predicate.
-  const uint64_t key = (static_cast<uint64_t>(expr.id()) << 32) |
-                       static_cast<uint64_t>(size);
-  auto cached = position_masks_.find(key);
-  if (cached != position_masks_.end()) return cached->second.data();
-  const auto words = static_cast<size_t>((size + 63) / 64);
-  if (mask_memo_words_ + words > kMaskMemoWords) {
-    position_masks_.clear();
-    mask_memo_words_ = 0;
+  const auto id = static_cast<size_t>(expr.id());
+  const bool small = size <= 64;
+  const uint64_t known = small ? uint64_t{1} << (size - 1) : 0;
+  const size_t at = id * 64 + static_cast<size_t>(size - 1);
+  if ((small_known_[id] & known) != 0) {
+    *out = small_masks_[at];
+    return;
   }
-  std::vector<uint64_t>& mask = position_masks_[key];
-  mask_memo_words_ += words;
-  mask.assign(words, 0);
+  std::fill(out, out + (size + 63) / 64, 0);
   constexpr int kLanes = xpath::PositionBlock::kLanes;
   uint8_t truth[kLanes];
   for (int64_t first = 1; first <= size; first += kLanes) {
@@ -380,12 +363,17 @@ const uint64_t* CvtEvaluator::PositionMask(const Expr& expr, bool predicate,
                            static_cast<double>(size), truth);
     for (int i = 0; i < count; ++i) {
       const int64_t bit = first - 1 + i;
-      mask[static_cast<size_t>(bit >> 6)] |= static_cast<uint64_t>(truth[i])
-                                             << (bit & 63);
+      out[bit >> 6] |= static_cast<uint64_t>(truth[i]) << (bit & 63);
     }
   }
   CountEvaluation(size);
-  return mask.data();
+  if (small) {
+    if (small_masks_.size() < small_known_.size() * 64) {
+      small_masks_.resize(small_known_.size() * 64);
+    }
+    small_masks_[at] = *out;
+    small_known_[id] |= known;
+  }
 }
 
 uint64_t* CvtEvaluator::Column(size_t slot, size_t words) {

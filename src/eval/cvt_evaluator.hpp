@@ -86,18 +86,19 @@
 //     in one origin's candidate list, so the step works per origin: the
 //     candidates are read off the filtered set in axis order, and each
 //     remaining predicate is evaluated once for the whole list. [k] and
-//     [last()] select by index (PositionalShape), a Core condition is a
-//     bit gather, and/or/not() combine their operands' columns, evaluating
-//     the right operand only where the left one did not decide, and
-//     anything else is one Truth per candidate. A position test is a mask
-//     over positions 1..size, computed column-wise on doubles in blocks of
-//     PositionBlock::kLanes and memoized per (expression, size) for the
-//     run; the memo starts over when it would pass kMaskMemoWords, so its
-//     memory stays bounded whatever the frontier.
+//     [last()] select by index, a Core condition is a bit gather,
+//     and/or/not() combine their operands' columns, evaluating the right
+//     operand only where the left one did not decide, and anything else is
+//     one Truth per candidate. A position test is a mask over positions
+//     1..size, computed column-wise on doubles in blocks of
+//     PositionBlock::kLanes. Origins share small list sizes (on the served
+//     pool 95% of the masks asked for are of a list of at most 64 whose
+//     mask the run already computed), so such a mask is kept per
+//     (expression, size), one word each and 64 per expression at most; a
+//     longer one goes into a column that the next origin reuses.
 //   * So each ⟨origin, candidate⟩ pair is still visited at most once, as
-//     ApplyStep visits it, and each position test is evaluated at most
-//     once per distinct ⟨position, size⟩ between two restarts of the memo
-//     (and never more often than once per pair): Prop 2.7's polynomial
+//     ApplyStep visits it, and each position test is evaluated at most once
+//     per pair, as the per-origin loop evaluates it: Prop 2.7's polynomial
 //     bound holds. The survivors go straight into the output bitset, with
 //     no per-origin node set to sort, merge or convert.
 // The standalone engine (Evaluate: the paper census, cvt-eager, a scalar
@@ -176,10 +177,10 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
                      const uint64_t* where, uint64_t* out, size_t slot);
 
   /// The truth of position test `expr` at positions 1..size of a list of
-  /// `size`, one bit per position, memoized per (expression, size) for the
-  /// run. The bits stay valid until the next call.
-  const uint64_t* PositionMask(const xpath::Expr& expr, bool predicate,
-                               int64_t size);
+  /// `size`, one bit per position, into the (size + 63) / 64 words at `out`;
+  /// the one-word masks of lists of at most 64 are kept for the run.
+  void PositionMask(const xpath::Expr& expr, bool predicate, int64_t size,
+                    uint64_t* out);
 
   /// Column slot `slot`, sized to `words` words.
   uint64_t* Column(size_t slot, size_t words);
@@ -193,12 +194,12 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
   int64_t table_entries_ = 0;
   CoreLinearEvaluator* conditions_ = nullptr;
 
-  // Staged steps (StepImage), for one run like the tables. Position masks
-  // are keyed by (expression id, size); the memo is emptied before it
-  // would hold more than kMaskMemoWords.
-  static constexpr size_t kMaskMemoWords = size_t{1} << 20;  // 8 MiB
-  std::unordered_map<uint64_t, std::vector<uint64_t>> position_masks_;
-  size_t mask_memo_words_ = 0;
+  // Staged steps (StepImage), for one run like the tables. Bit size - 1 of
+  // small_known_[id] is set once small_masks_[id * 64 + size - 1] holds
+  // expression id's mask for a list of size ≤ 64, so the memory is 64 words
+  // per expression at most.
+  std::vector<uint64_t> small_known_;
+  std::vector<uint64_t> small_masks_;
   xpath::PositionBlock position_block_;
   // One origin's candidates, and the truth columns over them by slot. A
   // slot's words stay put while later slots are added: growing the outer

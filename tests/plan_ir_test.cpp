@@ -300,31 +300,6 @@ TEST(ExecTest, EngineReportsTheRouteListAndSameValue) {
   EXPECT_EQ(answer->value.nodes(), (NodeSet{3}));
 }
 
-// A staged cvt step memoizes one position mask per (expression, size) and
-// starts the memo over before it would pass its budget. 12,000 siblings,
-// each an origin whose following siblings form a list of its own size, need
-// ~72M mask bits, past the 2^26-bit budget, so the memo restarts during the
-// step; every answer must still come from the mask of its own size. Origin
-// i keeps sibling j > i where last() - position() = 11,999 - j is a
-// multiple of 1,000: the children at indexes 999, 1,999, ..., 11,999.
-TEST(ExecTest, PositionMasksStayRightPastTheMemoBudget) {
-  constexpr int kChildren = 12000;
-  std::string xml = "<r>";
-  for (int i = 0; i < kChildren; ++i) xml += "<a/>";
-  xml += "</r>";
-  auto doc = xml::ParseDocument(xml);
-  ASSERT_TRUE(doc.ok());
-  eval::Engine engine;
-  auto answer = engine.Run(*doc,
-                           "/child::*/following-sibling::*"
-                           "[(last() - position()) mod 1000 = 0]");
-  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-  EXPECT_EQ(answer->evaluator, "pf-frontier+cvt");
-  NodeSet expected;
-  for (int j = 999; j < kChildren; j += 1000) expected.push_back(j + 1);
-  EXPECT_EQ(answer->value.nodes(), expected);
-}
-
 // ------------------------------------------------- condition-set route
 // A cvt segment answers a Core condition in a boolean position with one bit
 // of the linear engine's condition set (cvt_evaluator.hpp). The route must
