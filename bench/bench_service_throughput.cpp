@@ -343,10 +343,11 @@ void RunDisjointChurn(bench::JsonReport* json) {
 // The delta-update pipeline: corpus mutation as subtree patches
 // (QueryService::UpdateDocument) instead of whole-document replacement.
 // Two claims, each self-checked:
-//   1. Throughput — on a large document, a subtree patch (splice + index
-//      splice, no re-parse) lands updates >= 3x faster than the equivalent
-//      full replacement (parse + rebuild + index rebuild), with
-//      byte-identical query answers afterward.
+//   1. Throughput — on a large document, a subtree patch (one splice, no
+//      re-parse) lands updates >= 3x faster than the equivalent full
+//      replacement (parse + rebuild), with byte-identical query answers
+//      afterward. Both sides rebuild the index the same way, lazily, at
+//      the probe query after each update.
 //   2. Retention — under subtree churn whose names OVERLAP the rest of the
 //      document (the regime where PR 4's whole-document name union
 //      invalidates everything), region×name invalidation retains strictly
@@ -454,9 +455,9 @@ void RunDeltaUpdateThroughput(bench::JsonReport* json) {
       PrecomputeEditChain(811, kRounds, base, &revision_xml);
 
   // One probe query per update keeps both sides honest about index
-  // maintenance: the patch side splices eagerly at update time, the
-  // replace side pays its lazy rebuild at the probe. The answer cache is
-  // off — retention is the NEXT scenario's claim; this one prices updates.
+  // maintenance: every new revision, patched or replaced, builds its index
+  // lazily at the probe. The answer cache is off — retention is the NEXT
+  // scenario's claim; this one prices updates.
   bench::Table table({"mode", "updates", "total ms", "updates/s",
                       "patch/replace"});
   double replace_ups = 0.0;

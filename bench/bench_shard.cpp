@@ -25,12 +25,16 @@
 // EXP-SHARD-WIRE: the same router behind the gkx::net TCP front-end on
 // loopback. One blocking client, batch sizes 1/64/256; the codec
 // round-trips answers exactly (raw IEEE-754 bits, id lists), so wire
-// digests must equal in-process digests byte-for-byte. Self-checked bar:
-// wire QPS >= 0.5x in-process at batch >= 64 (framing + 2 syscalls
-// amortize; batch=1 is reported unbarred — it prices a full round trip).
+// digests must equal in-process digests byte-for-byte. The two sides are
+// timed in interleaved rounds, best round of each, and the wire's own
+// cost is their difference per answer. Self-checked bar: a ceiling on that
+// cost at batch 64 and 256 (framing + 2 syscalls amortize; batch=1 is
+// reported unbarred — it prices a full round trip). The wire/in-process
+// QPS ratio is reported unbarred: it falls whenever the in-process side
+// gets cheaper, with no change to the wire.
 //
-// --smoke shrinks the corpus and iteration counts for CI and gates only
-// byte-identity and the wire floor (timing bars need the full run).
+// --smoke shrinks the corpus and iteration counts for CI and gates
+// byte-identity and the wire ceiling (the scaling bars need the full run).
 // Also writes BENCH_shard_stats.json — the 2-shard router's ExportStats
 // document — which tools/check_stats_json re-validates (aggregate ==
 // sum of shards[]).
@@ -217,15 +221,20 @@ ScaleResult RunScale(service::ShardedQueryService* router,
   return result;
 }
 
+
 struct WireResult {
   double inproc_qps = 0;
   double wire_qps = 0;
   double ratio = 0;
+  double wire_us_per_answer = 0;  // wire − in-process, best round of each
   bool digests_match = false;
 };
 
+/// Times `rounds` interleaved rounds of `repetitions` batches per side and
+/// keeps each side's best round: a stall of the host lands in one round of
+/// one side, not in the difference.
 WireResult RunWire(service::ShardedQueryService* router, const ShardSpec& spec,
-                   int batch_size, int repetitions) {
+                   int batch_size, int repetitions, int rounds) {
   WireResult result;
   std::vector<service::ShardedQueryService::Request> local;
   std::vector<net::WireRequest> wire;
@@ -251,22 +260,27 @@ WireResult RunWire(service::ShardedQueryService* router, const ShardSpec& spec,
   }
   result.digests_match = local_digests == wire_digests;
 
-  Stopwatch timer;
-  int64_t answers = 0;
-  for (int r = 0; r < repetitions; ++r) {
-    auto batch = router->SubmitBatch(local);
-    answers += static_cast<int64_t>(batch.size());
+  double best_local = 0;
+  double best_wire = 0;
+  for (int round = 0; round < rounds; ++round) {
+    Stopwatch timer;
+    for (int r = 0; r < repetitions; ++r) {
+      GKX_CHECK(router->SubmitBatch(local).size() == local.size());
+    }
+    const double local_seconds = timer.ElapsedSeconds();
+    timer.Restart();
+    for (int r = 0; r < repetitions; ++r) {
+      GKX_CHECK(client.SubmitBatch(wire).size() == wire.size());
+    }
+    const double wire_seconds = timer.ElapsedSeconds();
+    if (round == 0 || local_seconds < best_local) best_local = local_seconds;
+    if (round == 0 || wire_seconds < best_wire) best_wire = wire_seconds;
   }
-  result.inproc_qps = static_cast<double>(answers) / timer.ElapsedSeconds();
-
-  timer.Restart();
-  answers = 0;
-  for (int r = 0; r < repetitions; ++r) {
-    auto batch = client.SubmitBatch(wire);
-    answers += static_cast<int64_t>(batch.size());
-  }
-  result.wire_qps = static_cast<double>(answers) / timer.ElapsedSeconds();
+  const double answers = static_cast<double>(batch_size) * repetitions;
+  result.inproc_qps = answers / best_local;
+  result.wire_qps = answers / best_wire;
   result.ratio = result.wire_qps / result.inproc_qps;
+  result.wire_us_per_answer = (best_wire - best_local) / answers * 1e6;
 
   client.Close();
   server.Stop();
@@ -298,7 +312,7 @@ int main(int argc, char** argv) {
       "is O(S) under one manager; sharding makes it O(S/N) on one shard",
       "batch QPS at 1/2/4 shards under churn + standing queries (bars: "
       ">=1.7x @2, >=3.0x @4, byte-identical answers), and loopback wire "
-      "QPS vs in-process (bar: >=0.5x at batch >= 64)");
+      "cost per answer over in-process (bar: a ceiling at batch 64 and 256)");
 
   bool failed = false;
   gkx::bench::JsonReport json("shard", 0);
@@ -395,10 +409,12 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------------------- wire
   const int wire_reps = smoke ? 10 : 60;
-  std::printf("EXP-SHARD-WIRE: loopback TCP, 2 shards, %d reps per batch\n\n",
-              wire_reps);
-  gkx::bench::Table wire_table(
-      {"batch", "mode", "inproc_qps", "wire_qps", "ratio", "verdict"});
+  const int wire_rounds = 60;
+  std::printf("EXP-SHARD-WIRE: loopback TCP, 2 shards, best of %d "
+              "interleaved rounds of %d batches per side\n\n",
+              wire_rounds, wire_reps);
+  gkx::bench::Table wire_table({"batch", "mode", "inproc_qps", "wire_qps",
+                                "ratio", "wire_us/answer", "verdict"});
   {
     gkx::ShardSpec wire_spec = spec;
     wire_spec.standing_queries = std::min(spec.standing_queries, 512);
@@ -406,42 +422,56 @@ int main(int argc, char** argv) {
     // Options comment's "measure raw evaluation throughput" mode): a wire
     // front-end exists to put remote clients in front of the evaluator, so
     // that is the serving cost it is priced against. The warm-cache row is
-    // kept, unbarred, to show the other regime honestly: against ~1µs hash
-    // hits nothing framed over TCP can stay within 2x.
+    // kept, unbarred, to show the other regime: against ~1 µs hash hits the
+    // wire costs more than the answer.
     auto eval_router = gkx::BuildRouter(wire_spec, 2, /*answer_cache=*/false);
     auto cached_router = gkx::BuildRouter(wire_spec, 2, /*answer_cache=*/true);
     struct WireCase {
       const char* mode;
       gkx::service::ShardedQueryService* router;
       int batch;
-      bool barred;
+      double ceiling_us;  // on the wire's own cost per answer; 0 = unbarred
     };
-    const WireCase cases[] = {{"eval", eval_router.get(), 1, false},
-                              {"eval", eval_router.get(), 64, true},
-                              {"eval", eval_router.get(), 256, true},
-                              {"cached", cached_router.get(), 64, false}};
+    // The ceilings sit above every normal smoke run seen on a 4-vCPU KVM
+    // guest: 44 runs of the code this bar was set on read 0.60-1.40 µs per
+    // answer at batch 64 and 0.47-0.78 at 256, 64 runs of this bench
+    // 0.63-1.17 and 0.47-0.94. They catch gross regressions, not a 2x one:
+    // a build whose client and server encode, send, receive and decode
+    // every frame twice read 1.11-2.07 and 0.81-1.63, and failed 38 of 44
+    // runs in two rotations but 3 of 20 in a later one: it cost 1.4-1.8x
+    // the normal build, not 2x, and where in that range depended on the
+    // host's state at the time.
+    const WireCase cases[] = {{"eval", eval_router.get(), 1, 0},
+                              {"eval", eval_router.get(), 64, 1.5},
+                              {"eval", eval_router.get(), 256, 1.0},
+                              {"cached", cached_router.get(), 64, 0}};
     for (const WireCase& c : cases) {
-      gkx::WireResult run = gkx::RunWire(c.router, wire_spec, c.batch,
-                                         c.batch == 1 ? wire_reps * 8
-                                                      : wire_reps);
-      const bool pass = run.digests_match && (!c.barred || run.ratio >= 0.5);
+      gkx::WireResult run = gkx::RunWire(
+          c.router, wire_spec, c.batch,
+          c.batch == 1 ? wire_reps * 8 : wire_reps, wire_rounds);
+      const bool barred = c.ceiling_us > 0;
+      const bool pass = run.digests_match &&
+                        (!barred || run.wire_us_per_answer <= c.ceiling_us);
       if (!pass) failed = true;
       wire_table.AddRow(
           {gkx::bench::Num(c.batch), c.mode,
            gkx::bench::Num(static_cast<int64_t>(run.inproc_qps)),
            gkx::bench::Num(static_cast<int64_t>(run.wire_qps)),
            gkx::bench::Ratio(run.ratio),
+           gkx::bench::Ratio(run.wire_us_per_answer, 3),
            !run.digests_match ? "DIGEST-MISMATCH"
-           : !c.barred        ? "unbarred"
+           : !barred          ? "unbarred"
            : pass             ? "ok"
-                              : "BELOW-BAR"});
+                              : "ABOVE-CEILING"});
       json.AddRow({{"experiment", gkx::bench::JsonStr("wire")},
                    {"mode", gkx::bench::JsonStr(c.mode)},
                    {"batch", gkx::bench::JsonNum(c.batch)},
                    {"inproc_qps", gkx::bench::JsonNum(run.inproc_qps)},
                    {"wire_qps", gkx::bench::JsonNum(run.wire_qps)},
                    {"ratio", gkx::bench::JsonNum(run.ratio)},
-                   {"bar", gkx::bench::JsonNum(c.barred ? 0.5 : 0)},
+                   {"wire_us_per_answer",
+                    gkx::bench::JsonNum(run.wire_us_per_answer)},
+                   {"ceiling_us", gkx::bench::JsonNum(c.ceiling_us)},
                    {"digests_identical",
                     gkx::bench::JsonNum(run.digests_match ? 1 : 0)},
                    {"ok", gkx::bench::JsonNum(pass ? 1 : 0)}});

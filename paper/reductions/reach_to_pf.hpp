@@ -3,7 +3,7 @@
 //
 // The paper gives the reduction by example; the figure's exact chain lengths
 // are not recoverable from the text, so we use the same ingredients with
-// constants we can prove correct (see DESIGN.md §3.4):
+// constants we can prove correct (the argument follows the list):
 //
 //   * a spine p1..p(2n) (node p_d at depth d, all labeled `p`); p_j (j <= n)
 //     additionally carries the vertex label `u<j>` ("upper port" of vertex
@@ -19,6 +19,19 @@
 //     ancestor is always the spine node p_j because j <= n < n+i);
 //   * with self-loops added (the paper's trick), reachability becomes
 //       /descendant::u<src> / E^n / self::u<dst>  non-empty.
+//
+// Why E maps the upper port p_i to exactly the upper ports of i's
+// out-neighbours: child::*^n from p_i reaches only nodes at depth n+i, and
+// of those only the spine node p_(n+i) has a `c` child (a `c` hangs under a
+// lower port only, and a chain node's children are `x` or `e`), so child::c
+// keeps vertex i's bundle alone. Below that `c`, descendant::e selects the
+// tips of i's edges, the tip of (i,j) at depth 3n+j+1. parent::*^(3n+1)
+// lifts each tip to its depth-j ancestor; the tip hangs below p_(n+i) and
+// j <= n < n+i, so that ancestor is the spine node p_j. Every edge fits:
+// the chain from depth(c) = n+i+1 down to the tip is 2n+j-i >= n+1 >= 2
+// steps long, so each chain has at least one `x` node. With the self-loops,
+// E^n from p_src reaches the upper ports of exactly the vertices reachable
+// from src in at most n steps, which is every vertex reachable at all.
 //
 // Everything is PF: the 4 axes child/parent/descendant/self, no predicates.
 

@@ -1,16 +1,14 @@
 // The evaluator interface shared by the five engines of this repository
 // (naive, context-value-table, Core-XPath-linear, NAuxPDA, parallel), plus
-// the step-application machinery common to the recursive engines: axis
-// enumeration in axis order, predicate chains with position re-ranking
-// between iterated predicates, and the numeric-predicate coercion
-// ([2] == [position()=2]).
+// the predicate semantics the engines share: the numeric-predicate
+// coercion ([2] == [position()=2]) and the static positional shapes that
+// select one candidate without evaluating anything.
 
 #ifndef GKX_EVAL_EVALUATOR_HPP_
 #define GKX_EVAL_EVALUATOR_HPP_
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -53,18 +51,15 @@ class Evaluator {
 /// tests ([2] means [position()=2]); everything else is boolean().
 bool PredicateTruth(const Value& value, const Context& ctx);
 
-/// Evaluation of a predicate expression in a context: Result<bool>.
-using PredicateFn =
-    std::function<Result<bool>(const xpath::Expr&, const Context&)>;
-
 /// Static shapes whose survivor set is a pure index selection — the
 /// classic XPath positional fast path. [k], [position() = k] and
 /// [position() = last()] pick one candidate without evaluating anything per
 /// candidate (a predicate eval costs an expression walk per candidate; the
 /// selection is O(1)). kNone means "evaluate normally". Semantics are
 /// identical by construction: positions are 1-based ranks in the same
-/// candidate order the per-candidate loop would have used. ApplyStep and
-/// the cvt engine's staged steps both select through it.
+/// candidate order the per-candidate loop would have used. The recursive
+/// kernel's per-origin steps and the cvt engine's staged steps both select
+/// through it.
 struct PositionalShape {
   enum Kind { kNone, kIndex, kLast } kind = kNone;
   int64_t index = 0;  // for kIndex, the 1-based position
@@ -120,15 +115,6 @@ struct PositionalShape {
     return PositionalShape{kIndex, static_cast<int64_t>(value)};
   }
 };
-
-/// Applies one location step from `origin`: enumerates axis::test candidates
-/// in axis order, filters through the predicate chain (positions re-ranked
-/// among survivors between consecutive predicates), and appends the
-/// survivors to *out in axis order.
-Status ApplyStep(const xml::Document& doc, const xpath::Step& step,
-                 const ResolvedTest& test, xml::NodeId origin,
-                 const PredicateFn& eval_predicate,
-                 std::vector<xml::NodeId>* out);
 
 }  // namespace gkx::eval
 

@@ -16,6 +16,37 @@ using xpath::FunctionCall;
 using xpath::PathExpr;
 using xpath::UnionExpr;
 
+namespace {
+
+/// Recycled candidate buffers for ApplyStep. A path evaluated per origin
+/// (EvalPathFrom) calls ApplyStep once per origin of each step — on a
+/// frontier of thousands of origins the malloc/free pair of a fresh
+/// candidates vector dominates the (often empty) axis walk itself. The pool
+/// is a stack because ApplyStep re-enters through predicate evaluation (a
+/// predicate's path runs ApplyStep on its own origins), and per thread
+/// because the engines of a forked batch run concurrently, each on its own
+/// thread. A buffer that leaves via an error return simply isn't recycled —
+/// no leak, the pool just refills later.
+std::vector<std::vector<xml::NodeId>>& BufferPool() {
+  thread_local std::vector<std::vector<xml::NodeId>> pool;
+  return pool;
+}
+
+std::vector<xml::NodeId> AcquireBuffer() {
+  auto& pool = BufferPool();
+  if (pool.empty()) return {};
+  std::vector<xml::NodeId> buffer = std::move(pool.back());
+  pool.pop_back();
+  buffer.clear();
+  return buffer;
+}
+
+void RecycleBuffer(std::vector<xml::NodeId>&& buffer) {
+  BufferPool().push_back(std::move(buffer));
+}
+
+}  // namespace
+
 Status RecursiveEvaluatorBase::Bind(const xml::Document& doc,
                                     const xpath::Query& query) {
   if (doc.empty()) return InvalidArgumentError("empty document");
@@ -322,20 +353,59 @@ Result<Value> RecursiveEvaluatorBase::EvalFunction(const FunctionCall& call,
   return InternalError("unreachable");
 }
 
+Status RecursiveEvaluatorBase::ApplyStep(const xpath::Step& step,
+                                         xml::NodeId origin,
+                                         std::vector<xml::NodeId>* out) {
+  const xml::Document& document = doc();
+  const ResolvedTest& test = tests_[static_cast<size_t>(step.id)];
+  // Predicate-free steps never need the candidate list at all: survivors
+  // are exactly the test-passing axis nodes, streamed straight into `out`
+  // in axis order (the same order AxisNodes materializes).
+  if (step.predicates.empty()) {
+    ForEachOnAxis(document, origin, step.axis, [&](xml::NodeId v) {
+      if (test.Matches(document, v)) out->push_back(v);
+      return true;
+    });
+    return Status::Ok();
+  }
+  std::vector<xml::NodeId> candidates = AcquireBuffer();
+  ForEachOnAxis(document, origin, step.axis, [&](xml::NodeId v) {
+    if (test.Matches(document, v)) candidates.push_back(v);
+    return true;
+  });
+  for (const xpath::ExprPtr& predicate : step.predicates) {
+    if (candidates.empty()) break;
+    const PositionalShape positional = PositionalShape::Of(*predicate);
+    if (positional.kind != PositionalShape::kNone) {
+      positional.Select(&candidates);
+      continue;
+    }
+    std::vector<xml::NodeId> survivors = AcquireBuffer();
+    survivors.reserve(candidates.size());
+    const int64_t size = static_cast<int64_t>(candidates.size());
+    for (int64_t i = 0; i < size; ++i) {
+      Context ctx{candidates[static_cast<size_t>(i)], i + 1, size};
+      auto keep = Truth(*predicate, ctx, /*predicate=*/true);
+      if (!keep.ok()) return keep.status();
+      if (*keep) survivors.push_back(ctx.node);
+    }
+    std::swap(candidates, survivors);  // re-ranked for the next predicate
+    RecycleBuffer(std::move(survivors));
+  }
+  out->insert(out->end(), candidates.begin(), candidates.end());
+  RecycleBuffer(std::move(candidates));
+  return Status::Ok();
+}
+
 Result<NodeSet> RecursiveEvaluatorBase::EvalPathFrom(const PathExpr& path,
                                                      xml::NodeId origin) {
   NodeSet current;
   current.push_back(path.absolute() ? doc().root() : origin);
-  PredicateFn eval_predicate = [this](const Expr& expr, const Context& ctx) {
-    return Truth(expr, ctx, /*predicate=*/true);
-  };
   for (size_t s = 0; s < path.step_count(); ++s) {
     const xpath::Step& step = path.step(s);
     NodeSet next;
     for (xml::NodeId x : current) {
-      GKX_RETURN_IF_ERROR(ApplyStep(doc(), step,
-                                    tests_[static_cast<size_t>(step.id)], x,
-                                    eval_predicate, &next));
+      GKX_RETURN_IF_ERROR(ApplyStep(step, x, &next));
     }
     SortUnique(&next);
     current = std::move(next);

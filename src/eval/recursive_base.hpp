@@ -77,6 +77,14 @@ class RecursiveEvaluatorBase : public Evaluator {
   Result<Value> EvalFunction(const xpath::FunctionCall& call, const Context& ctx);
   Result<NodeSet> EvalNodeSetExpr(const xpath::Expr& expr, const Context& ctx);
 
+  /// Applies one location step from `origin`: enumerates axis::test
+  /// candidates in axis order, filters them through the predicate chain
+  /// (positions re-ranked among survivors between consecutive predicates,
+  /// each candidate asked through Truth), and appends the survivors to
+  /// *out in axis order.
+  Status ApplyStep(const xpath::Step& step, xml::NodeId origin,
+                   std::vector<xml::NodeId>* out);
+
   const xml::Document* doc_ = nullptr;
   const xpath::Query* query_ = nullptr;
   std::vector<ResolvedTest> tests_;  // by step id

@@ -1,7 +1,6 @@
 #include "service/document_store.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "base/stopwatch.hpp"
@@ -12,14 +11,7 @@
 namespace gkx::service {
 
 StoredDocument::StoredDocument(xml::Document doc, int64_t revision)
-    : doc_(std::move(doc)), revision_(revision) {
-  // Cached once: churn events union two cached vectors instead of
-  // re-sorting intern pools per mutation. The pool is a superset of the
-  // present names only for spliced documents (see Document::InternedNames);
-  // AdoptIndex tightens it when a spliced index is at hand anyway.
-  name_set_ = doc_.InternedNames();
-  std::sort(name_set_.begin(), name_set_.end());
-}
+    : doc_(std::move(doc)), revision_(revision) {}
 
 const xml::DocumentIndex& StoredDocument::index() const {
   const xml::DocumentIndex* built =
@@ -37,20 +29,13 @@ bool StoredDocument::index_built() const {
   return index_ptr_.load(std::memory_order_acquire) != nullptr;
 }
 
-void StoredDocument::AdoptIndex(std::unique_ptr<xml::DocumentIndex> index) {
-  GKX_CHECK(index != nullptr && &index->doc() == &doc_);
-  name_set_ = index->PresentNames();  // exact, where the pool is a superset
-  index_ = std::move(index);
-  index_ptr_.store(index_.get(), std::memory_order_release);
-}
-
 std::vector<std::string> DocumentStore::UnionNameSets(
     const StoredDocument& before, const StoredDocument& after) {
-  std::vector<std::string> out;
-  out.reserve(before.NameSet().size() + after.NameSet().size());
-  std::set_union(before.NameSet().begin(), before.NameSet().end(),
-                 after.NameSet().begin(), after.NameSet().end(),
-                 std::back_inserter(out));
+  std::vector<std::string> out = before.doc().InternedNames();
+  const std::vector<std::string>& added = after.doc().InternedNames();
+  out.insert(out.end(), added.begin(), added.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -131,23 +116,13 @@ Status DocumentStore::Update(std::string_view key,
       old = it->second;
     }
 
-    // The O(|D|) work — splice and (when warranted) index splice — happens
-    // against the snapshot, outside the mutex.
+    // The O(|D|) splice happens against the snapshot, outside the mutex.
     xml::DocumentDelta delta;
     Stopwatch splice_sw;
     auto edited = xml::ApplyEdit(old->doc(), edit, &delta);
     const double splice_seconds = splice_sw.ElapsedSeconds();
     if (!edited.ok()) return edited.status();
     auto stored = std::make_shared<StoredDocument>(std::move(edited).value());
-    double index_splice_seconds = 0.0;
-    if (old->index_built()) {
-      // The old revision was queried: splice its posting lists so the next
-      // query on the new revision pays no full rebuild either.
-      Stopwatch index_sw;
-      stored->AdoptIndex(std::make_unique<xml::DocumentIndex>(
-          stored->doc(), old->index(), delta));
-      index_splice_seconds = index_sw.ElapsedSeconds();
-    }
 
     wal::Wal::Ticket ticket;
     bool logged = false;
@@ -176,7 +151,6 @@ Status DocumentStore::Update(std::string_view key,
       update.old_doc = std::move(old);
       update.new_doc = std::move(stored);
       update.splice_seconds = splice_seconds;
-      update.index_splice_seconds = index_splice_seconds;
       if (report_deltas_) {
         update.delta = &delta;
         update.changed_names = delta.ChangedNames();

@@ -7,12 +7,12 @@
 //
 // Mutation paths: Put/PutXml replace a key wholesale; Update(key, edit)
 // applies a subtree patch (xml/edit.hpp) to the current revision — one
-// O(|D|) splice instead of parse + rebuild — and, when the old revision's
-// index was already built, splices the posting lists too instead of
-// rebuilding them on the next query. Update is optimistic: the edit is
-// applied outside the store mutex against a snapshot and installed only if
-// the key still holds that snapshot (a racing Put/Remove/Update forces a
-// retry), so readers are never blocked behind an O(|D|) splice.
+// O(|D|) splice instead of parse + rebuild. The edited revision starts
+// without an index, like every other revision, and builds it on its first
+// indexed query. Update is optimistic: the edit is applied outside the
+// store mutex against a snapshot and installed only if the key still holds
+// that snapshot (a racing Put/Remove/Update forces a retry), so readers are
+// never blocked behind an O(|D|) splice.
 //
 // Revisions: every Put/Update stamps the stored document with a revision id
 // drawn from one store-wide monotonic counter. Revisions are never reused —
@@ -29,10 +29,12 @@
 // order; listeners must key any derived state on the revision ids, which
 // totally order the transitions. This is the churn signal the mview layer
 // (answer-cache invalidation, standing-query re-evaluation) hangs off. The
-// CorpusUpdate carries the changed-name set pre-computed from the cached
-// per-document name sets (or the delta), so churn never rescans an intern
-// pool, and — for subtree updates — the DocumentDelta itself, which is what
-// upgrades invalidation from document×name to region×name precision.
+// CorpusUpdate carries the changed-name set: for subtree updates the
+// delta's region-local names, for whole-document replacement the union of
+// the two revisions' intern pools (a superset of the present names, which
+// only over-invalidates); and, for subtree updates, the DocumentDelta
+// itself, which is what upgrades invalidation from document×name to
+// region×name precision.
 //
 // Thread safety: the store is fully thread-safe. Get() hands out
 // shared_ptrs, so removing or replacing a key never invalidates documents
@@ -63,8 +65,7 @@ class Wal;
 
 namespace gkx::service {
 
-/// A registered document plus its lazily-built index, store revision, and
-/// cached name set.
+/// A registered document plus its lazily-built index and store revision.
 class StoredDocument {
  public:
   explicit StoredDocument(xml::Document doc, int64_t revision = 0);
@@ -76,34 +77,17 @@ class StoredDocument {
   int64_t revision() const { return revision_; }
 
   /// The acceleration index; built on first call (thread-safe, at most
-  /// once). Subtree updates of an indexed document pre-splice the index at
-  /// Update time, so the first query after a patch pays no rebuild.
+  /// once).
   const xml::DocumentIndex& index() const;
 
-  /// True if index() has been called or a spliced index was adopted.
+  /// True once index() has been called.
   bool index_built() const;
-
-  /// The document's sorted tag/label name set — what whole-document
-  /// footprint invalidation intersects against. Computed ONCE at
-  /// construction (from the intern pool, or exactly from a spliced index)
-  /// and cached, so churn events compare two cached vectors instead of
-  /// rescanning pools; and never builds an index (churn must not pay two
-  /// index builds per replacement). After subtree edits the pool-derived
-  /// set can be a superset of the present names (see
-  /// Document::InternedNames), which only ever over-invalidates.
-  const std::vector<std::string>& NameSet() const { return name_set_; }
 
  private:
   friend class DocumentStore;
 
-  /// Installs a pre-built (spliced) index and tightens name_set_ to the
-  /// index's exact PresentNames. Must be called before the StoredDocument
-  /// is published to other threads.
-  void AdoptIndex(std::unique_ptr<xml::DocumentIndex> index);
-
   xml::Document doc_;
   int64_t revision_ = 0;
-  std::vector<std::string> name_set_;
   mutable std::mutex index_mu_;
   mutable std::unique_ptr<xml::DocumentIndex> index_;
   mutable std::atomic<const xml::DocumentIndex*> index_ptr_{nullptr};
@@ -122,17 +106,14 @@ struct CorpusUpdate {
   /// callback.
   const xml::DocumentDelta* delta = nullptr;
   /// Sorted, duplicate-free changed-name set: delta-local names for a
-  /// subtree update, the union of the two revisions' cached name sets for a
+  /// subtree update, the union of the two revisions' intern pools for a
   /// whole-document replacement, empty for install/removal (which listeners
   /// must treat as all-changed).
   std::vector<std::string> changed_names;
-  /// Wall-clock of the subtree splice (ApplyEdit) and the posting-list
-  /// splice, for Update() mutations; 0.0 for whole-document mutations (and
-  /// index_splice_seconds is 0.0 when the old revision was never indexed).
-  /// Reported even in the set_report_deltas(false) baseline — the work
-  /// happened either way.
+  /// Wall-clock of the subtree splice (ApplyEdit), for Update() mutations;
+  /// 0.0 for whole-document mutations. Reported even in the
+  /// set_report_deltas(false) baseline — the work happened either way.
   double splice_seconds = 0.0;
-  double index_splice_seconds = 0.0;
 
   bool replacement() const {
     return old_doc != nullptr && new_doc != nullptr;
@@ -153,10 +134,10 @@ class DocumentStore {
   }
 
   /// Baseline switch for experiments: when false, Update() still applies
-  /// the subtree patch (and still splices the index) but REPORTS it as a
-  /// whole-document replacement — null delta, whole-document changed-name
-  /// union — so downstream invalidation degrades to the document×name
-  /// precision a whole-document Put would get. Set once, before traffic.
+  /// the subtree patch but REPORTS it as a whole-document replacement —
+  /// null delta, whole-document changed-name union — so downstream
+  /// invalidation degrades to the document×name precision a whole-document
+  /// Put would get. Set once, before traffic.
   void set_report_deltas(bool report) { report_deltas_ = report; }
 
   /// Registers (or replaces) a document under `key`. Empty documents are
@@ -215,7 +196,8 @@ class DocumentStore {
   void RestoreRevisionFloor(int64_t floor);
 
  private:
-  /// Sorted union of the two revisions' cached name sets.
+  /// Sorted union of the two revisions' intern pools: a superset of the
+  /// names either revision carries (see Document::InternedNames).
   static std::vector<std::string> UnionNameSets(const StoredDocument& before,
                                                 const StoredDocument& after);
 

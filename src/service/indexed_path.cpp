@@ -26,9 +26,8 @@ struct FlatStep {
   xml::NameId name = xml::kNoName;  // when !wildcard
 };
 
-/// Flattens a path into supported steps, fusing the '//' idiom. Returns
-/// false if any step falls outside the subset, a descendant step whose test
-/// is still a wildcard after the fusion included.
+/// Flattens a path into supported steps. Returns false if any step falls
+/// outside the subset, a wildcard descendant step included.
 bool FlattenSteps(const xml::Document& doc, const xpath::PathExpr& path,
                   std::vector<FlatStep>* out) {
   for (size_t s = 0; s < path.step_count(); ++s) {
@@ -43,31 +42,16 @@ bool FlattenSteps(const xml::Document& doc, const xpath::PathExpr& path,
     switch (step.axis) {
       case Axis::kSelf:
       case Axis::kChild:
-      case Axis::kDescendant:
         break;
+      case Axis::kDescendant:
       case Axis::kDescendantOrSelf:
-        // Fuse descendant-or-self::node()/child::t -> descendant::t and
-        // descendant-or-self::node()/descendant::t -> descendant::t.
-        if (flat.wildcard && s + 1 < path.step_count()) {
-          const xpath::Step& next = path.step(s + 1);
-          if (next.predicates.empty() &&
-              (next.axis == Axis::kChild || next.axis == Axis::kDescendant)) {
-            flat.axis = Axis::kDescendant;
-            flat.wildcard = IsWildcard(next.test);
-            if (!flat.wildcard) flat.name = doc.FindName(next.test.name);
-            ++s;
-          }
-        }
+        // A wildcard descendant range holds every node in it, and the
+        // posting lists cannot narrow it: copying it node by node loses to
+        // the pf-frontier sweep, which sets the range a word at a time.
+        if (flat.wildcard) return false;
         break;
       default:
         return false;  // reverse/sibling/parent/following axes: fall back
-    }
-    // A wildcard descendant range holds every node in it, and the posting
-    // lists cannot narrow it: copying it node by node loses to the
-    // pf-frontier sweep, which sets the range a word at a time.
-    if (flat.wildcard && (flat.axis == Axis::kDescendant ||
-                          flat.axis == Axis::kDescendantOrSelf)) {
-      return false;
     }
     out->push_back(flat);
   }

@@ -25,19 +25,19 @@
 namespace gkx::service {
 
 /// Evaluates `query` from the context node `origin` (relative paths start
-/// there; absolute paths start at the root regardless). Returns nullopt if
-/// the query falls outside the supported PF subset:
+/// there; absolute paths start at the root regardless). `query` must be a
+/// normalized plan query (plan::Normalize, as Engine::Compile runs it):
+/// xpath::Optimize has already fused the '//' idiom
+/// descendant-or-self::node()/child::t into descendant::t, and this route
+/// does not repeat that rewrite. Returns nullopt if the query falls outside
+/// the supported PF subset:
 ///   * root is a PathExpr or a union of PathExprs,
 ///   * every step is predicate-free on self/child/descendant/
 ///     descendant-or-self,
-///   * the '//' idiom descendant-or-self::node()/child::t is fused into
-///     descendant::t (same rewrite Optimize performs; sound because PF has
-///     no positional predicates),
-///   * every descendant(-or-self) step left after that fusion has a name
-///     test: a `*`/node() one selects a whole subtree range, which the
-///     posting lists cannot narrow and the pf-frontier sweep sets a word at
-///     a time, so the route declines it (self and child steps may still be
-///     wildcards).
+///   * every descendant(-or-self) step has a name test: a `*`/node() one
+///     selects a whole subtree range, which the posting lists cannot narrow
+///     and the pf-frontier sweep sets a word at a time, so the route
+///     declines it (self and child steps may still be wildcards).
 std::optional<eval::NodeSet> TryIndexedPath(const xml::DocumentIndex& index,
                                             const xpath::Query& query,
                                             xml::NodeId origin = 0);

@@ -54,8 +54,6 @@ QueryService::QueryService(const Options& options)
           registry_.GetHistogram("metrics.stage.cache_insert_ms")),
       update_count_(registry_.GetCounter("metrics.update.count")),
       update_splice_(registry_.GetHistogram("metrics.update.splice_ms")),
-      update_index_splice_(
-          registry_.GetHistogram("metrics.update.index_splice_ms")),
       update_affected_scan_(
           registry_.GetHistogram("metrics.update.affected_scan_ms")),
       update_invalidated_(registry_.GetHistogram(
@@ -158,15 +156,14 @@ bool QueryService::RemoveDocument(std::string_view key) {
 }
 
 void QueryService::OnCorpusUpdate(const CorpusUpdate& update) {
-  // The store pre-computes the changed-name set from cached per-document
-  // name sets (whole-document replacement) or the subtree delta (Update) —
-  // churn rescans no intern pool and builds no posting list. A plan whose
-  // footprint is unaffected by the set (plus, for deltas, the sharpened
-  // region-local tests in plan/footprint.hpp) cannot see the difference.
+  // The store pre-computes the changed-name set from the two revisions'
+  // intern pools (whole-document replacement) or the subtree delta (Update)
+  // — churn builds no posting list. A plan whose footprint is unaffected by
+  // the set (plus, for deltas, the sharpened region-local tests in
+  // plan/footprint.hpp) cannot see the difference.
   if (tracing_) {
     update_count_->Add();
     update_splice_->Record(update.splice_seconds);
-    update_index_splice_->Record(update.index_splice_seconds);
   }
   if (options_.answer_cache_enabled) {
     const uint64_t t0 = tracing_ ? obs::NowNs() : 0;

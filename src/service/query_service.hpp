@@ -110,10 +110,10 @@ class QueryService {
     bool answer_cache_enabled = true;
     mview::AnswerCache::Options answer_cache;
     /// Region×name invalidation for subtree updates (the delta pipeline).
-    /// When false, UpdateDocument still applies patches (and still splices
-    /// indexes) but churn is reported to the mview layer as whole-document
-    /// replacement — the PR-4 name-only baseline, kept measurable for
-    /// EXP-DELTA and differential soaks.
+    /// When false, UpdateDocument still applies patches but churn is
+    /// reported to the mview layer as whole-document replacement — the
+    /// name-only baseline, kept measurable for EXP-DELTA and differential
+    /// soaks.
     bool delta_invalidation = true;
     /// Pool for SubmitBatch and subscription re-evaluation; nullptr =
     /// ThreadPool::Shared().
@@ -162,10 +162,10 @@ class QueryService {
   /// Parses and registers.
   Status RegisterXml(std::string key, std::string_view xml);
   /// Applies a subtree patch to the registered document (xml/edit.hpp):
-  /// one O(|D|) splice instead of parse + rebuild, index maintenance by
-  /// posting-list splice, and — per the patch's DocumentDelta — answer
-  /// cache invalidation and subscription wake-ups scoped to the edited
-  /// region's names instead of the whole document's.
+  /// one O(|D|) splice instead of parse + rebuild (the new revision builds
+  /// its index on its first indexed query), and — per the patch's
+  /// DocumentDelta — answer cache invalidation and subscription wake-ups
+  /// scoped to the edited region's names instead of the whole document's.
   Status UpdateDocument(std::string_view key, const xml::SubtreeEdit& edit);
   bool RemoveDocument(std::string_view key);
   const DocumentStore& documents() const { return store_; }
@@ -315,7 +315,6 @@ class QueryService {
   obs::Histogram* stage_cache_insert_;
   obs::Counter* update_count_;
   obs::Histogram* update_splice_;
-  obs::Histogram* update_index_splice_;
   obs::Histogram* update_affected_scan_;
   obs::Histogram* update_invalidated_;   // kCount: entries per update
   obs::Histogram* update_retained_;

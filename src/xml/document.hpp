@@ -223,8 +223,7 @@ class Document {
   /// pool so NameIds stay stable across edits, which can leave entries no
   /// node carries any more. The pool is therefore a cheap SUPERSET of the
   /// present names (exact for freshly built documents) — good enough for
-  /// the mview changed-name fallback, which only ever over-invalidates;
-  /// DocumentIndex::PresentNames is the exact set.
+  /// the mview changed-name fallback, which only ever over-invalidates.
   const std::vector<std::string>& InternedNames() const { return names_; }
 
   /// True if the node's tag or any extra label equals `name`. Inline: every
@@ -257,9 +256,14 @@ class Document {
   /// Number of children.
   int32_t ChildCount(NodeId id) const;
 
-  /// XPath string-value: the node's direct text followed by the text of its
-  /// descendants in document order. (Text is attached to elements in this
-  /// model; see DESIGN.md for the approximation note.)
+  /// XPath string-value, approximated: the node's own text followed by the
+  /// texts of its descendants in document order. This model has no text
+  /// nodes; each element carries one text payload, all of its character
+  /// data concatenated, so text an element has after a child element is
+  /// read ahead of that child. This departs from XPath 1.0 wherever text
+  /// and child elements interleave: `<a>x<b>y</b>z</a>` has string-value
+  /// "xzy", not "xyz". Documents whose text sits only in leaf elements read
+  /// as in XPath 1.0.
   std::string StringValue(NodeId id) const;
 
   DocumentStats Stats() const;

@@ -7,19 +7,18 @@
 // copies with integer link fix-ups — no re-parse, no TreeBuilder, no name
 // re-interning for the untouched part) and reports a DocumentDelta
 // describing precisely what the edit could have changed. The delta is what
-// the rest of the pipeline keys on: DocumentIndex splices posting lists per
-// interval, DocumentStore::Update forwards it to listeners, and the mview
-// layer invalidates per region×name instead of per document (see
-// plan/footprint.hpp for the sharpened soundness argument).
+// the rest of the pipeline keys on: DocumentStore::Update forwards it to
+// listeners, and the mview layer invalidates per region×name instead of per
+// document (see plan/footprint.hpp for the sharpened soundness argument).
 //
 // NameId stability: the edited document's intern pool is the old pool plus
 // any names the spliced-in subtree introduces, in that order. NameIds of
-// surviving nodes are therefore unchanged — the index splice copies posting
-// lists without translation. The price is that a pool entry may outlive the
-// last node carrying it (Document::InternedNames becomes a superset of the
-// present names after edits); DocumentIndex::PresentNames stays exact, and
-// every consumer of the pool-based name set tolerates supersets (they only
-// ever over-invalidate).
+// surviving nodes are therefore unchanged, so node-set answers and delta
+// name ids carry over between revisions. The price is that a pool entry may
+// outlive the last node carrying it (Document::InternedNames becomes a
+// superset of the present names after edits); a DocumentIndex gives such a
+// name an empty posting list, and every consumer of the pool-based name set
+// tolerates supersets (they only ever over-invalidate).
 
 #ifndef GKX_XML_EDIT_HPP_
 #define GKX_XML_EDIT_HPP_

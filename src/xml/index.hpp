@@ -1,7 +1,7 @@
 // A per-document acceleration side-structure. Document is immutable and
 // knows nothing about query workloads; DocumentIndex is built next to it,
 // never during a parse: the service's DocumentStore builds it on the first
-// query that needs it, or splices the previous revision's after an edit.
+// indexed query against a revision, edited revisions included.
 // It maps each interned name to the preorder-sorted list of nodes carrying
 // it (as tag or extra label, Remark 3.1). Because NodeId is preorder rank
 // and a subtree is the contiguous interval [v, v + subtree_size),
@@ -13,12 +13,10 @@
 #define GKX_XML_INDEX_HPP_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "xml/document.hpp"
-#include "xml/edit.hpp"
 
 namespace gkx::xml {
 
@@ -28,21 +26,11 @@ class DocumentIndex {
   /// must outlive the index.
   explicit DocumentIndex(const Document& doc);
 
-  /// Delta-aware construction: `doc` must be the result of applying the
-  /// edit described by `delta` to `old_index.doc()` (ApplyEdit keeps
-  /// NameIds stable, which is what makes this legal). Instead of walking
-  /// the whole document, each posting list is spliced — the prefix is
-  /// copied verbatim, the changed interval is re-scanned, and the suffix is
-  /// copied with the delta's constant id shift — so the node walk covers
-  /// only the edited region. For an ids-stable content edit the lists are
-  /// copied untouched.
-  DocumentIndex(const Document& doc, const DocumentIndex& old_index,
-                const DocumentDelta& delta);
-
   const Document& doc() const { return *doc_; }
 
   /// Preorder-sorted ids of nodes whose tag or extra label is `name`.
-  /// Empty list for kNoName / out-of-pool names.
+  /// Empty list for kNoName, out-of-pool names and pool names no node
+  /// carries any more.
   const std::vector<NodeId>& NodesWithName(NameId name) const;
 
   /// Convenience: posting list by name text.
@@ -58,16 +46,9 @@ class DocumentIndex {
   /// Total name-posting entries (for stats / memory accounting).
   int64_t posting_count() const { return posting_count_; }
 
-  /// The document's tag set: sorted, duplicate-free names (tags and extra
-  /// labels) carried by at least one node. This is what footprint-based
-  /// invalidation (gkx::mview) intersects plan footprints against, so it is
-  /// materialized once at index build time.
-  const std::vector<std::string>& PresentNames() const { return name_set_; }
-
  private:
   const Document* doc_;
   std::vector<std::vector<NodeId>> by_name_;  // indexed by NameId
-  std::vector<std::string> name_set_;  // sorted names with >= 1 posting
   int64_t posting_count_ = 0;
 };
 

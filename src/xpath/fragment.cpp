@@ -120,8 +120,12 @@ std::optional<Function> ForbiddenPXPathFunction(const QueryAnalysis& analysis) {
       Function::kNumber,       Function::kLocalName,
       Function::kName,         Function::kStringLength,
       Function::kNormalizeSpace,
-      // String manipulators in the spirit of Def 6.1 restriction 2 (they
-      // read document strings of unbounded size): see DESIGN.md.
+      // Def 6.1 restriction 2 names the functions above. It does not name
+      // these four string manipulators, but they build new strings out of
+      // document strings of unbounded size, as string() and
+      // normalize-space() do, so the LOGCFL bound is not claimed for them
+      // either. Excluding them can only report a query in a larger
+      // fragment than it needs; it never changes an answer.
       Function::kSubstring,    Function::kSubstringBefore,
       Function::kSubstringAfter, Function::kTranslate,
   };

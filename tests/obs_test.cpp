@@ -548,7 +548,6 @@ metrics.stage.execute_ms:summary=25
 metrics.stage.plan_lookup_ms:summary=1
 metrics.update.affected_scan_ms:summary=8
 metrics.update.count:number=8
-metrics.update.index_splice_ms:summary=8
 metrics.update.invalidated_entries:summary=8
 metrics.update.remapped_entries:summary=8
 metrics.update.retained_entries:summary=8
@@ -614,7 +613,6 @@ metrics.stage.execute_ms:summary=23
 metrics.stage.plan_lookup_ms:summary=2
 metrics.update.affected_scan_ms:summary=8
 metrics.update.count:number=8
-metrics.update.index_splice_ms:summary=8
 metrics.update.invalidated_entries:summary=8
 metrics.update.remapped_entries:summary=8
 metrics.update.retained_entries:summary=8
@@ -659,7 +657,6 @@ shards.0.metrics.stage.execute_ms:summary=12
 shards.0.metrics.stage.plan_lookup_ms:summary=1
 shards.0.metrics.update.affected_scan_ms:summary=4
 shards.0.metrics.update.count:number=4
-shards.0.metrics.update.index_splice_ms:summary=4
 shards.0.metrics.update.invalidated_entries:summary=4
 shards.0.metrics.update.remapped_entries:summary=4
 shards.0.metrics.update.retained_entries:summary=4
@@ -724,7 +721,6 @@ shards.1.metrics.stage.execute_ms:summary=11
 shards.1.metrics.stage.plan_lookup_ms:summary=1
 shards.1.metrics.update.affected_scan_ms:summary=4
 shards.1.metrics.update.count:number=4
-shards.1.metrics.update.index_splice_ms:summary=4
 shards.1.metrics.update.invalidated_entries:summary=4
 shards.1.metrics.update.remapped_entries:summary=4
 shards.1.metrics.update.retained_entries:summary=4
@@ -826,7 +822,6 @@ metrics.stage.execute_ms:summary=23
 metrics.stage.plan_lookup_ms:summary=2
 metrics.update.affected_scan_ms:summary=8
 metrics.update.count:number=8
-metrics.update.index_splice_ms:summary=8
 metrics.update.invalidated_entries:summary=8
 metrics.update.remapped_entries:summary=8
 metrics.update.retained_entries:summary=8
@@ -878,7 +873,6 @@ shards.0.metrics.stage.execute_ms:summary=12
 shards.0.metrics.stage.plan_lookup_ms:summary=1
 shards.0.metrics.update.affected_scan_ms:summary=4
 shards.0.metrics.update.count:number=4
-shards.0.metrics.update.index_splice_ms:summary=4
 shards.0.metrics.update.invalidated_entries:summary=4
 shards.0.metrics.update.remapped_entries:summary=4
 shards.0.metrics.update.retained_entries:summary=4
@@ -950,7 +944,6 @@ shards.1.metrics.stage.execute_ms:summary=11
 shards.1.metrics.stage.plan_lookup_ms:summary=1
 shards.1.metrics.update.affected_scan_ms:summary=4
 shards.1.metrics.update.count:number=4
-shards.1.metrics.update.index_splice_ms:summary=4
 shards.1.metrics.update.invalidated_entries:summary=4
 shards.1.metrics.update.remapped_entries:summary=4
 shards.1.metrics.update.retained_entries:summary=4

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "eval/engine.hpp"
 #include "eval/pf_evaluator.hpp"
 #include "obs/json.hpp"
+#include "plan/ir.hpp"
 #include "service/indexed_path.hpp"
 #include "service/query_service.hpp"
 #include "tests/serving_threads.hpp"
@@ -105,13 +107,10 @@ TEST(DocumentStoreTest, UpdateAppliesSubtreePatchAndReportsDelta) {
   EXPECT_TRUE(had_delta[1]);
   EXPECT_EQ(changed_sets[1], (std::vector<std::string>{"b", "c", "d", "e"}));
 
-  // Cached name sets: the new revision's pool keeps dead entries as a
-  // superset, but stays sound — and failures are visible.
-  for (const char* name : {"a", "b", "d", "e", "r"}) {
-    EXPECT_TRUE(std::binary_search(stored->NameSet().begin(),
-                                   stored->NameSet().end(), name))
-        << name;
-  }
+  // The new revision's intern pool keeps the dead `c` next to the live
+  // names: a superset of the present names, which only over-invalidates.
+  EXPECT_EQ(stored->doc().InternedNames(),
+            (std::vector<std::string>{"r", "a", "b", "c", "d", "e"}));
 
   // Invalid edits fail cleanly and mutate nothing.
   edit.target = 99;
@@ -120,7 +119,34 @@ TEST(DocumentStoreTest, UpdateAppliesSubtreePatchAndReportsDelta) {
   EXPECT_EQ(store.Get("a"), stored);
 }
 
-TEST(DocumentStoreTest, UpdateSplicesIndexInsteadOfRebuilding) {
+TEST(DocumentStoreTest, WholeDocumentChurnReportsTheUnionOfBothPools) {
+  DocumentStore store;
+  std::vector<std::vector<std::string>> changed_sets;
+  store.SetUpdateListener([&](const CorpusUpdate& update) {
+    changed_sets.push_back(update.changed_names);
+  });
+  ASSERT_TRUE(store.PutXml("a", kDocA).ok());
+  ASSERT_TRUE(store.PutXml("a", kDocC).ok());  // replacement
+  // The name-only baseline reports an Update as a replacement too. The
+  // first relabel leaves `list` in the edited pool with no node carrying it.
+  store.set_report_deltas(false);
+  xml::SubtreeEdit edit;
+  edit.kind = xml::SubtreeEdit::Kind::kRelabel;
+  edit.target = 0;
+  edit.label = "q";
+  ASSERT_TRUE(store.Update("a", edit).ok());
+  edit.target = 1;
+  ASSERT_TRUE(store.Update("a", edit).ok());
+
+  ASSERT_EQ(changed_sets.size(), 4u);
+  EXPECT_TRUE(changed_sets[0].empty());  // install: all changed
+  EXPECT_EQ(changed_sets[1],
+            (std::vector<std::string>{"a", "b", "c", "item", "list", "r"}));
+  EXPECT_EQ(changed_sets[2], (std::vector<std::string>{"item", "list", "q"}));
+  EXPECT_EQ(changed_sets[3], (std::vector<std::string>{"item", "list", "q"}));
+}
+
+TEST(DocumentStoreTest, UpdatedRevisionBuildsItsIndexOnFirstUse) {
   DocumentStore store;
   ASSERT_TRUE(store.PutXml("a", kDocA).ok());
   auto before = store.Get("a");
@@ -134,23 +160,20 @@ TEST(DocumentStoreTest, UpdateSplicesIndexInsteadOfRebuilding) {
   edit.subtree = *xml::ParseDocument("<b/>");
   ASSERT_TRUE(store.Update("a", edit).ok());
 
+  // The new revision starts without an index, whether or not the old one
+  // had been built ...
   auto after = store.Get("a");
-  // The spliced index was adopted at Update time — no lazy rebuild left.
+  EXPECT_FALSE(after->index_built());
+  // ... and builds a right one on first use.
+  const xml::DocumentIndex& index = after->index();
   EXPECT_TRUE(after->index_built());
-  EXPECT_EQ(after->index().NodesWithName("b").size(), 4u);
-  // ... and it matches a from-scratch index, posting for posting.
+  EXPECT_EQ(&index.doc(), &after->doc());
+  EXPECT_EQ(index.NodesWithName("b"), (std::vector<xml::NodeId>{1, 3, 4, 7}));
   xml::DocumentIndex fresh(after->doc());
-  for (const std::string& name : fresh.PresentNames()) {
-    EXPECT_EQ(after->index().NodesWithName(name), fresh.NodesWithName(name))
-        << name;
+  EXPECT_EQ(index.posting_count(), fresh.posting_count());
+  for (const std::string& name : after->doc().InternedNames()) {
+    EXPECT_EQ(index.NodesWithName(name), fresh.NodesWithName(name)) << name;
   }
-  EXPECT_EQ(after->NameSet(), fresh.PresentNames());
-
-  // An unindexed base stays lazy: no index is built just to patch.
-  DocumentStore lazy_store;
-  ASSERT_TRUE(lazy_store.PutXml("a", kDocA).ok());
-  ASSERT_TRUE(lazy_store.Update("a", edit).ok());
-  EXPECT_FALSE(lazy_store.Get("a")->index_built());
 }
 
 TEST(DocumentStoreTest, PutSnapshotServesFromMapping) {
@@ -374,6 +397,13 @@ TEST(QueryServiceTest, ErrorsAreIsolatedPerRequest) {
   EXPECT_EQ(service.Stats().failures, 2);
 }
 
+/// The indexed route on `text`'s normalized plan query, the form both of
+/// its callers pass.
+std::optional<eval::NodeSet> Indexed(const xml::DocumentIndex& index,
+                                     const char* text) {
+  return TryIndexedPath(index, plan::Normalize(xpath::MustParse(text)).query);
+}
+
 TEST(QueryServiceTest, IndexedFastPathDifferentialOnRandomDocuments) {
   // The indexed PF path must agree with pf-frontier on random documents ×
   // random PF-shaped queries (including ones it declines — then it must
@@ -397,10 +427,9 @@ TEST(QueryServiceTest, IndexedFastPathDifferentialOnRandomDocuments) {
     xml::DocumentIndex index(doc);
     eval::PfEvaluator pf;
     for (const char* text : queries) {
-      xpath::Query query = xpath::MustParse(text);
-      auto indexed = TryIndexedPath(index, query);
+      auto indexed = Indexed(index, text);
       ASSERT_TRUE(indexed.has_value()) << text;
-      auto expected = pf.EvaluateNodeSet(doc, query);
+      auto expected = pf.EvaluateNodeSet(doc, xpath::MustParse(text));
       ASSERT_TRUE(expected.ok()) << text;
       EXPECT_EQ(*indexed, *expected) << text << " trial " << trial;
     }
@@ -410,23 +439,72 @@ TEST(QueryServiceTest, IndexedFastPathDifferentialOnRandomDocuments) {
 TEST(QueryServiceTest, IndexedFastPathDeclinesUnsupportedShapes) {
   xml::Document doc = xml::ChainDocument(10);
   xml::DocumentIndex index(doc);
-  EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("/descendant::t1/parent::t0")));
-  EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("//t1/following-sibling::t2")));
-  EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("count(//t1)")));
-  EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("/descendant::t1[child::t2]")));
-  // A descendant step that is still a wildcard after the '//' fusion: the
-  // posting lists cannot narrow its range, and the pf-frontier sweep sets
-  // it a word at a time.
-  EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("descendant::*/self::t3")));
-  EXPECT_FALSE(TryIndexedPath(
-      index, xpath::MustParse("descendant-or-self::* | self::*")));
-  EXPECT_FALSE(TryIndexedPath(
-      index, xpath::MustParse("child::*/descendant-or-self::*")));
-  EXPECT_FALSE(TryIndexedPath(index, xpath::MustParse("//*")));
+  EXPECT_FALSE(Indexed(index, "/descendant::t1/parent::t0"));
+  EXPECT_FALSE(Indexed(index, "//t1/following-sibling::t2"));
+  EXPECT_FALSE(Indexed(index, "count(//t1)"));
+  EXPECT_FALSE(Indexed(index, "/descendant::t1[child::t2]"));
+  // A wildcard descendant step: the posting lists cannot narrow its range,
+  // and the pf-frontier sweep sets it a word at a time.
+  EXPECT_FALSE(Indexed(index, "descendant::*/self::t3"));
+  EXPECT_FALSE(Indexed(index, "descendant-or-self::* | self::*"));
+  EXPECT_FALSE(Indexed(index, "child::*/descendant-or-self::*"));
+  EXPECT_FALSE(Indexed(index, "//*"));
   // Named descendant steps and wildcard child/self steps stay indexed.
-  EXPECT_TRUE(TryIndexedPath(index, xpath::MustParse("//t1/child::*/self::*")));
-  EXPECT_TRUE(TryIndexedPath(
-      index, xpath::MustParse("child::*/descendant-or-self::t2")));
+  EXPECT_TRUE(Indexed(index, "//t1/child::*/self::*"));
+  EXPECT_TRUE(Indexed(index, "child::*/descendant-or-self::t2"));
+}
+
+TEST(QueryServiceTest, IndexedAnswersStayRightAcrossUpdateChains) {
+  // Each revision builds its own index on its first indexed query. After
+  // every update of a document whose index was built, the pf-indexed
+  // answers must equal the plan run on the stored revision. The answer
+  // cache is off so that every Submit evaluates.
+  QueryService::Options options;
+  options.answer_cache_enabled = false;
+  QueryService service(options);
+  Rng rng(4242);
+  xml::RandomDocumentOptions doc_options;
+  doc_options.node_count = 150;
+  doc_options.tag_alphabet = 4;
+  doc_options.max_extra_labels = 1;
+  xml::RandomEditOptions edit_options;
+  edit_options.subtree_options = doc_options;
+  edit_options.subtree_options.tag_alphabet = 5;  // edits bring in t4
+  ASSERT_TRUE(
+      service.RegisterDocument("d", xml::RandomDocument(&rng, doc_options))
+          .ok());
+  const char* queries[] = {
+      "/descendant::t0/child::t1",
+      "//t2",
+      "//t0//t1",
+      "/descendant::t1 | //t3/child::t0",
+      "/child::*/descendant-or-self::t1",
+      "//t4",
+  };
+  eval::Engine engine;
+  for (int round = 0; round <= 30; ++round) {
+    if (round > 0) {
+      const xml::SubtreeEdit edit = xml::RandomSubtreeEdit(
+          &rng, service.documents().Get("d")->doc(), edit_options);
+      ASSERT_TRUE(service.UpdateDocument("d", edit).ok()) << round;
+      ASSERT_FALSE(service.documents().Get("d")->index_built()) << round;
+    }
+    auto stored = service.documents().Get("d");
+    for (const char* text : queries) {
+      auto got = service.Submit("d", text);
+      ASSERT_TRUE(got.ok()) << text;
+      EXPECT_EQ(got->evaluator, "pf-indexed") << text;
+      auto plan = eval::Engine::Compile(text);
+      ASSERT_TRUE(plan.ok()) << text;
+      auto expected = engine.RunPlan(stored->doc(), *plan);
+      ASSERT_TRUE(expected.ok()) << text;
+      EXPECT_TRUE(got->value.Equals(expected->value))
+          << "round " << round << " " << text << ": "
+          << got->value.DebugString() << " vs "
+          << expected->value.DebugString();
+    }
+    EXPECT_TRUE(stored->index_built()) << round;
+  }
 }
 
 TEST(QueryServiceTest, ConcurrentSubmitStress) {

@@ -7,12 +7,9 @@
 //     links, labels, attributes, text, subtree sizes, depths, and the
 //     serialized bytes — to building the edited document from scratch
 //     (testkit::NaiveApplyEdit), including under chains of edits.
-//   * Index splice: DocumentIndex(new, old_index, delta) equals a fresh
-//     DocumentIndex(new) posting list for posting list.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,7 +17,6 @@
 #include "testkit/reference_edit.hpp"
 #include "xml/edit.hpp"
 #include "xml/generator.hpp"
-#include "xml/index.hpp"
 #include "xml/parser.hpp"
 #include "xml/serializer.hpp"
 
@@ -305,50 +301,6 @@ TEST(ApplyEditMetamorphicTest, PatchEqualsRebuildOverRandomizedEditChains) {
       }
 
       current = std::move(patched).value();
-    }
-  }
-}
-
-TEST(ApplyEditMetamorphicTest, SplicedIndexEqualsFreshIndex) {
-  RandomDocumentOptions doc_options;
-  doc_options.tag_alphabet = 4;
-  doc_options.max_extra_labels = 1;
-  doc_options.text_probability = 0.3;
-  RandomEditOptions edit_options;
-  edit_options.subtree_options = doc_options;
-
-  for (uint64_t seed : {5u, 29u, 111u}) {
-    Rng rng(seed);
-    doc_options.node_count = static_cast<int32_t>(rng.UniformInt(10, 60));
-    // unique_ptrs keep each document's address stable for the index that
-    // borrows it across the chain.
-    auto current = std::make_unique<Document>(RandomDocument(&rng, doc_options));
-    auto current_index = std::make_unique<DocumentIndex>(*current);
-    for (int round = 0; round < 40; ++round) {
-      const SubtreeEdit edit = RandomSubtreeEdit(&rng, *current, edit_options);
-      DocumentDelta delta;
-      auto patched = ApplyEdit(*current, edit, &delta);
-      ASSERT_TRUE(patched.ok()) << "seed=" << seed << " round=" << round;
-      auto next = std::make_unique<Document>(std::move(patched).value());
-
-      // Splice the old index across the delta and compare against a full
-      // rebuild: same posting lists for every name, same PresentNames,
-      // same posting count.
-      auto spliced = std::make_unique<DocumentIndex>(*next, *current_index,
-                                                     delta);
-      DocumentIndex fresh(*next);
-      ASSERT_EQ(spliced->PresentNames(), fresh.PresentNames())
-          << "seed=" << seed << " round=" << round;
-      ASSERT_EQ(spliced->posting_count(), fresh.posting_count())
-          << "seed=" << seed << " round=" << round;
-      for (const std::string& name : fresh.PresentNames()) {
-        ASSERT_EQ(spliced->NodesWithName(name), fresh.NodesWithName(name))
-            << "seed=" << seed << " round=" << round << " name=" << name;
-      }
-
-      // Chain off the spliced index: splice-of-splice must stay exact.
-      current = std::move(next);
-      current_index = std::move(spliced);
     }
   }
 }

@@ -1,9 +1,11 @@
 // DocumentIndex: posting lists agree with brute-force scans over tags and
-// extra labels (Remark 3.1), on handcrafted and random documents.
+// extra labels (Remark 3.1), on handcrafted and random documents and on
+// the revisions that chains of subtree edits make of them.
 
 #include <gtest/gtest.h>
 
 #include "base/rng.hpp"
+#include "xml/edit.hpp"
 #include "xml/generator.hpp"
 #include "xml/index.hpp"
 #include "xml/parser.hpp"
@@ -48,23 +50,43 @@ TEST(DocumentIndexTest, AppendNamedInRange) {
 }
 
 TEST(DocumentIndexTest, AgreesWithBruteForceOnRandomDocuments) {
+  // Each document runs a chain of random subtree edits, and every revision
+  // gets a fresh index. ApplyEdit keeps the old intern pool, so an edited
+  // pool can hold names no node carries any more: their posting lists must
+  // be empty, and so must the list of the first id past the pool.
   Rng rng(7);
+  int64_t dead_names = 0;
   for (int trial = 0; trial < 10; ++trial) {
     RandomDocumentOptions options;
     options.node_count = 200;
     options.tag_alphabet = 3;
     options.max_extra_labels = 2;
     options.label_alphabet = 2;
+    RandomEditOptions edit_options;
+    edit_options.subtree_options = options;
+    edit_options.subtree_options.tag_alphabet = 5;
+    edit_options.subtree_options.label_alphabet = 3;
     Document doc = RandomDocument(&rng, options);
-    DocumentIndex index(doc);
-    for (NameId name = 0; name < 8; ++name) {
-      std::vector<NodeId> expected;
-      for (NodeId v = 0; v < doc.size(); ++v) {
-        if (doc.NodeHasName(v, name)) expected.push_back(v);
+    for (int round = 0; round <= 12; ++round) {
+      if (round > 0) {
+        auto edited = ApplyEdit(doc, RandomSubtreeEdit(&rng, doc, edit_options));
+        ASSERT_TRUE(edited.ok());
+        doc = std::move(edited).value();
       }
-      EXPECT_EQ(index.NodesWithName(name), expected) << "name " << name;
+      DocumentIndex index(doc);
+      const auto pool = static_cast<NameId>(doc.InternedNames().size());
+      for (NameId name = 0; name <= pool; ++name) {
+        std::vector<NodeId> expected;
+        for (NodeId v = 0; v < doc.size(); ++v) {
+          if (doc.NodeHasName(v, name)) expected.push_back(v);
+        }
+        EXPECT_EQ(index.NodesWithName(name), expected)
+            << "trial " << trial << " round " << round << " name " << name;
+        if (name < pool && expected.empty()) ++dead_names;
+      }
     }
   }
+  EXPECT_GT(dead_names, 0);  // the chains did leave names behind
 }
 
 }  // namespace

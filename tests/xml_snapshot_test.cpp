@@ -84,7 +84,7 @@ TEST(SnapshotTest, MappedDocumentServesQueries) {
   EXPECT_EQ(mapped->StringValue(2), "betagamma");
   DocumentIndex index(*mapped);
   DocumentIndex fresh(original);
-  for (const std::string& name : fresh.PresentNames()) {
+  for (const std::string& name : original.InternedNames()) {
     EXPECT_EQ(index.NodesWithName(name), fresh.NodesWithName(name)) << name;
   }
   std::remove(path.c_str());
